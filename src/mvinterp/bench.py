@@ -8,7 +8,8 @@ Three experiment kinds over a rectangular (dimension, degree) grid:
   checksum is part of the CSV row.
 * runtime: draw random target values and time each method end to end,
   node generation included.  Op counts ride along so scaling fits do not
-  depend on the clock.
+  depend on the clock; a method that refuses a singular system gets blank
+  cells.
 * conditioning: condition numbers of the interpolation matrix on the
   generated nodes, with the N^2 bound check recorded per cell.
 
@@ -185,7 +186,11 @@ def experiment_accuracy(cfg: ExperimentConfig) -> list:
 
 
 def experiment_runtime(cfg: ExperimentConfig) -> list:
-    """Wall time (node generation included) and op counts per method."""
+    """Wall time (node generation included) and op counts per method.
+
+    A method that refuses a singular system keeps its row, with seconds
+    and multiply_adds left blank.
+    """
     rows = []
     for m, n in cfg.cells():
         total = count_total(m, n)
@@ -194,18 +199,23 @@ def experiment_runtime(cfg: ExperimentConfig) -> list:
             for method in cfg.methods:
                 tally = Tally()
                 start = time.perf_counter()
-                if method == "pip-solver":
-                    solve(target, m, n, config=cfg.solve_config(m), tally=tally)
-                else:
-                    nodes, _, _ = _assemble(cfg, m, n)
-                    v = build_vandermonde(nodes.points, m, n, tally)
-                    if method == "linsolve":
-                        lu_solve(v, target, tally)
+                try:
+                    if method == "pip-solver":
+                        solve(target, m, n, config=cfg.solve_config(m), tally=tally)
                     else:
-                        v_inv = invert(v, tally)
-                        v_inv @ target
-                        tally.add_ops(total * total)
-                seconds = time.perf_counter() - start
+                        nodes, _, _ = _assemble(cfg, m, n)
+                        v = build_vandermonde(nodes.points, m, n, tally)
+                        if method == "linsolve":
+                            lu_solve(v, target, tally)
+                        else:
+                            v_inv = invert(v, tally)
+                            v_inv @ target
+                            tally.add_ops(total * total)
+                except SingularMatrixError:
+                    seconds = multiply_adds = None
+                else:
+                    seconds = time.perf_counter() - start
+                    multiply_adds = tally.multiply_adds
                 rows.append(
                     {
                         "m": m,
@@ -214,7 +224,7 @@ def experiment_runtime(cfg: ExperimentConfig) -> list:
                         "method": method,
                         "rep": rep,
                         "seconds": seconds,
-                        "multiply_adds": tally.multiply_adds,
+                        "multiply_adds": multiply_adds,
                     }
                 )
     rows.sort(key=lambda r: (r["m"], r["n"], r["rep"], r["method"]))

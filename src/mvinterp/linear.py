@@ -69,7 +69,8 @@ def solve_linear(f, flat: FlatSpec, nodes=None, tally=None):
     flat coordinates are c_0 = f(p_1) and c_a = f(base + frame[a]) - f(base);
     the returned m-variate polynomial is
     c_0 - <w, base> + <w, x> with w = sum_a c_a * frame[a].  It matches f on
-    all returned nodes and has effective degree <= 1.
+    all returned nodes and has effective degree <= 1.  f is a callback on
+    m-vectors, or an array of its values at the nodes.
     """
     if nodes is None:
         nodes = linear_generic_nodes(flat)
@@ -80,7 +81,11 @@ def solve_linear(f, flat: FlatSpec, nodes=None, tally=None):
                 f"expected {flat.k + 1} nodes of dimension {flat.m}, "
                 f"got shape {nodes.shape}"
             )
-    values = np.array([f(p) for p in nodes], dtype=float)
+    values = np.array([f(p) for p in nodes] if callable(f) else f, dtype=float)
+    if values.shape != (flat.k + 1,):
+        raise ValueError(
+            f"expected {flat.k + 1} node values, got shape {values.shape}"
+        )
     c0 = values[0]
     chat = values[1:] - c0
     w = chat @ flat.frame[list(flat.active)]

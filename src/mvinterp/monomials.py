@@ -11,27 +11,13 @@ position 0 and x_m^n is position N(m,n)-1.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from .exceptions import SizingError
 
 _INT_MAX = 2**63 - 1
-
-
-def _binom(a: int, b: int) -> int:
-    """Exact binomial coefficient via the multiplicative formula.
-
-    Intermediate products are divided exactly at every step, so the
-    largest intermediate stays within a factor (a-b+i) of the result.
-    """
-    if b < 0 or b > a:
-        return 0
-    b = min(b, a - b)
-    out = 1
-    for i in range(1, b + 1):
-        out = out * (a - b + i) // i
-    return out
 
 
 def count_total(m: int, n: int) -> int:
@@ -53,7 +39,7 @@ def count_total(m: int, n: int) -> int:
         raise ValueError(f"dimension m must be >= 1, got {m}")
     if n < 0:
         raise ValueError(f"degree n must be >= 0, got {n}")
-    total = _binom(m + n, m)
+    total = comb(m + n, m)
     if total > _INT_MAX:
         raise SizingError(
             f"monomial count for (m={m}, n={n}) is {total}, "
@@ -73,7 +59,7 @@ def count_degree(m: int, k: int) -> int:
         raise ValueError(f"degree k must be >= 0, got {k}")
     if k == 0:
         return 1
-    total = _binom(m + k, m) - _binom(m + k - 1, m)
+    total = comb(m + k, m) - comb(m + k - 1, m)
     if total > _INT_MAX:
         raise SizingError(
             f"degree-{k} monomial count for m={m} exceeds the supported range"

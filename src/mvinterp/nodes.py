@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 from .exceptions import GeometryConfigError
 from .linear import FlatSpec, linear_generic_nodes
 from .monomials import count_total
-from .tree import DecompTree, Vertex, assign_hyperplanes, build_tree, vertex_base
+from .tree import DecompTree, Vertex, assign_hyperplanes, build_tree, eps_label, vertex_base
 from .univariate import LineSpec, chebyshev_nodes
 
 __all__ = ["NodeSet", "leaf_slices", "leaf_nodes", "assemble_generic"]
@@ -66,10 +66,6 @@ def leaf_slices(nodes: NodeSet) -> dict:
     return {label: slice(lo, hi) for label, (lo, hi) in out.items()}
 
 
-def _eps_str(eps: tuple) -> str:
-    return "".join(str(b) for b in eps) or "-"
-
-
 def leaf_nodes(leaf: Vertex, tree: DecompTree, hyperplanes: dict, frame, kappa: float) -> np.ndarray:
     """Node block for one leaf: Chebyshev on a line, or unit offsets on a flat."""
     d, k = leaf.sigma
@@ -112,8 +108,8 @@ def _check_separation(tree, hyperplanes, blocks) -> None:
             worst = np.abs(values).min()
             if worst <= SEPARATION_MIN:
                 raise GeometryConfigError(
-                    f"a node of leaf {_eps_str(eps)} lies within {worst:.3e} of the "
-                    f"splitting hyperplane {_eps_str(eps[:i] + (1,))}; "
+                    f"a node of leaf {eps_label(eps)} lies within {worst:.3e} of the "
+                    f"splitting hyperplane {eps_label(eps[:i] + (1,))}; "
                     "lambda/kappa configuration collides"
                 )
 
@@ -158,7 +154,7 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
         for leaf in tree.leaves:
             pts = leaf_nodes(leaf, tree, hyperplanes, frame, kappa)
             blocks.append((leaf.eps, pts))
-            provenance.extend([_eps_str(leaf.eps)] * pts.shape[0])
+            provenance.extend([eps_label(leaf.eps)] * pts.shape[0])
         _check_separation(tree, hyperplanes, blocks)
         points = np.concatenate([pts for _, pts in blocks], axis=0)
     if points.shape[0] != total:

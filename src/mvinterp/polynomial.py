@@ -150,7 +150,7 @@ def add(q1: MultiPoly, q2: MultiPoly) -> MultiPoly:
 
 def _linear_parts(l: MultiPoly):
     """Constant and per-variable coefficients of a degree <= 1 polynomial."""
-    if l.effective_degree() > 1:
+    if l.n > 1 and l.effective_degree() > 1:
         raise ValueError("factor must have effective degree <= 1")
     c0 = float(l.coeffs[0])
     if l.n >= 1:
@@ -165,6 +165,8 @@ def mul_linear(q: MultiPoly, l: MultiPoly, n_out: int | None = None) -> MultiPol
 
     Cost is proportional to (m+1)·N(m, deg q): one scaled copy for the
     constant part plus one scatter-add per variable along the lift tables.
+    The coefficients are scanned for their actual degrees only when the
+    structural bounds q.n and l.n do not already fit the result.
 
     Parameters
     ----------
@@ -175,14 +177,17 @@ def mul_linear(q: MultiPoly, l: MultiPoly, n_out: int | None = None) -> MultiPol
     if q.m != l.m:
         raise ValueError(f"dimension mismatch: {q.m} vs {l.m}")
     c0, lin = _linear_parts(l)
-    deg_q = q.effective_degree()
-    needed = deg_q + (1 if np.any(lin != 0.0) else 0)
     if n_out is None:
         n_out = q.n + 1
-    if n_out < needed:
-        raise ValueError(
-            f"product has degree {needed} but the requested bound is {n_out}"
-        )
+    deg_q = q.n
+    if q.n + min(l.n, 1) > n_out:
+        # the structural bound does not fit; the actual degrees decide
+        deg_q = q.effective_degree()
+        needed = deg_q + (1 if np.any(lin != 0.0) else 0)
+        if n_out < needed:
+            raise ValueError(
+                f"product has degree {needed} but the requested bound is {n_out}"
+            )
     out_order = build_order(q.m, n_out)
     out = np.zeros(len(out_order))
     nq = count_total(q.m, deg_q)

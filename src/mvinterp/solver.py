@@ -2,16 +2,21 @@
 
 The solver walks the tree depth-first, dimension-reduction branch first.
 Every leaf is a problem it can solve directly: a univariate Chebyshev
-problem on a line, or a degree-1 problem on a flat.  Leaf values come
-from the corrected function (f - correction) / divisor product, where the
+problem on a line, or a degree-1 problem on a flat.  A problem without a
+tree (n = 0, m = 1 or n = 1) is one such leaf with no divisors.
+
+f is read exactly once per node: an array of node values is sliced by
+leaf, a callback is called on a leaf's rows when the walk reaches it, and
+a non-finite value is rejected.  Each leaf then corrects its block of
+values in one call, (f - correction) / divisor product, where the
 correction is the sum of the contributions of all previously solved
 leaves and the divisors are the split-hyperplane linears crossed on bit-0
 edges on the way down.  Each leaf solution, multiplied back by its
 divisors, lands in one shared accumulator, which at the end of the walk
 is the interpolant itself.
 
-The corrected function is never expanded symbolically; it exists only as
-an evaluation rule.  Together with the factored divisor products this
+The corrected function is never expanded symbolically; only its values on
+the current leaf exist.  Together with the factored divisor products this
 caps tracked storage at a small multiple of m * N(m,n).
 
 Operation counts are analytic, derived from structural block sizes, so
@@ -22,7 +27,7 @@ and a division each count as one operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -31,14 +36,13 @@ from .exceptions import GeometryConfigError
 from .instrument import Tally
 from .linear import FlatSpec, solve_linear
 from .monomials import count_total
-from .nodes import NodeSet, assemble_generic, leaf_slices
+from .nodes import assemble_generic, leaf_slices
 from .polynomial import MultiPoly, evaluate, mul_linear
-from .tree import vertex_base
+from .tree import eps_label, vertex_base
 from .univariate import LineSpec, solve_on_line
 
 __all__ = [
     "SolveConfig",
-    "SubProblemFrame",
     "corrected_value",
     "solve",
     "op_counter_report",
@@ -60,86 +64,54 @@ class SolveConfig:
     mu: np.ndarray | None = None
 
 
-@dataclass
-class SubProblemFrame:
-    """Solve-time state of one subproblem.
+def corrected_value(
+    values, correction: MultiPoly, divisors, points, tally: Tally | None = None
+) -> np.ndarray:
+    """The corrected function (f - correction) / divisor product on a block.
 
-    correction is the accumulated polynomial already explained by other
-    branches; divisors are (label, degree-1 polynomial) pairs whose product
-    the corrected function divides by.  The divisor list always holds one
-    factor per bit-0 edge on the path from the root.
-    """
-
-    vertex: object
-    correction: MultiPoly
-    divisors: list = field(default_factory=list)
-    status: str = "unsolved"
-    solution: MultiPoly | None = None
-
-
-def corrected_value(f, frame: SubProblemFrame, p, tally: Tally | None = None) -> float:
-    """The corrected function (f - correction) / divisor product at p.
+    values holds f at the rows of points; divisors are (label, degree-1
+    polynomial) pairs, one per bit-0 edge on the path from the root.
 
     Raises
     ------
     GeometryConfigError
-        When a divisor factor at p falls below DIVISION_RTOL relative to
-        the magnitudes entering it: the node configuration puts p too
-        close to a hyperplane this subproblem divides by.
+        When a divisor factor at a node falls below DIVISION_RTOL relative
+        to the magnitudes entering it: the node configuration puts that
+        node too close to a hyperplane this subproblem divides by.
     """
-    p = np.asarray(p, dtype=float)
-    numerator = float(f(p)) - evaluate(frame.correction, p)
-    denominator = 1.0
-    for label, factor in frame.divisors:
-        lin = factor.coeffs[1:]
-        value = float(factor.coeffs[0] + lin @ p)
-        magnitude = abs(float(factor.coeffs[0])) + float(np.abs(lin * p).sum())
-        if abs(value) <= DIVISION_RTOL * magnitude:
-            raise GeometryConfigError(
-                f"node {np.array2string(p, precision=6)} lies within "
-                f"{abs(value):.3e} of splitting hyperplane {label} "
-                f"(scale {magnitude:.3e}); the lambda/kappa configuration "
-                "is ill posed"
-            )
-        denominator *= value
-    if tally is not None:
-        total = count_total(frame.correction.m, frame.correction.n)
-        tally.add_ops(2 * total + (p.size + 1) * len(frame.divisors) + 1)
-    return numerator / denominator
-
-
-def _as_callback(f, nodes: NodeSet, tally: Tally):
-    """Normalize f to a point callback.
-
-    An array of length N(m,n) is read as the values of f at the generated
-    nodes in storage order; lookups key on the exact bit pattern of each
-    node, which the leaf solvers preserve by passing node rows through
-    unchanged.
-    """
-    if callable(f):
-        return f
-    values = np.asarray(f, dtype=float)
-    if values.shape != (len(nodes),):
-        raise ValueError(
-            f"expected a callback or {len(nodes)} node values, "
-            f"got shape {values.shape}"
+    points = np.asarray(points, dtype=float)
+    m = points.shape[1]
+    numerator = np.asarray(values, dtype=float) - [evaluate(correction, p) for p in points]
+    const = np.array([factor.coeffs[0] for _, factor in divisors])[:, np.newaxis]
+    lin = np.array([factor.coeffs[1:] for _, factor in divisors]).reshape(len(divisors), m)
+    factors = const + lin @ points.T  # divisor by node
+    scales = np.abs(const) + np.abs(lin) @ np.abs(points).T
+    close = np.abs(factors) <= DIVISION_RTOL * scales
+    if close.any():
+        node, which = np.argwhere(close.T)[0]
+        raise GeometryConfigError(
+            f"node {np.array2string(points[node], precision=6)} lies within "
+            f"{abs(factors[which, node]):.3e} of splitting hyperplane "
+            f"{divisors[which][0]} (scale {scales[which, node]:.3e}); the "
+            "lambda/kappa configuration is ill posed"
         )
-    tally.alloc(values.size)
-    table = {
-        nodes.points[i].tobytes(): float(values[i]) for i in range(len(nodes))
-    }
+    if tally is not None:
+        total = count_total(correction.m, correction.n)
+        tally.add_ops(points.shape[0] * (2 * total + (m + 1) * len(divisors) + 1))
+    return numerator / np.prod(factors, axis=0)
 
-    def lookup(p):
-        key = np.asarray(p, dtype=float).tobytes()
-        try:
-            return table[key]
-        except KeyError:
-            raise ValueError(
-                "f was given as node values, but evaluation was requested "
-                "at a point that is not a generated node"
-            ) from None
 
-    return lookup
+def _finite(values: np.ndarray, first: int = 0) -> np.ndarray:
+    """Return values after checking that every entry is finite.
+
+    values[0] is node number first, which the error message counts from.
+    """
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(
+            f"f is not finite at node {first + bad[0]}: {float(values[bad[0]])}"
+        )
+    return values
 
 
 def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | None = None):
@@ -148,6 +120,13 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
     f is a callback on m-vectors, or an array of N(m,n) values in node
     storage order.  Returns (poly, nodes, report): the interpolant, the
     generated NodeSet, and the operation/storage report of the run.
+
+    Raises
+    ------
+    ValueError
+        When an array of values has the wrong shape, or f is not finite at
+        a node.  The message names the first such node read: the lowest
+        index for an array, the first in walk order for a callback.
     """
     cfg = config if config is not None else SolveConfig()
     t = tally if tally is not None else Tally()
@@ -155,40 +134,59 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
         m, n, frame=cfg.frame, lam=cfg.lam, kappa=cfg.kappa, mu=cfg.mu
     )
     t.alloc(nodes.points.size)
-    fcb = _as_callback(f, nodes, t)
+    values = None
+    if not callable(f):
+        values = np.asarray(f, dtype=float)
+        if values.shape != (len(nodes),):
+            raise ValueError(
+                f"expected a callback or {len(nodes)} node values, "
+                f"got shape {values.shape}"
+            )
+        _finite(values)
+        t.alloc(values.size)
     frame = np.eye(m) if cfg.frame is None else np.asarray(cfg.frame, dtype=float)
     shift = np.zeros(m) if cfg.mu is None else np.asarray(cfg.mu, dtype=float)
+    slices = leaf_slices(nodes)
+
+    def solve_leaf(sigma, block, base, correction, divisors):
+        """The interpolant of one leaf's corrected values, in m variables."""
+        pts = nodes.points[block]
+        if values is None:
+            fvals = _finite(np.array([float(f(p)) for p in pts]), block.start)
+        else:
+            fvals = values[block]
+        corrected = corrected_value(fvals, correction, divisors, pts, t)
+        d, k = sigma
+        if d == 1 or k == 0:
+            line = LineSpec(direction=frame[0], base=base, kappa=cfg.kappa)
+            return solve_on_line(corrected, k, line, nodes=pts, tally=t)[1]
+        flat = FlatSpec(frame=frame, active=tuple(range(d)), base=base)
+        return solve_linear(corrected, flat, nodes=pts, tally=t)[1]
 
     if tree is None:
-        poly = _solve_base(fcb, m, n, nodes, frame, shift, cfg, t)
+        poly = solve_leaf((m, n), slices[eps_label(())], shift, MultiPoly.zero(m, n), [])
         return poly, nodes, t.report()
 
     acc = MultiPoly.zero(m, n)
     t.alloc(acc.coeffs.size)
-    slices = leaf_slices(nodes)
 
-    def solve_leaf(leaf, divisors):
-        frame_state = SubProblemFrame(leaf, acc, list(divisors))
-        d, k = leaf.sigma
-        block = slices["".join(map(str, leaf.eps))]
-        pts = nodes.points[block]
-        base = vertex_base(tree, leaf, hyperplanes) + shift
-        cb = lambda p: corrected_value(fcb, frame_state, p, t)
-        held = t.alloc(pts.shape[0])
-        if d == 1:
-            line = LineSpec(direction=frame[0], base=base, kappa=cfg.kappa)
-            _, local = solve_on_line(cb, k, line, nodes=pts, tally=t)
-        else:
-            flat = FlatSpec(frame=frame, active=tuple(range(d)), base=base)
-            _, local = solve_linear(cb, flat, nodes=pts, tally=t)
+    def visit(vertex, divisors):
+        if not vertex.is_leaf:
+            visit(tree.vertices[vertex.bit1], divisors)
+            spec = hyperplanes[vertex.eps + (1,)]
+            factor = spec.poly()
+            factor.coeffs[0] -= float(spec.normal @ shift)
+            visit(tree.vertices[vertex.bit0], divisors + [(eps_label(spec.eps), factor)])
+            return
+        block = slices[eps_label(vertex.eps)]
+        held = t.alloc(block.stop - block.start)
+        base = vertex_base(tree, vertex, hyperplanes) + shift
+        contribution = solve_leaf(vertex.sigma, block, base, acc, divisors)
         t.free(held)
-        frame_state.status = "solved"
-        frame_state.solution = local
 
-        contribution = local
         held = t.alloc(contribution.coeffs.size)
         degree = contribution.n
-        for _, factor in frame_state.divisors:
+        for _, factor in divisors:
             degree += 1
             lifted = mul_linear(contribution, factor, n_out=degree)
             t.add_ops(
@@ -201,43 +199,15 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
             contribution = lifted
         if degree != n:
             raise AssertionError(
-                f"leaf {leaf.eps} contribution reached degree {degree}, "
+                f"leaf {vertex.eps} contribution reached degree {degree}, "
                 f"expected exactly {n}"
             )
         acc.coeffs += contribution.coeffs
         t.add_ops(contribution.coeffs.size)
         t.free(held)
 
-    def visit(vertex, divisors):
-        if vertex.is_leaf:
-            solve_leaf(vertex, divisors)
-            return
-        visit(tree.vertices[vertex.bit1], divisors)
-        spec = hyperplanes[vertex.eps + (1,)]
-        factor = spec.poly()
-        factor.coeffs[0] -= float(spec.normal @ shift)
-        label = "".join(map(str, spec.eps))
-        visit(tree.vertices[vertex.bit0], divisors + [(label, factor)])
-
     visit(tree.root, [])
     return acc, nodes, t.report()
-
-
-def _solve_base(fcb, m, n, nodes, frame, shift, cfg, t):
-    """Treeless cases: a single node, one line, or one flat."""
-    root = SubProblemFrame(None, MultiPoly.zero(m, n))
-    cb = lambda p: corrected_value(fcb, root, p, t)
-    if n == 0:
-        poly = MultiPoly(m, 0, [cb(nodes.points[0])])
-    elif m == 1:
-        line = LineSpec(direction=frame[0], base=shift, kappa=cfg.kappa)
-        _, poly = solve_on_line(cb, n, line, nodes=nodes.points, tally=t)
-    else:
-        flat = FlatSpec(frame=frame, active=tuple(range(m)), base=shift)
-        _, poly = solve_linear(cb, flat, nodes=nodes.points, tally=t)
-    root.status = "solved"
-    root.solution = poly
-    return poly
 
 
 def op_counter_report(run) -> dict:

@@ -36,7 +36,13 @@ __all__ = [
     "assign_hyperplanes",
     "vertex_base",
     "dump_tree",
+    "eps_label",
 ]
+
+
+def eps_label(eps) -> str:
+    """The bit string of a path, "-" for the empty root path."""
+    return "".join(map(str, eps)) or "-"
 
 
 @dataclass(frozen=True)
@@ -197,6 +203,8 @@ def assign_hyperplanes(tree: DecompTree, frame=None, lam=Fraction(2)) -> dict:
     lam = Fraction(lam)
     if not lam > 1:
         raise GeometryConfigError(f"lambda must exceed 1, got {lam}")
+    # alpha(eps) = alpha(eps[:-1]) + (-1)^(d-1) * lam^d at depth d = |eps|
+    steps = [lam**d if d % 2 else -(lam**d) for d in range(tree.depth)]
     result: dict = {}
     bases = {(): np.zeros(m)}
     exact_history: dict = {(): ()}
@@ -209,7 +217,10 @@ def assign_hyperplanes(tree: DecompTree, frame=None, lam=Fraction(2)) -> dict:
             exact_history[v.eps] = exact_history[parent_eps]
             continue
         axis = v.sigma[0]  # 0-based row for xi_{sigma1+1}
-        a = alpha(v.eps, lam)
+        history = exact_history[parent_eps]
+        # trailing zero bits add nothing: the parent's alpha is the last
+        # offset assigned on its path
+        a = (history[-1][1] if history else 0) + steps[v.depth]
         base = bases[parent_eps] + float(a) * frame[axis]
         spec = HyperplaneSpec(
             eps=v.eps,
@@ -257,9 +268,8 @@ def dump_tree(tree: DecompTree, hyperplanes: dict) -> str:
     """Structured text dump of every vertex for golden-file comparisons."""
     lines = [f"tree m={tree.m} n={tree.n} depth={tree.depth} leaves={tree.leaf_count}"]
     for v in tree.vertices:
-        eps_str = "".join(str(b) for b in v.eps) or "-"
         parts = [
-            f"eps={eps_str}",
+            f"eps={eps_label(v.eps)}",
             f"sigma=({v.sigma[0]},{v.sigma[1]})",
             "leaf" if v.is_leaf else "split",
         ]

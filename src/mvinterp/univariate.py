@@ -97,6 +97,7 @@ def solve_univariate(nodes, values, tally=None) -> np.ndarray:
 def solve_on_line(f, degree: int, line: LineSpec, nodes=None, tally=None):
     """Interpolate f on a line: returns (nodes, MultiPoly in m variables).
 
+    f is a callback on m-vectors, or an array of its values at the nodes.
     Generates degree+1 Chebyshev nodes on the line (unless given), solves in
     the line parameter t(x) = <x - base, direction>, and lifts the result;
     the returned polynomial agrees with f at the returned nodes and has
@@ -114,7 +115,7 @@ def solve_on_line(f, degree: int, line: LineSpec, nodes=None, tally=None):
                 f"got shape {nodes.shape}"
             )
     t = (nodes - line.base) @ line.direction
-    values = np.array([f(p) for p in nodes], dtype=float)
+    values = np.array([f(p) for p in nodes] if callable(f) else f, dtype=float)
     chat = solve_univariate(t, values, tally=tally)
     poly = embed_univariate(chat, line.direction, line.base)
     if tally is not None:

@@ -38,7 +38,7 @@ import scipy.linalg
 from .exceptions import SingularMatrixError
 from .monomials import build_order, count_degree, count_total
 from .nodes import NodeSet, leaf_slices
-from .tree import build_tree
+from .tree import build_tree, eps_label
 
 __all__ = [
     "build_vandermonde",
@@ -306,7 +306,7 @@ def _reconstruct_offsets(nodes: NodeSet, tree, slices: dict) -> dict:
         first = next(
             leaf for leaf in tree.leaves if leaf.eps[: len(prefix)] == prefix
         )
-        row = slices["".join(map(str, first.eps))].start
+        row = slices[eps_label(first.eps)].start
         specs[v.eps] = (axis, float(nodes.points[row, axis]))
     return specs
 
@@ -324,7 +324,7 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
         slices = leaf_slices(nodes)
     except ValueError:
         return None
-    labels = {"".join(map(str, leaf.eps)): leaf for leaf in tree.leaves}
+    labels = {eps_label(leaf.eps): leaf for leaf in tree.leaves}
     if set(slices) != set(labels):
         return None
     for label, leaf in labels.items():

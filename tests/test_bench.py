@@ -145,6 +145,23 @@ def test_runtime_op_columns_are_deterministic():
     assert strip(first) == strip(second)
 
 
+def test_runtime_singular_baseline_rows_are_blank(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise SingularMatrixError("forced for the error-path test")
+
+    monkeypatch.setattr(bench, "lu_solve", refuse)
+    cfg = ExperimentConfig(experiment="runtime", dims=(2, 3), degrees=(3, 3), reps=2, seed=3)
+    rows = experiment_runtime(cfg)
+    assert len(rows) == 2 * 2 * 3
+    for row in rows:
+        if row["method"] == "linsolve":
+            assert row["seconds"] is None and row["multiply_adds"] is None
+        else:
+            assert row["seconds"] > 0.0 and row["multiply_adds"] > 0
+    lines = format_csv(RUNTIME_FIELDS, rows).splitlines()
+    assert any(line.endswith(",linsolve,0,,") for line in lines)
+
+
 # -------------------------------------------------------------- conditioning
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,20 @@ def test_solve_malformed_polynomial_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(source))
     assert code == 2
     assert "missing field" in err
+
+
+def test_solve_non_finite_function_exits_two(tmp_path, capsys):
+    source = tmp_path / "nan.json"
+    source.write_text(
+        '{"m": 2, "n": 2, "ordering": "graded-lex-eqC",'
+        ' "coefficients": [NaN, 0, 0, 0, 0, 0]}'
+    )
+    code, out, err = run(capsys, "solve", str(source))
+    assert code == 2
+    # a callback is read leaf by leaf in walk order, so the node named is the
+    # first one read, not necessarily node 0
+    assert re.search(r"not finite at node \d+: nan", err)
+    assert out == ""
 
 
 # ---------------------------------------------------------------------- bench

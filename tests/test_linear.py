@@ -98,3 +98,13 @@ def test_cost_scales_linearly():
         flat = standard_flat(m, active=tuple(range(k)))
         solve_linear(lambda p: 1.0, flat, tally=tally)
         assert tally.multiply_adds <= 4 * (m + 2) * (k + 1)
+
+
+def test_node_values_match_callback(rng):
+    flat = standard_flat(4, active=(0, 2), base=rng.uniform(-1, 1, size=4))
+    f = lambda p: 0.5 - 2.0 * p[0] + 3.0 * p[2]
+    nodes, from_callback = solve_linear(f, flat)
+    _, from_values = solve_linear([f(p) for p in nodes], flat)
+    np.testing.assert_array_equal(from_values.coeffs, from_callback.coeffs)
+    with pytest.raises(ValueError):
+        solve_linear(np.zeros(4), flat)

@@ -101,6 +101,21 @@ def test_mul_linear_rejects_too_small_bound():
         mul_linear(q, l, n_out=2)
 
 
+def test_mul_linear_tight_bound_uses_actual_degrees(rng):
+    # q is stored at n=3 but has degree 2; the product fits n_out=3 only
+    # once the coefficients are scanned, and matches the loose-bound product
+    q = MultiPoly(3, 3, np.concatenate([rng.uniform(-1, 1, 10), np.zeros(10)]))
+    l = MultiPoly(3, 1, rng.uniform(-1, 1, 4))
+    tight = mul_linear(q, l, n_out=3)
+    loose = mul_linear(q, l)
+    assert tight.n == 3 and loose.n == 4
+    np.testing.assert_array_equal(loose.coeffs[:20], tight.coeffs)
+    assert not np.any(loose.coeffs[20:])
+    # a factor stored at n=2 with degree 1 is still accepted
+    l2 = MultiPoly(3, 2, np.concatenate([l.coeffs, np.zeros(6)]))
+    np.testing.assert_array_equal(mul_linear(q, l2, n_out=3).coeffs, tight.coeffs)
+
+
 def test_algebra_commutes_with_evaluation(rng):
     # 100 random instances per operation; pointwise match within 1e-10 relative
     for _ in range(100):

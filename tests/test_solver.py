@@ -23,7 +23,6 @@ from mvinterp.nodes import assemble_generic, leaf_slices
 from mvinterp.polynomial import MultiPoly, evaluate, mul_linear
 from mvinterp.solver import (
     SolveConfig,
-    SubProblemFrame,
     corrected_value,
     op_counter_report,
     solve,
@@ -54,11 +53,12 @@ def fit_exponent(sizes, counts):
 
 
 def test_corrected_value_root_passthrough():
-    """With zero correction and no divisors the callback is f itself."""
+    """With zero correction and no divisors the corrected values are f itself."""
     f = lambda p: 1.5 * p[0] - p[1] ** 2 + 0.25
-    root = SubProblemFrame(None, MultiPoly.zero(2, 2))
-    for p in ([0.0, 0.0], [1.0, -2.0], [0.3, 0.7]):
-        assert corrected_value(f, root, p) == f(np.asarray(p))
+    points = np.array([[0.0, 0.0], [1.0, -2.0], [0.3, 0.7]])
+    values = np.array([f(p) for p in points])
+    got = corrected_value(values, MultiPoly.zero(2, 2), [], points)
+    assert np.array_equal(got, values)
 
 
 def test_corrected_value_vanishing_numerator_after_split():
@@ -69,9 +69,11 @@ def test_corrected_value_vanishing_numerator_after_split():
     blocks = leaf_slices(nodes)
     line = LineSpec(direction=np.array([1.0, 0.0]), base=np.array([0.0, 2.0]), kappa=1.0)
     _, qw = solve_on_line(f, 2, line, nodes=nodes.points[blocks["1"]])
-    frame = SubProblemFrame(None, qw, [("1", hyperplanes[(1,)].poly())])
-    for p in nodes.points[blocks["0"]]:
-        assert abs(corrected_value(f, frame, p)) <= 1e-12 * (1 + abs(f(p)))
+    pts = nodes.points[blocks["0"]]
+    values = [f(p) for p in pts]
+    got = corrected_value(values, qw, [("1", hyperplanes[(1,)].poly())], pts)
+    for value, p in zip(got, pts):
+        assert abs(value) <= 1e-12 * (1 + abs(f(p)))
 
 
 def test_corrected_value_single_split_hand_chain():
@@ -83,8 +85,9 @@ def test_corrected_value_single_split_hand_chain():
     _, qw = solve_on_line(f, 2, line, nodes=nodes.points[blocks["1"]])
     assert np.allclose(qw.coeffs, [5.0, -2.0, 0.0, 2.0, 0.0, 0.0], atol=1e-12)
 
-    frame = SubProblemFrame(None, qw, [("1", hyperplanes[(1,)].poly())])
-    got = [corrected_value(f, frame, p) for p in nodes.points[blocks["0"]]]
+    pts = nodes.points[blocks["0"]]
+    values = [f(p) for p in pts]
+    got = corrected_value(values, qw, [("1", hyperplanes[(1,)].poly())], pts)
     assert np.allclose(got, [3.0, 2.0, 3.0], atol=1e-12)
 
     # the full solve reassembles f exactly: Q_w + (y - 2)(3 - x)
@@ -94,20 +97,45 @@ def test_corrected_value_single_split_hand_chain():
 
 def test_corrected_value_division_guard():
     factor = MultiPoly(2, 1, [-2.0, 0.0, 1.0])  # y - 2
-    frame = SubProblemFrame(None, MultiPoly.zero(2, 2), [("10", factor)])
     with pytest.raises(GeometryConfigError) as err:
-        corrected_value(lambda p: 1.0, frame, np.array([5.0, 2.0]))
+        corrected_value([1.0], MultiPoly.zero(2, 2), [("10", factor)], np.array([[5.0, 2.0]]))
     assert "10" in str(err.value)
     assert "lambda/kappa" in str(err.value)
 
 
 def test_corrected_value_counts_ops():
     factor = MultiPoly(2, 1, [-2.0, 0.0, 1.0])
-    frame = SubProblemFrame(None, MultiPoly.zero(2, 2), [("1", factor)])
     tally = Tally()
-    corrected_value(lambda p: 1.0, frame, np.array([0.5, 0.5]), tally)
+    corrected_value([1.0], MultiPoly.zero(2, 2), [("1", factor)], np.array([[0.5, 0.5]]), tally)
     # 2 * N(2,2) for the correction evaluation, (m + 1) per divisor, 1 division
     assert tally.multiply_adds == 2 * 6 + 3 * 1 + 1
+
+
+def test_corrected_value_block_matches_pointwise_rule(rng):
+    """A block call equals (f - correction(p)) / prod(divisor(p)) node by node."""
+    correction = MultiPoly(3, 2, rng.uniform(-1.0, 1.0, 10))
+    divisors = [
+        ("1", MultiPoly(3, 1, [-2.0, 0.0, 0.0, 1.0])),
+        ("01", MultiPoly(3, 1, [0.5, 0.6, 0.0, -0.8])),
+    ]
+    points = rng.uniform(-1.0, 1.0, (4, 3))
+    values = rng.uniform(-1.0, 1.0, 4)
+    tally = Tally()
+    got = corrected_value(values, correction, divisors, points, tally)
+    for value, p, corrected in zip(values, points, got):
+        denominator = 1.0
+        for _, factor in divisors:
+            denominator *= factor.coeffs[0] + factor.coeffs[1:] @ p
+        expected = (value - evaluate(correction, p)) / denominator
+        assert corrected == pytest.approx(expected, rel=1e-14)
+    assert tally.multiply_adds == 4 * (2 * 10 + 4 * 2 + 1)
+
+
+def test_corrected_value_guard_names_first_close_node():
+    factor = MultiPoly(2, 1, [-2.0, 0.0, 1.0])  # y - 2
+    points = np.array([[0.0, 1.0], [3.0, 2.0], [4.0, 2.0]])
+    with pytest.raises(GeometryConfigError, match=r"node \[3\. 2\.\]"):
+        corrected_value(np.ones(3), MultiPoly.zero(2, 2), [("1", factor)], points)
 
 
 # ---------------------------------------------------------------------- solve
@@ -236,7 +264,6 @@ def iterative_reference_solve(f, m, n):
     blocks = leaf_slices(nodes)
     leaves = [v for v in tree.vertices if v.is_leaf]
     acc = MultiPoly.zero(m, n)
-    fcb = lambda p: f(np.asarray(p, dtype=float))
     pending = list(leaves)
     ambiguous = 0
     while pending:
@@ -258,18 +285,18 @@ def iterative_reference_solve(f, m, n):
             for i, bit in enumerate(leaf.eps)
             if bit == 0
         ]
-        state = SubProblemFrame(leaf, acc, [(str(i), d) for i, d in enumerate(divisors)])
-        cb = lambda p: corrected_value(fcb, state, p)
         pts = nodes.points[blocks["".join(map(str, leaf.eps))]]
+        labelled = [(str(i), d) for i, d in enumerate(divisors)]
+        corrected = corrected_value([f(p) for p in pts], acc, labelled, pts)
         base = vertex_base(tree, leaf, hyperplanes)
         d, k = leaf.sigma
         if d == 1:
             _, local = solve_on_line(
-                cb, k, LineSpec(direction=np.eye(m)[0], base=base, kappa=1.0), nodes=pts
+                corrected, k, LineSpec(direction=np.eye(m)[0], base=base, kappa=1.0), nodes=pts
             )
         else:
             _, local = solve_linear(
-                cb, FlatSpec(frame=np.eye(m), active=tuple(range(d)), base=base), nodes=pts
+                corrected, FlatSpec(frame=np.eye(m), active=tuple(range(d)), base=base), nodes=pts
             )
         contribution = local
         for factor in divisors:
@@ -366,6 +393,34 @@ def test_values_mode_matches_callback_exactly(rng):
 def test_values_mode_rejects_wrong_length():
     with pytest.raises(ValueError):
         solve(np.zeros(7), 2, 2)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (1, 4), (4, 1), (3, 0)])
+def test_values_mode_rejects_nan(m, n):
+    with pytest.raises(ValueError, match="not finite at node 0: nan"):
+        solve(np.full(count_total(m, n), np.nan), m, n)
+
+
+def test_values_mode_names_first_non_finite_node():
+    values = np.ones(count_total(3, 3))
+    values[[5, 9]] = [-np.inf, np.nan]
+    with pytest.raises(ValueError, match="node 5: -inf"):
+        solve(values, 3, 3)
+
+
+@pytest.mark.parametrize("m,n,index", [(3, 3, 7), (2, 4, 14), (1, 5, 2), (5, 1, 3)])
+def test_callback_mode_rejects_inf_at_one_node(m, n, index):
+    target = assemble_generic(m, n)[0].points[index]
+    f = lambda p: np.inf if np.array_equal(p, target) else 1.0
+    with pytest.raises(ValueError, match=f"not finite at node {index}: inf"):
+        solve(f, m, n)
+
+
+def test_callback_is_called_once_per_node():
+    seen = []
+    _, nodes, _ = solve(lambda p: seen.append(p.copy()) or 1.0, 3, 3)
+    assert len(seen) == len(nodes)
+    assert {p.tobytes() for p in seen} == {p.tobytes() for p in nodes.points}
 
 
 # ---------------------------------------------------------------- configuration

@@ -144,6 +144,19 @@ def test_alpha_injective_per_length(m, n, lam):
         assert len(set(values)) == len(values)
 
 
+@pytest.mark.parametrize(
+    "lam", [Fraction(2), Fraction(11, 10), Fraction(3), Fraction(1001, 1000)]
+)
+@pytest.mark.parametrize("m,n", [(3, 3), (15, 4), (8, 6), (3, 12), (2, 9), (9, 2)])
+def test_assigned_offsets_match_alpha_formula(m, n, lam):
+    """The incremental offsets in assign_hyperplanes equal alpha() exactly."""
+    tree = build_tree(m, n)
+    specs = assign_hyperplanes(tree, lam=lam)
+    assert specs
+    for eps, spec in specs.items():
+        assert spec.alpha_exact == alpha(eps, lam), eps
+
+
 def test_hyperplanes_2_2():
     tree = build_tree(2, 2)
     specs = assign_hyperplanes(tree)

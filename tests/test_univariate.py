@@ -111,3 +111,14 @@ def test_solve_on_line_node_count_is_degree_plus_one():
     for n in range(0, 6):
         nodes, _ = solve_on_line(lambda p: 1.0, n, line([1.0, 0.0], [0.0, 0.0]))
         assert nodes.shape[0] == n + 1
+
+
+def test_solve_on_line_accepts_node_values(rng):
+    f = lambda p: np.cos(p[0]) - p[1] ** 3
+    nodes, from_callback = solve_on_line(f, 4, line([0.6, 0.8], [0.5, -1.0]))
+    _, from_values = solve_on_line(
+        np.array([f(p) for p in nodes]), 4, line([0.6, 0.8], [0.5, -1.0]), nodes=nodes
+    )
+    np.testing.assert_array_equal(from_values.coeffs, from_callback.coeffs)
+    with pytest.raises(ValueError):
+        solve_on_line(np.zeros(3), 4, line([0.6, 0.8], [0.5, -1.0]), nodes=nodes)
