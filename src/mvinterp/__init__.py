@@ -6,20 +6,17 @@ one-dimensional and degree-one sub-problems, and ships dense LU/inversion
 baselines plus a benchmark CLI for accuracy, conditioning, and runtime scaling.
 """
 
-from .monomials import build_order, count_degree, count_total, position_of, symmetric_power
-from .polynomial import AffineMap, MultiPoly, add, compose_affine, embed_univariate, evaluate, mul_linear
+from .monomials import build_order, count_degree, count_total, position_of
+from .polynomial import MultiPoly, add, embed_univariate, evaluate, mul_linear
 
 __all__ = [
-    "AffineMap",
     "MultiPoly",
     "add",
     "build_order",
-    "compose_affine",
     "count_degree",
     "count_total",
     "embed_univariate",
     "evaluate",
     "mul_linear",
     "position_of",
-    "symmetric_power",
 ]

@@ -34,6 +34,7 @@ from .nodes import assemble_generic
 from .polynomial import MultiPoly, evaluate
 from .solver import SolveConfig, solve
 from .vandermonde import (
+    COND_DESK_LIMIT,
     build_vandermonde,
     cond_two,
     genericity_check,
@@ -53,6 +54,7 @@ __all__ = [
     "fit_power_law",
     "run_experiment",
     "format_csv",
+    "mu_vector",
 ]
 
 METHODS = ("pip-solver", "linsolve", "inversion")
@@ -64,7 +66,6 @@ ACCURACY_FIELDS = ("m", "n", "N", "method", "rep", "coeff_error_inf", "values_ch
 RUNTIME_FIELDS = ("m", "n", "N", "method", "rep", "seconds", "multiply_adds")
 CONDITIONING_FIELDS = ("m", "n", "N", "cond_1", "cond_2_or_blank", "bound_Nsq", "within_bound")
 
-COND_SIZE_LIMIT = 3000
 COND_TWO_LIMIT = 300
 
 
@@ -81,7 +82,6 @@ class ExperimentConfig:
     lam: Fraction = Fraction(2)
     kappa: float = 1.0
     mu: object = None
-    output: str | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -105,18 +105,20 @@ class ExperimentConfig:
             for n in range(self.degrees[0], self.degrees[1] + 1):
                 yield m, n
 
-    def mu_vector(self, m: int):
-        if self.mu is None:
-            return None
-        values = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        if values.size == 1:
-            return np.full(m, values[0])
-        if values.size != m:
-            raise ValueError(f"mu has {values.size} entries, cell dimension is {m}")
-        return values
-
     def solve_config(self, m: int) -> SolveConfig:
-        return SolveConfig(lam=self.lam, kappa=self.kappa, mu=self.mu_vector(m))
+        return SolveConfig(lam=self.lam, kappa=self.kappa, mu=mu_vector(self.mu, m))
+
+
+def mu_vector(mu, m: int):
+    """The m-vector shift for a given mu: None, one real broadcast, or m reals."""
+    if mu is None:
+        return None
+    values = np.atleast_1d(np.asarray(mu, dtype=float))
+    if values.size == 1:
+        return np.full(m, values[0])
+    if values.size != m:
+        raise ValueError(f"mu has {values.size} entries, expected 1 or m = {m}")
+    return values
 
 
 @dataclass
@@ -133,7 +135,7 @@ def _rng(cfg: ExperimentConfig, m: int, n: int, rep: int):
 
 
 def _assemble(cfg: ExperimentConfig, m: int, n: int):
-    return assemble_generic(m, n, lam=cfg.lam, kappa=cfg.kappa, mu=cfg.mu_vector(m))
+    return assemble_generic(m, n, lam=cfg.lam, kappa=cfg.kappa, mu=mu_vector(cfg.mu, m))
 
 
 def _checksum(values: np.ndarray) -> str:
@@ -235,8 +237,8 @@ def conditioning_row(m: int, n: int, nodes) -> dict:
     """Condition numbers of the interpolation system on one node set.
 
     cond_1 comes from the regularity certificate (best legally rescaled
-    dense system, finite whenever the set is generic); cond_2 is the raw
-    Jacobi 2-norm value, computed only at sizes the desk-scale SVD allows.
+    dense system, finite whenever the set is generic); cond_2 is the 2-norm
+    value of the raw matrix, computed only up to N = COND_TWO_LIMIT.
     """
     total = count_total(m, n)
     certificate = genericity_check(nodes, m, n)
@@ -263,7 +265,7 @@ def conditioning_row(m: int, n: int, nodes) -> dict:
 def experiment_conditioning(cfg: ExperimentConfig) -> list:
     rows = []
     for m, n in cfg.cells():
-        if count_total(m, n) > COND_SIZE_LIMIT:
+        if count_total(m, n) > COND_DESK_LIMIT:
             continue
         nodes, _, _ = _assemble(cfg, m, n)
         rows.append(conditioning_row(m, n, nodes))

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bench import METHODS, ExperimentConfig, fit_power_law, format_csv, run_experiment
+from .bench import METHODS, ExperimentConfig, fit_power_law, format_csv, mu_vector, run_experiment
 from .exceptions import (
     DegenerateInputError,
     GeometryConfigError,
@@ -187,13 +187,10 @@ def cmd_nodes(args) -> int:
 
 
 def _mu_for(mu, m: int):
-    if mu is None:
-        return None
-    if len(mu) == 1:
-        return np.full(m, mu[0])
-    if len(mu) != m:
-        raise UsageError(f"--mu has {len(mu)} entries but m is {m}")
-    return np.asarray(mu)
+    try:
+        return mu_vector(mu, m)
+    except ValueError as bad:
+        raise UsageError(f"--mu: {bad}") from None
 
 
 def cmd_solve(args) -> int:
@@ -262,7 +259,6 @@ def cmd_bench(args) -> int:
             lam=args.lam,
             kappa=args.kappa,
             mu=args.mu,
-            output=args.output,
         )
     except ValueError as bad:
         raise UsageError(str(bad)) from None

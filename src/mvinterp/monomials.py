@@ -186,17 +186,3 @@ def position_of(order: MonomialOrder, idx: tuple) -> int:
             f"multi-index {idx} has degree {sum(idx)} > bound n={order.n}"
         )
     return order.index(idx)
-
-
-def symmetric_power(point, k: int) -> np.ndarray:
-    """All degree-k monomials evaluated at a point, in canonical order.
-
-    k = 0 gives [1.0]; k = 1 gives the point itself.
-    """
-    p = np.asarray(point, dtype=float)
-    if k < 0:
-        raise ValueError(f"degree k must be >= 0, got {k}")
-    if k == 0:
-        return np.ones(1)
-    exps = np.array(list(_degree_indices(p.size, k)), dtype=np.intp)
-    return np.prod(p[np.newaxis, :] ** exps, axis=1)

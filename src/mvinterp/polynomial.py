@@ -8,22 +8,17 @@ mutates its inputs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .exceptions import DegenerateInputError
 from .monomials import build_order, count_total
 
 __all__ = [
     "MultiPoly",
-    "AffineMap",
     "evaluate",
     "add",
     "mul_linear",
-    "compose_affine",
     "embed_univariate",
 ]
 
@@ -79,39 +74,6 @@ class MultiPoly:
 
     def copy(self) -> "MultiPoly":
         return MultiPoly(self.m, self.n, self.coeffs.copy())
-
-
-class AffineMap:
-    """Invertible affine transformation x -> A @ x + b on R^m.
-
-    Full rank is verified at construction by pivoted elimination; the
-    smallest pivot must exceed ``tol`` times the largest entry of A.
-    """
-
-    def __init__(self, A, b, tol: float = 1e-12):
-        self.A = np.asarray(A, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        m = self.b.size
-        if self.A.shape != (m, m):
-            raise ValueError(f"matrix shape {self.A.shape} does not match b of size {m}")
-        scale = np.abs(self.A).max()
-        if scale == 0.0:
-            raise DegenerateInputError("affine map matrix is identically zero")
-        with warnings.catch_warnings():
-            # singularity is reported via the pivot check below, not a warning
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, _ = scipy.linalg.lu_factor(self.A, check_finite=False)
-        if np.abs(np.diag(lu)).min() <= tol * scale:
-            raise DegenerateInputError(
-                "affine map matrix is rank-deficient at the configured tolerance"
-            )
-
-    @property
-    def m(self) -> int:
-        return self.b.size
-
-    def __call__(self, x) -> np.ndarray:
-        return self.A @ np.asarray(x, dtype=float) + self.b
 
 
 def evaluate(q: MultiPoly, x) -> float:
@@ -198,38 +160,6 @@ def mul_linear(q: MultiPoly, l: MultiPoly, n_out: int | None = None) -> MultiPol
             continue
         out[out_order.lift(a)[:nq]] += lin[a] * qc
     return MultiPoly(q.m, n_out, out)
-
-
-def compose_affine(q: MultiPoly, t: AffineMap) -> MultiPoly:
-    """Polynomial x -> q(A @ x + b), same dimension and degree bound.
-
-    Built by composing the monomial parent recursion with the degree-1
-    images of the variables; memory peaks at one degree block of
-    intermediate polynomials, so this is intended for desk-scale sizes.
-    """
-    if t.m != q.m:
-        raise ValueError(f"dimension mismatch: map on R^{t.m}, polynomial on R^{q.m}")
-    order = q.order
-    images = []
-    for j in range(q.m):
-        c = np.zeros(count_total(q.m, 1))
-        c[0] = t.b[j]
-        c[1 : 1 + q.m] = t.A[j]
-        images.append(MultiPoly(q.m, 1, c))
-    acc = MultiPoly.zero(q.m, q.n)
-    acc.coeffs[0] = q.coeffs[0]
-    prev = {0: MultiPoly.constant(q.m, 1.0)}
-    var, parent = order.var, order.parent
-    for k in range(1, q.n + 1):
-        blk = order.block(k)
-        current = {}
-        for i in range(blk.start, blk.stop):
-            mono = mul_linear(prev[parent[i]], images[var[i]], n_out=k)
-            current[i] = mono
-            if q.coeffs[i] != 0.0:
-                acc.coeffs[: mono.coeffs.size] += q.coeffs[i] * mono.coeffs
-        prev = current
-    return acc
 
 
 def embed_univariate(chat, line_dir, base) -> MultiPoly:

@@ -45,7 +45,6 @@ __all__ = [
     "SolveConfig",
     "corrected_value",
     "solve",
-    "op_counter_report",
     "DIVISION_RTOL",
 ]
 
@@ -170,14 +169,20 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
     acc = MultiPoly.zero(m, n)
     t.alloc(acc.coeffs.size)
 
-    def visit(vertex, divisors):
+    # explicit stack, bit-1 child on top, so leaves are reached (and their
+    # contributions summed) in depth-first bit-1-first order; a bit-0 child
+    # carries the hyperplane it crosses, whose divisor is built on arrival
+    stack = [(tree.root, [], None)]
+    while stack:
+        vertex, divisors, crossed = stack.pop()
+        if crossed is not None:
+            factor = crossed.poly()
+            factor.coeffs[0] -= float(crossed.normal @ shift)
+            divisors = divisors + [(eps_label(crossed.eps), factor)]
         if not vertex.is_leaf:
-            visit(tree.child(vertex, 1), divisors)
-            spec = hyperplanes[vertex.eps + (1,)]
-            factor = spec.poly()
-            factor.coeffs[0] -= float(spec.normal @ shift)
-            visit(tree.child(vertex, 0), divisors + [(eps_label(spec.eps), factor)])
-            return
+            stack.append((tree.child(vertex, 0), divisors, hyperplanes[vertex.eps + (1,)]))
+            stack.append((tree.child(vertex, 1), divisors, None))
+            continue
         block = slices[eps_label(vertex.eps)]
         held = t.alloc(block.stop - block.start)
         base = vertex_base(tree, vertex, hyperplanes) + shift
@@ -205,20 +210,5 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
         acc.coeffs += contribution.coeffs
         t.add_ops(contribution.coeffs.size)
         t.free(held)
-
-    visit(tree.root, [])
     return acc, nodes, t.report()
 
-
-def op_counter_report(run) -> dict:
-    """The {multiply_adds, peak_reals_stored} summary of an instrumented run."""
-    source = run.report() if isinstance(run, Tally) else dict(run)
-    try:
-        return {
-            "multiply_adds": source["multiply_adds"],
-            "peak_reals_stored": source["peak_reals_stored"],
-        }
-    except KeyError as missing:
-        raise ValueError(
-            f"run report lacks instrumentation field {missing}"
-        ) from None

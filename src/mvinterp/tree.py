@@ -275,9 +275,6 @@ class HyperplaneSpec:
         coeffs[1:] = self.normal
         return MultiPoly(m, 1, coeffs)
 
-    def value_at(self, p) -> float:
-        return float(self.normal @ np.asarray(p, dtype=float) - self.offset)
-
 
 def assign_hyperplanes(tree: DecompTree, frame=None, lam=Fraction(2)) -> dict:
     """Assign a hyperplane to every vertex whose eps ends in 1.

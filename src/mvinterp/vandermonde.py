@@ -45,25 +45,20 @@ __all__ = [
     "lu_solve",
     "invert",
     "genericity_check",
-    "cond_one",
     "cond_two",
-    "singular_values_jacobi",
     "lu_factor_ops",
     "lu_solve_ops",
     "invert_ops",
     "PIVOT_RTOL",
     "COND_DESK_LIMIT",
-    "JACOBI_LIMIT",
 ]
 
 PIVOT_RTOL = 1e-13
 # membership of on-hyperplane nodes must hold to data accuracy, not just to
 # pivot accuracy; construction and file round-trips are exact to ~1e-16
 MEMBERSHIP_RTOL = 1e-9
-# explicit inverses (1-norm cond) stay desk-scale; Jacobi sweeps are O(N^3)
-# per sweep so they get a tighter cap
+# explicit inverses (1-norm cond) stay desk-scale
 COND_DESK_LIMIT = 3000
-JACOBI_LIMIT = 300
 
 
 def lu_factor_ops(size: int) -> int:
@@ -192,16 +187,6 @@ def invert(v, tally=None) -> np.ndarray:
 
 def _one_norm(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max())
-
-
-def cond_one(v) -> float:
-    """1-norm condition number through the explicit inverse; inf if singular."""
-    v = np.asarray(v, dtype=float)
-    try:
-        inv = invert(v)
-    except SingularMatrixError:
-        return float("inf")
-    return _one_norm(v) * _one_norm(inv)
 
 
 def _box_normalize(pts: np.ndarray):
@@ -436,61 +421,17 @@ def genericity_check(
     return result
 
 
-def singular_values_jacobi(
-    v, tol: float = 1e-12, max_sweeps: int = 60
-) -> np.ndarray:
-    """Singular values by one-sided Jacobi column orthogonalization.
-
-    Sweeps plane rotations over all column pairs until every pair is
-    orthogonal to relative tolerance tol; the singular values are the final
-    column norms, returned in descending order.  Quadratic convergence makes
-    a handful of sweeps typical, but each sweep is O(N^3), hence the
-    JACOBI_LIMIT cap.
-    """
-    a = np.array(v, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    size = a.shape[0]
-    if size > JACOBI_LIMIT:
-        raise ValueError(
-            f"one-sided Jacobi is capped at {JACOBI_LIMIT} columns, got {size}"
-        )
-    for _ in range(max_sweeps):
-        converged = True
-        for i in range(size - 1):
-            for j in range(i + 1, size):
-                ci = a[:, i]
-                cj = a[:, j]
-                app = float(ci @ ci)
-                aqq = float(cj @ cj)
-                apq = float(ci @ cj)
-                if abs(apq) <= tol * np.sqrt(app * aqq):
-                    continue
-                converged = False
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                new_i = c * ci - s * cj
-                new_j = s * ci + c * cj
-                a[:, i] = new_i
-                a[:, j] = new_j
-        if converged:
-            break
-    else:
-        raise ArithmeticError(
-            f"Jacobi sweep limit {max_sweeps} reached without convergence"
-        )
-    svals = np.sqrt((a * a).sum(axis=0))
-    svals[::-1].sort()
-    return svals
-
-
 def cond_two(v) -> float:
-    """2-norm condition number from Jacobi singular values; inf if rank-deficient."""
-    svals = singular_values_jacobi(v)
-    if svals[-1] == 0.0:
+    """2-norm condition number from LAPACK singular values.
+
+    Returns inf when the smallest singular value is at most machine
+    epsilon times the largest: the matrix is rank-deficient to working
+    precision, and LAPACK reports such a value as rounding noise, not 0.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {v.shape}")
+    svals = scipy.linalg.svdvals(v)
+    if svals[-1] <= np.finfo(float).eps * svals[0]:
         return float("inf")
     return float(svals[0] / svals[-1])

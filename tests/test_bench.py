@@ -22,7 +22,7 @@ from mvinterp.bench import (
 from mvinterp.exceptions import SingularMatrixError
 from mvinterp.monomials import count_total
 from mvinterp.nodes import NodeSet
-from mvinterp.vandermonde import invert_ops, lu_factor_ops, lu_solve_ops
+from mvinterp.vandermonde import COND_DESK_LIMIT, invert_ops, lu_factor_ops, lu_solve_ops
 
 
 # -------------------------------------------------------------------- config
@@ -53,12 +53,10 @@ def test_config_rejects_bad_values(kwargs):
 
 
 def test_config_mu_broadcast():
-    cfg = ExperimentConfig(mu=0.5)
-    assert np.array_equal(cfg.mu_vector(3), [0.5, 0.5, 0.5])
-    cfg = ExperimentConfig(mu=[0.5, -0.25])
-    assert np.array_equal(cfg.mu_vector(2), [0.5, -0.25])
+    assert np.array_equal(bench.mu_vector(0.5, 3), [0.5, 0.5, 0.5])
+    assert np.array_equal(bench.mu_vector([0.5, -0.25], 2), [0.5, -0.25])
     with pytest.raises(ValueError):
-        cfg.mu_vector(3)
+        bench.mu_vector([0.5, -0.25], 3)
 
 
 # ------------------------------------------------------------------ accuracy
@@ -194,7 +192,7 @@ def test_conditioning_row_flags_degenerate_sets():
 
 def test_conditioning_skips_cells_above_size_cap():
     cfg = ExperimentConfig(experiment="conditioning", dims=(14, 14), degrees=(4, 4))
-    assert count_total(14, 4) > bench.COND_SIZE_LIMIT
+    assert count_total(14, 4) > COND_DESK_LIMIT
     assert experiment_conditioning(cfg) == []
 
 

@@ -52,6 +52,14 @@ def test_nodes_respects_mu(tmp_path, capsys):
     assert np.allclose(moved, base + np.array([0.5, -0.25]), atol=1e-12)
 
 
+def test_wrong_length_mu_exit_codes(capsys):
+    # a usage error for nodes and solve; bench reports it as a failed run
+    assert run(capsys, "nodes", "--m", "3", "--n", "2", "--mu", "1,2")[0] == 1
+    assert run(capsys, "solve", "runge", "--m", "3", "--n", "2", "--mu", "1,2")[0] == 1
+    code, _, err = run(capsys, "bench", "--dims", "3..3", "--reps", "1", "--mu", "1,2")
+    assert code == 2 and "mu has 2 entries" in err
+
+
 # --------------------------------------------------------------------- verify
 
 

@@ -13,7 +13,6 @@ from mvinterp.monomials import (
     count_degree,
     count_total,
     position_of,
-    symmetric_power,
 )
 
 from conftest import brute_force_indices
@@ -109,19 +108,6 @@ def test_blocks_strictly_decrease_lexicographically():
                 blk = order.table[order.block(k)]
                 for a, b in zip(blk, blk[1:]):
                     assert a > b, f"block {k} not strictly descending at {a} vs {b}"
-
-
-def test_symmetric_power_examples():
-    np.testing.assert_allclose(symmetric_power((2.0, 3.0), 2), [4.0, 6.0, 9.0])
-    np.testing.assert_allclose(symmetric_power((5.0, -1.0, 2.0), 0), [1.0])
-    ones = symmetric_power((1.0, 1.0, 1.0), 3)
-    assert ones.size == 10  # M(3,3)
-    np.testing.assert_allclose(ones, np.ones(10))
-
-
-def test_symmetric_power_degree_one_is_the_point():
-    p = np.array([0.5, -2.0, 7.0])
-    np.testing.assert_allclose(symmetric_power(p, 1), p)
 
 
 def test_parent_recursion_consistency(rng):

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from mvinterp.exceptions import DegenerateInputError
 from mvinterp.monomials import build_order, count_total
 from mvinterp.polynomial import (
-    AffineMap,
     MultiPoly,
     add,
-    compose_affine,
     embed_univariate,
     evaluate,
     mul_linear,
@@ -124,28 +121,14 @@ def test_algebra_commutes_with_evaluation(rng):
         q1 = random_poly(rng, m, n)
         q2 = random_poly(rng, m, n)
         l = random_poly(rng, m, 1)
-        t = _random_affine(rng, m)
         summed = add(q1, q2)
         prod = mul_linear(q1, l)
-        comp = compose_affine(q1, t)
         for _ in range(20):
             x = rng.uniform(-1, 1, size=m)
             ref_sum = evaluate(q1, x) + evaluate(q2, x)
             assert evaluate(summed, x) == pytest.approx(ref_sum, rel=1e-10, abs=1e-10)
             ref_prod = evaluate(q1, x) * evaluate(l, x)
             assert evaluate(prod, x) == pytest.approx(ref_prod, rel=1e-10, abs=1e-10)
-            ref_comp = evaluate(q1, t(x))
-            assert evaluate(comp, x) == pytest.approx(ref_comp, rel=1e-10, abs=1e-9)
-
-
-def _random_affine(rng, m):
-    while True:
-        A = rng.uniform(-1, 1, size=(m, m))
-        b = rng.uniform(-1, 1, size=m)
-        try:
-            return AffineMap(A, b)
-        except DegenerateInputError:
-            continue
 
 
 def test_mul_linear_vanishes_at_factor_roots(rng):
@@ -163,30 +146,6 @@ def test_mul_linear_vanishes_at_factor_roots(rng):
         x[0] = -(l.coeffs[0] + w[1:] @ x[1:]) / w[0]
         assert abs(evaluate(l, x)) < 1e-12
         assert abs(evaluate(prod, x)) <= 1e-10 * (1 + abs(evaluate(q, x)))
-
-
-def test_compose_affine_examples():
-    x1 = MultiPoly(2, 1, [0, 1, 0])
-    shift = AffineMap(np.eye(2), [1.0, 0.0])
-    np.testing.assert_allclose(compose_affine(x1, shift).coeffs, [1, 1, 0])
-
-    q = MultiPoly(2, 2, [1, 2, 3, 4, 5, 6])
-    ident = AffineMap(np.eye(2), np.zeros(2))
-    np.testing.assert_allclose(compose_affine(q, ident).coeffs, q.coeffs)
-
-    order = build_order(2, 2)
-    c = np.zeros(len(order))
-    c[order.index((2, 0))] = 1.0  # x1^2
-    swap = AffineMap([[0, 1], [1, 0]], np.zeros(2))
-    swapped = compose_affine(MultiPoly(2, 2, c), swap)
-    expect = np.zeros(len(order))
-    expect[order.index((0, 2))] = 1.0
-    np.testing.assert_allclose(swapped.coeffs, expect, atol=1e-15)
-
-
-def test_affine_map_rejects_singular():
-    with pytest.raises(DegenerateInputError):
-        AffineMap([[1.0, 2.0], [2.0, 4.0]], [0.0, 0.0])
 
 
 def test_embed_univariate_examples():

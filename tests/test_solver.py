@@ -9,12 +9,15 @@ Q_w = 2x^2 - 2x + 5, after which f - Q_w factors exactly as
 
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import brute_force_eval, brute_force_indices
+from mvinterp import solver
 from mvinterp.exceptions import GeometryConfigError
 from mvinterp.instrument import Tally
 from mvinterp.linear import FlatSpec, solve_linear
@@ -24,7 +27,6 @@ from mvinterp.polynomial import MultiPoly, evaluate, mul_linear
 from mvinterp.solver import (
     SolveConfig,
     corrected_value,
-    op_counter_report,
     solve,
 )
 from mvinterp.tree import vertex_base
@@ -255,7 +257,7 @@ def iterative_reference_solve(f, m, n):
     """Schedule leaves with an explicit ready set instead of recursion.
 
     Scans remaining leaves in storage (bit-0 first) order, the reverse of
-    the recursive walk, and runs whichever has no unsolved predecessor.
+    the solver's walk, and runs whichever has no unsolved predecessor.
     Returns the accumulated interpolant and the number of times the ready
     set held more than one leaf (the dependency rule orders leaves totally,
     so any schedule it admits is the same schedule and that count is 0).
@@ -316,6 +318,25 @@ def test_traversal_order_is_forced_and_result_unique(m, n):
     assert np.max(np.abs(q.coeffs - ref.coeffs)) <= 1e-10
 
 
+def test_walk_leaves_no_reference_cycle(monkeypatch):
+    # the tree, hyperplanes and slices are freed when solve returns, not at
+    # the garbage collector's next pass
+    trees = []
+
+    def assemble(*args, **kwargs):
+        out = assemble_generic(*args, **kwargs)
+        trees.append(weakref.ref(out[1]))
+        return out
+
+    monkeypatch.setattr(solver, "assemble_generic", assemble)
+    gc.disable()
+    try:
+        solve(lambda p: 1.0, 4, 3)
+        assert trees[0]() is None
+    finally:
+        gc.enable()
+
+
 # -------------------------------------------------------------- instrumentation
 
 
@@ -363,19 +384,6 @@ def test_op_scaling_exponent_cubic_degree():
     exponent, r_squared = fit_exponent(sizes, counts)
     assert exponent <= 2.3
     assert r_squared >= 0.98
-
-
-def test_op_counter_report_contract():
-    tally = Tally()
-    tally.add_ops(12)
-    tally.alloc(40)
-    assert op_counter_report(tally) == {"multiply_adds": 12, "peak_reals_stored": 40}
-    assert op_counter_report({"multiply_adds": 3, "peak_reals_stored": 9, "x": 0}) == {
-        "multiply_adds": 3,
-        "peak_reals_stored": 9,
-    }
-    with pytest.raises(ValueError):
-        op_counter_report({"multiply_adds": 3})
 
 
 # ------------------------------------------------------------------ input modes

@@ -205,8 +205,6 @@ def test_hyperplanes_2_2():
     assert s.offset == 2.0
     assert s.alpha_exact == Fraction(2)
     np.testing.assert_array_equal(s.poly().coeffs, [-2.0, 0.0, 1.0])
-    assert s.value_at([3.0, 2.0]) == 0.0
-    assert s.value_at([3.0, 0.0]) == -2.0
 
 
 def test_hyperplanes_3_3_golden():
