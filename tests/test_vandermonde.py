@@ -197,19 +197,37 @@ def test_genericity_shape_validation():
         genericity_check(np.zeros((4, 2)), 2, 2)
 
 
+def test_jacobi_matches_reference_svd(rng):
+    # cond_two took over from the former Jacobi SVD; its ratio of extreme
+    # singular values must match numpy's SVD on the same matrices
+    for size in [1, 2, 10, 40]:
+        a = rng.standard_normal((size, size))
+        ref = np.linalg.svd(a, compute_uv=False)
+        assert cond_two(a) == pytest.approx(ref[0] / ref[-1], rel=1e-10)
+    nodes, _, _ = assemble_generic(2, 3)
+    v = build_vandermonde(nodes, 2, 3)
+    ref = np.linalg.svd(v, compute_uv=False)
+    assert cond_two(v) == pytest.approx(ref[0] / ref[-1], rel=1e-10)
+
+
 def test_cond_two_examples(rng):
     assert cond_two(np.eye(4)) == pytest.approx(1.0)
     assert cond_two(np.array([[1.0, 1.0], [1.0, 1.0]])) == float("inf")
-    nodes, _, _ = assemble_generic(2, 3)
-    v = build_vandermonde(nodes, 2, 3)
-    for a in (rng.standard_normal((25, 25)), v, rng.standard_normal((330, 330))):
-        assert cond_two(a) == pytest.approx(np.linalg.cond(a, 2), rel=1e-10)
+    a = rng.standard_normal((25, 25))
+    assert cond_two(a) == pytest.approx(np.linalg.cond(a, 2), rel=1e-10)
     # six points on a circle: x^2 + y^2 - 1 vanishes on all of them
     angles = np.arange(6) * np.pi / 3
     circle = np.column_stack([np.cos(angles), np.sin(angles)])
     assert cond_two(build_vandermonde(circle, 2, 2)) == float("inf")
+
+
+def test_jacobi_guards(rng):
+    # non-square input is refused; there is no size cap any more, so a
+    # 330-column matrix (above the former Jacobi limit of 300) is accepted
     with pytest.raises(ValueError):
         cond_two(np.zeros((2, 3)))
+    a = rng.standard_normal((330, 330))
+    assert cond_two(a) == pytest.approx(np.linalg.cond(a, 2), rel=1e-10)
 
 
 def test_op_count_formulas():
