@@ -54,11 +54,9 @@ class NodeSet:
 def leaf_slices(nodes: NodeSet) -> dict:
     """Map each provenance label to its contiguous slice of rows."""
     out: dict = {}
-    start = 0
     for i, label in enumerate(nodes.provenance):
         if label not in out:
             out[label] = [i, i + 1]
-            start = i
         else:
             if out[label][1] != i:
                 raise ValueError("provenance labels are not contiguous")

@@ -1,9 +1,12 @@
 """Recursive interpolation solver over the decomposition tree.
 
-The solver walks the tree depth-first, dimension-reduction branch first.
-Every leaf is a problem it can solve directly: a univariate Chebyshev
-problem on a line, or a degree-1 problem on a flat.  A problem without a
-tree (n = 0, m = 1 or n = 1) is one such leaf with no divisors.
+The plan of a solve depends only on (m, n) and the geometry (frame,
+lambda, kappa, mu), so it is built once per configuration and cached: the
+node set and, per leaf of the tree in walk order (depth first,
+dimension-reduction branch first), its rows, its line or flat, and its
+divisors.  A leaf is a univariate Chebyshev problem on a line or a
+degree-1 problem on a flat; a problem without a tree (n = 0, m = 1 or
+n = 1) is one leaf with no divisors.  Each call walks these leaves.
 
 f is read exactly once per node: an array of node values is sliced by
 leaf, a callback is called on a leaf's rows when the walk reaches it, and
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from .exceptions import GeometryConfigError
 from .instrument import Tally
 from .linear import FlatSpec, solve_linear
 from .monomials import count_total
-from .nodes import assemble_generic, leaf_slices
+from .nodes import NodeSet, assemble_generic, leaf_slices
 from .polynomial import MultiPoly, evaluate, mul_linear
 from .tree import eps_label, vertex_base
 from .univariate import LineSpec, solve_on_line
@@ -113,65 +117,44 @@ def _finite(values: np.ndarray, first: int = 0) -> np.ndarray:
     return values
 
 
-def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | None = None):
-    """Interpolate f with the unique degree <= n polynomial on generated nodes.
+def _key(array):
+    """(shape, bytes) of an optional array argument, a hashable cache key."""
+    if array is None:
+        return None
+    array = np.asarray(array, dtype=float)
+    return array.shape, array.tobytes()
 
-    f is a callback on m-vectors, or an array of N(m,n) values in node
-    storage order.  Returns (poly, nodes, report): the interpolant, the
-    generated NodeSet, and the operation/storage report of the run.
 
-    Raises
-    ------
-    ValueError
-        When an array of values has the wrong shape, or f is not finite at
-        a node.  The message names the first such node read: the lowest
-        index for an array, the first in walk order for a callback.
+@lru_cache(maxsize=32)
+def _plan(m: int, n: int, frame_key, lam: Fraction, kappa: float, mu_key):
+    """The f-independent part of a solve: (nodes, leaves, treeless).
+
+    nodes is the NodeSet, its points read-only; leaves holds, per leaf in
+    walk order, (rows, sigma, LineSpec or FlatSpec, divisors).  The tree
+    and the hyperplanes are not kept.
     """
-    cfg = config if config is not None else SolveConfig()
-    t = tally if tally is not None else Tally()
-    nodes, tree, hyperplanes = assemble_generic(
-        m, n, frame=cfg.frame, lam=cfg.lam, kappa=cfg.kappa, mu=cfg.mu
+    frame, mu = (
+        None if key is None else np.frombuffer(key[1]).reshape(key[0])
+        for key in (frame_key, mu_key)
     )
-    t.alloc(nodes.points.size)
-    values = None
-    if not callable(f):
-        values = np.asarray(f, dtype=float)
-        if values.shape != (len(nodes),):
-            raise ValueError(
-                f"expected a callback or {len(nodes)} node values, "
-                f"got shape {values.shape}"
-            )
-        _finite(values)
-        t.alloc(values.size)
-    frame = np.eye(m) if cfg.frame is None else np.asarray(cfg.frame, dtype=float)
-    shift = np.zeros(m) if cfg.mu is None else np.asarray(cfg.mu, dtype=float)
+    nodes, tree, hyperplanes = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
+    nodes.points.flags.writeable = False
+    frame = np.eye(m) if frame is None else frame
+    shift = np.zeros(m) if mu is None else mu
     slices = leaf_slices(nodes)
 
-    def solve_leaf(sigma, block, base, correction, divisors):
-        """The interpolant of one leaf's corrected values, in m variables."""
-        pts = nodes.points[block]
-        if values is None:
-            fvals = _finite(np.array([float(f(p)) for p in pts]), block.start)
-        else:
-            fvals = values[block]
-        corrected = corrected_value(fvals, correction, divisors, pts, t)
+    def spec(sigma, base):
         d, k = sigma
         if d == 1 or k == 0:
-            line = LineSpec(direction=frame[0], base=base, kappa=cfg.kappa)
-            return solve_on_line(corrected, k, line, nodes=pts, tally=t)[1]
-        flat = FlatSpec(frame=frame, active=tuple(range(d)), base=base)
-        return solve_linear(corrected, flat, nodes=pts, tally=t)[1]
+            return LineSpec(direction=frame[0], base=base, kappa=kappa)
+        return FlatSpec(frame=frame, active=tuple(range(d)), base=base)
 
     if tree is None:
-        poly = solve_leaf((m, n), slices[eps_label(())], shift, MultiPoly.zero(m, n), [])
-        return poly, nodes, t.report()
-
-    acc = MultiPoly.zero(m, n)
-    t.alloc(acc.coeffs.size)
-
-    # explicit stack, bit-1 child on top, so leaves are reached (and their
-    # contributions summed) in depth-first bit-1-first order; a bit-0 child
-    # carries the hyperplane it crosses, whose divisor is built on arrival
+        return nodes, [(slices[eps_label(())], (m, n), spec((m, n), shift), [])], True
+    leaves = []
+    # explicit stack, bit-1 child on top, so leaves are listed (and their
+    # contributions later summed) in depth-first bit-1-first order; a bit-0
+    # child carries the hyperplane it crosses, whose divisor it appends
     stack = [(tree.root, [], None)]
     while stack:
         vertex, divisors, crossed = stack.pop()
@@ -183,10 +166,69 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
             stack.append((tree.child(vertex, 0), divisors, hyperplanes[vertex.eps + (1,)]))
             stack.append((tree.child(vertex, 1), divisors, None))
             continue
-        block = slices[eps_label(vertex.eps)]
-        held = t.alloc(block.stop - block.start)
         base = vertex_base(tree, vertex, hyperplanes) + shift
-        contribution = solve_leaf(vertex.sigma, block, base, acc, divisors)
+        block = slices[eps_label(vertex.eps)]
+        leaves.append((block, vertex.sigma, spec(vertex.sigma, base), divisors))
+    return nodes, leaves, False
+
+
+def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | None = None):
+    """Interpolate f with the unique degree <= n polynomial on generated nodes.
+
+    f is a callback on m-vectors, or an array of N(m,n) values in node
+    storage order.  Returns (poly, nodes, report): the interpolant, the
+    generated NodeSet, and the operation/storage report of the run.
+
+    The nodes and leaves are built once per (m, n, config) and kept for
+    later calls, up to 32 configurations.  nodes.points is shared and
+    read-only, so writing to it raises; nodes.provenance is a fresh list
+    per call, so changing it does not change a later solve.
+
+    Raises
+    ------
+    ValueError
+        When an array of values has the wrong shape, or f is not finite at
+        a node.  The message names the first such node read: the lowest
+        index for an array, the first in walk order for a callback.
+    """
+    cfg = config if config is not None else SolveConfig()
+    t = tally if tally is not None else Tally()
+    shared, leaves, treeless = _plan(
+        m, n, _key(cfg.frame), Fraction(cfg.lam), float(cfg.kappa), _key(cfg.mu)
+    )
+    nodes = NodeSet(shared.points, list(shared.provenance), m, n)
+    t.alloc(nodes.points.size)
+    values = None
+    if not callable(f):
+        values = np.asarray(f, dtype=float)
+        if values.shape != (len(nodes),):
+            raise ValueError(
+                f"expected a callback or {len(nodes)} node values, "
+                f"got shape {values.shape}"
+            )
+        _finite(values)
+        t.alloc(values.size)
+
+    def solve_leaf(block, sigma, spec, divisors, correction):
+        """The interpolant of one leaf's corrected values, in m variables."""
+        pts = nodes.points[block]
+        if values is None:
+            fvals = _finite(np.array([float(f(p)) for p in pts]), block.start)
+        else:
+            fvals = values[block]
+        corrected = corrected_value(fvals, correction, divisors, pts, t)
+        if isinstance(spec, LineSpec):
+            return solve_on_line(corrected, sigma[1], spec, nodes=pts, tally=t)[1]
+        return solve_linear(corrected, spec, nodes=pts, tally=t)[1]
+
+    if treeless:
+        return solve_leaf(*leaves[0], MultiPoly.zero(m, n)), nodes, t.report()
+
+    acc = MultiPoly.zero(m, n)
+    t.alloc(acc.coeffs.size)
+    for block, sigma, spec, divisors in leaves:
+        held = t.alloc(block.stop - block.start)
+        contribution = solve_leaf(block, sigma, spec, divisors, acc)
         t.free(held)
 
         held = t.alloc(contribution.coeffs.size)
@@ -204,11 +246,10 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
             contribution = lifted
         if degree != n:
             raise AssertionError(
-                f"leaf {vertex.eps} contribution reached degree {degree}, "
-                f"expected exactly {n}"
+                f"leaf {nodes.provenance[block.start]} contribution reached "
+                f"degree {degree}, expected exactly {n}"
             )
         acc.coeffs += contribution.coeffs
         t.add_ops(contribution.coeffs.size)
         t.free(held)
     return acc, nodes, t.report()
-

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mvinterp.bench as bench
+import mvinterp.solver as solver
 from mvinterp.bench import (
     ACCURACY_FIELDS,
     CONDITIONING_FIELDS,
@@ -141,6 +142,20 @@ def test_runtime_op_columns_are_deterministic():
         {k: v for k, v in row.items() if k != "seconds"} for row in rows
     ]
     assert strip(first) == strip(second)
+
+
+def test_runtime_assembles_nodes_on_every_solver_row(monkeypatch):
+    assembled = []
+
+    def assemble(*args, **kwargs):
+        assembled.append(args[:2])
+        return bench.assemble_generic(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_generic", assemble)
+    cfg = ExperimentConfig(experiment="runtime", dims=(2, 3), degrees=(2, 3), reps=2, seed=9)
+    rows = [row for row in experiment_runtime(cfg) if row["method"] == "pip-solver"]
+    assert len(rows) == 2 * 2 * 2
+    assert sorted(assembled) == sorted((row["m"], row["n"]) for row in rows)
 
 
 def test_runtime_singular_baseline_rows_are_blank(monkeypatch):

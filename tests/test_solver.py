@@ -329,12 +329,34 @@ def test_walk_leaves_no_reference_cycle(monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "assemble_generic", assemble)
+    solver._plan.cache_clear()
     gc.disable()
     try:
         solve(lambda p: 1.0, 4, 3)
         assert trees[0]() is None
     finally:
         gc.enable()
+
+
+def test_plan_assembles_once_and_keeps_no_tree(monkeypatch):
+    trees = []
+
+    def assemble(*args, **kwargs):
+        out = assemble_generic(*args, **kwargs)
+        trees.append(weakref.ref(out[1]))
+        return out
+
+    monkeypatch.setattr(solver, "assemble_generic", assemble)
+    solver._plan.cache_clear()
+    gc.disable()
+    try:
+        first = solve(lambda p: float(p.sum()), 4, 3)
+        assert len(trees) == 1 and trees[0]() is None
+        second = solve(lambda p: float(p.sum()), 4, 3)
+        assert len(trees) == 1
+    finally:
+        gc.enable()
+    assert np.array_equal(first[0].coeffs, second[0].coeffs)
 
 
 # -------------------------------------------------------------- instrumentation
@@ -472,3 +494,91 @@ def test_config_kappa_spreads_line_nodes():
     _, narrow, _ = solve(lambda p: 1.0, 1, 3, config=SolveConfig(kappa=1.0))
     _, wide, _ = solve(lambda p: 1.0, 1, 3, config=SolveConfig(kappa=2.0))
     assert np.allclose(wide.points, 2.0 * narrow.points, atol=1e-12)
+
+
+# ------------------------------------------------------------ plan cache
+
+
+def rotated_config(m):
+    frame = np.eye(m)
+    if m >= 2:
+        frame[:2, :2] = rotation(0.3)
+    else:
+        frame[0, 0] = -1.0
+    return SolveConfig(frame=frame, lam=Fraction(3), kappa=2.0, mu=np.linspace(-0.5, 0.25, m))
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("m,n", [(3, 0), (1, 6), (5, 1), (4, 3), (2, 6)])
+def test_plan_hit_matches_miss_exactly(m, n, rotated):
+    config = rotated_config(m) if rotated else None
+    truth = random_poly(m, n, (23, m, n))
+    f = lambda p: evaluate(truth, p)
+    values = np.random.default_rng([m, n]).uniform(-1.0, 1.0, count_total(m, n))
+    for arg in (values, f):
+        solver._plan.cache_clear()
+        q_miss, nodes_miss, report_miss = solve(arg, m, n, config)
+        q_hit, nodes_hit, report_hit = solve(arg, m, n, config)
+        assert solver._plan.cache_info().hits == 1
+        assert q_hit.coeffs.tobytes() == q_miss.coeffs.tobytes()
+        assert report_hit == report_miss
+        assert np.array_equal(nodes_hit.points, nodes_miss.points)
+        assert nodes_hit.provenance == nodes_miss.provenance
+
+
+@pytest.mark.parametrize("m,n,index", [(3, 3, 7), (1, 5, 2)])
+def test_plan_hit_reads_callback_once_per_node(m, n, index):
+    solver._plan.cache_clear()
+    for _ in range(2):
+        seen = []
+        _, nodes, _ = solve(lambda p: seen.append(p.copy()) or 1.0, m, n)
+        assert len(seen) == len(nodes)
+        assert {p.tobytes() for p in seen} == {p.tobytes() for p in nodes.points}
+    target = nodes.points[index]
+    f = lambda p: np.nan if np.array_equal(p, target) else 1.0
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"not finite at node {index}: nan"):
+            solve(f, m, n)
+
+
+def test_plan_key_normalises_lambda():
+    solver._plan.cache_clear()
+    for lam in (2, Fraction(2), 2.0):
+        solve(lambda p: 1.0, 3, 3, SolveConfig(lam=lam))
+    assert solver._plan.cache_info().currsize == 1
+    solve(lambda p: 1.0, 3, 3, SolveConfig(lam=3))
+    assert solver._plan.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize(
+    "m,n,config", [(1, 2, SolveConfig(kappa=1e-15)), (3, 3, SolveConfig(lam=1))]
+)
+def test_ill_posed_config_raises_on_every_call(m, n, config):
+    solver._plan.cache_clear()
+    for _ in range(2):
+        with pytest.raises(GeometryConfigError):
+            solve(lambda p: 1.0, m, n, config)
+    assert solver._plan.cache_info().currsize == 0
+
+
+def test_plan_cache_is_bounded():
+    solver._plan.cache_clear()
+    for shift in range(40):
+        solve(lambda p: 1.0, 2, 2, SolveConfig(mu=np.array([float(shift), 0.0])))
+    info = solver._plan.cache_info()
+    assert info.misses == 40
+    assert info.currsize <= 32
+
+
+def test_returned_nodes_cannot_change_the_plan():
+    solver._plan.cache_clear()
+    q0, nodes, _ = solve(lambda p: float(p[0]), 3, 3)
+    points, provenance = nodes.points.copy(), list(nodes.provenance)
+    with pytest.raises(ValueError):
+        nodes.points[0, 0] = 99.0
+    nodes.provenance[0] = "tampered"
+    nodes.provenance.reverse()
+    q1, again, _ = solve(lambda p: float(p[0]), 3, 3)
+    assert np.array_equal(again.points, points)
+    assert again.provenance == provenance
+    assert q1.coeffs.tobytes() == q0.coeffs.tobytes()
