@@ -32,7 +32,7 @@ from .instrument import Tally
 from .monomials import count_total
 from .nodes import assemble_generic
 from .polynomial import MultiPoly, evaluate
-from .solver import SolveConfig, _plan, solve
+from .solver import SolveConfig, clear_plans, solve
 from .vandermonde import (
     COND_DESK_LIMIT,
     build_vandermonde,
@@ -200,7 +200,8 @@ def experiment_runtime(cfg: ExperimentConfig) -> list:
             target = _rng(cfg, m, n, rep).uniform(-1.0, 1.0, total)
             for method in cfg.methods:
                 tally = Tally()
-                _plan.cache_clear()  # so that every pip-solver row times node generation
+                if method == "pip-solver":
+                    clear_plans()  # so that the time includes node generation
                 start = time.perf_counter()
                 try:
                     if method == "pip-solver":

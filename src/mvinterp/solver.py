@@ -1,12 +1,10 @@
 """Recursive interpolation solver over the decomposition tree.
 
-The plan of a solve depends only on (m, n) and the geometry (frame,
-lambda, kappa, mu), so it is built once per configuration and cached: the
-node set and, per leaf of the tree in walk order (depth first,
-dimension-reduction branch first), its rows, its line or flat, and its
-divisors.  A leaf is a univariate Chebyshev problem on a line or a
-degree-1 problem on a flat; a problem without a tree (n = 0, m = 1 or
-n = 1) is one leaf with no divisors.  Each call walks these leaves.
+The solver walks the tree depth-first, dimension-reduction branch first.
+Every leaf is a problem it can solve directly: a univariate Chebyshev
+problem on a line, or a degree-1 problem on a flat.  A problem without a
+tree (n = 0, m = 1 or n = 1) is one such leaf with no divisors.  Nodes
+and leaves depend only on (m, n) and the geometry, and are kept for reuse.
 
 f is read exactly once per node: an array of node values is sliced by
 leaf, a callback is called on a leaf's rows when the walk reaches it, and
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +44,7 @@ from .univariate import LineSpec, solve_on_line
 
 __all__ = [
     "SolveConfig",
+    "clear_plans",
     "corrected_value",
     "solve",
     "DIVISION_RTOL",
@@ -117,59 +115,73 @@ def _finite(values: np.ndarray, first: int = 0) -> np.ndarray:
     return values
 
 
-def _key(array):
-    """(shape, bytes) of an optional array argument, a hashable cache key."""
-    if array is None:
-        return None
-    array = np.asarray(array, dtype=float)
-    return array.shape, array.tobytes()
-
-
-@lru_cache(maxsize=32)
-def _plan(m: int, n: int, frame_key, lam: Fraction, kappa: float, mu_key):
-    """The f-independent part of a solve: (nodes, leaves, treeless).
-
-    nodes is the NodeSet, its points read-only; leaves holds, per leaf in
-    walk order, (rows, sigma, LineSpec or FlatSpec, divisors).  The tree
-    and the hyperplanes are not kept.
+def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu):
+    """(nodes, leaves, treeless): nodes with read-only points and, per leaf
+    in walk order, (rows, k of its sigma = (d, k), LineSpec or FlatSpec,
+    divisors).  A hyperplane is dropped once the walk has crossed it, so
+    building a plan peaks no higher than assembling its nodes.
     """
-    frame, mu = (
-        None if key is None else np.frombuffer(key[1]).reshape(key[0])
-        for key in (frame_key, mu_key)
-    )
     nodes, tree, hyperplanes = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
     nodes.points.flags.writeable = False
     frame = np.eye(m) if frame is None else frame
     shift = np.zeros(m) if mu is None else mu
+    direction = frame[0]
     slices = leaf_slices(nodes)
 
-    def spec(sigma, base):
+    def record(block, sigma, base, divisors):
         d, k = sigma
         if d == 1 or k == 0:
-            return LineSpec(direction=frame[0], base=base, kappa=kappa)
-        return FlatSpec(frame=frame, active=tuple(range(d)), base=base)
+            return block, k, LineSpec(direction=direction, base=base, kappa=kappa), divisors
+        return block, k, FlatSpec(frame=frame, active=tuple(range(d)), base=base), divisors
 
     if tree is None:
-        return nodes, [(slices[eps_label(())], (m, n), spec((m, n), shift), [])], True
+        return nodes, [record(slices[eps_label(())], (m, n), shift, [])], True
     leaves = []
-    # explicit stack, bit-1 child on top, so leaves are listed (and their
-    # contributions later summed) in depth-first bit-1-first order; a bit-0
-    # child carries the hyperplane it crosses, whose divisor it appends
+    # explicit stack, bit-1 child on top, so leaves are listed in depth-first
+    # bit-1-first order; a bit-0 child carries the key of the hyperplane it
+    # crosses, which no vertex left on the stack needs after its divisor
     stack = [(tree.root, [], None)]
     while stack:
         vertex, divisors, crossed = stack.pop()
         if crossed is not None:
+            crossed = hyperplanes.pop(crossed)
             factor = crossed.poly()
             factor.coeffs[0] -= float(crossed.normal @ shift)
             divisors = divisors + [(eps_label(crossed.eps), factor)]
         if not vertex.is_leaf:
-            stack.append((tree.child(vertex, 0), divisors, hyperplanes[vertex.eps + (1,)]))
+            stack.append((tree.child(vertex, 0), divisors, vertex.eps + (1,)))
             stack.append((tree.child(vertex, 1), divisors, None))
             continue
         base = vertex_base(tree, vertex, hyperplanes) + shift
-        block = slices[eps_label(vertex.eps)]
-        leaves.append((block, vertex.sigma, spec(vertex.sigma, base), divisors))
+        leaves.append(record(slices[eps_label(vertex.eps)], vertex.sigma, base, divisors))
     return nodes, leaves, False
+
+
+_plans: dict = {}  # key -> plan, the most recently used last
+PLAN_CACHE_SIZE = 32
+# node coordinates (m * N) that all kept plans may hold together; a plan
+# keeps at most 52 bytes per coordinate (measured), so about 14 MB in all
+PLAN_CACHE_REALS = 2**18
+
+
+def _plan(m: int, n: int, cfg: SolveConfig):
+    """The plan of a solve, kept from an earlier call or built and kept."""
+    frame, mu = (None if a is None else np.array(a, dtype=float) for a in (cfg.frame, cfg.mu))
+    lam, kappa = Fraction(cfg.lam), float(cfg.kappa)
+    key = (m, n, lam, kappa, *(None if a is None else (a.shape, a.tobytes()) for a in (frame, mu)))
+    plan = _plans.pop(key, None) or _build_plan(m, n, frame, lam, kappa, mu)
+    _plans[key] = plan
+    held = 0
+    for age, (old, kept) in enumerate(reversed(list(_plans.items()))):
+        held += kept[0].points.size
+        if age >= PLAN_CACHE_SIZE or held > PLAN_CACHE_REALS:
+            _plans.pop(old, None)
+    return plan
+
+
+def clear_plans() -> None:
+    """Release every solve plan kept for reuse."""
+    _plans.clear()
 
 
 def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | None = None):
@@ -179,10 +191,10 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
     storage order.  Returns (poly, nodes, report): the interpolant, the
     generated NodeSet, and the operation/storage report of the run.
 
-    The nodes and leaves are built once per (m, n, config) and kept for
-    later calls, up to 32 configurations.  nodes.points is shared and
-    read-only, so writing to it raises; nodes.provenance is a fresh list
-    per call, so changing it does not change a later solve.
+    The newest PLAN_CACHE_SIZE plans of (m, n, config) are kept while their
+    node sets hold PLAN_CACHE_REALS coordinates in all (about 14 MB at most);
+    clear_plans releases them.  nodes.points is shared and read-only, and
+    nodes.provenance a fresh list, so changing either cannot change a plan.
 
     Raises
     ------
@@ -193,9 +205,7 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
     """
     cfg = config if config is not None else SolveConfig()
     t = tally if tally is not None else Tally()
-    shared, leaves, treeless = _plan(
-        m, n, _key(cfg.frame), Fraction(cfg.lam), float(cfg.kappa), _key(cfg.mu)
-    )
+    shared, leaves, treeless = _plan(m, n, cfg)
     nodes = NodeSet(shared.points, list(shared.provenance), m, n)
     t.alloc(nodes.points.size)
     values = None
@@ -209,7 +219,7 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
         _finite(values)
         t.alloc(values.size)
 
-    def solve_leaf(block, sigma, spec, divisors, correction):
+    def solve_leaf(block, k, spec, divisors, correction):
         """The interpolant of one leaf's corrected values, in m variables."""
         pts = nodes.points[block]
         if values is None:
@@ -218,7 +228,7 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
             fvals = values[block]
         corrected = corrected_value(fvals, correction, divisors, pts, t)
         if isinstance(spec, LineSpec):
-            return solve_on_line(corrected, sigma[1], spec, nodes=pts, tally=t)[1]
+            return solve_on_line(corrected, k, spec, nodes=pts, tally=t)[1]
         return solve_linear(corrected, spec, nodes=pts, tally=t)[1]
 
     if treeless:
@@ -226,9 +236,9 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
 
     acc = MultiPoly.zero(m, n)
     t.alloc(acc.coeffs.size)
-    for block, sigma, spec, divisors in leaves:
+    for block, k, spec, divisors in leaves:
         held = t.alloc(block.stop - block.start)
-        contribution = solve_leaf(block, sigma, spec, divisors, acc)
+        contribution = solve_leaf(block, k, spec, divisors, acc)
         t.free(held)
 
         held = t.alloc(contribution.coeffs.size)

@@ -10,6 +10,7 @@ Q_w = 2x^2 - 2x + 5, after which f - Q_w factors exactly as
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -329,7 +330,7 @@ def test_walk_leaves_no_reference_cycle(monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "assemble_generic", assemble)
-    solver._plan.cache_clear()
+    solver.clear_plans()
     gc.disable()
     try:
         solve(lambda p: 1.0, 4, 3)
@@ -347,7 +348,7 @@ def test_plan_assembles_once_and_keeps_no_tree(monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "assemble_generic", assemble)
-    solver._plan.cache_clear()
+    solver.clear_plans()
     gc.disable()
     try:
         first = solve(lambda p: float(p.sum()), 4, 3)
@@ -499,6 +500,20 @@ def test_config_kappa_spreads_line_nodes():
 # ------------------------------------------------------------ plan cache
 
 
+@pytest.fixture
+def assemblies(monkeypatch):
+    """Shapes the solver assembled, from an empty plan cache on."""
+    seen = []
+
+    def assemble(*args, **kwargs):
+        seen.append(args[:2])
+        return assemble_generic(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_generic", assemble)
+    solver.clear_plans()
+    return seen
+
+
 def rotated_config(m):
     frame = np.eye(m)
     if m >= 2:
@@ -510,25 +525,25 @@ def rotated_config(m):
 
 @pytest.mark.parametrize("rotated", [False, True])
 @pytest.mark.parametrize("m,n", [(3, 0), (1, 6), (5, 1), (4, 3), (2, 6)])
-def test_plan_hit_matches_miss_exactly(m, n, rotated):
+def test_plan_hit_matches_miss_exactly(m, n, rotated, assemblies):
     config = rotated_config(m) if rotated else None
     truth = random_poly(m, n, (23, m, n))
     f = lambda p: evaluate(truth, p)
     values = np.random.default_rng([m, n]).uniform(-1.0, 1.0, count_total(m, n))
     for arg in (values, f):
-        solver._plan.cache_clear()
+        solver.clear_plans()
         q_miss, nodes_miss, report_miss = solve(arg, m, n, config)
         q_hit, nodes_hit, report_hit = solve(arg, m, n, config)
-        assert solver._plan.cache_info().hits == 1
         assert q_hit.coeffs.tobytes() == q_miss.coeffs.tobytes()
         assert report_hit == report_miss
         assert np.array_equal(nodes_hit.points, nodes_miss.points)
         assert nodes_hit.provenance == nodes_miss.provenance
+    assert assemblies == [(m, n)] * 2
 
 
 @pytest.mark.parametrize("m,n,index", [(3, 3, 7), (1, 5, 2)])
 def test_plan_hit_reads_callback_once_per_node(m, n, index):
-    solver._plan.cache_clear()
+    solver.clear_plans()
     for _ in range(2):
         seen = []
         _, nodes, _ = solve(lambda p: seen.append(p.copy()) or 1.0, m, n)
@@ -541,37 +556,80 @@ def test_plan_hit_reads_callback_once_per_node(m, n, index):
             solve(f, m, n)
 
 
-def test_plan_key_normalises_lambda():
-    solver._plan.cache_clear()
+def test_plan_key_normalises_lambda(assemblies):
     for lam in (2, Fraction(2), 2.0):
         solve(lambda p: 1.0, 3, 3, SolveConfig(lam=lam))
-    assert solver._plan.cache_info().currsize == 1
+    assert len(assemblies) == 1
     solve(lambda p: 1.0, 3, 3, SolveConfig(lam=3))
-    assert solver._plan.cache_info().currsize == 2
+    assert len(assemblies) == len(solver._plans) == 2
+
+
+def test_plan_keeps_its_own_copy_of_frame_and_mu(assemblies):
+    frame, mu = np.eye(3), np.array([0.5, 0.0, -0.25])
+    config = SolveConfig(frame=frame.copy(), mu=mu.copy())
+    before = solve(lambda p: float(p[0] ** 2), 3, 3, config)
+    config.frame[:2, :2] = rotation(0.3)
+    config.mu[0] = 2.0
+    again = solve(lambda p: float(p[0] ** 2), 3, 3, SolveConfig(frame=frame, mu=mu))
+    assert len(assemblies) == 1
+    assert again[0].coeffs.tobytes() == before[0].coeffs.tobytes()
 
 
 @pytest.mark.parametrize(
     "m,n,config", [(1, 2, SolveConfig(kappa=1e-15)), (3, 3, SolveConfig(lam=1))]
 )
-def test_ill_posed_config_raises_on_every_call(m, n, config):
-    solver._plan.cache_clear()
+def test_ill_posed_config_raises_on_every_call(m, n, config, assemblies):
     for _ in range(2):
         with pytest.raises(GeometryConfigError):
             solve(lambda p: 1.0, m, n, config)
-    assert solver._plan.cache_info().currsize == 0
+    assert len(assemblies) == 2
+    assert not solver._plans
 
 
-def test_plan_cache_is_bounded():
-    solver._plan.cache_clear()
+def test_plan_cache_keeps_at_most_32_plans(assemblies):
     for shift in range(40):
         solve(lambda p: 1.0, 2, 2, SolveConfig(mu=np.array([float(shift), 0.0])))
-    info = solver._plan.cache_info()
-    assert info.misses == 40
-    assert info.currsize <= 32
+    assert len(assemblies) == 40
+    assert len(solver._plans) == solver.PLAN_CACHE_SIZE == 32
+
+
+def test_plan_cache_drops_least_recent_over_coordinate_budget(monkeypatch, assemblies):
+    # coordinates m * N: (4,3) 140, (2,3) 20, (3,3) 60, (2,4) 30
+    monkeypatch.setattr(solver, "PLAN_CACHE_REALS", 100)
+    for shape in [(4, 3), (2, 3), (3, 3), (3, 3), (2, 3), (2, 4)]:
+        solve(lambda p: 1.0, *shape)
+    # (4,3) alone is over budget; (3,3) was least recently used when (2,4) came
+    assert assemblies == [(4, 3), (2, 3), (3, 3), (2, 4)]
+    assert [key[:2] for key in solver._plans] == [(2, 3), (2, 4)]
+    solver.clear_plans()
+    assert not solver._plans
+
+
+def _traced_peak(call) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m,n", [(4, 3), (6, 3), (3, 6)])
+def test_first_solve_peaks_no_higher_than_assembly_plus_walk(m, n):
+    # building and keeping a plan adds nothing to the peak of a first solve
+    # beyond what assembling the nodes and walking a kept plan take
+    values = np.ones(count_total(m, n))
+    solve(values, m, n)
+    walk = _traced_peak(lambda: solve(values, m, n))
+    assembly = _traced_peak(lambda: assemble_generic(m, n))
+    solver.clear_plans()
+    first = _traced_peak(lambda: solve(values, m, n))
+    assert first <= assembly + walk
 
 
 def test_returned_nodes_cannot_change_the_plan():
-    solver._plan.cache_clear()
+    solver.clear_plans()
     q0, nodes, _ = solve(lambda p: float(p[0]), 3, 3)
     points, provenance = nodes.points.copy(), list(nodes.provenance)
     with pytest.raises(ValueError):
