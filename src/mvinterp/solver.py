@@ -117,10 +117,7 @@ def _finite(values: np.ndarray, first: int = 0) -> np.ndarray:
 
 def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu):
     """(nodes, leaves, treeless): nodes with read-only points and, per leaf
-    in walk order, (rows, k of its sigma = (d, k), LineSpec or FlatSpec,
-    divisors).  A hyperplane is dropped once the walk has crossed it, so
-    building a plan peaks no higher than assembling its nodes.
-    """
+    in walk order, (rows, k of sigma = (d, k), LineSpec or FlatSpec, divisors)."""
     nodes, tree, hyperplanes = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
     nodes.points.flags.writeable = False
     frame = np.eye(m) if frame is None else frame
@@ -139,7 +136,8 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu):
     leaves = []
     # explicit stack, bit-1 child on top, so leaves are listed in depth-first
     # bit-1-first order; a bit-0 child carries the key of the hyperplane it
-    # crosses, which no vertex left on the stack needs after its divisor
+    # crosses, which no vertex left on the stack needs after its divisor, so
+    # dropping it keeps building a plan from peaking above the assembly
     stack = [(tree.root, [], None)]
     while stack:
         vertex, divisors, crossed = stack.pop()
@@ -159,8 +157,9 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu):
 
 _plans: dict = {}  # key -> plan, the most recently used last
 PLAN_CACHE_SIZE = 32
-# node coordinates (m * N) that all kept plans may hold together; a plan
-# keeps at most 52 bytes per coordinate (measured), so about 14 MB in all
+# reals that the kept plans' node sets and frames (m * N + m * m) may hold
+# together; a plan was measured to hold at most 64 bytes per real plus 6 KB,
+# so all kept plans hold about 17 MB at most
 PLAN_CACHE_REALS = 2**18
 
 
@@ -171,10 +170,12 @@ def _plan(m: int, n: int, cfg: SolveConfig):
     key = (m, n, lam, kappa, *(None if a is None else (a.shape, a.tobytes()) for a in (frame, mu)))
     plan = _plans.pop(key, None) or _build_plan(m, n, frame, lam, kappa, mu)
     _plans[key] = plan
-    held = 0
-    for age, (old, kept) in enumerate(reversed(list(_plans.items()))):
-        held += kept[0].points.size
-        if age >= PLAN_CACHE_SIZE or held > PLAN_CACHE_REALS:
+    held, count = 0, 0
+    for old, kept in reversed(list(_plans.items())):  # the newest first
+        size = kept[0].points.size + old[0] ** 2
+        if count < PLAN_CACHE_SIZE and held + size <= PLAN_CACHE_REALS:
+            held, count = held + size, count + 1
+        else:
             _plans.pop(old, None)
     return plan
 
@@ -192,8 +193,8 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
     generated NodeSet, and the operation/storage report of the run.
 
     The newest PLAN_CACHE_SIZE plans of (m, n, config) are kept while their
-    node sets hold PLAN_CACHE_REALS coordinates in all (about 14 MB at most);
-    clear_plans releases them.  nodes.points is shared and read-only, and
+    nodes and frames hold PLAN_CACHE_REALS reals in all (about 17 MB at
+    most); clear_plans releases them.  nodes.points is shared and read-only, and
     nodes.provenance a fresh list, so changing either cannot change a plan.
 
     Raises

@@ -593,13 +593,17 @@ def test_plan_cache_keeps_at_most_32_plans(assemblies):
     assert len(solver._plans) == solver.PLAN_CACHE_SIZE == 32
 
 
-def test_plan_cache_drops_least_recent_over_coordinate_budget(monkeypatch, assemblies):
-    # coordinates m * N: (4,3) 140, (2,3) 20, (3,3) 60, (2,4) 30
+def test_plan_cache_drops_least_recent_over_reals_budget(monkeypatch, assemblies):
+    # reals m * N + m * m in nodes and frame: (20,0) 420, (4,3) 156,
+    # (2,3) 24, (3,3) 69, (2,4) 34
     monkeypatch.setattr(solver, "PLAN_CACHE_REALS", 100)
-    for shape in [(4, 3), (2, 3), (3, 3), (3, 3), (2, 3), (2, 4)]:
+    for shape in [(20, 0), (4, 3), (2, 3), (3, 3), (3, 3), (2, 3), (2, 4)]:
         solve(lambda p: 1.0, *shape)
-    # (4,3) alone is over budget; (3,3) was least recently used when (2,4) came
-    assert assemblies == [(4, 3), (2, 3), (3, 3), (2, 4)]
+    # (20,0) and (4,3) alone are over budget; (3,3) was least recently used
+    # when (2,4) came
+    assert assemblies == [(20, 0), (4, 3), (2, 3), (3, 3), (2, 4)]
+    assert [key[:2] for key in solver._plans] == [(2, 3), (2, 4)]
+    solve(lambda p: 1.0, 4, 3)  # an oversized plan leaves the others kept
     assert [key[:2] for key in solver._plans] == [(2, 3), (2, 4)]
     solver.clear_plans()
     assert not solver._plans
