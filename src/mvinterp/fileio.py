@@ -93,6 +93,9 @@ def parse_nodes(text: str, source: str = "<string>") -> NodeSet:
                 f"{source}:{i}: provenance must be a 0/1 bit string or '-', got {label!r}"
             )
         labels.append(label)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise FileFormatError(f"{source}:{bad[0] + 2}: coordinates must be finite")
     return NodeSet(points, labels, m, n)
 
 

@@ -62,26 +62,17 @@ def linear_generic_nodes(flat: FlatSpec) -> np.ndarray:
     return np.array(rows)
 
 
-def solve_linear(f, flat: FlatSpec, nodes=None, tally=None):
-    """Solve the degree-1 problem on a flat: returns (nodes, MultiPoly).
+def solve_linear(values, flat: FlatSpec, tally=None) -> MultiPoly:
+    """Solve the degree-1 problem on a flat from its node values.
 
-    With nodes p_1 = base and p_{a+1} = base + frame[a], the coefficients in
-    flat coordinates are c_0 = f(p_1) and c_a = f(base + frame[a]) - f(base);
-    the returned m-variate polynomial is
-    c_0 - <w, base> + <w, x> with w = sum_a c_a * frame[a].  It matches f on
-    all returned nodes and has effective degree <= 1.  f is a callback on
-    m-vectors, or an array of its values at the nodes.
+    values holds the function at the nodes p_1 = base and
+    p_{a+1} = base + frame[a] (see linear_generic_nodes).  The coefficients
+    in flat coordinates are c_0 = f(p_1) and c_a = f(base + frame[a]) - f(base);
+    the returned m-variate polynomial is c_0 - <w, base> + <w, x> with
+    w = sum_a c_a * frame[a].  It takes the values at the nodes and has
+    effective degree <= 1.
     """
-    if nodes is None:
-        nodes = linear_generic_nodes(flat)
-    else:
-        nodes = np.asarray(nodes, dtype=float)
-        if nodes.shape != (flat.k + 1, flat.m):
-            raise ValueError(
-                f"expected {flat.k + 1} nodes of dimension {flat.m}, "
-                f"got shape {nodes.shape}"
-            )
-    values = np.array([f(p) for p in nodes] if callable(f) else f, dtype=float)
+    values = np.asarray(values, dtype=float)
     if values.shape != (flat.k + 1,):
         raise ValueError(
             f"expected {flat.k + 1} node values, got shape {values.shape}"
@@ -94,4 +85,4 @@ def solve_linear(f, flat: FlatSpec, nodes=None, tally=None):
     coeffs[1:] = w
     if tally is not None:
         tally.add_ops((flat.m + 2) * (flat.k + 1))
-    return nodes, MultiPoly(flat.m, 1, coeffs)
+    return MultiPoly(flat.m, 1, coeffs)

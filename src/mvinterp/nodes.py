@@ -121,7 +121,8 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
     decomposition tree contributes its block, in left-to-right leaf order.
 
     mu, if given, translates all returned points (a post-transform; the tree
-    and hyperplanes describe the untranslated construction).
+    and hyperplanes describe the untranslated construction).  A frame or mu
+    of the wrong shape or with a non-finite entry raises ValueError.
     """
     if m < 1 or n < 0:
         raise ValueError(f"need m >= 1 and n >= 0, got ({m}, {n})")
@@ -130,6 +131,13 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
     frame = np.asarray(frame, dtype=float)
     if frame.shape != (m, m):
         raise ValueError(f"frame shape {frame.shape} does not match m={m}")
+    if mu is not None:
+        mu = np.asarray(mu, dtype=float)
+        if mu.shape != (m,):
+            raise ValueError(f"mu must be an m-vector, got shape {mu.shape}")
+    for name, value in (("frame", frame), ("mu", mu)):
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name} has a non-finite entry")
     total = count_total(m, n)
     tree = None
     hyperplanes: dict = {}
@@ -161,8 +169,5 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
         )
     _check_distinct(points)
     if mu is not None:
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != (m,):
-            raise ValueError(f"mu must be an m-vector, got shape {mu.shape}")
         points = points + mu
     return NodeSet(points, provenance, m, n), tree, hyperplanes

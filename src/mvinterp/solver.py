@@ -229,8 +229,8 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
             fvals = values[block]
         corrected = corrected_value(fvals, correction, divisors, pts, t)
         if isinstance(spec, LineSpec):
-            return solve_on_line(corrected, k, spec, nodes=pts, tally=t)[1]
-        return solve_linear(corrected, spec, nodes=pts, tally=t)[1]
+            return solve_on_line(corrected, k, spec, pts, tally=t)
+        return solve_linear(corrected, spec, tally=t)
 
     if treeless:
         return solve_leaf(*leaves[0], MultiPoly.zero(m, n)), nodes, t.report()

@@ -4,7 +4,8 @@ A problem of dimension m and degree n splits into a bit-1 child (m-1, n),
 whose nodes will live ON a fresh hyperplane, and a bit-0 child (m, n-1),
 whose nodes stay off it.  Splitting stops as soon as the dimension or the
 degree reaches 1, so every leaf is a line problem or a degree-1 problem.
-Each vertex is addressed by its bit string eps (root: empty).
+A vertex is its path: the bit string eps (root: empty) names it, and its
+sigma = (dimension, degree) follows from the bits.
 
 Hyperplane placement follows the offset rule
     alpha(eps) = sum_i (-1)^(i-1) * eps_i * lambda^i   (exact rationals),
@@ -22,8 +23,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import repeat
-from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -54,42 +53,34 @@ def eps_label(eps) -> str:
 class Vertex(NamedTuple):
     """One tree vertex: sigma = (dimension, degree), eps = path bits.
 
-    index is the preorder position; parent, bit0 and bit1 are preorder
-    indices (None at the root, and for both children of a leaf).
+    The path names the vertex: its children are eps + (0,) and eps + (1,),
+    its parent is eps[:-1] and its depth is len(eps).
     """
 
-    index: int
     sigma: tuple
     eps: tuple
-    parent: int | None
-    bit0: int | None = None
-    bit1: int | None = None
-
-    @property
-    def depth(self) -> int:
-        return len(self.eps)
 
     @property
     def is_leaf(self) -> bool:
-        return self.bit0 is None
+        return 1 in self.sigma
 
 
-# Vertex from a tuple of all six fields, without a Python-level call
+# Vertex from a (sigma, eps) pair, without a Python-level call
 _new_vertex = partial(tuple.__new__, Vertex)
 
 
 class LeafSequence(Sequence):
     """The leaves of a tree in left-to-right order, as a read-only sequence.
 
-    The leaf walk stores the fields of every leaf as columns (index, sigma,
-    eps, parent), and a Vertex is made as each item is read.  The columns
-    hold only ints and tuples of ints, which the garbage collector stops
-    tracking, so the leaves of a large tree (48620 at m = n = 10) add no
-    objects for its full collections to rescan.
+    The leaf walk stores the sigma and eps of every leaf as two columns,
+    and a Vertex is made as each item is read.  The columns hold only
+    tuples of ints, which the garbage collector stops tracking, so the
+    leaves of a large tree (48620 at m = n = 10) add no objects for its
+    full collections to rescan.
     """
 
-    def __init__(self, index: list, sigma: list, eps: list, parent: list):
-        self._columns = (index, sigma, eps, parent)
+    def __init__(self, sigma: list, eps: list):
+        self._columns = (sigma, eps)
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -100,7 +91,7 @@ class LeafSequence(Sequence):
         return Vertex(*(column[i] for column in self._columns))
 
     def __iter__(self):
-        return map(_new_vertex, zip(*self._columns, repeat(None), repeat(None)))
+        return map(_new_vertex, zip(*self._columns))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -111,34 +102,21 @@ class LeafSequence(Sequence):
 class DecompTree:
     """Binary decomposition tree for dimension m >= 2 and degree n >= 2.
 
-    The tree is fixed by (m, n) and stored implicitly.  Vertices are
-    numbered in preorder, bit-0 (left) child first: a (d, k) vertex at index
-    i has its bit-0 child at i + 1 and its bit-1 child at i + 1 + size(d, k-1),
-    where size(d, k) = 2 C(d+k-2, d-1) - 1 counts the vertices of a (d, k)
-    subtree.  Vertex objects are built from that arithmetic when asked for:
-    ``root``, ``child`` and ``vertex`` make one vertex each, ``leaves`` is
-    one walk (kept) that makes no internal vertex, and the full preorder
-    ``vertices`` list is built on first use only.
+    The tree is fixed by (m, n) and stored implicitly: a vertex is its path
+    eps, and its sigma follows from counting the bits (each 0 lowers the
+    degree, each 1 the dimension).  ``root``, ``child`` and ``vertex`` make
+    one vertex each, ``leaves`` is one walk (kept) that makes no internal
+    vertex, and the full preorder ``vertices`` list is built on first use
+    only.
     """
 
     def __init__(self, m: int, n: int):
         self.m = m
         self.n = n
-        # _bit1_step[d][k] = 1 + size(d, k-1): preorder distance to the bit-1 child
-        self._bit1_step = [
-            [2 * comb(d + k - 3, d - 1) if d > 1 and k > 1 else 0 for k in range(n + 1)]
-            for d in range(m + 1)
-        ]
-
-    def _make(self, index: int, sigma: tuple, eps: tuple, parent) -> Vertex:
-        d, k = sigma
-        if d == 1 or k == 1:
-            return Vertex(index, sigma, eps, parent)
-        return Vertex(index, sigma, eps, parent, index + 1, index + self._bit1_step[d][k])
 
     @property
     def root(self) -> Vertex:
-        return self._make(0, (self.m, self.n), (), None)
+        return Vertex((self.m, self.n), ())
 
     def child(self, vertex: Vertex, bit: int) -> Vertex:
         """The bit-0 or bit-1 child of an internal vertex."""
@@ -146,25 +124,21 @@ class DecompTree:
             raise ValueError(f"vertex {eps_label(vertex.eps)} is a leaf")
         d, k = vertex.sigma
         if bit == 0:
-            return self._make(vertex.bit0, (d, k - 1), vertex.eps + (0,), vertex.index)
-        return self._make(vertex.bit1, (d - 1, k), vertex.eps + (1,), vertex.index)
+            return Vertex((d, k - 1), vertex.eps + (0,))
+        return Vertex((d - 1, k), vertex.eps + (1,))
 
     def vertex(self, eps: tuple) -> Vertex:
         """The vertex at path eps; KeyError if no vertex has that path."""
         eps = tuple(eps)
         d, k = self.m, self.n
-        index, parent = 0, None
         for bit in eps:
             if d == 1 or k == 1 or bit not in (0, 1):
                 raise KeyError(eps)
-            parent = index
             if bit:
-                index += self._bit1_step[d][k]
                 d -= 1
             else:
-                index += 1
                 k -= 1
-        return self._make(index, (d, k), eps, parent)
+        return Vertex((d, k), eps)
 
     @cached_property
     def vertices(self) -> list:
@@ -181,31 +155,24 @@ class DecompTree:
 
     @cached_property
     def _leaf_columns(self) -> tuple:
-        """(index, sigma, eps, parent) of every leaf, left to right.
+        """(sigma, eps) of every leaf, left to right.
 
         From each popped vertex the walk follows the bit-0 chain down to its
         leaf, pushing every bit-1 child on the way for later.
         """
-        steps = self._bit1_step
-        columns = [], [], [], []
-        add_index, add_sigma, add_eps, add_parent = (c.append for c in columns)
-        stack = [(self.m, self.n, (), 0, None)]
+        sigmas, paths = [], []
+        stack = [(self.m, self.n, ())]
         push, pop = stack.append, stack.pop
         while stack:
-            d, k, eps, index, parent = pop()
+            d, k, eps = pop()
             if d > 1:
-                step = steps[d]
                 while k > 1:
-                    push((d - 1, k, eps + (1,), index + step[k], index))
-                    parent = index
-                    index += 1
+                    push((d - 1, k, eps + (1,)))
                     k -= 1
                     eps += (0,)
-            add_index(index)
-            add_sigma((d, k))
-            add_eps(eps)
-            add_parent(parent)
-        return columns
+            sigmas.append((d, k))
+            paths.append(eps)
+        return sigmas, paths
 
     @cached_property
     def leaves(self) -> LeafSequence:
@@ -226,7 +193,7 @@ class DecompTree:
         instead of edges restores the closed form m+n-2.  The deepest vertex
         is a leaf, so this is read off the walked leaves.
         """
-        return 1 + max(map(len, self._leaf_columns[2]))
+        return 1 + max(map(len, self._leaf_columns[1]))
 
 
 def build_tree(m: int, n: int) -> DecompTree:
@@ -285,10 +252,13 @@ def assign_hyperplanes(tree: DecompTree, frame=None, lam=Fraction(2)) -> dict:
     ancestor assignment (bit-0 children inherit verbatim, the root starts at
     the origin).
 
-    Validation: within every group of hyperplanes sharing a normal axis and
-    the containing-flat history of their parent vertex, base offsets along
-    the axis must be pairwise distinct (gap > 1e-9), otherwise the split
-    geometry would collide and a larger lambda is required.
+    Validation: within every group of hyperplanes that split the same flat
+    (the one their parent vertex lives on), base offsets along the axis
+    must be pairwise distinct (gap > 1e-9), otherwise the split geometry
+    would collide and a larger lambda is required.  A flat is named by the
+    path of the vertex that placed it: two paths give the same offset
+    history exactly when their bit-1 positions agree, since each bit-1 step
+    at depth d adds +-lambda^d and lambda > 1.
     """
     m = tree.m
     if frame is None:
@@ -300,38 +270,37 @@ def assign_hyperplanes(tree: DecompTree, frame=None, lam=Fraction(2)) -> dict:
     # alpha(eps) = alpha(eps[:-1]) + (-1)^(d-1) * lam^d at depth d = |eps|
     steps = [lam**d if d % 2 else -(lam**d) for d in range(tree.depth)]
     result: dict = {}
-    groups: dict = {}
-    # preorder walk; each entry carries the base and exact history (the
-    # (axis, alpha) of every bit-1 step) of the flat its parent lives on
-    stack = [(tree.root, np.zeros(m), ())]
+    groups: dict = {}  # path of the flat being split -> its hyperplanes
+    # preorder walk; each entry carries sigma, eps and the path, base and
+    # alpha of the flat it lives on: that of its nearest ancestor-or-self
+    # whose eps ends in 1, or ((), origin, 0) for the whole space
+    stack = [(m, tree.n, (), (), np.zeros(m), 0)]
     while stack:
-        v, base, history = stack.pop()
-        if v.eps and v.eps[-1] == 1:
-            axis = v.sigma[0]  # 0-based row for xi_{sigma1+1}
-            # trailing zero bits add nothing: the parent's alpha is the last
-            # offset assigned on its path
-            a = (history[-1][1] if history else 0) + steps[v.depth]
+        d, k, eps, flat, base, a = stack.pop()
+        if eps and eps[-1] == 1:
+            axis = d  # 0-based row for xi_{sigma1+1}
+            a = a + steps[len(eps)]
             base = base + float(a) * frame[axis]
             spec = HyperplaneSpec(
-                eps=v.eps,
+                eps=eps,
                 axis=axis,
                 normal=frame[axis].copy(),
                 base=base,
                 offset=float(frame[axis] @ base),
                 alpha_exact=a,
             )
-            result[v.eps] = spec
-            groups.setdefault((axis, history), []).append(spec)
-            history = history + ((axis, a),)
-        if not v.is_leaf:  # bit-0 children inherit the flat unchanged
-            stack.append((tree.child(v, 1), base, history))
-            stack.append((tree.child(v, 0), base, history))
-    for (axis, _), specs in groups.items():
+            result[eps] = spec
+            groups.setdefault(flat, []).append(spec)
+            flat = eps
+        if d > 1 and k > 1:  # bit-0 children inherit the flat unchanged
+            stack.append((d - 1, k, eps + (1,), flat, base, a))
+            stack.append((d, k - 1, eps + (0,), flat, base, a))
+    for specs in groups.values():
         offsets = sorted(s.alpha_exact for s in specs)
         for lo, hi in zip(offsets, offsets[1:]):
             if float(hi - lo) <= 1e-9:
                 raise GeometryConfigError(
-                    f"hyperplanes on axis {axis + 1} nearly coincide "
+                    f"hyperplanes on axis {specs[0].axis + 1} nearly coincide "
                     f"(offsets {float(lo)} and {float(hi)}); increase lambda"
                 )
     return result

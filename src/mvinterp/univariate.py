@@ -30,8 +30,8 @@ class LineSpec:
         self.base = np.asarray(self.base, dtype=float)
         if abs(np.linalg.norm(self.direction) - 1.0) > 1e-12:
             raise ValueError("line direction must have unit norm (within 1e-12)")
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0 < self.kappa < np.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
     @property
     def m(self) -> int:
@@ -94,28 +94,23 @@ def solve_univariate(nodes, values, tally=None) -> np.ndarray:
     return out
 
 
-def solve_on_line(f, degree: int, line: LineSpec, nodes=None, tally=None):
-    """Interpolate f on a line: returns (nodes, MultiPoly in m variables).
+def solve_on_line(values, degree: int, line: LineSpec, nodes, tally=None) -> MultiPoly:
+    """Interpolate node values on a line: the MultiPoly in m variables.
 
-    f is a callback on m-vectors, or an array of its values at the nodes.
-    Generates degree+1 Chebyshev nodes on the line (unless given), solves in
-    the line parameter t(x) = <x - base, direction>, and lifts the result;
-    the returned polynomial agrees with f at the returned nodes and has
+    values holds the function at the degree+1 nodes, which lie on the line.
+    Solves in the line parameter t(x) = <x - base, direction> and lifts the
+    result; the returned polynomial takes the values at the nodes and has
     effective degree <= degree.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if nodes is None:
-        nodes = chebyshev_nodes(degree + 1, line)
-    else:
-        nodes = np.asarray(nodes, dtype=float)
-        if nodes.shape != (degree + 1, line.m):
-            raise ValueError(
-                f"expected {degree + 1} nodes of dimension {line.m}, "
-                f"got shape {nodes.shape}"
-            )
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.shape != (degree + 1, line.m):
+        raise ValueError(
+            f"expected {degree + 1} nodes of dimension {line.m}, "
+            f"got shape {nodes.shape}"
+        )
     t = (nodes - line.base) @ line.direction
-    values = np.array([f(p) for p in nodes] if callable(f) else f, dtype=float)
     chat = solve_univariate(t, values, tally=tally)
     poly = embed_univariate(chat, line.direction, line.base)
     if tally is not None:
@@ -123,4 +118,4 @@ def solve_on_line(f, degree: int, line: LineSpec, nodes=None, tally=None):
         tally.add_ops(
             sum((m + 2) * count_total(m, i) for i in range(1, degree + 1))
         )
-    return nodes, poly
+    return poly

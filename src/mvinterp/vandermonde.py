@@ -393,7 +393,8 @@ def genericity_check(
     structured determinant factorization; anything else goes through the
     dense normalized pivoted LU.  cond_1 always describes the dense
     normalized system and needs the explicit inverse, so it is only
-    computed for N <= cond_limit and is nan above that.
+    computed for N <= cond_limit and is nan above that.  A node set of the
+    wrong shape or with a non-finite coordinate raises ValueError.
     """
     pts = _points_of(nodes)
     total = count_total(m, n)
@@ -402,6 +403,9 @@ def genericity_check(
             f"node set shape {pts.shape} does not match (N({m},{n}), {m}) = "
             f"({total}, {m})"
         )
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ValueError(f"node {bad[0]} is not finite: {pts[bad[0]].tolist()}")
     result = None
     if (
         isinstance(nodes, NodeSet)

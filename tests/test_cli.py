@@ -90,6 +90,18 @@ def test_verify_malformed_file_exits_two(tmp_path, capsys):
     assert "header" in err
 
 
+def test_non_finite_inputs_exit_two(tmp_path, capsys):
+    target = tmp_path / "inf.nodes"
+    target.write_text("2,2,6\n0,0,-\n1,0,-\n0,1,-\n2,0,-\n1,1,-\ninf,2,-\n")
+    code, out, err = run(capsys, "verify", str(target))
+    assert (code, out) == (2, "")
+    assert "inf.nodes:7: coordinates must be finite" in err
+    code, out, err = run(capsys, "solve", "runge", "--m", "2", "--n", "2", "--mu", "inf")
+    assert (code, out) == (2, "") and "mu has a non-finite entry" in err
+    code, out, err = run(capsys, "nodes", "--m", "2", "--n", "3", "--mu", "nan")
+    assert (code, out) == (2, "") and "mu has a non-finite entry" in err
+
+
 def test_verify_missing_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(tmp_path / "absent.nodes"))
     assert code == 2

@@ -64,6 +64,8 @@ def test_node_base_case_uses_dash_provenance():
         ("2,2,3\n0,0,-\n1,1,-\n", "announces 3 nodes"),
         ("2,1,1\n0,0,oops,-\n", "expected 2 coordinates"),
         ("2,1,1\nx,0,-\n", "bad coordinate"),
+        ("2,1,1\ninf,0,-\n", "must be finite"),
+        ("2,1,1\n0,nan,-\n", "must be finite"),
         ("2,1,1\n0,0,2\n", "provenance"),
         ("0,1,1\n0,-\n", "out of range"),
     ],
@@ -79,6 +81,8 @@ def test_parse_nodes_reports_line_numbers():
     with pytest.raises(FileFormatError) as err:
         parse_nodes("2,1,2\n0,0,-\n1,broken,-\n", source="f")
     assert str(err.value).startswith("f:3:")
+    with pytest.raises(FileFormatError, match=r"^f:4: coordinates must be finite"):
+        parse_nodes("2,1,3\n0,0,-\n1,0,-\n0,-inf,-\n", source="f")
 
 
 def test_parse_nodes_accepts_degenerate_geometry():

@@ -40,14 +40,20 @@ def test_flatspec_rejects_bad_frames():
         FlatSpec(frame=np.eye(2), active=(0, 0), base=[0.0, 0.0])
 
 
+def values_at(f, flat):
+    """f at the flat's nodes, in node order."""
+    return np.array([f(p) for p in linear_generic_nodes(flat)])
+
+
 def test_solve_linear_example():
     table = {(0.0, 0.0): 1.0, (1.0, 0.0): 3.0, (0.0, 1.0): 0.0}
-    nodes, poly = solve_linear(lambda p: table[tuple(p)], standard_flat(2))
+    flat = standard_flat(2)
+    poly = solve_linear(values_at(lambda p: table[tuple(p)], flat), flat)
     np.testing.assert_allclose(poly.coeffs, [1.0, 2.0, -1.0])
 
 
 def test_solve_linear_constant():
-    _, poly = solve_linear(lambda p: -7.5, standard_flat(4))
+    poly = solve_linear(np.full(5, -7.5), standard_flat(4))
     np.testing.assert_allclose(poly.coeffs, [-7.5, 0, 0, 0, 0])
 
 
@@ -55,7 +61,7 @@ def test_solve_linear_on_sub_line():
     # f = x1 + x2 restricted to the diagonal line through the origin
     s = np.sqrt(2) / 2
     flat = FlatSpec(frame=[[s, s], [-s, s]], active=(0,), base=[0.0, 0.0])
-    nodes, poly = solve_linear(lambda p: p[0] + p[1], flat)
+    poly = solve_linear(values_at(lambda p: p[0] + p[1], flat), flat)
     assert evaluate(poly, (0.0, 0.0)) == pytest.approx(0.0, abs=1e-14)
     assert evaluate(poly, (s, s)) == pytest.approx(np.sqrt(2))
     assert poly.effective_degree() <= 1
@@ -65,9 +71,7 @@ def test_standard_frame_coefficients_are_plain_differences(rng):
     # base 0 and the identity frame: coefficients equal value differences exactly
     m = 6
     values = rng.uniform(-5, 5, size=m + 1)
-    nodes = linear_generic_nodes(standard_flat(m))
-    lookup = {tuple(p): v for p, v in zip(nodes, values)}
-    _, poly = solve_linear(lambda p: lookup[tuple(p)], standard_flat(m))
+    poly = solve_linear(values, standard_flat(m))
     assert poly.coeffs[0] == values[0]
     np.testing.assert_array_equal(poly.coeffs[1:], values[1:] - values[0])
 
@@ -77,7 +81,8 @@ def test_interpolation_with_offset_base(rng):
         base = rng.uniform(-3, 3, size=m)
         flat = standard_flat(m, base=base)
         f = lambda p: 0.5 - 2.0 * p[0] + p[m - 1]
-        nodes, poly = solve_linear(f, flat)
+        nodes = linear_generic_nodes(flat)
+        poly = solve_linear(values_at(f, flat), flat)
         fmax = max(abs(f(p)) for p in nodes)
         for p in nodes:
             assert abs(evaluate(poly, p) - f(p)) <= 1e-12 * (1 + fmax)
@@ -96,15 +101,12 @@ def test_cost_scales_linearly():
     for m, k in [(3, 3), (10, 10), (20, 5), (30, 30)]:
         tally = Tally()
         flat = standard_flat(m, active=tuple(range(k)))
-        solve_linear(lambda p: 1.0, flat, tally=tally)
+        solve_linear(np.ones(k + 1), flat, tally=tally)
         assert tally.multiply_adds <= 4 * (m + 2) * (k + 1)
 
 
-def test_node_values_match_callback(rng):
+def test_solve_linear_rejects_wrong_value_shape(rng):
     flat = standard_flat(4, active=(0, 2), base=rng.uniform(-1, 1, size=4))
-    f = lambda p: 0.5 - 2.0 * p[0] + 3.0 * p[2]
-    nodes, from_callback = solve_linear(f, flat)
-    _, from_values = solve_linear([f(p) for p in nodes], flat)
-    np.testing.assert_array_equal(from_values.coeffs, from_callback.coeffs)
-    with pytest.raises(ValueError):
-        solve_linear(np.zeros(4), flat)
+    for bad in [np.zeros(4), np.zeros(2), np.zeros((3, 1))]:
+        with pytest.raises(ValueError, match="expected 3 node values"):
+            solve_linear(bad, flat)

@@ -196,6 +196,19 @@ def test_invalid_inputs():
         assemble_generic(2, 2, mu=np.zeros(3))
 
 
+@pytest.mark.parametrize("m,n", [(3, 3), (1, 4), (3, 1), (2, 0)])
+def test_non_finite_geometry_rejected(m, n):
+    bad_frame = np.eye(m)
+    bad_frame[0, -1] = np.nan
+    with pytest.raises(ValueError, match="frame has a non-finite entry"):
+        assemble_generic(m, n, frame=bad_frame)
+    for value in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="mu has a non-finite entry"):
+            assemble_generic(m, n, mu=np.full(m, value))
+    with pytest.raises(ValueError, match="kappa must be positive and finite"):
+        assemble_generic(m, max(n, 2), kappa=np.inf)
+
+
 def test_near_duplicate_nodes_rejected():
     # a tiny kappa squeezes all line nodes into one point
     with pytest.raises(GeometryConfigError):

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import brute_force_eval, brute_force_indices
 from mvinterp import solver
@@ -71,7 +73,8 @@ def test_corrected_value_vanishing_numerator_after_split():
     nodes, tree, hyperplanes = assemble_generic(2, 2)
     blocks = leaf_slices(nodes)
     line = LineSpec(direction=np.array([1.0, 0.0]), base=np.array([0.0, 2.0]), kappa=1.0)
-    _, qw = solve_on_line(f, 2, line, nodes=nodes.points[blocks["1"]])
+    on_line = nodes.points[blocks["1"]]
+    qw = solve_on_line([f(p) for p in on_line], 2, line, on_line)
     pts = nodes.points[blocks["0"]]
     values = [f(p) for p in pts]
     got = corrected_value(values, qw, [("1", hyperplanes[(1,)].poly())], pts)
@@ -85,7 +88,8 @@ def test_corrected_value_single_split_hand_chain():
     nodes, tree, hyperplanes = assemble_generic(2, 2)
     blocks = leaf_slices(nodes)
     line = LineSpec(direction=np.array([1.0, 0.0]), base=np.array([0.0, 2.0]), kappa=1.0)
-    _, qw = solve_on_line(f, 2, line, nodes=nodes.points[blocks["1"]])
+    on_line = nodes.points[blocks["1"]]
+    qw = solve_on_line([f(p) for p in on_line], 2, line, on_line)
     assert np.allclose(qw.coeffs, [5.0, -2.0, 0.0, 2.0, 0.0, 0.0], atol=1e-12)
 
     pts = nodes.points[blocks["0"]]
@@ -294,12 +298,12 @@ def iterative_reference_solve(f, m, n):
         base = vertex_base(tree, leaf, hyperplanes)
         d, k = leaf.sigma
         if d == 1:
-            _, local = solve_on_line(
-                corrected, k, LineSpec(direction=np.eye(m)[0], base=base, kappa=1.0), nodes=pts
+            local = solve_on_line(
+                corrected, k, LineSpec(direction=np.eye(m)[0], base=base, kappa=1.0), pts
             )
         else:
-            _, local = solve_linear(
-                corrected, FlatSpec(frame=np.eye(m), active=tuple(range(d)), base=base), nodes=pts
+            local = solve_linear(
+                corrected, FlatSpec(frame=np.eye(m), active=tuple(range(d)), base=base)
             )
         contribution = local
         for factor in divisors:
@@ -462,6 +466,29 @@ def rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
+@given(
+    st.integers(2, 4),
+    st.integers(2, 4),
+    st.fractions(min_value=Fraction(9, 8), max_value=Fraction(2), max_denominator=8),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=4),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+    st.integers(0, 2**32 - 1),
+)
+def test_geometry_knobs_recover_a_random_polynomial(m, n, lam, kappa, shift, angle, seed):
+    """lambda, kappa, mu and a rotated frame together still recover f."""
+    frame = np.eye(m)
+    frame[:2, :2] = rotation(angle)
+    config = SolveConfig(frame=frame, lam=lam, kappa=kappa, mu=np.array(shift[:m]))
+    truth = random_poly(m, n, (seed, m, n))
+    f = lambda p: evaluate(truth, p)
+    solver.clear_plans()
+    first, _, _ = solve(f, m, n, config)
+    again, _, _ = solve(f, m, n, config)
+    assert np.max(np.abs(first.coeffs - truth.coeffs)) <= 1e-8
+    assert again.coeffs.tobytes() == first.coeffs.tobytes()
+
+
 def test_config_mu_translates_nodes_only():
     mu = np.array([0.5, -0.25])
     truth = random_poly(2, 3, (17, 2, 3))
@@ -581,6 +608,23 @@ def test_plan_keeps_its_own_copy_of_frame_and_mu(assemblies):
 def test_ill_posed_config_raises_on_every_call(m, n, config, assemblies):
     for _ in range(2):
         with pytest.raises(GeometryConfigError):
+            solve(lambda p: 1.0, m, n, config)
+    assert len(assemblies) == 2
+    assert not solver._plans
+
+
+@pytest.mark.parametrize(
+    "m,n,config",
+    [
+        (2, 3, SolveConfig(mu=[np.nan, 0.0])),
+        (2, 2, SolveConfig(mu=[np.inf, 0.0])),
+        (1, 4, SolveConfig(mu=[-np.inf])),
+        (3, 3, SolveConfig(frame=np.full((3, 3), np.nan))),
+    ],
+)
+def test_non_finite_geometry_raises_and_keeps_no_plan(m, n, config, assemblies):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="has a non-finite entry"):
             solve(lambda p: 1.0, m, n, config)
     assert len(assemblies) == 2
     assert not solver._plans

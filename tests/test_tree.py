@@ -29,8 +29,8 @@ def test_single_split_2_2():
     right = tree.vertex((1,))
     assert left.sigma == (2, 1) and left.is_leaf
     assert right.sigma == (1, 2) and right.is_leaf
-    assert tree.vertices[tree.root.bit0].eps == (0,)
-    assert tree.vertices[tree.root.bit1].eps == (1,)
+    assert tree.child(tree.root, 0) == left
+    assert tree.child(tree.root, 1) == right
     # left-to-right = bit-0 first
     assert [v.eps for v in tree.leaves] == [(0,), (1,)]
     assert tree.depth == 2
@@ -65,28 +65,13 @@ def test_preorder_3_3():
     assert tree.leaf_count == 6
 
 
-def test_child_links_consistent():
-    tree = build_tree(4, 3)
-    for v in tree.vertices:
-        if v.is_leaf:
-            assert v.bit0 is None and v.bit1 is None
-            continue
-        b0 = tree.vertices[v.bit0]
-        b1 = tree.vertices[v.bit1]
-        assert b0.eps == v.eps + (0,) and b0.parent == v.index
-        assert b1.eps == v.eps + (1,) and b1.parent == v.index
-        d, k = v.sigma
-        assert b0.sigma == (d, k - 1)
-        assert b1.sigma == (d - 1, k)
-
-
 @pytest.mark.parametrize("m", range(2, 11))
 @pytest.mark.parametrize("n", range(2, 11))
 def test_shape_closed_forms(m, n):
     tree = build_tree(m, n)
     assert tree.leaf_count == comb(m + n - 2, m - 1)
     assert tree.depth == m + n - 2
-    assert max(v.depth for v in tree.vertices) == m + n - 3
+    assert max(len(v.eps) for v in tree.vertices) == m + n - 3
     for leaf in tree.leaves:
         d, k = leaf.sigma
         # splitting stops at the first 1, so (1, 1) never appears
@@ -97,20 +82,17 @@ def test_shape_closed_forms(m, n):
         for leaf in tree.leaves
     )
     assert budget == count_total(m, n)
-    # leaves, depth and leaf_count come from the leaf walk, vertices and
-    # vertex() from the preorder index arithmetic: they must agree
+    # leaves, depth and leaf_count come from the leaf walk, vertices from
+    # child() and vertex() from counting path bits: they must agree
     assert tree.leaves == [v for v in tree.vertices if v.is_leaf]
     assert len(tree.leaves) == tree.leaf_count
-    for i, v in enumerate(tree.vertices):
-        assert v.index == i
+    for v in tree.vertices:
         assert tree.vertex(v.eps) == v
         if v.is_leaf:
-            assert v.bit1 is None
             continue
-        b0 = tree.vertices[v.bit0]
-        b1 = tree.vertices[v.bit1]
-        assert b0.eps == v.eps + (0,) and b0.parent == v.index
-        assert b1.eps == v.eps + (1,) and b1.parent == v.index
+        d, k = v.sigma
+        assert tree.child(v, 0) == ((d, k - 1), v.eps + (0,))
+        assert tree.child(v, 1) == ((d - 1, k), v.eps + (1,))
 
 
 def test_leaf_sequence_reads_like_a_list():
@@ -265,6 +247,17 @@ def test_parallel_hyperplanes_keep_gap(m, n):
         off_axis = d - (d @ a.normal) * a.normal
         if np.linalg.norm(off_axis) < 1e-12:
             assert abs(a.offset - b.offset) >= 2.0
+
+
+def test_nearly_coincident_hyperplanes_rejected():
+    # at lambda = 1 + 1e-12 two hyperplanes splitting the same flat of the
+    # (4, 4) tree sit 2e-12 apart along axis 4
+    with pytest.raises(GeometryConfigError) as err:
+        assign_hyperplanes(build_tree(4, 4), lam=Fraction(10**12 + 1, 10**12))
+    assert str(err.value) == (
+        "hyperplanes on axis 4 nearly coincide "
+        "(offsets 1.000000000001 and 1.000000000003); increase lambda"
+    )
 
 
 def test_lambda_validation_in_assignment():

@@ -79,17 +79,24 @@ def test_uniqueness_against_dense_solve(rng):
         np.testing.assert_allclose(solve_univariate(t, vals), dense, atol=1e-9)
 
 
+def on_line(f, degree, spec):
+    """(nodes, interpolant) of f at degree + 1 Chebyshev nodes on the line."""
+    nodes = chebyshev_nodes(degree + 1, spec)
+    values = np.array([f(p) for p in nodes])
+    return nodes, solve_on_line(values, degree, spec, nodes)
+
+
 def test_solve_on_line_examples():
     # f = x1^2 on the x1 axis in two variables
-    nodes, poly = solve_on_line(lambda p: p[0] ** 2, 2, line([1.0, 0.0], [0.0, 0.0]))
+    nodes, poly = on_line(lambda p: p[0] ** 2, 2, line([1.0, 0.0], [0.0, 0.0]))
     assert nodes.shape == (3, 2)
     np.testing.assert_allclose(poly.coeffs, [0, 0, 0, 1, 0, 0], atol=1e-14)
 
-    _, const = solve_on_line(lambda p: 5.0, 0, line([0.0, 1.0], [2.0, 2.0]))
+    _, const = on_line(lambda p: 5.0, 0, line([0.0, 1.0], [2.0, 2.0]))
     np.testing.assert_allclose(const.coeffs, [5.0])
 
     diag = line([1 / np.sqrt(2), 1 / np.sqrt(2)], [0.0, 0.0])
-    nodes3, poly3 = solve_on_line(lambda p: p[0] + p[1], 1, diag)
+    nodes3, poly3 = on_line(lambda p: p[0] + p[1], 1, diag)
     for s in np.linspace(-2, 2, 5):
         p = s * diag.direction
         assert evaluate(poly3, p) == pytest.approx(p[0] + p[1], abs=1e-12)
@@ -100,7 +107,7 @@ def test_solve_on_line_interpolates_at_nodes(rng):
     xi /= np.linalg.norm(xi)
     b = rng.uniform(-1, 1, size=4)
     f = lambda p: np.sin(p[0]) + p[1] * p[2] - 0.3 * p[3] ** 2
-    nodes, poly = solve_on_line(f, 5, line(xi, b))
+    nodes, poly = on_line(f, 5, line(xi, b))
     fmax = max(abs(f(p)) for p in nodes)
     for p in nodes:
         assert abs(evaluate(poly, p) - f(p)) <= 1e-10 * (1 + fmax)
@@ -108,17 +115,12 @@ def test_solve_on_line_interpolates_at_nodes(rng):
 
 
 def test_solve_on_line_node_count_is_degree_plus_one():
+    spec = line([0.6, 0.8], [0.5, -1.0])
     for n in range(0, 6):
-        nodes, _ = solve_on_line(lambda p: 1.0, n, line([1.0, 0.0], [0.0, 0.0]))
-        assert nodes.shape[0] == n + 1
-
-
-def test_solve_on_line_accepts_node_values(rng):
-    f = lambda p: np.cos(p[0]) - p[1] ** 3
-    nodes, from_callback = solve_on_line(f, 4, line([0.6, 0.8], [0.5, -1.0]))
-    _, from_values = solve_on_line(
-        np.array([f(p) for p in nodes]), 4, line([0.6, 0.8], [0.5, -1.0]), nodes=nodes
-    )
-    np.testing.assert_array_equal(from_values.coeffs, from_callback.coeffs)
-    with pytest.raises(ValueError):
-        solve_on_line(np.zeros(3), 4, line([0.6, 0.8], [0.5, -1.0]), nodes=nodes)
+        nodes = chebyshev_nodes(n + 2, spec)
+        assert solve_on_line(np.ones(n + 1), n, spec, nodes[: n + 1]).n == n
+        for count in (n, n + 2):
+            with pytest.raises(ValueError, match=f"expected {n + 1} nodes"):
+                solve_on_line(np.ones(count), n, spec, nodes[:count])
+    with pytest.raises(ValueError, match="equal length"):
+        solve_on_line(np.zeros(3), 4, spec, chebyshev_nodes(5, spec))

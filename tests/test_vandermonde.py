@@ -197,6 +197,17 @@ def test_genericity_shape_validation():
         genericity_check(np.zeros((4, 2)), 2, 2)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_genericity_rejects_non_finite_points(value):
+    nodes, tree, hp = assemble_generic(2, 2)
+    nodes.points[4, 1] = value
+    for points in (nodes, nodes.points):
+        with pytest.raises(ValueError, match="node 4 is not finite"):
+            genericity_check(points, 2, 2)
+    with pytest.raises(ValueError, match="node 4 is not finite"):
+        genericity_check(nodes, 2, 2, tree=tree, hyperplanes=hp)
+
+
 def test_jacobi_matches_reference_svd(rng):
     # cond_two took over from the former Jacobi SVD; its ratio of extreme
     # singular values must match numpy's SVD on the same matrices
