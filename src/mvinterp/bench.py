@@ -148,11 +148,14 @@ def experiment_accuracy(cfg: ExperimentConfig) -> list:
     for m, n in cfg.cells():
         total = count_total(m, n)
         nodes, _, _ = _assemble(cfg, m, n)
-        v = build_vandermonde(nodes.points, m, n)
-        try:
-            v_inv = invert(v)
-        except SingularMatrixError:
-            v_inv = None
+        v = v_inv = None
+        if {"linsolve", "inversion"} & set(cfg.methods):
+            v = build_vandermonde(nodes.points, m, n)
+        if "inversion" in cfg.methods:
+            try:
+                v_inv = invert(v)
+            except SingularMatrixError:
+                pass
         for rep in range(cfg.reps):
             coeffs = _rng(cfg, m, n, rep).uniform(-1.0, 1.0, total)
             truth = MultiPoly(m, n, coeffs)

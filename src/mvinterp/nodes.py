@@ -90,26 +90,28 @@ def _check_distinct(points: np.ndarray) -> None:
         )
 
 
-def _check_separation(tree, hyperplanes, blocks) -> None:
+def _check_separation(tree, hyperplanes, points, provenance) -> None:
     """Every node must stay clear of every hyperplane its path divides by.
 
-    For a leaf with path bits eps, the divisors are the hyperplanes of the
-    bit-1 siblings at each bit-0 step; their values at all of the leaf's
-    nodes must exceed SEPARATION_MIN in magnitude.
+    The hyperplane of each split must exceed SEPARATION_MIN in magnitude
+    at its rows lo:mid.  Reported is the first failing leaf in storage
+    order, at its split nearest the root, with its nodes' least distance.
     """
-    for eps, pts in blocks:
-        for i, bit in enumerate(eps):
-            if bit == 1:
-                continue
-            spec = hyperplanes[eps[:i] + (1,)]
-            values = pts @ spec.normal - spec.offset
-            worst = np.abs(values).min()
-            if worst <= SEPARATION_MIN:
-                raise GeometryConfigError(
-                    f"a node of leaf {eps_label(eps)} lies within {worst:.3e} of the "
-                    f"splitting hyperplane {eps_label(eps[:i] + (1,))}; "
-                    "lambda/kappa configuration collides"
-                )
+    failures = []
+    for key, _, lo, mid, _ in tree.splits():
+        gaps = np.abs(points[lo:mid] @ hyperplanes[key].normal - hyperplanes[key].offset)
+        close = np.flatnonzero(gaps <= SEPARATION_MIN)
+        if close.size:
+            label = provenance[lo + close[0]]
+            first = provenance.index(label, lo)  # the failing leaf's rows
+            leaf = gaps[first - lo : first - lo + provenance.count(label)]
+            failures.append((first, len(key), label, eps_label(key), leaf.min()))
+    if failures:
+        _, _, label, key, worst = min(failures)
+        raise GeometryConfigError(
+            f"a node of leaf {label} lies within {worst:.3e} of the "
+            f"splitting hyperplane {key}; lambda/kappa configuration collides"
+        )
 
 
 def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float = 1.0, mu=None):
@@ -155,14 +157,11 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
     else:
         tree = build_tree(m, n)
         hyperplanes = assign_hyperplanes(tree, frame=frame, lam=lam)
-        blocks = []
-        provenance = []
-        for leaf in tree.leaves:
-            pts = leaf_nodes(leaf, tree, hyperplanes, frame, kappa)
-            blocks.append((leaf.eps, pts))
-            provenance.extend([eps_label(leaf.eps)] * pts.shape[0])
-        _check_separation(tree, hyperplanes, blocks)
-        points = np.concatenate([pts for _, pts in blocks], axis=0)
+        blocks = [leaf_nodes(leaf, tree, hyperplanes, frame, kappa) for leaf in tree.leaves]
+        points = np.concatenate(blocks, axis=0)
+        del blocks
+        provenance = tree.provenance()
+        _check_separation(tree, hyperplanes, points, provenance)
     if points.shape[0] != total:
         raise AssertionError(
             f"assembled {points.shape[0]} nodes for (m={m}, n={n}), expected {total}"

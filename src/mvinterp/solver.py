@@ -37,7 +37,8 @@ from .exceptions import GeometryConfigError
 from .instrument import Tally
 from .linear import FlatSpec, solve_linear
 from .monomials import count_total
-from .nodes import NodeSet, assemble_generic, leaf_slices
+# leaf_slices is unused here, but the benchmark's tracer wraps solver.leaf_slices
+from .nodes import NodeSet, assemble_generic, leaf_slices  # noqa: F401
 from .polynomial import MultiPoly, evaluate, mul_linear
 from .tree import eps_label, vertex_base
 from .univariate import LineSpec, solve_on_line
@@ -123,19 +124,22 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu):
     frame = np.eye(m) if frame is None else frame
     shift = np.zeros(m) if mu is None else mu
     direction = frame[0]
-    slices = leaf_slices(nodes)
+    top = len(nodes)  # the walk meets the leaves last row first
 
-    def record(block, sigma, base, divisors):
+    def record(sigma, base, divisors):
+        nonlocal top
         d, k = sigma
+        block = slice(top - count_total(d, k), top)
+        top = block.start
         if d == 1 or k == 0:
             return block, k, LineSpec(direction=direction, base=base, kappa=kappa), divisors
         return block, k, FlatSpec(frame=frame, active=tuple(range(d)), base=base), divisors
 
     if tree is None:
-        return nodes, [record(slices[eps_label(())], (m, n), shift, [])], True
+        return nodes, [record((m, n), shift, [])], True
     leaves = []
-    # explicit stack, bit-1 child on top, so leaves are listed in depth-first
-    # bit-1-first order; a bit-0 child carries the key of the hyperplane it
+    # explicit stack, bit-1 child on top, so leaves come in the reverse of
+    # their storage order; a bit-0 child carries the key of the hyperplane it
     # crosses, which no vertex left on the stack needs after its divisor, so
     # dropping it keeps building a plan from peaking above the assembly
     stack = [(tree.root, [], None)]
@@ -151,7 +155,7 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu):
             stack.append((tree.child(vertex, 1), divisors, None))
             continue
         base = vertex_base(tree, vertex, hyperplanes) + shift
-        leaves.append(record(slices[eps_label(vertex.eps)], vertex.sigma, base, divisors))
+        leaves.append(record(vertex.sigma, base, divisors))
     return nodes, leaves, False
 
 

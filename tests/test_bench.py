@@ -114,6 +114,46 @@ def test_accuracy_singular_baseline_rows_flag_infinity(monkeypatch):
     assert all(row["coeff_error_inf"] == float("inf") for row in rows)
 
 
+@pytest.mark.parametrize(
+    "methods,builds,inverts",
+    [
+        (("pip-solver",), 0, 0),
+        (("linsolve",), 3, 0),
+        (("inversion",), 3, 3),
+        (("pip-solver", "linsolve", "inversion"), 3, 3),
+    ],
+)
+def test_accuracy_builds_and_inverts_only_for_dense_methods(monkeypatch, methods, builds, inverts):
+    calls = {"build_vandermonde": 0, "invert": 0}
+
+    def counted(name):
+        original = getattr(bench, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bench, name, counted(name))
+    cfg = ExperimentConfig(dims=(2, 4), degrees=(3, 3), reps=2, methods=methods)
+    rows = experiment_accuracy(cfg)
+    assert len(rows) == 3 * 2 * len(methods)
+    assert calls == {"build_vandermonde": builds, "invert": inverts}
+
+
+def test_accuracy_singular_inverse_rows_flag_infinity(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise SingularMatrixError("forced for the error-path test")
+
+    monkeypatch.setattr(bench, "invert", refuse)
+    rows = experiment_accuracy(small_accuracy_config(methods=("linsolve", "inversion")))
+    assert {row["method"] for row in rows if row["coeff_error_inf"] == float("inf")} == {
+        "inversion"
+    }
+
+
 # ------------------------------------------------------------------- runtime
 
 

@@ -13,7 +13,7 @@ from scipy.spatial.distance import pdist
 from conftest import brute_force_indices
 from mvinterp.exceptions import GeometryConfigError
 from mvinterp.monomials import count_total
-from mvinterp.nodes import NodeSet, assemble_generic, leaf_nodes, leaf_slices
+from mvinterp.nodes import NodeSet, _check_separation, assemble_generic, leaf_nodes, leaf_slices
 from mvinterp.tree import assign_hyperplanes, build_tree
 
 
@@ -207,6 +207,41 @@ def test_non_finite_geometry_rejected(m, n):
             assemble_generic(m, n, mu=np.full(m, value))
     with pytest.raises(ValueError, match="kappa must be positive and finite"):
         assemble_generic(m, max(n, 2), kappa=np.inf)
+
+
+def test_separation_failure_message():
+    # at lambda = 1 + 1e-6 a node of leaf 10100 comes within 3e-12 of the
+    # hyperplane its leaf divides by at the split of vertex 101
+    with pytest.raises(GeometryConfigError) as err:
+        assemble_generic(4, 4, lam=Fraction(10**6 + 1, 10**6))
+    assert str(err.value) == (
+        "a node of leaf 10100 lies within 3.000e-12 of the splitting hyperplane "
+        "1011; lambda/kappa configuration collides"
+    )
+
+
+def test_separation_reports_first_failing_leaf():
+    # leaf 010 (rows 4:7) touches the hyperplane of split 011, and the later
+    # leaf 011 (rows 7:10) that of the root split, which comes first in
+    # preorder: the first failing leaf in storage order is reported
+    nodes, tree, specs = assemble_generic(3, 3)
+    points = nodes.points.copy()
+    points[5, 1] = specs[(0, 1, 1)].offset
+    points[8, 2] = specs[(1,)].offset
+    with pytest.raises(GeometryConfigError, match="leaf 010 lies within 0.000e\\+00 of the "
+                       "splitting hyperplane 011;"):
+        _check_separation(tree, specs, points, nodes.provenance)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 3), (2, 8), (6, 4)])
+def test_tree_provenance_follows_leaf_blocks(m, n):
+    tree = build_tree(m, n)
+    specs = assign_hyperplanes(tree)
+    labels = []
+    for leaf in tree.leaves:
+        pts = leaf_nodes(leaf, tree, specs, np.eye(m), kappa=1.0)
+        labels += ["".join(map(str, leaf.eps))] * pts.shape[0]
+    assert tree.provenance() == labels == assemble_generic(m, n)[0].provenance
 
 
 def test_near_duplicate_nodes_rejected():

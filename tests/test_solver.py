@@ -25,7 +25,7 @@ from mvinterp.exceptions import GeometryConfigError
 from mvinterp.instrument import Tally
 from mvinterp.linear import FlatSpec, solve_linear
 from mvinterp.monomials import count_total
-from mvinterp.nodes import assemble_generic, leaf_slices
+from mvinterp.nodes import SEPARATION_MIN, assemble_generic, leaf_slices
 from mvinterp.polynomial import MultiPoly, evaluate, mul_linear
 from mvinterp.solver import (
     SolveConfig,
@@ -483,10 +483,19 @@ def test_geometry_knobs_recover_a_random_polynomial(m, n, lam, kappa, shift, ang
     truth = random_poly(m, n, (seed, m, n))
     f = lambda p: evaluate(truth, p)
     solver.clear_plans()
-    first, _, _ = solve(f, m, n, config)
+    first, nodes, _ = solve(f, m, n, config)
     again, _, _ = solve(f, m, n, config)
     assert np.max(np.abs(first.coeffs - truth.coeffs)) <= 1e-8
     assert again.coeffs.tobytes() == first.coeffs.tobytes()
+    # each split's on-rows lie on its hyperplane, its off-rows stay off it
+    plain, tree, specs = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa)
+    assert np.array_equal(nodes.points, plain.points + config.mu)
+    span = 1.0 + np.abs(plain.points).max()
+    for key, _, lo, mid, hi in tree.splits():
+        on = plain.points[mid:hi] @ specs[key].normal - specs[key].offset
+        off = plain.points[lo:mid] @ specs[key].normal - specs[key].offset
+        assert np.abs(on).max() <= 1e-12 * span
+        assert np.abs(off).min() > SEPARATION_MIN
 
 
 def test_config_mu_translates_nodes_only():
@@ -674,6 +683,20 @@ def test_first_solve_peaks_no_higher_than_assembly_plus_walk(m, n):
     solver.clear_plans()
     first = _traced_peak(lambda: solve(values, m, n))
     assert first <= assembly + walk
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_plan_walks_leaves_in_reverse_storage_order(m, n):
+    nodes, leaves, treeless = solver._build_plan(m, n, None, Fraction(2), 1.0, None)
+    assert not treeless
+    assert [block for block, *_ in leaves] == list(leaf_slices(nodes).values())[::-1]
+    for block, _, _, divisors in leaves:
+        # a leaf divides by the hyperplane of each 0 bit of its path
+        eps = nodes.provenance[block.start]
+        assert set(nodes.provenance[block]) == {eps}
+        expected = [eps[:i] + "1" for i, bit in enumerate(eps) if bit == "0"]
+        assert [label for label, _ in divisors] == expected
 
 
 def test_returned_nodes_cannot_change_the_plan():

@@ -1,6 +1,7 @@
 """Decomposition tree shape, offset formula, and hyperplane placement."""
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from math import comb
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from mvinterp.exceptions import GeometryConfigError
 from mvinterp.monomials import count_total
+from mvinterp.nodes import NodeSet, leaf_slices
 from mvinterp.tree import (
     alpha,
     assign_hyperplanes,
@@ -93,6 +95,52 @@ def test_shape_closed_forms(m, n):
         d, k = v.sigma
         assert tree.child(v, 0) == ((d, k - 1), v.eps + (0,))
         assert tree.child(v, 1) == ((d - 1, k), v.eps + (1,))
+
+
+def test_splits_3_3():
+    # leaf rows: 00 0:4, 010 4:7, 011 7:10, 100 10:13, 101 13:16, 11 16:20
+    assert list(build_tree(3, 3).splits()) == [
+        ((1,), 2, 0, 10, 20),
+        ((0, 1), 2, 0, 4, 10),
+        ((0, 1, 1), 1, 4, 7, 10),
+        ((1, 1), 1, 10, 16, 20),
+        ((1, 0, 1), 1, 10, 13, 16),
+    ]
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 11))
+def test_splits_address_subtree_rows(m, n):
+    tree = build_tree(m, n)
+    # leaf rows from the leaf node budgets, laid out left to right
+    labels = []
+    for leaf in tree.leaves:
+        d, k = leaf.sigma
+        labels += ["".join(map(str, leaf.eps))] * (k + 1 if d == 1 else d + 1)
+    slices = leaf_slices(NodeSet(np.broadcast_to(0.0, (len(labels), m)), labels, m, n))
+    # left to right is lexicographic, so the leaves below a path form one run
+    names = list(slices)
+    assert names == sorted(names)
+    starts = [block.start for block in slices.values()] + [len(labels)]
+
+    def rows(path):
+        """First and end row of the leaves whose path starts with path."""
+        return starts[bisect_left(names, path)], starts[bisect_left(names, path + "2")]
+
+    splits = list(tree.splits())
+    paths = ["".join(map(str, key[:-1])) for key, *_ in splits]
+    # one split per internal vertex, in preorder, keyed by its bit-1 child
+    assert len(set(paths)) == len(splits) == tree.leaf_count - 1
+    assert paths == sorted(paths)
+    for (key, axis, lo, mid, hi), path in zip(splits, paths):
+        assert key[-1] == 1
+        d, k = m - path.count("1"), n - path.count("0")
+        assert d > 1 and k > 1 and axis == d - 1
+        # the two ranges partition the rows of the vertex's subtree
+        assert rows(path) == (lo, hi) and lo < mid < hi
+        assert mid - lo == count_total(d, k - 1) and hi - mid == count_total(d - 1, k)
+        # a leaf is in the bit-0 range exactly when its path has a 0 here
+        assert rows(path + "0") == (lo, mid) and rows(path + "1") == (mid, hi)
 
 
 def test_leaf_sequence_reads_like_a_list():

@@ -7,7 +7,8 @@ from conftest import brute_force_indices
 from mvinterp.exceptions import SingularMatrixError
 from mvinterp.instrument import Tally
 from mvinterp.monomials import count_total
-from mvinterp.nodes import assemble_generic
+from mvinterp.fileio import format_nodes, parse_nodes
+from mvinterp.nodes import NodeSet, assemble_generic
 from mvinterp.polynomial import MultiPoly, evaluate
 from mvinterp.vandermonde import (
     COND_DESK_LIMIT,
@@ -184,6 +185,29 @@ def test_genericity_structured_rejects_tampered_provenance():
     r = genericity_check(nodes, 2, 2, tree=tree, hyperplanes=hp)
     assert r["route"] == "dense"
     assert r["generic"] is True
+
+
+def test_genericity_structured_needs_storage_order():
+    # the same points and labels with the blocks of leaves 00 (rows 0:4)
+    # and 010 (rows 4:7) swapped: still contiguous, but no longer the
+    # assembled layout the split row ranges address, so the dense route
+    # judges the (still unisolvent) set
+    nodes, tree, hp = assemble_generic(3, 3)
+    order = [*range(4, 7), *range(0, 4), *range(7, len(nodes))]
+    swapped = NodeSet(nodes.points[order], [nodes.provenance[i] for i in order], 3, 3)
+    r = genericity_check(swapped, 3, 3, tree=tree, hyperplanes=hp)
+    assert r["route"] == "dense"
+    assert r["generic"] is True
+
+
+def test_genericity_mu_shifted_node_file_stays_structured():
+    # without hyperplanes the offsets are read off the nodes, so a shifted
+    # set read back from its file is still certified by the structured route
+    nodes, _, _ = assemble_generic(4, 3, mu=np.array([0.5, -1.25, 3.0, 0.125]))
+    back = parse_nodes(format_nodes(nodes))
+    r = genericity_check(back, 4, 3)
+    assert r["route"] == "structured"
+    assert r["generic"] is True and np.isfinite(r["abs_det_log"])
 
 
 def test_genericity_cond_desk_scale_cutoff():
