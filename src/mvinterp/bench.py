@@ -31,7 +31,7 @@ from .exceptions import SingularMatrixError
 from .instrument import Tally
 from .monomials import count_total
 from .nodes import assemble_generic
-from .polynomial import MultiPoly, evaluate
+from .polynomial import MultiPoly, evaluate_rows
 from .solver import SolveConfig, clear_plans, solve
 from .vandermonde import (
     COND_DESK_LIMIT,
@@ -159,7 +159,7 @@ def experiment_accuracy(cfg: ExperimentConfig) -> list:
         for rep in range(cfg.reps):
             coeffs = _rng(cfg, m, n, rep).uniform(-1.0, 1.0, total)
             truth = MultiPoly(m, n, coeffs)
-            values = np.array([evaluate(truth, p) for p in nodes.points])
+            values = evaluate_rows(truth, nodes.points)
             checksum = _checksum(values)
             for method in cfg.methods:
                 try:

@@ -9,6 +9,7 @@ mutates its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,7 +18,9 @@ from .monomials import build_order, count_total
 __all__ = [
     "MultiPoly",
     "evaluate",
+    "evaluate_rows",
     "add",
+    "lift_linear",
     "mul_linear",
     "embed_univariate",
 ]
@@ -54,46 +57,51 @@ class MultiPoly:
     def zero(cls, m: int, n: int) -> "MultiPoly":
         return cls(m, n, np.zeros(count_total(m, n)))
 
-    @classmethod
-    def constant(cls, m: int, value: float, n: int = 0) -> "MultiPoly":
-        c = np.zeros(count_total(m, n))
-        c[0] = value
-        return cls(m, n, c)
-
-    @property
-    def order(self):
-        return build_order(self.m, self.n)
-
     def effective_degree(self, tol: float = 0.0) -> int:
         """Largest k whose degree-k coefficient block is not all |c| <= tol."""
-        order = self.order
+        order = build_order(self.m, self.n)
         for k in range(self.n, 0, -1):
             if np.any(np.abs(self.coeffs[order.block(k)]) > tol):
                 return k
         return 0
 
-    def copy(self) -> "MultiPoly":
-        return MultiPoly(self.m, self.n, self.coeffs.copy())
-
 
 def evaluate(q: MultiPoly, x) -> float:
-    """Evaluate q at an m-vector.
-
-    Monomial values are built degree block by degree block from the parent
-    recursion value[I] = x[j] * value[I - e_j], then dotted with the
-    coefficients: 2·N(m,n) floating operations per call.
-    """
+    """Evaluate q at an m-vector: evaluate_rows on a single row."""
     xv = np.asarray(x, dtype=float)
     if xv.shape != (q.m,):
         raise ValueError(f"point has shape {xv.shape}, expected ({q.m},)")
-    order = q.order
-    vals = np.empty(len(order))
+    return float(evaluate_rows(q, xv[np.newaxis])[0])
+
+
+@lru_cache(maxsize=128)
+def _row_steps(m: int, n: int) -> tuple:
+    """(block_k, var[block_k], parent[block_k]) for each degree k = 1..n."""
+    order = build_order(m, n)
+    blocks = [order.block(k) for k in range(1, n + 1)]
+    return tuple((blk, order.var[blk], order.parent[blk]) for blk in blocks)
+
+
+def evaluate_rows(q: MultiPoly, points) -> np.ndarray:
+    """Evaluate q at every row of a (count, m) array.
+
+    Each row's monomial values are built in one reused buffer, degree block
+    by degree block, from the parent recursion value[I] = x[j] * value[I - e_j],
+    then dotted with the coefficients: 2·N(m,n) floating operations per row.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != q.m:
+        raise ValueError(f"points have shape {points.shape}, expected (count, {q.m})")
+    vals = np.empty(q.coeffs.size)
     vals[0] = 1.0
-    var, parent = order.var, order.parent
-    for k in range(1, q.n + 1):
-        blk = order.block(k)
-        vals[blk] = xv[var[blk]] * vals[parent[blk]]
-    return float(vals @ q.coeffs)
+    steps = [(vals[blk], var, parent) for blk, var, parent in _row_steps(q.m, q.n)]
+    coeffs = q.coeffs
+    out = np.empty(len(points))
+    for i, x in enumerate(points):
+        for block, var, parent in steps:
+            np.multiply(x[var], vals[parent], out=block)
+        out[i] = vals @ coeffs
+    return out
 
 
 def add(q1: MultiPoly, q2: MultiPoly) -> MultiPoly:
@@ -110,24 +118,27 @@ def add(q1: MultiPoly, q2: MultiPoly) -> MultiPoly:
     return MultiPoly(q1.m, hi.n, out)
 
 
-def _linear_parts(l: MultiPoly):
-    """Constant and per-variable coefficients of a degree <= 1 polynomial."""
-    if l.n > 1 and l.effective_degree() > 1:
-        raise ValueError("factor must have effective degree <= 1")
-    c0 = float(l.coeffs[0])
-    if l.n >= 1:
-        lin = l.coeffs[1 : 1 + l.m]
-    else:
-        lin = np.zeros(l.m)
-    return c0, lin
+def lift_linear(qc: np.ndarray, row: np.ndarray, order) -> np.ndarray:
+    """Coefficients, in order, of qc times the linear row[0] + <row[1:], x>.
+
+    qc holds the leading coefficients of a polynomial of degree < order.n.
+    One scaled copy for the constant part, then one scatter-add along the
+    lift table of each variable with a non-zero coefficient, in axis order.
+    """
+    nq = qc.size
+    out = np.zeros(len(order))
+    out[:nq] += row[0] * qc
+    for a, la in enumerate(row[1:].tolist()):
+        if la != 0.0:
+            out[order.lift(a)[:nq]] += la * qc
+    return out
 
 
 def mul_linear(q: MultiPoly, l: MultiPoly, n_out: int | None = None) -> MultiPoly:
     """Product of q with a degree <= 1 factor.
 
-    Cost is proportional to (m+1)·N(m, deg q): one scaled copy for the
-    constant part plus one scatter-add per variable along the lift tables.
-    The coefficients are scanned for their actual degrees only when the
+    Cost is proportional to (m+1)·N(m, deg q): see lift_linear.  The
+    coefficients are scanned for their actual degrees only when the
     structural bounds q.n and l.n do not already fit the result.
 
     Parameters
@@ -138,28 +149,23 @@ def mul_linear(q: MultiPoly, l: MultiPoly, n_out: int | None = None) -> MultiPol
     """
     if q.m != l.m:
         raise ValueError(f"dimension mismatch: {q.m} vs {l.m}")
-    c0, lin = _linear_parts(l)
+    if l.n > 1 and l.effective_degree() > 1:
+        raise ValueError("factor must have effective degree <= 1")
+    row = np.zeros(1 + l.m)  # the constant, then one coefficient per variable
+    row[: min(l.coeffs.size, 1 + l.m)] = l.coeffs[: 1 + l.m]
     if n_out is None:
         n_out = q.n + 1
     deg_q = q.n
     if q.n + min(l.n, 1) > n_out:
         # the structural bound does not fit; the actual degrees decide
         deg_q = q.effective_degree()
-        needed = deg_q + (1 if np.any(lin != 0.0) else 0)
+        needed = deg_q + (1 if np.any(row[1:] != 0.0) else 0)
         if n_out < needed:
             raise ValueError(
                 f"product has degree {needed} but the requested bound is {n_out}"
             )
-    out_order = build_order(q.m, n_out)
-    out = np.zeros(len(out_order))
-    nq = count_total(q.m, deg_q)
-    qc = q.coeffs[:nq]
-    out[:nq] += c0 * qc
-    for a in range(q.m):
-        if lin[a] == 0.0:
-            continue
-        out[out_order.lift(a)[:nq]] += lin[a] * qc
-    return MultiPoly(q.m, n_out, out)
+    qc = q.coeffs[: count_total(q.m, deg_q)]
+    return MultiPoly(q.m, n_out, lift_linear(qc, row, build_order(q.m, n_out)))
 
 
 def embed_univariate(chat, line_dir, base) -> MultiPoly:
@@ -167,8 +173,8 @@ def embed_univariate(chat, line_dir, base) -> MultiPoly:
 
     Given coefficients (c_0..c_k) of a polynomial in the line parameter
     t(x) = <x - base, line_dir>, returns sum c_i * t(x)^i as a MultiPoly,
-    evaluated by Horner's rule over repeated linear multiplication.  The
-    direction must have unit norm within 1e-12.
+    evaluated by Horner's rule over repeated linear lifts.  The direction
+    must have unit norm within 1e-12.
     """
     chat = np.asarray(chat, dtype=float)
     xi = np.asarray(line_dir, dtype=float)
@@ -179,12 +185,9 @@ def embed_univariate(chat, line_dir, base) -> MultiPoly:
     deg = chat.size - 1
     if deg < 0:
         raise ValueError("need at least one coefficient")
-    t_coeffs = np.zeros(count_total(m, 1))
-    t_coeffs[0] = -float(xi @ b)
-    t_coeffs[1 : 1 + m] = xi
-    t_poly = MultiPoly(m, 1, t_coeffs)
-    acc = MultiPoly.constant(m, float(chat[deg]))
+    t_row = np.concatenate(([-float(xi @ b)], xi))
+    acc = np.array([float(chat[deg])])
     for i in range(deg - 1, -1, -1):
-        acc = mul_linear(acc, t_poly, n_out=deg - i)
-        acc.coeffs[0] += chat[i]
-    return acc
+        acc = lift_linear(acc, t_row, build_order(m, deg - i))
+        acc[0] += chat[i]
+    return MultiPoly(m, deg, acc)

@@ -12,9 +12,14 @@ a non-finite value is rejected.  Each leaf then corrects its block of
 values in one call, (f - correction) / divisor product, where the
 correction is the sum of the contributions of all previously solved
 leaves and the divisors are the split-hyperplane linears crossed on bit-0
-edges on the way down.  Each leaf solution, multiplied back by its
-divisors, lands in one shared accumulator, which at the end of the walk
-is the interpolant itself.
+edges on the way down, rows [c0, normal] of one table per plan.  Each
+leaf solution, lifted by its divisors on raw coefficient arrays, lands in
+one shared monomial accumulator, which at the end of the walk is the
+interpolant itself.  The correction is that accumulator evaluated at the
+leaf's rows, so each leaf absorbs the rounding already in it; a walk on
+factored leaf values alone is faster but less accurate.  A leaf's work
+runs in a helper, so nothing it allocates outlives it into the next
+leaf's callback.
 
 The corrected function is never expanded symbolically; only its values on
 the current leaf exist.  Together with the factored divisor products this
@@ -36,10 +41,11 @@ import numpy as np
 from .exceptions import GeometryConfigError
 from .instrument import Tally
 from .linear import FlatSpec, solve_linear
-from .monomials import count_total
-# leaf_slices is unused here, but the benchmark's tracer wraps solver.leaf_slices
+from .monomials import build_order, count_total
+# leaf_slices, evaluate and mul_linear are unused here, but the benchmark's
+# tracer wraps solver.leaf_slices, solver.evaluate and solver.mul_linear
 from .nodes import NodeSet, assemble_generic, leaf_slices  # noqa: F401
-from .polynomial import MultiPoly, evaluate, mul_linear
+from .polynomial import MultiPoly, evaluate, evaluate_rows, lift_linear, mul_linear  # noqa: F401
 from .tree import eps_label, vertex_base
 from .univariate import LineSpec, solve_on_line
 
@@ -71,8 +77,9 @@ def corrected_value(
 ) -> np.ndarray:
     """The corrected function (f - correction) / divisor product on a block.
 
-    values holds f at the rows of points; divisors are (label, degree-1
-    polynomial) pairs, one per bit-0 edge on the path from the root.
+    values holds f at the rows of points; divisors are (label, factor)
+    pairs, one per bit-0 edge on the path from the root, a factor being the
+    coefficients [c0, c_1..c_m] of a degree-1 polynomial or the MultiPoly.
 
     Raises
     ------
@@ -83,9 +90,10 @@ def corrected_value(
     """
     points = np.asarray(points, dtype=float)
     m = points.shape[1]
-    numerator = np.asarray(values, dtype=float) - [evaluate(correction, p) for p in points]
-    const = np.array([factor.coeffs[0] for _, factor in divisors])[:, np.newaxis]
-    lin = np.array([factor.coeffs[1:] for _, factor in divisors]).reshape(len(divisors), m)
+    numerator = np.asarray(values, dtype=float) - evaluate_rows(correction, points)
+    rows = np.array([getattr(factor, "coeffs", factor) for _, factor in divisors])
+    rows = rows.reshape(len(divisors), m + 1)
+    const, lin = rows[:, :1], rows[:, 1:]
     factors = const + lin @ points.T  # divisor by node
     scales = np.abs(const) + np.abs(lin) @ np.abs(points).T
     close = np.abs(factors) <= DIVISION_RTOL * scales
@@ -98,8 +106,7 @@ def corrected_value(
             "lambda/kappa configuration is ill posed"
         )
     if tally is not None:
-        total = count_total(correction.m, correction.n)
-        tally.add_ops(points.shape[0] * (2 * total + (m + 1) * len(divisors) + 1))
+        tally.add_ops(points.shape[0] * (2 * correction.coeffs.size + (m + 1) * len(divisors) + 1))
     return numerator / np.prod(factors, axis=0)
 
 
@@ -118,7 +125,10 @@ def _finite(values: np.ndarray, first: int = 0) -> np.ndarray:
 
 def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu):
     """(nodes, leaves, treeless): nodes with read-only points and, per leaf
-    in walk order, (rows, k of sigma = (d, k), LineSpec or FlatSpec, divisors)."""
+    in walk order, (rows, k of sigma = (d, k), LineSpec or FlatSpec, divisors).
+
+    A leaf's divisors are (label, row) pairs, each row [c0, normal] a view
+    of the plan's one table of divisor rows, a row per hyperplane."""
     nodes, tree, hyperplanes = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
     nodes.points.flags.writeable = False
     frame = np.eye(m) if frame is None else frame
@@ -137,6 +147,7 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu):
 
     if tree is None:
         return nodes, [record((m, n), shift, [])], True
+    table = np.empty((len(hyperplanes), m + 1))
     leaves = []
     # explicit stack, bit-1 child on top, so leaves come in the reverse of
     # their storage order; a bit-0 child carries the key of the hyperplane it
@@ -147,9 +158,10 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu):
         vertex, divisors, crossed = stack.pop()
         if crossed is not None:
             crossed = hyperplanes.pop(crossed)
-            factor = crossed.poly()
-            factor.coeffs[0] -= float(crossed.normal @ shift)
-            divisors = divisors + [(eps_label(crossed.eps), factor)]
+            row = table[len(hyperplanes)]  # one row per popped hyperplane, last row first
+            row[0] = -crossed.offset - float(crossed.normal @ shift)
+            row[1:] = crossed.normal
+            divisors = divisors + [(eps_label(crossed.eps), row)]
         if not vertex.is_leaf:
             stack.append((tree.child(vertex, 0), divisors, vertex.eps + (1,)))
             stack.append((tree.child(vertex, 1), divisors, None))
@@ -241,30 +253,32 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
 
     acc = MultiPoly.zero(m, n)
     t.alloc(acc.coeffs.size)
-    for block, k, spec, divisors in leaves:
+
+    def add_leaf(block, k, spec, divisors):
+        """Solve one leaf, lift it by its divisors and add it into acc."""
         held = t.alloc(block.stop - block.start)
         contribution = solve_leaf(block, k, spec, divisors, acc)
         t.free(held)
 
-        held = t.alloc(contribution.coeffs.size)
-        degree = contribution.n
-        for _, factor in divisors:
+        coeffs, degree = contribution.coeffs, contribution.n
+        del contribution  # each lift then frees the coefficients it replaces
+        held = t.alloc(coeffs.size)
+        for _, row in divisors:
             degree += 1
-            lifted = mul_linear(contribution, factor, n_out=degree)
-            t.add_ops(
-                (1 + int(np.count_nonzero(factor.coeffs[1:])))
-                * count_total(m, degree - 1)
-            )
-            grabbed = t.alloc(lifted.coeffs.size)
+            t.add_ops((1 + int(np.count_nonzero(row[1:]))) * coeffs.size)
+            coeffs = lift_linear(coeffs, row, build_order(m, degree))
+            grabbed = t.alloc(coeffs.size)
             t.free(held)
             held = grabbed
-            contribution = lifted
         if degree != n:
             raise AssertionError(
                 f"leaf {nodes.provenance[block.start]} contribution reached "
                 f"degree {degree}, expected exactly {n}"
             )
-        acc.coeffs += contribution.coeffs
-        t.add_ops(contribution.coeffs.size)
+        acc.coeffs += coeffs
+        t.add_ops(coeffs.size)
         t.free(held)
+
+    for leaf in leaves:
+        add_leaf(*leaf)
     return acc, nodes, t.report()

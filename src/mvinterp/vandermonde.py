@@ -282,11 +282,13 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
     Returns a result dict, or None when the node set lacks the on/off
     structure (the caller then falls back to the dense route): the
     provenance must give the tree's leaf blocks in storage order, and the
-    rows mid:hi of each split must lie on its hyperplane.  Without
-    hyperplanes the frame is taken as axis-aligned, and each offset is read
-    off the plane at points[mid, axis].  Pivot-style thresholds are applied
-    factor by factor: leaf-local LU pivots, QR diagonals of degree-1 leaf
-    offsets, and each hyperplane value at rows lo:mid as a 1x1 pivot.
+    rows mid:hi of each split must lie on its hyperplane.  The normals are
+    those of the hyperplanes given, or else the axes, and each offset is
+    read off the plane's first node, <normal, points[mid]>, so a translated
+    node set certifies as its construction does.  Pivot-style thresholds
+    are applied factor by factor: leaf-local LU pivots, QR diagonals of
+    degree-1 leaf offsets, and each hyperplane value at rows lo:mid as a
+    1x1 pivot.
     Membership and separation scale by max(1, |offset|, max |<normal, p>|),
     taken over a split's on-rows and off-rows respectively.
     """
@@ -325,11 +327,9 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
                 abs_det_log += float(np.log(diag).sum())
         axes = np.eye(m)
         for key, axis, lo, mid, hi in tree.splits():
-            if hyperplanes is None:
-                normal, offset = axes[axis], float(points[mid, axis])
-            else:
-                normal, offset = hyperplanes[key].normal, hyperplanes[key].offset
+            normal = axes[axis] if hyperplanes is None else hyperplanes[key].normal
             on, off = points[mid:hi] @ normal, points[lo:mid] @ normal
+            offset = float(on[0])
             on_scale, off_scale = (max(1.0, abs(offset), float(np.abs(v).max())) for v in (on, off))
             if np.abs(on - offset).max() > MEMBERSHIP_RTOL * on_scale:
                 return None
@@ -359,13 +359,13 @@ def genericity_check(
     blocks of the (m, n) tree in storage order, as assembly lays them out,
     is certified by the structured determinant factorization: each split's
     rows lo:mid divide by its hyperplane and rows mid:hi lie on it.  The
-    hyperplanes are those given, or else axis-aligned with offsets read off
-    the nodes.  Anything else goes through the dense normalized pivoted LU
-    (so does a structured set whose on-rows leave their plane).  cond_1
-    always describes the dense normalized system and needs the explicit
-    inverse, so it is only computed for N <= cond_limit and is nan above
-    that.  A node set of the wrong shape or with a non-finite coordinate
-    raises ValueError.
+    normals are those of the hyperplanes given, or else the axes; offsets
+    are read off the nodes.  Anything else goes through the dense
+    normalized pivoted LU (so does a structured set whose on-rows leave
+    their plane).  cond_1 always describes the dense normalized system and
+    needs the explicit inverse, so it is only computed for N <= cond_limit
+    and is nan above that.  A node set of the wrong shape or with a
+    non-finite coordinate raises ValueError.
     """
     pts = _points_of(nodes)
     total = count_total(m, n)

@@ -9,6 +9,8 @@ from mvinterp.polynomial import (
     add,
     embed_univariate,
     evaluate,
+    evaluate_rows,
+    lift_linear,
     mul_linear,
 )
 
@@ -200,3 +202,47 @@ def test_effective_degree():
     q = MultiPoly(2, 3, [1, 0, 0, 0, 2, 0, 0, 0, 0, 0])
     assert q.effective_degree() == 2
     assert MultiPoly.zero(3, 4).effective_degree() == 0
+
+
+def one_point_evaluate(q, x):
+    """Monomial values of one point in a fresh buffer, then one dot."""
+    order = build_order(q.m, q.n)
+    vals = np.empty(len(order))
+    vals[0] = 1.0
+    for k in range(1, q.n + 1):
+        blk = order.block(k)
+        vals[blk] = x[order.var[blk]] * vals[order.parent[blk]]
+    return float(vals @ q.coeffs)
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (1, 5), (3, 0), (2, 7), (4, 3), (15, 4)])
+def test_evaluate_rows_is_bitwise_pointwise_evaluate(m, n, rng):
+    q = random_poly(rng, m, n)
+    points = rng.uniform(-3, 3, (9, m))
+    got = evaluate_rows(q, points)
+    assert got.shape == (9,)
+    for x, value in zip(points, got):
+        assert value == evaluate(q, x) == one_point_evaluate(q, x)
+    assert evaluate_rows(q, points[:0]).shape == (0,)
+
+
+def test_evaluate_rows_rejects_wrong_width():
+    with pytest.raises(ValueError, match="expected \\(count, 2\\)"):
+        evaluate_rows(MultiPoly.zero(2, 2), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 0), (3, 3), (6, 2)])
+def test_lift_linear_is_bitwise_mul_linear(m, n, rng):
+    q = random_poly(rng, m, n)
+    rotation = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    axis = np.zeros(m)
+    axis[m - 1] = 1.0
+    # a dense (rotated-frame) normal, an axis normal and a constant factor
+    for normal in (rotation[0], axis, np.zeros(m)):
+        row = np.concatenate(([rng.uniform(-2, 2)], normal))
+        lifted = lift_linear(q.coeffs, row, build_order(m, n + 1))
+        product = mul_linear(q, MultiPoly(m, 1, row))
+        assert lifted.tobytes() == product.coeffs.tobytes()
+        for x in rng.uniform(-1, 1, (4, m)):
+            expected = evaluate(q, x) * (row[0] + normal @ x)
+            assert evaluate(product, x) == pytest.approx(expected, rel=1e-12, abs=1e-12)

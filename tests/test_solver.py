@@ -323,6 +323,51 @@ def test_traversal_order_is_forced_and_result_unique(m, n):
     assert np.max(np.abs(q.coeffs - ref.coeffs)) <= 1e-10
 
 
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 2), (2, 4), (4, 4), (5, 3)])
+def test_walk_is_bitwise_the_multipoly_walk(m, n):
+    """The walk's row kernel, divisor rows and raw lifts change no bit of
+    the result against corrected_value, MultiPoly divisors and mul_linear."""
+    truth = random_poly(m, n, (29, m, n))
+    f = lambda p: evaluate(truth, p)
+    solver.clear_plans()
+    for _ in range(2):
+        q, _, _ = solve(f, m, n)
+        ref, _ = iterative_reference_solve(f, m, n)
+        assert q.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+def test_plan_divisors_are_rows_of_one_table():
+    m, n, mu = 3, 4, np.array([0.5, -0.25, 2.0])
+    nodes, leaves, _ = solver._build_plan(m, n, None, Fraction(2), 1.0, mu)
+    _, tree, hyperplanes = assemble_generic(m, n)
+    rows = {label: row for *_, divisors in leaves for label, row in divisors}
+    assert len(rows) == len(hyperplanes) == len(list(tree.splits()))
+    table = next(iter(rows.values())).base
+    assert table.shape == (len(hyperplanes), m + 1)
+    for key, spec in hyperplanes.items():
+        row = rows["".join(map(str, key))]
+        assert row.base is table
+        assert row[0] == -spec.offset - float(spec.normal @ mu)
+        assert np.array_equal(row[1:], spec.normal)
+
+
+@pytest.mark.parametrize("values", [False, True])
+def test_leaf_guard_names_node_and_hyperplane(values, monkeypatch):
+    # with the relative tolerance at 1 every divisor value counts as close,
+    # so the first leaf in walk order that divides fails at its first node
+    # and its first divisor
+    m, n = 3, 3
+    nodes, leaves, _ = solver._build_plan(m, n, None, Fraction(2), 1.0, None)
+    block, _, _, divisors = next(leaf for leaf in leaves if leaf[3])
+    point = np.array2string(nodes.points[block.start], precision=6)
+    monkeypatch.setattr(solver, "DIVISION_RTOL", 1.0)
+    f = np.ones(len(nodes)) if values else (lambda p: 1.0)
+    with pytest.raises(GeometryConfigError) as err:
+        solve(f, m, n)
+    assert f"node {point} lies within" in str(err.value)
+    assert f"splitting hyperplane {divisors[0][0]} (scale" in str(err.value)
+
+
 def test_walk_leaves_no_reference_cycle(monkeypatch):
     # the tree, hyperplanes and slices are freed when solve returns, not at
     # the garbage collector's next pass
@@ -496,6 +541,26 @@ def test_geometry_knobs_recover_a_random_polynomial(m, n, lam, kappa, shift, ang
         off = plain.points[lo:mid] @ specs[key].normal - specs[key].offset
         assert np.abs(on).max() <= 1e-12 * span
         assert np.abs(off).min() > SEPARATION_MIN
+
+
+@given(
+    st.integers(2, 4),
+    st.integers(2, 4),
+    st.fractions(min_value=Fraction(9, 8), max_value=Fraction(2), max_denominator=8),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=4),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+    st.integers(0, 2**32 - 1),
+)
+def test_geometry_knobs_agree_with_lu_baseline(m, n, lam, kappa, shift, angle, seed):
+    """Under lambda, kappa, mu and a rotated frame, solve matches dense LU."""
+    frame = np.eye(m)
+    frame[:2, :2] = rotation(angle)
+    config = SolveConfig(frame=frame, lam=lam, kappa=kappa, mu=np.array(shift[:m]))
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, count_total(m, n))
+    q, nodes, _ = solve(values, m, n, config)
+    ref = lu_solve(build_vandermonde(nodes.points, m, n), values)
+    assert np.max(np.abs(q.coeffs - ref)) <= 1e-8
 
 
 def test_config_mu_translates_nodes_only():

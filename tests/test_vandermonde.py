@@ -210,6 +210,33 @@ def test_genericity_mu_shifted_node_file_stays_structured():
     assert r["generic"] is True and np.isfinite(r["abs_det_log"])
 
 
+@pytest.mark.parametrize(
+    "m,n,mu", [(2, 20, (0.5, 0.5)), (3, 3, (0.5, -1.0, 2.0)), (4, 3, (0.5, -1.25, 3.0, 0.125))]
+)
+def test_genericity_mu_shifted_assembly_with_its_hyperplanes(m, n, mu):
+    # assembly reports the untranslated hyperplanes next to translated
+    # points; the structured route takes only their normals and reads each
+    # offset off the nodes, so the triple certifies as the bare node set does
+    nodes, tree, hp = assemble_generic(m, n, mu=np.array(mu))
+    given = genericity_check(nodes, m, n, tree=tree, hyperplanes=hp)
+    bare = genericity_check(nodes, m, n)
+    assert given["route"] == bare["route"] == "structured"
+    assert given["generic"] is bare["generic"] is True
+    assert given["abs_det_log"] == pytest.approx(bare["abs_det_log"], rel=1e-12)
+
+
+def test_genericity_mu_shifted_rotated_assembly_with_its_hyperplanes():
+    # a rotated frame needs the hyperplanes' normals; offsets still come
+    # from the translated nodes
+    c, s = np.cos(0.3), np.sin(0.3)
+    frame = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    nodes, tree, hp = assemble_generic(3, 3, frame=frame, mu=np.array([0.5, -1.0, 2.0]))
+    given = genericity_check(nodes, 3, 3, tree=tree, hyperplanes=hp)
+    dense = genericity_check(nodes.points, 3, 3)
+    assert given["route"] == "structured" and given["generic"] is True
+    assert given["abs_det_log"] == pytest.approx(dense["abs_det_log"], rel=1e-9)
+
+
 def test_genericity_cond_desk_scale_cutoff():
     nodes, tree, hp = assemble_generic(2, 2)
     r = genericity_check(nodes, 2, 2, tree=tree, hyperplanes=hp, cond_limit=3)
