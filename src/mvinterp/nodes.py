@@ -13,18 +13,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .exceptions import GeometryConfigError
 from .linear import FlatSpec, linear_generic_nodes
 from .monomials import count_total
 from .tree import DecompTree, Vertex, assign_hyperplanes, build_tree, eps_label, vertex_base
-from .univariate import LineSpec, chebyshev_nodes
+from .univariate import LineSpec, chebyshev_nodes, chebyshev_parameters
 
-__all__ = ["NodeSet", "leaf_slices", "leaf_nodes", "assemble_generic"]
+__all__ = ["NodeSet", "leaf_slices", "leaf_nodes", "assemble_generic", "GEOMETRY_RTOL"]
 
-SEPARATION_MIN = 1e-9
-DISTINCT_MIN = 1e-12
+# the one geometry tolerance: a gap the construction guarantees must exceed
+# GEOMETRY_RTOL times the magnitudes it is computed from (at least 1)
+GEOMETRY_RTOL = 1e-9
 
 
 @dataclass
@@ -77,30 +77,23 @@ def leaf_nodes(leaf: Vertex, tree: DecompTree, hyperplanes: dict, frame, kappa: 
     raise ValueError(f"vertex {leaf.eps} with sigma {leaf.sigma} is not a leaf")
 
 
-def _check_distinct(points: np.ndarray) -> None:
-    """Verify pairwise distinctness (min distance > DISTINCT_MIN)."""
-    if points.shape[0] < 2:
-        return
-    pairs = cKDTree(points).query_pairs(DISTINCT_MIN, output_type="ndarray")
-    if pairs.size:
-        i, j = pairs[0]
-        raise GeometryConfigError(
-            f"assembled nodes {i} and {j} (nearly) coincide; "
-            "lambda/kappa configuration collides"
-        )
-
-
-def _check_separation(tree, hyperplanes, points, provenance) -> None:
+def _check_separation(tree, hyperplanes, points, provenance, shift=None) -> None:
     """Every node must stay clear of every hyperplane its path divides by.
 
-    The hyperplane of each split must exceed SEPARATION_MIN in magnitude
-    at its rows lo:mid.  Reported is the first failing leaf in storage
-    order, at its split nearest the root, with its nodes' least distance.
+    At the rows lo:mid of each split, |<normal, x> - offset| must exceed
+    GEOMETRY_RTOL * max(1, |offset| + |normal|.|x|), the scale the solver
+    divides at; offset is that of the hyperplane moved by shift.  Reported
+    is the first failing leaf in storage order, at its split nearest the
+    root, with its nodes' least distance.
     """
     failures = []
     for key, _, lo, mid, _ in tree.splits():
-        gaps = np.abs(points[lo:mid] @ hyperplanes[key].normal - hyperplanes[key].offset)
-        close = np.flatnonzero(gaps <= SEPARATION_MIN)
+        spec = hyperplanes[key]
+        offset = spec.offset if shift is None else spec.offset + float(spec.normal @ shift)
+        off = points[lo:mid]
+        gaps = np.abs(off @ spec.normal - offset)
+        scales = np.maximum(1.0, abs(offset) + np.abs(off) @ np.abs(spec.normal))
+        close = np.flatnonzero(gaps <= GEOMETRY_RTOL * scales)
         if close.size:
             label = provenance[lo + close[0]]
             first = provenance.index(label, lo)  # the failing leaf's rows
@@ -124,7 +117,16 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
 
     mu, if given, translates all returned points (a post-transform; the tree
     and hyperplanes describe the untranslated construction).  A frame or mu
-    of the wrong shape or with a non-finite entry raises ValueError.
+    of the wrong shape or with a non-finite entry, or a kappa that is not
+    positive and finite, raises ValueError.
+
+    The returned points (after mu) pass one check with the one tolerance
+    GEOMETRY_RTOL, or GeometryConfigError names the leaf, the hyperplane and
+    the distance, or the spread: each split's dividing rows clear its
+    hyperplane, and the closest nodes of a leaf stand apart, each relative
+    to the magnitudes involved.  By the construction's proof that keeps
+    nodes of different leaves and parallel hyperplanes of one flat apart,
+    and the solver's divisors clear of zero.
     """
     if m < 1 or n < 0:
         raise ValueError(f"need m >= 1 and n >= 0, got ({m}, {n})")
@@ -140,6 +142,8 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
     for name, value in (("frame", frame), ("mu", mu)):
         if value is not None and not np.isfinite(value).all():
             raise ValueError(f"{name} has a non-finite entry")
+    if not 0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     total = count_total(m, n)
     tree = None
     hyperplanes: dict = {}
@@ -161,12 +165,21 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
         points = np.concatenate(blocks, axis=0)
         del blocks
         provenance = tree.provenance()
-        _check_separation(tree, hyperplanes, points, provenance)
     if points.shape[0] != total:
         raise AssertionError(
             f"assembled {points.shape[0]} nodes for (m={m}, n={n}), expected {total}"
         )
-    _check_distinct(points)
     if mu is not None:
         points = points + mu
+    if tree is not None:
+        _check_separation(tree, hyperplanes, points, provenance, mu)
+    # the closest nodes of a leaf: on the longest line, or unit offsets apart
+    count = n + 1 if m == 1 or n > 1 else 1
+    spread = np.min(-np.diff(chebyshev_parameters(count, kappa)), initial=1.0)
+    scale = max(1.0, float(np.abs(points).max()))
+    if spread <= GEOMETRY_RTOL * scale:
+        raise GeometryConfigError(
+            f"leaf nodes {spread:.3e} apart are too close at coordinate scale "
+            f"{scale:.3e}; lambda/kappa configuration collides"
+        )
     return NodeSet(points, provenance, m, n), tree, hyperplanes

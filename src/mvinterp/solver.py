@@ -54,12 +54,7 @@ __all__ = [
     "clear_plans",
     "corrected_value",
     "solve",
-    "DIVISION_RTOL",
 ]
-
-# a divisor this close to zero (relative to the magnitudes entering it)
-# means a node nearly lies on a hyperplane another branch divides by
-DIVISION_RTOL = 1e-12
 
 
 @dataclass
@@ -83,31 +78,32 @@ def corrected_value(
 
     Raises
     ------
+    ValueError
+        When f minus the correction overflows at a node.
     GeometryConfigError
-        When a divisor factor at a node falls below DIVISION_RTOL relative
-        to the magnitudes entering it: the node configuration puts that
-        node too close to a hyperplane this subproblem divides by.
+        When the division does, naming the node and the divisor labels; a
+        backstop, as assembly keeps divisors clear of zero (GEOMETRY_RTOL).
     """
     points = np.asarray(points, dtype=float)
     m = points.shape[1]
     numerator = np.asarray(values, dtype=float) - evaluate_rows(correction, points)
     rows = np.array([getattr(factor, "coeffs", factor) for _, factor in divisors])
     rows = rows.reshape(len(divisors), m + 1)
-    const, lin = rows[:, :1], rows[:, 1:]
-    factors = const + lin @ points.T  # divisor by node
-    scales = np.abs(const) + np.abs(lin) @ np.abs(points).T
-    close = np.abs(factors) <= DIVISION_RTOL * scales
-    if close.any():
-        node, which = np.argwhere(close.T)[0]
+    factors = rows[:, :1] + rows[:, 1:] @ points.T  # divisor by node
+    corrected = numerator / np.prod(factors, axis=0)
+    if not np.isfinite(corrected).all():
+        node = np.flatnonzero(~np.isfinite(corrected))[0]
+        where = f"at node {np.array2string(points[node], precision=6)}"
+        if not np.isfinite(numerator[node]):
+            raise ValueError(f"f minus the interpolant so far overflowed floating point {where}")
         raise GeometryConfigError(
-            f"node {np.array2string(points[node], precision=6)} lies within "
-            f"{abs(factors[which, node]):.3e} of splitting hyperplane "
-            f"{divisors[which][0]} (scale {scales[which, node]:.3e}); the "
+            f"the corrected value {where} is {corrected[node]}; its leaf divides by "
+            f"the hyperplanes {', '.join(label for label, _ in divisors)}, and the "
             "lambda/kappa configuration is ill posed"
         )
     if tally is not None:
         tally.add_ops(points.shape[0] * (2 * correction.coeffs.size + (m + 1) * len(divisors) + 1))
-    return numerator / np.prod(factors, axis=0)
+    return corrected
 
 
 def _finite(values: np.ndarray, first: int = 0) -> np.ndarray:
@@ -218,7 +214,10 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
     ValueError
         When an array of values has the wrong shape, or f is not finite at
         a node.  The message names the first such node read: the lowest
-        index for an array, the first in walk order for a callback.
+        index for an array, the first in walk order for a callback.  Also
+        when the interpolant overflows.
+    GeometryConfigError
+        When assemble_generic rejects the geometry.
     """
     cfg = config if config is not None else SolveConfig()
     t = tally if tally is not None else Tally()
@@ -248,12 +247,6 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
             return solve_on_line(corrected, k, spec, pts, tally=t)
         return solve_linear(corrected, spec, tally=t)
 
-    if treeless:
-        return solve_leaf(*leaves[0], MultiPoly.zero(m, n)), nodes, t.report()
-
-    acc = MultiPoly.zero(m, n)
-    t.alloc(acc.coeffs.size)
-
     def add_leaf(block, k, spec, divisors):
         """Solve one leaf, lift it by its divisors and add it into acc."""
         held = t.alloc(block.stop - block.start)
@@ -279,6 +272,13 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
         t.add_ops(coeffs.size)
         t.free(held)
 
-    for leaf in leaves:
-        add_leaf(*leaf)
+    if treeless:
+        acc = solve_leaf(*leaves[0], MultiPoly.zero(m, n))
+    else:
+        acc = MultiPoly.zero(m, n)
+        t.alloc(acc.coeffs.size)
+        for leaf in leaves:
+            add_leaf(*leaf)
+    if not np.isfinite(acc.coeffs).all():
+        raise ValueError("the interpolant overflowed floating point")
     return acc, nodes, t.report()

@@ -279,13 +279,9 @@ def assign_hyperplanes(tree: DecompTree, frame=None, lam=Fraction(2)) -> dict:
     ancestor assignment (bit-0 children inherit verbatim, the root starts at
     the origin).
 
-    Validation: within every group of hyperplanes that split the same flat
-    (the one their parent vertex lives on), base offsets along the axis
-    must be pairwise distinct (gap > 1e-9), otherwise the split geometry
-    would collide and a larger lambda is required.  A flat is named by the
-    path of the vertex that placed it: two paths give the same offset
-    history exactly when their bit-1 positions agree, since each bit-1 step
-    at depth d adds +-lambda^d and lambda > 1.
+    Validation: lambda > 1.  The hyperplanes splitting one flat stay apart
+    because assemble_generic's geometry check does: the nodes on a later
+    one are dividing rows of an earlier one, at exactly the offset gap.
     """
     m = tree.m
     if frame is None:
@@ -297,18 +293,17 @@ def assign_hyperplanes(tree: DecompTree, frame=None, lam=Fraction(2)) -> dict:
     # alpha(eps) = alpha(eps[:-1]) + (-1)^(d-1) * lam^d at depth d = |eps|
     steps = [lam**d if d % 2 else -(lam**d) for d in range(tree.depth)]
     result: dict = {}
-    groups: dict = {}  # path of the flat being split -> its hyperplanes
-    # preorder walk; each entry carries sigma, eps and the path, base and
-    # alpha of the flat it lives on: that of its nearest ancestor-or-self
-    # whose eps ends in 1, or ((), origin, 0) for the whole space
-    stack = [(m, tree.n, (), (), np.zeros(m), 0)]
+    # preorder walk; each entry carries sigma, eps and the base and alpha of
+    # the flat it lives on: that of its nearest ancestor-or-self whose eps
+    # ends in 1, or (origin, 0) for the whole space
+    stack = [(m, tree.n, (), np.zeros(m), 0)]
     while stack:
-        d, k, eps, flat, base, a = stack.pop()
+        d, k, eps, base, a = stack.pop()
         if eps and eps[-1] == 1:
             axis = d  # 0-based row for xi_{sigma1+1}
             a = a + steps[len(eps)]
             base = base + float(a) * frame[axis]
-            spec = HyperplaneSpec(
+            result[eps] = HyperplaneSpec(
                 eps=eps,
                 axis=axis,
                 normal=frame[axis].copy(),
@@ -316,20 +311,9 @@ def assign_hyperplanes(tree: DecompTree, frame=None, lam=Fraction(2)) -> dict:
                 offset=float(frame[axis] @ base),
                 alpha_exact=a,
             )
-            result[eps] = spec
-            groups.setdefault(flat, []).append(spec)
-            flat = eps
         if d > 1 and k > 1:  # bit-0 children inherit the flat unchanged
-            stack.append((d - 1, k, eps + (1,), flat, base, a))
-            stack.append((d, k - 1, eps + (0,), flat, base, a))
-    for specs in groups.values():
-        offsets = sorted(s.alpha_exact for s in specs)
-        for lo, hi in zip(offsets, offsets[1:]):
-            if float(hi - lo) <= 1e-9:
-                raise GeometryConfigError(
-                    f"hyperplanes on axis {specs[0].axis + 1} nearly coincide "
-                    f"(offsets {float(lo)} and {float(hi)}); increase lambda"
-                )
+            stack.append((d - 1, k, eps + (1,), base, a))
+            stack.append((d, k - 1, eps + (0,), base, a))
     return result
 
 

@@ -191,6 +191,18 @@ def test_solve_non_finite_function_exits_two(tmp_path, capsys):
     assert out == ""
 
 
+def test_solve_overflow_exits_two(tmp_path, capsys):
+    # 1e308 (t - t^3) is finite at the nodes, but its divided differences
+    # overflow, so every coefficient of the interpolant would be non-finite
+    source = tmp_path / "huge.json"
+    write_polynomial(MultiPoly(1, 5, [0.0, 1e308, 0.0, -1e308, 0.0, 0.0]), str(source))
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "solve", str(source))
+    assert code == 2
+    assert "overflowed floating point" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------- bench
 
 

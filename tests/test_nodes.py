@@ -205,8 +205,9 @@ def test_non_finite_geometry_rejected(m, n):
     for value in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="mu has a non-finite entry"):
             assemble_generic(m, n, mu=np.full(m, value))
-    with pytest.raises(ValueError, match="kappa must be positive and finite"):
-        assemble_generic(m, max(n, 2), kappa=np.inf)
+    for kappa in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            assemble_generic(m, n, kappa=kappa)
 
 
 def test_separation_failure_message():

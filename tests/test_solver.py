@@ -18,14 +18,16 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from conftest import brute_force_eval, brute_force_indices
+from mvinterp import nodes as nodes_module
 from mvinterp import solver
 from mvinterp.exceptions import GeometryConfigError
 from mvinterp.instrument import Tally
 from mvinterp.linear import FlatSpec, solve_linear
 from mvinterp.monomials import count_total
-from mvinterp.nodes import SEPARATION_MIN, assemble_generic, leaf_slices
+from mvinterp.nodes import GEOMETRY_RTOL, assemble_generic, leaf_slices
 from mvinterp.polynomial import MultiPoly, evaluate, mul_linear
 from mvinterp.solver import (
     SolveConfig,
@@ -108,6 +110,15 @@ def test_corrected_value_division_guard():
         corrected_value([1.0], MultiPoly.zero(2, 2), [("10", factor)], np.array([[5.0, 2.0]]))
     assert "10" in str(err.value)
     assert "lambda/kappa" in str(err.value)
+
+
+def test_corrected_value_overflow_is_a_value_error():
+    # f and the correction are finite, but their difference is not
+    correction = MultiPoly(2, 0, [-1e308])
+    with np.errstate(all="ignore"), pytest.raises(
+        ValueError, match=r"overflowed floating point at node \[0\. 2\.\]"
+    ):
+        corrected_value([1e308], correction, [], np.array([[0.0, 2.0]]))
 
 
 def test_corrected_value_counts_ops():
@@ -353,19 +364,20 @@ def test_plan_divisors_are_rows_of_one_table():
 
 @pytest.mark.parametrize("values", [False, True])
 def test_leaf_guard_names_node_and_hyperplane(values, monkeypatch):
-    # with the relative tolerance at 1 every divisor value counts as close,
-    # so the first leaf in walk order that divides fails at its first node
-    # and its first divisor
+    # with the relative tolerance at 1 every dividing row counts as close,
+    # so the first leaf in storage order that divides fails at its first
+    # divisor, that of the split nearest the root
     m, n = 3, 3
     nodes, leaves, _ = solver._build_plan(m, n, None, Fraction(2), 1.0, None)
-    block, _, _, divisors = next(leaf for leaf in leaves if leaf[3])
-    point = np.array2string(nodes.points[block.start], precision=6)
-    monkeypatch.setattr(solver, "DIVISION_RTOL", 1.0)
+    block, _, _, divisors = next(leaf for leaf in reversed(leaves) if leaf[3])
+    label = nodes.provenance[block.start]
+    monkeypatch.setattr(nodes_module, "GEOMETRY_RTOL", 1.0)
+    solver.clear_plans()
     f = np.ones(len(nodes)) if values else (lambda p: 1.0)
     with pytest.raises(GeometryConfigError) as err:
         solve(f, m, n)
-    assert f"node {point} lies within" in str(err.value)
-    assert f"splitting hyperplane {divisors[0][0]} (scale" in str(err.value)
+    assert f"a node of leaf {label} lies within" in str(err.value)
+    assert f"splitting hyperplane {divisors[0][0]};" in str(err.value)
 
 
 def test_walk_leaves_no_reference_cycle(monkeypatch):
@@ -496,6 +508,15 @@ def test_callback_mode_rejects_inf_at_one_node(m, n, index):
         solve(f, m, n)
 
 
+@pytest.mark.parametrize("m,n", [(2, 2), (4, 4), (1, 5)])
+def test_overflowing_solve_raises(m, n):
+    # finite values near the top of the float range overflow the divided
+    # differences; (1, 5) has no divisor, so only the interpolant shows it
+    values = np.random.default_rng(0).uniform(-1.0, 1.0, count_total(m, n)) * 1e308
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="overflowed floating point"):
+        solve(values, m, n)
+
+
 def test_callback_is_called_once_per_node():
     seen = []
     _, nodes, _ = solve(lambda p: seen.append(p.copy()) or 1.0, 3, 3)
@@ -540,7 +561,7 @@ def test_geometry_knobs_recover_a_random_polynomial(m, n, lam, kappa, shift, ang
         on = plain.points[mid:hi] @ specs[key].normal - specs[key].offset
         off = plain.points[lo:mid] @ specs[key].normal - specs[key].offset
         assert np.abs(on).max() <= 1e-12 * span
-        assert np.abs(off).min() > SEPARATION_MIN
+        assert np.abs(off).min() > GEOMETRY_RTOL
 
 
 @given(
@@ -561,6 +582,49 @@ def test_geometry_knobs_agree_with_lu_baseline(m, n, lam, kappa, shift, angle, s
     q, nodes, _ = solve(values, m, n, config)
     ref = lu_solve(build_vandermonde(nodes.points, m, n), values)
     assert np.max(np.abs(q.coeffs - ref)) <= 1e-8
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(2, 4),
+    st.one_of(
+        st.integers(1, 10).map(lambda k: 1 + Fraction(k, 10**7)),
+        st.fractions(min_value=Fraction(101, 100), max_value=Fraction(4), max_denominator=100),
+    ),
+    st.one_of(st.floats(min_value=0.25, max_value=4.0), st.floats(min_value=1e-12, max_value=1e-3)),
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=4),
+    st.sampled_from([1.0, 1e4, 1e9]),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+)
+def test_accepted_geometry_keeps_the_construction_guarantees(m, n, lam, kappa, shift, scale, angle):
+    """What assembly accepts has distinct nodes and clear divisors, and its
+    solve is finite or raises; the rest raises GeometryConfigError."""
+    frame = np.eye(m)
+    if m > 1:
+        frame[:2, :2] = rotation(angle)
+    mu = scale * np.array(shift[:m])
+    try:
+        nodes, tree, specs = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
+    except GeometryConfigError:
+        return
+    if len(nodes) > 1:
+        assert pdist(nodes.points).min() > 0
+    for key, _, lo, mid, _ in tree.splits() if tree is not None else ():
+        const = -specs[key].offset - specs[key].normal @ mu
+        off = nodes.points[lo:mid]
+        scales = abs(const) + np.abs(off) @ np.abs(specs[key].normal)
+        assert (np.abs(const + off @ specs[key].normal) > 1e-12 * scales).all()
+    values = np.random.default_rng(len(nodes)).uniform(-1.0, 1.0, len(nodes))
+    config = SolveConfig(frame=frame, lam=lam, kappa=kappa, mu=mu)
+    try:
+        with np.errstate(all="ignore"):
+            q, _, _ = solve(values, m, n, config)
+    except ValueError as err:
+        # nodes shifted out to about 1e8 can overflow the monomial walk even
+        # at (4, 4); the solve must then say so rather than return garbage
+        assert "overflowed floating point" in str(err)
+    else:
+        assert np.isfinite(q.coeffs).all()
 
 
 def test_config_mu_translates_nodes_only():
@@ -677,7 +741,16 @@ def test_plan_keeps_its_own_copy_of_frame_and_mu(assemblies):
 
 
 @pytest.mark.parametrize(
-    "m,n,config", [(1, 2, SolveConfig(kappa=1e-15)), (3, 3, SolveConfig(lam=1))]
+    "m,n,config",
+    [
+        (1, 2, SolveConfig(kappa=1e-15)),
+        (3, 3, SolveConfig(lam=1)),
+        # line nodes about 0.01 apart at coordinates near 1e7 and 5e8
+        (2, 25, SolveConfig()),
+        (2, 30, SolveConfig()),
+        # line nodes 0.045 apart at coordinates near 1.1e9
+        (2, 20, SolveConfig(frame=rotation(0.3), lam=3, kappa=2.0, mu=[-0.5, 0.25])),
+    ],
 )
 def test_ill_posed_config_raises_on_every_call(m, n, config, assemblies):
     for _ in range(2):

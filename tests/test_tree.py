@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mvinterp.exceptions import GeometryConfigError
 from mvinterp.monomials import count_total
-from mvinterp.nodes import NodeSet, leaf_slices
+from mvinterp.nodes import NodeSet, assemble_generic, leaf_slices
 from mvinterp.tree import (
     alpha,
     assign_hyperplanes,
@@ -299,12 +299,14 @@ def test_parallel_hyperplanes_keep_gap(m, n):
 
 def test_nearly_coincident_hyperplanes_rejected():
     # at lambda = 1 + 1e-12 two hyperplanes splitting the same flat of the
-    # (4, 4) tree sit 2e-12 apart along axis 4
+    # (4, 4) tree sit 2e-12 apart along axis 4; assembly rejects the node
+    # set at the first failing leaf, whose unit offset along axis 4 lies
+    # lambda - 1 from the root split's hyperplane
     with pytest.raises(GeometryConfigError) as err:
-        assign_hyperplanes(build_tree(4, 4), lam=Fraction(10**12 + 1, 10**12))
+        assemble_generic(4, 4, lam=Fraction(10**12 + 1, 10**12))
     assert str(err.value) == (
-        "hyperplanes on axis 4 nearly coincide "
-        "(offsets 1.000000000001 and 1.000000000003); increase lambda"
+        "a node of leaf 000 lies within 1.000e-12 of the splitting hyperplane 1; "
+        "lambda/kappa configuration collides"
     )
 
 
