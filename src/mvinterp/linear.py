@@ -66,23 +66,30 @@ def solve_linear(values, flat: FlatSpec, tally=None) -> MultiPoly:
     """Solve the degree-1 problem on a flat from its node values.
 
     values holds the function at the nodes p_1 = base and
-    p_{a+1} = base + frame[a] (see linear_generic_nodes).  The coefficients
-    in flat coordinates are c_0 = f(p_1) and c_a = f(base + frame[a]) - f(base);
-    the returned m-variate polynomial is c_0 - <w, base> + <w, x> with
-    w = sum_a c_a * frame[a].  It takes the values at the nodes and has
-    effective degree <= 1.
+    p_{a+1} = base + frame[a] (see linear_generic_nodes); flat_coefficients
+    solves it.  The result takes the values at the nodes and has effective
+    degree <= 1.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (flat.k + 1,):
         raise ValueError(
             f"expected {flat.k + 1} node values, got shape {values.shape}"
         )
+    coeffs = flat_coefficients(values, flat.frame[list(flat.active)], flat.base, tally)
+    return MultiPoly(flat.m, 1, coeffs)
+
+
+def flat_coefficients(values, axes, base, tally=None) -> np.ndarray:
+    """The core of solve_linear, on raw arrays: axes holds the k active
+    frame rows.  In flat coordinates c_0 = f(base) and
+    c_a = f(base + axes[a]) - f(base); the coefficients in m variables are
+    those of c_0 - <w, base> + <w, x> with w = sum_a c_a * axes[a]."""
     c0 = values[0]
     chat = values[1:] - c0
-    w = chat @ flat.frame[list(flat.active)]
-    coeffs = np.zeros(count_total(flat.m, 1))
-    coeffs[0] = c0 - w @ flat.base
+    w = chat @ axes
+    coeffs = np.zeros(count_total(base.size, 1))
+    coeffs[0] = c0 - w @ base
     coeffs[1:] = w
     if tally is not None:
-        tally.add_ops((flat.m + 2) * (flat.k + 1))
-    return MultiPoly(flat.m, 1, coeffs)
+        tally.add_ops((base.size + 2) * values.size)
+    return coeffs

@@ -172,22 +172,27 @@ def embed_univariate(chat, line_dir, base) -> MultiPoly:
     """Lift univariate coefficients along a line into m variables.
 
     Given coefficients (c_0..c_k) of a polynomial in the line parameter
-    t(x) = <x - base, line_dir>, returns sum c_i * t(x)^i as a MultiPoly,
-    evaluated by Horner's rule over repeated linear lifts.  The direction
-    must have unit norm within 1e-12.
+    t(x) = <x - base, line_dir>, returns sum c_i * t(x)^i as a MultiPoly
+    (see embed_row).  The direction must have unit norm within 1e-12.
     """
-    chat = np.asarray(chat, dtype=float)
-    xi = np.asarray(line_dir, dtype=float)
-    b = np.asarray(base, dtype=float)
+    chat, xi, b = (np.asarray(a, dtype=float) for a in (chat, line_dir, base))
     if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
         raise ValueError("line direction must have unit norm (within 1e-12)")
-    m = xi.size
-    deg = chat.size - 1
-    if deg < 0:
+    if chat.size < 1:
         raise ValueError("need at least one coefficient")
-    t_row = np.concatenate(([-float(xi @ b)], xi))
+    return MultiPoly(xi.size, chat.size - 1, embed_row(chat, -float(xi @ b), xi))
+
+
+def embed_row(chat: np.ndarray, t0: float, direction: np.ndarray, tally=None) -> np.ndarray:
+    """The core of embed_univariate: the coefficients of sum chat[i] * t(x)^i,
+    t(x) = t0 + <direction, x>, by Horner's rule over k linear lifts."""
+    m = direction.size
+    deg = chat.size - 1
+    t_row = np.concatenate(([t0], direction))
     acc = np.array([float(chat[deg])])
     for i in range(deg - 1, -1, -1):
         acc = lift_linear(acc, t_row, build_order(m, deg - i))
         acc[0] += chat[i]
-    return MultiPoly(m, deg, acc)
+    if tally is not None:
+        tally.add_ops((m + 2) * (count_total(m + 1, deg) - 1))  # (m + 2) N(m, i) for lift i
+    return acc

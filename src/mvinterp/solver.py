@@ -1,29 +1,27 @@
 """Recursive interpolation solver over the decomposition tree.
 
-The solver walks the tree depth-first, dimension-reduction branch first.
-Every leaf is a problem it can solve directly: a univariate Chebyshev
+Every leaf of the tree is a problem solved directly: a univariate Chebyshev
 problem on a line, or a degree-1 problem on a flat.  A problem without a
-tree (n = 0, m = 1 or n = 1) is one such leaf with no divisors.  Nodes
-and leaves depend only on (m, n) and the geometry, and are kept for reuse.
+tree (n = 0, m = 1 or n = 1) is one such leaf with no divisors.
 
-f is read exactly once per node: an array of node values is sliced by
-leaf, a callback is called on a leaf's rows when the walk reaches it, and
-a non-finite value is rejected.  Each leaf then corrects its block of
-values in one call, (f - correction) / divisor product, where the
-correction is the sum of the contributions of all previously solved
-leaves and the divisors are the split-hyperplane linears crossed on bit-0
-edges on the way down, rows [c0, normal] of one table per plan.  Each
-leaf solution, lifted by its divisors on raw coefficient arrays, lands in
-one shared monomial accumulator, which at the end of the walk is the
-interpolant itself.  The correction is that accumulator evaluated at the
-leaf's rows, so each leaf absorbs the rounding already in it; a walk on
-factored leaf values alone is faster but less accurate.  A leaf's work
-runs in a helper, so nothing it allocates outlives it into the next
-leaf's callback.
-
-The corrected function is never expanded symbolically; only its values on
-the current leaf exist.  Together with the factored divisor products this
-caps tracked storage at a small multiple of m * N(m,n).
+What depends only on (m, n) and the geometry is computed once, into a plan
+kept for reuse: the nodes, one table of divisor rows [c0, normal] (the
+split hyperplanes, which a leaf divides by for each 0 bit of its path), and
+flat arrays, per leaf its rows, kind, divisor rows and line offset, per node
+its divisor product and line parameter.  A solve then does f's arithmetic
+only.  It walks the leaves dimension-reduction branch first and reads f
+once per node: an array of node values is sliced by leaf, a callback is
+called on a leaf's rows when the walk reaches it, and a non-finite value is
+rejected.  Each leaf corrects its block of values in one call,
+(f - correction) / divisor product, solves, lifts its solution by its
+divisors on raw coefficient arrays and adds it into one shared monomial
+accumulator, which at the end of the walk is the interpolant.  The
+correction is that accumulator evaluated at the leaf's rows, so each leaf
+absorbs the rounding already in it; a walk on factored leaf values alone is
+faster but less accurate.  A leaf's work runs in a helper, so nothing it
+allocates outlives it into the next leaf's callback.  Only the current
+leaf's corrected values exist, which caps tracked storage at a small
+multiple of m * N(m,n).
 
 Operation counts are analytic, derived from structural block sizes, so
 two runs with the same (m, n, config) report identical counts whatever
@@ -33,21 +31,23 @@ and a division each count as one operation.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import GeometryConfigError
 from .instrument import Tally
-from .linear import FlatSpec, solve_linear
+# leaf_slices, evaluate, mul_linear, solve_linear and solve_on_line are unused
+# here, but the benchmark's tracer wraps them under these names
+from .linear import flat_coefficients, solve_linear  # noqa: F401
 from .monomials import build_order, count_total
-# leaf_slices, evaluate and mul_linear are unused here, but the benchmark's
-# tracer wraps solver.leaf_slices, solver.evaluate and solver.mul_linear
 from .nodes import NodeSet, assemble_generic, leaf_slices  # noqa: F401
-from .polynomial import MultiPoly, evaluate, evaluate_rows, lift_linear, mul_linear  # noqa: F401
-from .tree import eps_label, vertex_base
-from .univariate import LineSpec, solve_on_line
+from .polynomial import MultiPoly, embed_row, evaluate, evaluate_rows, lift_linear, mul_linear  # noqa: F401
+from .tree import vertex_base
+from .univariate import check_distinct, newton_coefficients, solve_on_line  # noqa: F401
 
 __all__ = [
     "SolveConfig",
@@ -85,12 +85,23 @@ def corrected_value(
         backstop, as assembly keeps divisors clear of zero (GEOMETRY_RTOL).
     """
     points = np.asarray(points, dtype=float)
-    m = points.shape[1]
-    numerator = np.asarray(values, dtype=float) - evaluate_rows(correction, points)
     rows = np.array([getattr(factor, "coeffs", factor) for _, factor in divisors])
-    rows = rows.reshape(len(divisors), m + 1)
-    factors = rows[:, :1] + rows[:, 1:] @ points.T  # divisor by node
-    corrected = numerator / np.prod(factors, axis=0)
+    product = _divisor_product(rows.reshape(len(divisors), points.shape[1] + 1), points)
+    labels = [label for label, _ in divisors]
+    return _divided(values, correction, points, product, labels, len(labels), tally)
+
+
+def _divisor_product(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The product over the divisor rows [c0, normal] at each row of points."""
+    return np.prod(rows[:, :1] + rows[:, 1:] @ points.T, axis=0)
+
+
+def _divided(values, correction, points, product, labels, count: int, tally) -> np.ndarray:
+    """The core of corrected_value: product holds the product of the count
+    divisors at each row of points, and labels (an iterable read only to
+    name them in an error) their labels."""
+    numerator = np.asarray(values, dtype=float) - evaluate_rows(correction, points)
+    corrected = numerator / product
     if not np.isfinite(corrected).all():
         node = np.flatnonzero(~np.isfinite(corrected))[0]
         where = f"at node {np.array2string(points[node], precision=6)}"
@@ -98,11 +109,12 @@ def corrected_value(
             raise ValueError(f"f minus the interpolant so far overflowed floating point {where}")
         raise GeometryConfigError(
             f"the corrected value {where} is {corrected[node]}; its leaf divides by "
-            f"the hyperplanes {', '.join(label for label, _ in divisors)}, and the "
+            f"the hyperplanes {', '.join(labels)}, and the "
             "lambda/kappa configuration is ill posed"
         )
     if tally is not None:
-        tally.add_ops(points.shape[0] * (2 * correction.coeffs.size + (m + 1) * len(divisors) + 1))
+        rows, m = points.shape
+        tally.add_ops(rows * (2 * correction.coeffs.size + (m + 1) * count + 1))
     return corrected
 
 
@@ -119,74 +131,117 @@ def _finite(values: np.ndarray, first: int = 0) -> np.ndarray:
     return values
 
 
-def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu):
-    """(nodes, leaves, treeless): nodes with read-only points and, per leaf
-    in walk order, (rows, k of sigma = (d, k), LineSpec or FlatSpec, divisors).
+class Plan(NamedTuple):
+    """What a solve of one configuration reads besides f.  Leaf i, in walk
+    order (the reverse of storage order), holds rows starts[i + 1]:starts[i]
+    and divides, root first, by the rows indices[indptr[i]:indptr[i + 1]]
+    of table."""
 
-    A leaf's divisors are (label, row) pairs, each row [c0, normal] a view
-    of the plan's one table of divisor rows, a row per hyperplane."""
+    nodes: NodeSet  # read-only points and their provenance
+    frame: np.ndarray  # a copy of the given frame, or the shared identity
+    table: np.ndarray  # (hyperplanes, m + 1): a divisor row [c0, normal] each
+    starts: np.ndarray  # (leaves + 1,), starts[0] the node count
+    lines: np.ndarray  # (leaves,) bool: a line leaf, else a flat
+    indptr: np.ndarray  # (leaves + 1,)
+    indices: np.ndarray  # (divisions,)
+    offsets: np.ndarray  # (leaves,) t0 of a line leaf, t(x) = t0 + <frame[0], x>
+    divisor: np.ndarray  # (nodes,) the product of a node's divisors at it
+    param: np.ndarray  # (nodes,) a line leaf node's t; 0 at flat nodes
+
+
+_identities = weakref.WeakValueDictionary()  # m -> the identity frame plans share
+
+
+def _identity(m: int) -> np.ndarray:
+    """The read-only m x m identity, one while any plan holds it."""
+    eye = _identities.get(m)
+    if eye is None:
+        eye = _identities[m] = np.eye(m)
+        eye.flags.writeable = False
+    return eye
+
+
+def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
+    """The plan of a configuration.  Divisor products and line parameters
+    are computed with the expressions of corrected_value and solve_on_line,
+    so a walk reading them divides and solves with the same bits; a line's
+    parameters are checked for near-duplicates here, once."""
     nodes, tree, hyperplanes = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
-    nodes.points.flags.writeable = False
-    frame = np.eye(m) if frame is None else frame
-    shift = np.zeros(m) if mu is None else mu
+    points = nodes.points
+    points.flags.writeable = False
+    frame = _identity(m) if frame is None else frame
     direction = frame[0]
-    top = len(nodes)  # the walk meets the leaves last row first
+    shift = np.zeros(m) if mu is None else mu
+    table = np.empty((len(hyperplanes), m + 1))
+    divisor, param = np.empty(len(nodes)), np.zeros(len(nodes))
+    starts, lines, offsets, indptr, indices = [len(nodes)], [], [], [0], []
 
-    def record(sigma, base, divisors):
-        nonlocal top
+    def record(sigma, base, rows):
         d, k = sigma
-        block = slice(top - count_total(d, k), top)
-        top = block.start
-        if d == 1 or k == 0:
-            return block, k, LineSpec(direction=direction, base=base, kappa=kappa), divisors
-        return block, k, FlatSpec(frame=frame, active=tuple(range(d)), base=base), divisors
+        hi = starts[-1]
+        lo = hi - count_total(d, k)
+        pts = points[lo:hi]
+        divisor[lo:hi] = _divisor_product(table[rows], pts)
+        line = d == 1 or k == 0
+        if line:
+            param[lo:hi] = (pts - base) @ direction
+            check_distinct(param[lo:hi])
+        starts.append(lo)
+        lines.append(line)
+        offsets.append(-float(direction @ base) if line else 0.0)
+        indices.extend(rows)
+        indptr.append(len(indices))
 
     if tree is None:
-        return nodes, [record((m, n), shift, [])], True
-    table = np.empty((len(hyperplanes), m + 1))
-    leaves = []
-    # explicit stack, bit-1 child on top, so leaves come in the reverse of
-    # their storage order; a bit-0 child carries the key of the hyperplane it
-    # crosses, which no vertex left on the stack needs after its divisor, so
-    # dropping it keeps building a plan from peaking above the assembly
-    stack = [(tree.root, [], None)]
-    while stack:
-        vertex, divisors, crossed = stack.pop()
-        if crossed is not None:
-            crossed = hyperplanes.pop(crossed)
-            row = table[len(hyperplanes)]  # one row per popped hyperplane, last row first
-            row[0] = -crossed.offset - float(crossed.normal @ shift)
-            row[1:] = crossed.normal
-            divisors = divisors + [(eps_label(crossed.eps), row)]
-        if not vertex.is_leaf:
-            stack.append((tree.child(vertex, 0), divisors, vertex.eps + (1,)))
-            stack.append((tree.child(vertex, 1), divisors, None))
-            continue
-        base = vertex_base(tree, vertex, hyperplanes) + shift
-        leaves.append(record(vertex.sigma, base, divisors))
-    return nodes, leaves, False
+        record((m, n), shift, [])
+    else:
+        # explicit stack, bit-1 child on top, so leaves come in the reverse
+        # of their storage order; a bit-0 child pops the hyperplane it
+        # crosses once its row is in the table, keeping the build's peak low
+        stack = [(tree.root, [], None)]
+        while stack:
+            vertex, rows, crossed = stack.pop()
+            if crossed is not None:
+                crossed = hyperplanes.pop(crossed)
+                row = len(hyperplanes)  # one row per popped hyperplane, last row first
+                table[row, 0] = -crossed.offset - float(crossed.normal @ shift)
+                table[row, 1:] = crossed.normal
+                rows = rows + [row]
+            if not vertex.is_leaf:
+                stack.append((tree.child(vertex, 0), rows, vertex.eps + (1,)))
+                stack.append((tree.child(vertex, 1), rows, None))
+                continue
+            record(vertex.sigma, vertex_base(tree, vertex, hyperplanes) + shift, rows)
+    leaves = (np.array(a) for a in (starts, lines, indptr, np.array(indices, dtype=np.intp), offsets))
+    # the frame in C order, as solve_linear takes a flat's active rows
+    return Plan(nodes, np.ascontiguousarray(frame), table, *leaves, divisor, param)
 
 
 _plans: dict = {}  # key -> plan, the most recently used last
 PLAN_CACHE_SIZE = 32
-# reals that the kept plans' node sets and frames (m * N + m * m) may hold
-# together; a plan was measured to hold at most 64 bytes per real plus 6 KB,
-# so all kept plans hold about 17 MB at most
+# reals that the kept plans' points, divisor tables, per-node vectors and
+# frames may hold together, a frame shared by plans once; a plan was measured
+# to hold at most 16 bytes per real plus 3.2 KB, so all hold about 4.3 MB
 PLAN_CACHE_REALS = 2**18
 
 
-def _plan(m: int, n: int, cfg: SolveConfig):
+def _plan(m: int, n: int, cfg: SolveConfig) -> Plan:
     """The plan of a solve, kept from an earlier call or built and kept."""
     frame, mu = (None if a is None else np.array(a, dtype=float) for a in (cfg.frame, cfg.mu))
     lam, kappa = Fraction(cfg.lam), float(cfg.kappa)
     key = (m, n, lam, kappa, *(None if a is None else (a.shape, a.tobytes()) for a in (frame, mu)))
-    plan = _plans.pop(key, None) or _build_plan(m, n, frame, lam, kappa, mu)
-    _plans[key] = plan
-    held, count = 0, 0
+    plan = _plans.pop(key, None)
+    if plan is not None:  # the same plans stay kept, so they still fit
+        _plans[key] = plan
+        return plan
+    _plans[key] = plan = _build_plan(m, n, frame, lam, kappa, mu)
+    held, count, frames = 0, 0, set()
     for old, kept in reversed(list(_plans.items())):  # the newest first
-        size = kept[0].points.size + old[0] ** 2
+        size = sum(a.size for a in (kept.nodes.points, kept.table, kept.divisor, kept.param))
+        size += 0 if id(kept.frame) in frames else kept.frame.size  # unless a newer plan shares it
         if count < PLAN_CACHE_SIZE and held + size <= PLAN_CACHE_REALS:
             held, count = held + size, count + 1
+            frames.add(id(kept.frame))
         else:
             _plans.pop(old, None)
     return plan
@@ -204,9 +259,11 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
     storage order.  Returns (poly, nodes, report): the interpolant, the
     generated NodeSet, and the operation/storage report of the run.
 
-    The newest PLAN_CACHE_SIZE plans of (m, n, config) are kept while their
-    nodes and frames hold PLAN_CACHE_REALS reals in all (about 17 MB at
-    most); clear_plans releases them.  nodes.points is shared and read-only, and
+    A plan holds the nodes and every quantity of the walk that does not
+    depend on f, so a repeat call does only f's arithmetic.  The newest
+    PLAN_CACHE_SIZE plans of (m, n, config) are kept while they weigh
+    PLAN_CACHE_REALS reals in all (about 4.3 MB at most); clear_plans
+    releases them.  nodes.points is shared and read-only, and
     nodes.provenance a fresh list, so changing either cannot change a plan.
 
     Raises
@@ -221,8 +278,9 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
     """
     cfg = config if config is not None else SolveConfig()
     t = tally if tally is not None else Tally()
-    shared, leaves, treeless = _plan(m, n, cfg)
-    nodes = NodeSet(shared.points, list(shared.provenance), m, n)
+    plan = _plan(m, n, cfg)
+    points, provenance = plan.nodes.points, plan.nodes.provenance
+    nodes = NodeSet(points, list(provenance), m, n)
     t.alloc(nodes.points.size)
     values = None
     if not callable(f):
@@ -234,51 +292,50 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
             )
         _finite(values)
         t.alloc(values.size)
+    starts, indptr, direction = plan.starts, plan.indptr, plan.frame[0]
 
-    def solve_leaf(block, k, spec, divisors, correction):
-        """The interpolant of one leaf's corrected values, in m variables."""
-        pts = nodes.points[block]
+    def solve_leaf(i, lo, hi, count, correction):
+        """Leaf i's interpolant of its corrected values, as coefficients."""
+        pts = points[lo:hi]
         if values is None:
-            fvals = _finite(np.array([float(f(p)) for p in pts]), block.start)
+            fvals = _finite(np.array([float(f(p)) for p in pts]), lo)
         else:
-            fvals = values[block]
-        corrected = corrected_value(fvals, correction, divisors, pts, t)
-        if isinstance(spec, LineSpec):
-            return solve_on_line(corrected, k, spec, pts, tally=t)
-        return solve_linear(corrected, spec, tally=t)
+            fvals = values[lo:hi]
+        eps = provenance[lo]  # a leaf divides by the hyperplane of each 0 bit
+        labels = (eps[:j] + "1" for j, bit in enumerate(eps) if bit == "0")
+        corrected = _divided(fvals, correction, pts, plan.divisor[lo:hi], labels, count, t)
+        if plan.lines[i]:
+            chat = newton_coefficients(plan.param[lo:hi], corrected, t)
+            return embed_row(chat, plan.offsets[i], direction, t)
+        return flat_coefficients(corrected, plan.frame[: hi - lo - 1], pts[0], t)
 
-    def add_leaf(block, k, spec, divisors):
-        """Solve one leaf, lift it by its divisors and add it into acc."""
-        held = t.alloc(block.stop - block.start)
-        contribution = solve_leaf(block, k, spec, divisors, acc)
+    def add_leaf(i):
+        """Solve leaf i, lift it by its divisors and add it into acc."""
+        lo, hi = int(starts[i + 1]), int(starts[i])
+        rows = plan.table[plan.indices[indptr[i] : indptr[i + 1]]]
+        held = t.alloc(hi - lo)
+        coeffs = solve_leaf(i, lo, hi, len(rows), acc)
         t.free(held)
-
-        coeffs, degree = contribution.coeffs, contribution.n
-        del contribution  # each lift then frees the coefficients it replaces
         held = t.alloc(coeffs.size)
-        for _, row in divisors:
+        degree = n - len(rows)
+        for row in rows:
             degree += 1
             t.add_ops((1 + int(np.count_nonzero(row[1:]))) * coeffs.size)
             coeffs = lift_linear(coeffs, row, build_order(m, degree))
             grabbed = t.alloc(coeffs.size)
             t.free(held)
             held = grabbed
-        if degree != n:
-            raise AssertionError(
-                f"leaf {nodes.provenance[block.start]} contribution reached "
-                f"degree {degree}, expected exactly {n}"
-            )
         acc.coeffs += coeffs
         t.add_ops(coeffs.size)
         t.free(held)
 
-    if treeless:
-        acc = solve_leaf(*leaves[0], MultiPoly.zero(m, n))
+    if len(plan.lines) == 1:  # no tree: the one leaf's interpolant is f's
+        acc = MultiPoly(m, n, solve_leaf(0, 0, len(nodes), 0, MultiPoly.zero(m, n)))
     else:
         acc = MultiPoly.zero(m, n)
         t.alloc(acc.coeffs.size)
-        for leaf in leaves:
-            add_leaf(*leaf)
+        for i in range(len(plan.lines)):
+            add_leaf(i)
     if not np.isfinite(acc.coeffs).all():
         raise ValueError("the interpolant overflowed floating point")
     return acc, nodes, t.report()

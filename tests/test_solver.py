@@ -347,19 +347,38 @@ def test_walk_is_bitwise_the_multipoly_walk(m, n):
         assert q.coeffs.tobytes() == ref.coeffs.tobytes()
 
 
+def plan_leaves(plan):
+    """Per leaf of a plan, in walk order: its rows and its divisor table rows."""
+    bounds = zip(plan.starts[1:], plan.starts[:-1], plan.indptr[:-1], plan.indptr[1:])
+    return [(slice(lo, hi), plan.indices[a:b]) for lo, hi, a, b in bounds]
+
+
+def table_labels(plan, hyperplanes, mu=None):
+    """The label of the hyperplane whose divisor row [c0, normal] each table
+    row is, matched by value; KeyError for a row that is none of them."""
+    shift = np.zeros(plan.table.shape[1] - 1) if mu is None else mu
+    label_of = {
+        np.concatenate(([-spec.offset - float(spec.normal @ shift)], spec.normal)).tobytes():
+        "".join(map(str, key))
+        for key, spec in hyperplanes.items()
+    }
+    assert len(label_of) == len(hyperplanes)
+    return [label_of[row.tobytes()] for row in plan.table]
+
+
 def test_plan_divisors_are_rows_of_one_table():
     m, n, mu = 3, 4, np.array([0.5, -0.25, 2.0])
-    nodes, leaves, _ = solver._build_plan(m, n, None, Fraction(2), 1.0, mu)
+    plan = solver._build_plan(m, n, None, Fraction(2), 1.0, mu)
     _, tree, hyperplanes = assemble_generic(m, n)
-    rows = {label: row for *_, divisors in leaves for label, row in divisors}
-    assert len(rows) == len(hyperplanes) == len(list(tree.splits()))
-    table = next(iter(rows.values())).base
-    assert table.shape == (len(hyperplanes), m + 1)
-    for key, spec in hyperplanes.items():
-        row = rows["".join(map(str, key))]
-        assert row.base is table
-        assert row[0] == -spec.offset - float(spec.normal @ mu)
-        assert np.array_equal(row[1:], spec.normal)
+    # one row per hyperplane, each [-offset - <normal, mu>, normal] exactly
+    assert plan.table.shape == (len(hyperplanes), m + 1) == (len(list(tree.splits())), m + 1)
+    labels = table_labels(plan, hyperplanes, mu)
+    assert sorted(labels) == sorted("".join(map(str, key)) for key in hyperplanes)
+    # every divisor is a row of that table, and every row divides a leaf
+    assert sorted(set(plan.indices.tolist())) == list(range(len(hyperplanes)))
+    for block, rows in plan_leaves(plan):
+        eps = plan.nodes.provenance[block.start]
+        assert [labels[r] for r in rows] == [eps[:i] + "1" for i, bit in enumerate(eps) if bit == "0"]
 
 
 @pytest.mark.parametrize("values", [False, True])
@@ -368,16 +387,38 @@ def test_leaf_guard_names_node_and_hyperplane(values, monkeypatch):
     # so the first leaf in storage order that divides fails at its first
     # divisor, that of the split nearest the root
     m, n = 3, 3
-    nodes, leaves, _ = solver._build_plan(m, n, None, Fraction(2), 1.0, None)
-    block, _, _, divisors = next(leaf for leaf in reversed(leaves) if leaf[3])
-    label = nodes.provenance[block.start]
+    plan = solver._build_plan(m, n, None, Fraction(2), 1.0, None)
+    labels = table_labels(plan, assemble_generic(m, n)[2])
+    block, rows = next(leaf for leaf in reversed(plan_leaves(plan)) if leaf[1].size)
+    label = plan.nodes.provenance[block.start]
     monkeypatch.setattr(nodes_module, "GEOMETRY_RTOL", 1.0)
     solver.clear_plans()
-    f = np.ones(len(nodes)) if values else (lambda p: 1.0)
+    f = np.ones(len(plan.nodes)) if values else (lambda p: 1.0)
     with pytest.raises(GeometryConfigError) as err:
         solve(f, m, n)
     assert f"a node of leaf {label} lies within" in str(err.value)
-    assert f"splitting hyperplane {divisors[0][0]};" in str(err.value)
+    assert f"splitting hyperplane {labels[rows[0]]};" in str(err.value)
+
+
+def test_walk_backstop_names_the_leafs_divisors():
+    # a zero divisor product, which assembly rules out, makes the walk's
+    # non-finite quotient check name the node and the leaf's hyperplanes
+    m, n = 3, 3
+    solver.clear_plans()
+    values = np.ones(count_total(m, n))
+    solve(values, m, n)
+    (plan,) = solver._plans.values()
+    labels = table_labels(plan, assemble_generic(m, n)[2])
+    block, rows = next(leaf for leaf in plan_leaves(plan) if leaf[1].size > 1)
+    plan.divisor[block.start] = 0.0
+    try:
+        with np.errstate(all="ignore"), pytest.raises(GeometryConfigError) as err:
+            solve(values, m, n)
+    finally:
+        solver.clear_plans()
+    node = np.array2string(plan.nodes.points[block.start], precision=6)
+    assert f"the corrected value at node {node} is " in str(err.value)
+    assert f"divides by the hyperplanes {', '.join(labels[r] for r in rows)}," in str(err.value)
 
 
 def test_walk_leaves_no_reference_cycle(monkeypatch):
@@ -785,9 +826,10 @@ def test_plan_cache_keeps_at_most_32_plans(assemblies):
 
 
 def test_plan_cache_drops_least_recent_over_reals_budget(monkeypatch, assemblies):
-    # reals m * N + m * m in nodes and frame: (20,0) 420, (4,3) 156,
-    # (2,3) 24, (3,3) 69, (2,4) 34
-    monkeypatch.setattr(solver, "PLAN_CACHE_REALS", 100)
+    # reals (m + 2) * N in points and per-node vectors, plus the divisor
+    # table, plus an m x m frame once per m: (20,0) 22 + 400, (4,3)
+    # 255 + 16, (2,3) 46 + 4, (3,3) 120 + 9, (2,4) 69, sharing (2,3)'s frame
+    monkeypatch.setattr(solver, "PLAN_CACHE_REALS", 180)
     for shape in [(20, 0), (4, 3), (2, 3), (3, 3), (3, 3), (2, 3), (2, 4)]:
         solve(lambda p: 1.0, *shape)
     # (20,0) and (4,3) alone are over budget; (3,3) was least recently used
@@ -798,6 +840,37 @@ def test_plan_cache_drops_least_recent_over_reals_budget(monkeypatch, assemblies
     assert [key[:2] for key in solver._plans] == [(2, 3), (2, 4)]
     solver.clear_plans()
     assert not solver._plans
+
+
+def test_plans_without_a_frame_share_one_identity():
+    # a (299, 0) plan is one node; an m x m identity of its own would be 700 KB
+    solver.clear_plans()
+    solve(lambda p: 1.0, 299, 0, SolveConfig(kappa=1.0))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solve(lambda p: 1.0, 299, 0, SolveConfig(kappa=2.0))
+        gc.collect()
+        added = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(solver._plans) == 2
+    frames = [plan.frame for plan in solver._plans.values()]
+    assert frames[0] is frames[1] and not frames[0].flags.writeable
+    solver.clear_plans()
+    assert added < 16 * 1024
+
+
+def test_plan_cache_keeps_the_large_solve_shapes(assemblies):
+    # the benchmark's large-solve shapes at lambda 11/10 weigh about 183k of
+    # the 2^18 reals; a repeat call gains only while its plan is kept
+    shapes = [(12, 3), (10, 4), (20, 3), (8, 6), (15, 4), (3, 12)]
+    config = SolveConfig(lam=Fraction(11, 10))
+    for m, n in shapes:
+        solve(np.ones(count_total(m, n)), m, n, config)
+    assert [key[:2] for key in solver._plans] == shapes
+    solver.clear_plans()
 
 
 def _traced_peak(call) -> int:
@@ -826,15 +899,69 @@ def test_first_solve_peaks_no_higher_than_assembly_plus_walk(m, n):
 @pytest.mark.parametrize("m", range(2, 9))
 @pytest.mark.parametrize("n", range(2, 9))
 def test_plan_walks_leaves_in_reverse_storage_order(m, n):
-    nodes, leaves, treeless = solver._build_plan(m, n, None, Fraction(2), 1.0, None)
-    assert not treeless
-    assert [block for block, *_ in leaves] == list(leaf_slices(nodes).values())[::-1]
-    for block, _, _, divisors in leaves:
+    plan = solver._build_plan(m, n, None, Fraction(2), 1.0, None)
+    nodes, leaves = plan.nodes, plan_leaves(plan)
+    assert len(leaves) > 1  # a tree, not one treeless leaf
+    # the leaves tile the rows, walked from the last to the first
+    assert [block for block, _ in leaves] == list(leaf_slices(nodes).values())[::-1]
+    labels = table_labels(plan, assemble_generic(m, n)[2])
+    for (block, rows), line in zip(leaves, plan.lines):
         # a leaf divides by the hyperplane of each 0 bit of its path
         eps = nodes.provenance[block.start]
         assert set(nodes.provenance[block]) == {eps}
         expected = [eps[:i] + "1" for i, bit in enumerate(eps) if bit == "0"]
-        assert [label for label, _ in divisors] == expected
+        assert [labels[r] for r in rows] == expected
+        assert line == (eps.count("1") == m - 1)  # a line has dimension 1
+
+
+@pytest.mark.parametrize("m,n", [(3, 4), (5, 3), (4, 4)])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_plan_quantities_are_bitwise_the_walk_expressions(m, n, rotated):
+    # the stored divisor product, line parameter and line offset of every
+    # node and leaf, and a flat's base, have the bits of the expressions
+    # corrected_value, solve_on_line and embed_univariate compute them with
+    config = rotated_config(m) if rotated else SolveConfig(mu=np.linspace(-0.5, 0.25, m))
+    frame = np.eye(m) if config.frame is None else config.frame
+    plan = solver._build_plan(m, n, config.frame, Fraction(config.lam), config.kappa, config.mu)
+    _, tree, hyperplanes = assemble_generic(
+        m, n, frame=config.frame, lam=config.lam, kappa=config.kappa
+    )
+    blocks = leaf_slices(plan.nodes)
+    for i, leaf in enumerate(reversed(list(tree.leaves))):
+        label = "".join(map(str, leaf.eps))
+        block = blocks[label]
+        assert block == slice(plan.starts[i + 1], plan.starts[i])
+        pts = plan.nodes.points[block]
+        crossed = [hyperplanes[leaf.eps[:j] + (1,)] for j, bit in enumerate(leaf.eps) if bit == 0]
+        rows = np.array(
+            [[-spec.offset - float(spec.normal @ config.mu), *spec.normal] for spec in crossed]
+        ).reshape(len(crossed), m + 1)
+        factors = rows[:, :1] + rows[:, 1:] @ pts.T
+        assert plan.divisor[block].tobytes() == np.prod(factors, axis=0).tobytes()
+        base = vertex_base(tree, leaf, hyperplanes) + config.mu
+        if leaf.sigma[0] == 1:
+            line = LineSpec(direction=frame[0], base=base, kappa=config.kappa)
+            assert plan.param[block].tobytes() == ((pts - line.base) @ line.direction).tobytes()
+            assert plan.offsets[i] == -float(line.direction @ line.base)
+        else:
+            assert pts[0].tobytes() == base.tobytes()
+
+
+def test_kept_plan_holds_at_most_300_bytes_per_node():
+    config = SolveConfig(lam=Fraction(11, 10))
+    solve(np.ones(count_total(8, 6)), 8, 6, config)  # build every cache a plan may use
+    solver.clear_plans()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solver._plan(8, 6, config)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        solver.clear_plans()
+    assert held <= 300 * count_total(8, 6)
 
 
 def test_returned_nodes_cannot_change_the_plan():
