@@ -32,6 +32,7 @@ and a division each count as one operation.
 from __future__ import annotations
 
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -217,7 +218,9 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     return Plan(nodes, np.ascontiguousarray(frame), table, *leaves, divisor, param)
 
 
-_plans: dict = {}  # key -> plan, the most recently used last
+# key -> plan, the most recently used last; a hit relinks in place, as a pop
+# and re-insert would resize the table every few dozen hits, inside a solve
+_plans: OrderedDict = OrderedDict()
 PLAN_CACHE_SIZE = 32
 # reals that the kept plans' points, divisor tables, per-node vectors and
 # frames may hold together, a frame shared by plans once; a plan was measured
@@ -230,9 +233,9 @@ def _plan(m: int, n: int, cfg: SolveConfig) -> Plan:
     frame, mu = (None if a is None else np.array(a, dtype=float) for a in (cfg.frame, cfg.mu))
     lam, kappa = Fraction(cfg.lam), float(cfg.kappa)
     key = (m, n, lam, kappa, *(None if a is None else (a.shape, a.tobytes()) for a in (frame, mu)))
-    plan = _plans.pop(key, None)
+    plan = _plans.get(key)
     if plan is not None:  # the same plans stay kept, so they still fit
-        _plans[key] = plan
+        _plans.move_to_end(key)
         return plan
     _plans[key] = plan = _build_plan(m, n, frame, lam, kappa, mu)
     held, count, frames = 0, 0, set()
