@@ -14,7 +14,7 @@ from conftest import brute_force_indices
 from mvinterp.exceptions import GeometryConfigError
 from mvinterp.monomials import count_total
 from mvinterp.nodes import NodeSet, _check_separation, assemble_generic, leaf_nodes, leaf_slices
-from mvinterp.tree import assign_hyperplanes, build_tree
+from mvinterp.tree import alpha, assign_hyperplanes, build_tree
 
 
 def brute_vandermonde(points, m, n):
@@ -269,3 +269,49 @@ def test_rotated_frame_stays_unisolvent(angle, n):
     assert pdist(nodes.points).min() > 1e-9
     sign, logdet = np.linalg.slogdet(brute_vandermonde(nodes.points, 2, n))
     assert sign != 0 and np.isfinite(logdet)
+
+
+def reference_assembly(m, n, frame, lam, kappa, mu):
+    """Points, provenance and hyperplane bases by the rules of tree.py, in a
+    plain recursion: a bit-1 child's flat has base parent base +
+    float(alpha(eps)) * frame[axis], a bit-0 child keeps its parent's flat,
+    a line leaf holds base + t * frame[0] at the Chebyshev parameters t and a
+    flat leaf its base and base + frame[a] per active axis a."""
+    blocks, labels, bases = [], [], {}
+
+    def visit(d, k, eps, base):
+        if eps and eps[-1] == 1:
+            base = base + float(alpha(eps, lam)) * frame[d]
+            bases[eps] = base
+        if d == 1:
+            t = kappa * np.cos((2 * np.arange(1, k + 2) - 1) * np.pi / (2 * (k + 1)))
+            block = base + t[:, None] * frame[0]
+        elif k == 1:
+            block = np.array([base] + [base + frame[a] for a in range(d)])
+        else:
+            visit(d, k - 1, eps + (0,), base)
+            visit(d - 1, k, eps + (1,), base)
+            return
+        blocks.append(block)
+        labels.extend(["".join(map(str, eps))] * len(block))
+
+    visit(m, n, (), np.zeros(m))
+    points = np.concatenate(blocks)
+    return (points if mu is None else points + mu), labels, bases
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+@pytest.mark.parametrize("n", range(2, 6))
+def test_assembly_is_bitwise_the_reference_recursion(m, n):
+    rotated = np.linalg.qr(np.random.default_rng([17, m]).standard_normal((m, m)))[0]
+    mus = (None, np.linspace(-0.5, 0.75, m))
+    for frame, kappa, lam, mu in itertools.product(
+        (np.eye(m), rotated), (1.0, 0.5), (Fraction(2), Fraction(11, 10)), mus
+    ):
+        nodes, _, specs = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
+        points, labels, bases = reference_assembly(m, n, frame, lam, kappa, mu)
+        assert np.array_equal(nodes.points, points)
+        assert nodes.provenance == labels
+        assert set(specs) == set(bases)
+        for eps, base in bases.items():
+            assert np.array_equal(specs[eps].base, base), eps
