@@ -226,7 +226,7 @@ def cmd_solve(args) -> int:
         "node_count": len(nodes),
         "nodes_file": nodes_file,
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    _emit(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.output)
     return EXIT_OK
 
 
@@ -242,7 +242,9 @@ def cmd_verify(args) -> int:
         "cond_1": float(certificate["cond_1"]),
         "route": certificate["route"],
     }
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    for key in ("abs_det_log", "cond_1"):  # JSON has no number for inf or nan
+        doc[key] = doc[key] if np.isfinite(doc[key]) else None
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 

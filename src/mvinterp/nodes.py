@@ -4,7 +4,9 @@ Each line leaf (dimension 1, degree k) contributes k+1 Chebyshev nodes on
 its line; each degree-1 leaf (dimension j) contributes its j+1 affinely
 independent unit-offset nodes.  The union over all leaves has exactly
 N(m,n) points and is generic by construction: bit-1 branch nodes lie on
-their splitting hyperplane, bit-0 branch nodes stay clear of it.
+their splitting hyperplane, bit-0 branch nodes stay clear of it.  The
+blocks are built one array operation per leaf sigma, from the rows and
+flats of the tree's table.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .exceptions import GeometryConfigError
-from .linear import FlatSpec, linear_generic_nodes
 from .monomials import count_total
-from .tree import DecompTree, Vertex, assign_hyperplanes, build_tree, eps_label, vertex_base
-from .univariate import LineSpec, chebyshev_nodes, chebyshev_parameters
+from .tree import DecompTree, Vertex, assign_hyperplanes, build_tree, eps_label, flat_bases, vertex_base
+from .univariate import chebyshev_parameters
 
 __all__ = ["NodeSet", "leaf_slices", "leaf_nodes", "assemble_generic", "GEOMETRY_RTOL"]
 
@@ -64,17 +65,26 @@ def leaf_slices(nodes: NodeSet) -> dict:
     return {label: slice(lo, hi) for label, (lo, hi) in out.items()}
 
 
+def _leaf_blocks(sigma: tuple, bases: np.ndarray, frame: np.ndarray, kappa: float) -> np.ndarray:
+    """The node blocks of leaves of one sigma whose flats have the given
+    bases (one row each), as an array (leaves, nodes per leaf, m).
+
+    A line leaf of degree k holds base + t * frame[0] at the k + 1
+    Chebyshev parameters t; a degree-1 leaf of dimension d holds its base,
+    then base + frame[a] for each axis a < d.
+    """
+    d, k = sigma
+    if d == 1:
+        return bases[:, None, :] + chebyshev_parameters(k + 1, kappa)[:, None] * frame[0]
+    if k == 1:
+        return np.concatenate((bases[:, None, :], bases[:, None, :] + frame[:d]), axis=1)
+    raise ValueError(f"sigma {sigma} is not that of a leaf")
+
+
 def leaf_nodes(leaf: Vertex, tree: DecompTree, hyperplanes: dict, frame, kappa: float) -> np.ndarray:
     """Node block for one leaf: Chebyshev on a line, or unit offsets on a flat."""
-    d, k = leaf.sigma
     base = vertex_base(tree, leaf, hyperplanes)
-    if d == 1:
-        line = LineSpec(direction=frame[0], base=base, kappa=kappa)
-        return chebyshev_nodes(k + 1, line)
-    if k == 1:
-        flat = FlatSpec(frame=frame, active=tuple(range(d)), base=base)
-        return linear_generic_nodes(flat)
-    raise ValueError(f"vertex {leaf.eps} with sigma {leaf.sigma} is not a leaf")
+    return _leaf_blocks(leaf.sigma, base[None], np.asarray(frame, dtype=float), kappa)[0]
 
 
 def _check_separation(tree, hyperplanes, points, provenance, shift=None) -> None:
@@ -113,12 +123,15 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
     Base cases are handled without a tree (tree None, empty hyperplane map):
     n = 0 is the single origin node, m = 1 uses n+1 Chebyshev nodes on the
     axis, n = 1 uses the m+1 unit-offset nodes.  Otherwise every leaf of the
-    decomposition tree contributes its block, in left-to-right leaf order.
+    decomposition tree contributes its block at the rows the tree's table
+    gives it, in left-to-right leaf order.
 
     mu, if given, translates all returned points (a post-transform; the tree
     and hyperplanes describe the untranslated construction).  A frame or mu
-    of the wrong shape or with a non-finite entry, or a kappa that is not
-    positive and finite, raises ValueError.
+    of the wrong shape or with a non-finite entry, a frame whose rows are
+    not orthonormal within 1e-10 or whose first row is not a unit vector
+    within 1e-12, or a kappa that is not positive and finite, raises
+    ValueError.
 
     The returned points (after mu) pass one check with the one tolerance
     GEOMETRY_RTOL, or GeometryConfigError names the leaf, the hyperplane and
@@ -142,6 +155,10 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
     for name, value in (("frame", frame), ("mu", mu)):
         if value is not None and not np.isfinite(value).all():
             raise ValueError(f"{name} has a non-finite entry")
+    if np.abs(frame @ frame.T - np.eye(m)).max() > 1e-10:
+        raise ValueError("frame rows are not orthonormal (within 1e-10)")
+    if abs(np.linalg.norm(frame[0]) - 1.0) > 1e-12:
+        raise ValueError("line direction must have unit norm (within 1e-12)")
     if not 0 < kappa < np.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     total = count_total(m, n)
@@ -149,28 +166,22 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
     hyperplanes: dict = {}
     if n == 0:
         points = np.zeros((1, m))
-        provenance = ["-"]
-    elif m == 1:
-        line = LineSpec(direction=frame[0], base=np.zeros(1), kappa=kappa)
-        points = chebyshev_nodes(n + 1, line)
-        provenance = ["-"] * (n + 1)
-    elif n == 1:
-        flat = FlatSpec(frame=frame, active=tuple(range(m)), base=np.zeros(m))
-        points = linear_generic_nodes(flat)
-        provenance = ["-"] * (m + 1)
+    elif m == 1 or n == 1:
+        points = _leaf_blocks((m, n), np.zeros((1, m)), frame, kappa)[0]
     else:
         tree = build_tree(m, n)
         hyperplanes = assign_hyperplanes(tree, frame=frame, lam=lam)
-        blocks = [leaf_nodes(leaf, tree, hyperplanes, frame, kappa) for leaf in tree.leaves]
-        points = np.concatenate(blocks, axis=0)
-        del blocks
-        provenance = tree.provenance()
-    if points.shape[0] != total:
-        raise AssertionError(
-            f"assembled {points.shape[0]} nodes for (m={m}, n={n}), expected {total}"
-        )
+        groups: dict = {}  # the leaves of each sigma, whose blocks are built at once
+        for v in tree.leaf:
+            groups.setdefault(tree.sigma[v], []).append(v)
+        bases, lo, flat = flat_bases(tree, hyperplanes), np.array(tree.lo), np.array(tree.flat)
+        points = np.empty((total, m))
+        for sigma, leaves in groups.items():
+            blocks = _leaf_blocks(sigma, bases[flat[leaves]], frame, kappa)
+            points[lo[leaves, None] + np.arange(blocks.shape[1])] = blocks
+    provenance = ["-"] * len(points) if tree is None else tree.provenance()
     if mu is not None:
-        points = points + mu
+        points += mu
     if tree is not None:
         _check_separation(tree, hyperplanes, points, provenance, mu)
     # the closest nodes of a leaf: on the longest line, or unit offsets apart

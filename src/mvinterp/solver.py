@@ -41,13 +41,14 @@ import numpy as np
 
 from .exceptions import GeometryConfigError
 from .instrument import Tally
-# leaf_slices, evaluate, mul_linear, solve_linear and solve_on_line are unused
-# here, but the benchmark's tracer wraps them under these names
+# leaf_slices, vertex_base, evaluate, mul_linear, solve_linear and
+# solve_on_line are unused here, but the benchmark's tracer wraps them under
+# these names
 from .linear import flat_coefficients, solve_linear  # noqa: F401
-from .monomials import build_order, count_total
+from .monomials import build_order
 from .nodes import NodeSet, assemble_generic, leaf_slices  # noqa: F401
 from .polynomial import MultiPoly, embed_row, evaluate, evaluate_rows, lift_linear, mul_linear  # noqa: F401
-from .tree import vertex_base
+from .tree import flat_bases, vertex_base  # noqa: F401
 from .univariate import check_distinct, newton_coefficients, solve_on_line  # noqa: F401
 
 __all__ = [
@@ -163,59 +164,64 @@ def _identity(m: int) -> np.ndarray:
 
 
 def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
-    """The plan of a configuration.  Divisor products and line parameters
-    are computed with the expressions of corrected_value and solve_on_line,
-    so a walk reading them divides and solves with the same bits; a line's
-    parameters are checked for near-duplicates here, once."""
+    """The plan of a configuration, read off the tree's table.
+
+    Leaves are stored in walk order, the reverse of storage order, each with
+    its rows, kind and the table rows of the splits it crosses, root first.
+    Table row r is the divisor row [c0, normal] of the split with the r-th
+    smallest mid, its hyperplane moved by mu, so the walk first divides by
+    the rows from the last to the first.  Each node's divisor product and
+    each line node's parameter <x - base, frame[0]> are computed here once,
+    with the expressions of the leaf's own divisor rows and line, and a
+    line's parameters are checked for near-duplicates.  A divisor product
+    that overflows raises GeometryConfigError naming the leaf.
+    """
     nodes, tree, hyperplanes = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
     points = nodes.points
     points.flags.writeable = False
     frame = _identity(m) if frame is None else frame
     direction = frame[0]
     shift = np.zeros(m) if mu is None else mu
-    table = np.empty((len(hyperplanes), m + 1))
-    divisor, param = np.empty(len(nodes)), np.zeros(len(nodes))
-    starts, lines, offsets, indptr, indices = [len(nodes)], [], [], [0], []
-
-    def record(sigma, base, rows):
-        d, k = sigma
-        hi = starts[-1]
-        lo = hi - count_total(d, k)
-        pts = points[lo:hi]
-        divisor[lo:hi] = _divisor_product(table[rows], pts)
-        line = d == 1 or k == 0
-        if line:
-            param[lo:hi] = (pts - base) @ direction
-            check_distinct(param[lo:hi])
-        starts.append(lo)
-        lines.append(line)
-        offsets.append(-float(direction @ base) if line else 0.0)
-        indices.extend(rows)
-        indptr.append(len(indices))
-
-    if tree is None:
-        record((m, n), shift, [])
+    indices = []
+    if tree is None:  # one leaf on the whole space, which divides by nothing
+        table, row, flats = np.empty((0, m + 1)), np.empty(0, np.intp), shift[None]
+        starts, lines, flat_of, indptr = [len(nodes), 0], [m == 1 or n == 0], [-1], [0, 0]
     else:
-        # explicit stack, bit-1 child on top, so leaves come in the reverse
-        # of their storage order; a bit-0 child pops the hyperplane it
-        # crosses once its row is in the table, keeping the build's peak low
-        stack = [(tree.root, [], None)]
-        while stack:
-            vertex, rows, crossed = stack.pop()
-            if crossed is not None:
-                crossed = hyperplanes.pop(crossed)
-                row = len(hyperplanes)  # one row per popped hyperplane, last row first
-                table[row, 0] = -crossed.offset - float(crossed.normal @ shift)
-                table[row, 1:] = crossed.normal
-                rows = rows + [row]
-            if not vertex.is_leaf:
-                stack.append((tree.child(vertex, 0), rows, vertex.eps + (1,)))
-                stack.append((tree.child(vertex, 1), rows, None))
-                continue
-            record(vertex.sigma, vertex_base(tree, vertex, hyperplanes) + shift, rows)
-    leaves = (np.array(a) for a in (starts, lines, indptr, np.array(indices, dtype=np.intp), offsets))
+        row = np.argsort(np.argsort(tree.mid))
+        specs = [hyperplanes[key] for key in tree.key]
+        table = np.empty((len(specs), m + 1))
+        table[row, 0] = [-spec.offset - float(spec.normal @ shift) for spec in specs]
+        table[row, 1:] = [spec.normal for spec in specs]
+        flats = flat_bases(tree, hyperplanes) + shift
+        del hyperplanes, specs  # freed before the per-node vectors, as is the tree
+        walk = tree.leaf[::-1]
+        lines, flat_of = [tree.sigma[v][0] == 1 for v in walk], [tree.flat[v] for v in walk]
+        starts, indptr = [len(nodes)], [0]
+        for v in walk:
+            starts.append(tree.lo[v])
+            indices += tree.crossed(v)
+            indptr.append(len(indices))
+        del tree
+    starts, lines, indptr, indices = np.array(starts), np.array(lines), np.array(indptr), row[indices]
+    divisor, param, offsets = np.empty(len(nodes)), np.zeros(len(nodes)), np.zeros(lines.size)
+    with np.errstate(over="ignore"):  # rejected next, naming the leaf
+        for i in range(lines.size):
+            lo, hi = starts[i + 1], starts[i]
+            divisor[lo:hi] = _divisor_product(table[indices[indptr[i] : indptr[i + 1]]], points[lo:hi])
+    bad = np.flatnonzero(~np.isfinite(divisor))
+    if bad.size:
+        raise GeometryConfigError(
+            f"the divisor product of leaf {nodes.provenance[bad[0]]} overflows at node "
+            f"{np.array2string(points[bad[0]], precision=6)}; the lambda/kappa "
+            "configuration is ill posed"
+        )
+    for i in np.flatnonzero(lines):
+        lo, hi, base = starts[i + 1], starts[i], flats[flat_of[i]]
+        param[lo:hi] = (points[lo:hi] - base) @ direction
+        check_distinct(param[lo:hi])
+        offsets[i] = -float(direction @ base)
     # the frame in C order, as solve_linear takes a flat's active rows
-    return Plan(nodes, np.ascontiguousarray(frame), table, *leaves, divisor, param)
+    return Plan(nodes, np.ascontiguousarray(frame), table, starts, lines, indptr, indices, offsets, divisor, param)
 
 
 # key -> plan, the most recently used last; a hit relinks in place, as a pop

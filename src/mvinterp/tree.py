@@ -1,4 +1,4 @@
-"""The sub-problem tree and its splitting hyperplanes.
+"""The sub-problem tree, its one table, and its splitting hyperplanes.
 
 A problem of dimension m and degree n splits into a bit-1 child (m-1, n),
 whose nodes will live ON a fresh hyperplane, and a bit-0 child (m, n-1),
@@ -15,14 +15,17 @@ b(parent) + alpha(eps) * normal; bit-0 children inherit the parent base
 unchanged.  With the default lambda = 2 all offsets are distinct even
 integers, which keeps parallel hyperplanes at least 2 apart and every
 off-hyperplane node at distance >= 1 from any hyperplane it must avoid.
+
+The tree depends on (m, n) only.  Building it walks it once into one
+preorder table (see DecompTree), which everything else reads.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -34,11 +37,11 @@ from .polynomial import MultiPoly
 __all__ = [
     "Vertex",
     "DecompTree",
-    "LeafSequence",
     "HyperplaneSpec",
     "build_tree",
     "alpha",
     "assign_hyperplanes",
+    "flat_bases",
     "vertex_base",
     "dump_tree",
     "eps_label",
@@ -65,55 +68,66 @@ class Vertex(NamedTuple):
         return 1 in self.sigma
 
 
-# Vertex from a (sigma, eps) pair, without a Python-level call
-_new_vertex = partial(tuple.__new__, Vertex)
-
-
-class LeafSequence(Sequence):
-    """The leaves of a tree in left-to-right order, as a read-only sequence.
-
-    The leaf walk stores the sigma and eps of every leaf as two columns,
-    and a Vertex is made as each item is read.  The columns hold only
-    tuples of ints, which the garbage collector stops tracking, so the
-    leaves of a large tree (48620 at m = n = 10) add no objects for its
-    full collections to rescan.
-    """
-
-    def __init__(self, sigma: list, eps: list):
-        self._columns = (sigma, eps)
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return Vertex(*(column[i] for column in self._columns))
-
-    def __iter__(self):
-        return map(_new_vertex, zip(*self._columns))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
+def _vertex_list(sigma, eps) -> list:
+    """Vertex(s, e) for the pairs of sigma and eps, each made by tuple.__new__
+    without a Python-level call, as a large tree has tens of thousands."""
+    return list(map(tuple.__new__, repeat(Vertex), zip(sigma, eps)))
 
 
 class DecompTree:
     """Binary decomposition tree for dimension m >= 2 and degree n >= 2.
 
-    The tree is fixed by (m, n) and stored implicitly: a vertex is its path
-    eps, and its sigma follows from counting the bits (each 0 lowers the
-    degree, each 1 the dimension).  ``root``, ``child`` and ``vertex`` make
-    one vertex each, ``leaves`` is one walk (kept) that makes no internal
-    vertex, and the full preorder ``vertices`` list is built on first use
-    only.  ``splits`` and ``provenance`` give the node rows that each split
-    and each leaf own in the assembled node set.
+    Building the tree walks it once, in preorder with the bit-0 child
+    first, into one table of columns (lists):
+
+    - per vertex: ``sigma``, ``eps``, the rows ``lo:hi`` its subtree's nodes
+      take in the assembled node set, and two splits: ``flat``, the one
+      whose hyperplane the vertex lives on (the split whose bit-1 child is
+      its nearest ancestor-or-self ending in 1), and ``cross``, the last
+      one whose hyperplane its rows divide by (the split whose bit-0 child
+      is its nearest ancestor-or-self ending in 0); -1 where there is none;
+    - per split, in preorder: ``split``, its vertex; ``key``, the path of
+      its bit-1 child, which names its hyperplane; and ``mid``;
+    - per leaf, left to right: ``leaf``, its vertex.
+
+    Nodes are stored subtree by subtree, bit-0 child first, so a split of
+    sigma (d, k) owns rows lo:hi: N(d, k-1) rows lo:mid of its bit-0 child,
+    which divide by its hyperplane, and N(d-1, k) rows mid:hi of its bit-1
+    child, which lie on it.  ``root``, ``child`` and ``vertex`` make one
+    vertex each from its path without the table.
     """
 
     def __init__(self, m: int, n: int):
         self.m = m
         self.n = n
+        shapes = [[(d, k) for k in range(n + 1)] for d in range(m + 1)]  # shared sigma tuples
+        sigma, paths, starts, ends, flats, crosses = [], [], [], [], [], []
+        vertices, keys, mids, leaves = [], [], [], []
+        # each popped vertex is followed down its bit-0 chain to a leaf, the
+        # bit-1 children pushed on the way, deepest on top
+        stack = [(m, n, (), 0, count_total(m, n), -1, -1)]
+        while stack:
+            d, k, eps, lo, hi, flat, cross = stack.pop()
+            while True:
+                vertex = len(sigma)
+                sigma.append(shapes[d][k])
+                paths.append(eps)
+                starts.append(lo)
+                ends.append(hi)
+                flats.append(flat)
+                crosses.append(cross)
+                if d == 1 or k == 1:
+                    leaves.append(vertex)
+                    break
+                split, key, mid = len(keys), eps + (1,), lo + (hi - lo) * k // (d + k)
+                vertices.append(vertex)
+                keys.append(key)
+                mids.append(mid)
+                stack.append((d - 1, k, key, mid, hi, split, cross))
+                k, eps, hi, cross = k - 1, eps + (0,), mid, split
+        self.sigma, self.eps, self.lo, self.hi = sigma, paths, starts, ends
+        self.flat, self.cross = flats, crosses
+        self.split, self.key, self.mid, self.leaf = vertices, keys, mids, leaves
 
     @property
     def root(self) -> Vertex:
@@ -144,71 +158,39 @@ class DecompTree:
     @cached_property
     def vertices(self) -> list:
         """Every vertex in preorder, bit-0 child first."""
-        out = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            if not v.is_leaf:
-                stack.append(self.child(v, 1))
-                stack.append(self.child(v, 0))
-        return out
+        return _vertex_list(self.sigma, self.eps)
 
     def splits(self):
-        """(key, axis, lo, mid, hi) for every internal vertex, in preorder.
+        """(key, axis, lo, mid, hi) for every split, in preorder; axis is the
+        0-based frame row of the normal of its hyperplane."""
+        for vertex, key, mid in zip(self.split, self.key, self.mid):
+            yield key, self.sigma[vertex][0] - 1, self.lo[vertex], mid, self.hi[vertex]
 
-        Nodes are stored subtree by subtree, bit-0 child first, so a vertex
-        of sigma (d, k) owns rows lo:hi: N(d, k-1) rows lo:mid of its bit-0
-        child, which divide by its hyperplane, and N(d-1, k) rows mid:hi of
-        its bit-1 child, which lie on it.  key, the path of the bit-1 child,
-        names the hyperplane, and axis is the 0-based frame row of its normal.
-        """
-        stack = [(self.m, self.n, (), 0)]
-        while stack:
-            d, k, eps, lo = stack.pop()
-            if d == 1 or k == 1:
-                continue
-            mid = lo + count_total(d, k - 1)
-            yield eps + (1,), d - 1, lo, mid, mid + count_total(d - 1, k)
-            stack.append((d - 1, k, eps + (1,), mid))
-            stack.append((d, k - 1, eps + (0,), lo))
+    def crossed(self, vertex: int) -> list:
+        """The splits whose hyperplanes the rows of a vertex divide by, one
+        per 0 bit of its path, root first."""
+        out = []
+        split = self.cross[vertex]
+        while split >= 0:
+            out.append(split)
+            split = self.cross[self.split[split]]
+        return out[::-1]
+
+    @cached_property
+    def leaves(self) -> list:
+        """Leaves in left-to-right order (bit-0 child first)."""
+        return _vertex_list(map(self.sigma.__getitem__, self.leaf), map(self.eps.__getitem__, self.leaf))
 
     def provenance(self) -> list:
         """The label of the leaf that owns each node row, in storage order."""
         out = []
-        for sigma, eps in zip(*self._leaf_columns):
-            out += [eps_label(eps)] * count_total(*sigma)
+        for v in self.leaf:
+            out += [eps_label(self.eps[v])] * (self.hi[v] - self.lo[v])
         return out
-
-    @cached_property
-    def _leaf_columns(self) -> tuple:
-        """(sigma, eps) of every leaf, left to right.
-
-        From each popped vertex the walk follows the bit-0 chain down to its
-        leaf, pushing every bit-1 child on the way for later.
-        """
-        sigmas, paths = [], []
-        stack = [(self.m, self.n, ())]
-        push, pop = stack.append, stack.pop
-        while stack:
-            d, k, eps = pop()
-            if d > 1:
-                while k > 1:
-                    push((d - 1, k, eps + (1,)))
-                    k -= 1
-                    eps += (0,)
-            sigmas.append((d, k))
-            paths.append(eps)
-        return sigmas, paths
-
-    @cached_property
-    def leaves(self) -> LeafSequence:
-        """Leaves in left-to-right order (bit-0 child first)."""
-        return LeafSequence(*self._leaf_columns)
 
     @property
     def leaf_count(self) -> int:
-        return len(self.leaves)
+        return len(self.leaf)
 
     @property
     def depth(self) -> int:
@@ -217,17 +199,15 @@ class DecompTree:
         The deepest vertex sits at depth (m-1)+(n-1)-1 = m+n-3 because the
         split rule never produces a (1,1) leaf: whichever of dimension or
         degree hits 1 first ends the path one edge early.  Counting levels
-        instead of edges restores the closed form m+n-2.  The deepest vertex
-        is a leaf, so this is read off the walked leaves.
+        instead of edges restores the closed form m+n-2.
         """
-        return 1 + max(map(len, self._leaf_columns[1]))
+        return 1 + max(map(len, self.eps))
 
 
 def build_tree(m: int, n: int) -> DecompTree:
-    """The decomposition tree for m, n >= 2 (vertices are built on demand)."""
+    """The decomposition tree for m, n >= 2, walked once into its table."""
     if m < 2 or n < 2:
         raise ValueError(f"tree needs m, n >= 2, got ({m}, {n})")
-    count_total(m, n)  # sizing guard
     return DecompTree(m, n)
 
 
@@ -249,7 +229,8 @@ def alpha(eps, lam=Fraction(2)) -> Fraction:
 class HyperplaneSpec:
     """A splitting hyperplane {x : <normal, x - base> = 0}.
 
-    axis is the 0-based frame row used as the normal; offset is
+    axis is the 0-based frame row used as the normal, a read-only row of
+    one copy of the frame that the specs of an assignment share; offset is
     <normal, base>; alpha_exact is the rational offset along the axis
     relative to the inherited base.
     """
@@ -273,11 +254,12 @@ class HyperplaneSpec:
 def assign_hyperplanes(tree: DecompTree, frame=None, lam=Fraction(2)) -> dict:
     """Assign a hyperplane to every vertex whose eps ends in 1.
 
-    Returns a dict eps -> HyperplaneSpec.  The normal at such a vertex v is
-    frame[sigma1(v)] (0-based: the axis one past the remaining dimension);
-    the base adds alpha(eps) * normal to the base inherited from the nearest
-    ancestor assignment (bit-0 children inherit verbatim, the root starts at
-    the origin).
+    Returns a dict eps -> HyperplaneSpec, in the tree's split order.  The
+    normal at such a vertex v is frame[sigma1(v)] (0-based: the axis one
+    past the remaining dimension); the base adds alpha(eps) * normal to the
+    base of the flat v's parent lives on (the origin for the whole space).
+    One pass over the splits in preorder suffices, as that flat belongs to
+    an earlier split.
 
     Validation: lambda > 1.  The hyperplanes splitting one flat stay apart
     because assemble_generic's geometry check does: the nodes on a later
@@ -292,42 +274,38 @@ def assign_hyperplanes(tree: DecompTree, frame=None, lam=Fraction(2)) -> dict:
         raise GeometryConfigError(f"lambda must exceed 1, got {lam}")
     # alpha(eps) = alpha(eps[:-1]) + (-1)^(d-1) * lam^d at depth d = |eps|
     steps = [lam**d if d % 2 else -(lam**d) for d in range(tree.depth)]
-    result: dict = {}
-    # preorder walk; each entry carries sigma, eps and the base and alpha of
-    # the flat it lives on: that of its nearest ancestor-or-self whose eps
-    # ends in 1, or (origin, 0) for the whole space
-    stack = [(m, tree.n, (), np.zeros(m), 0)]
-    while stack:
-        d, k, eps, base, a = stack.pop()
-        if eps and eps[-1] == 1:
-            axis = d  # 0-based row for xi_{sigma1+1}
-            a = a + steps[len(eps)]
-            base = base + float(a) * frame[axis]
-            result[eps] = HyperplaneSpec(
-                eps=eps,
+    normals = frame.copy()
+    normals.flags.writeable = False
+    specs = []
+    for vertex, key in zip(tree.split, tree.key):
+        outer, axis = tree.flat[vertex], tree.sigma[vertex][0] - 1
+        base, a = (specs[outer].base, specs[outer].alpha_exact) if outer >= 0 else (np.zeros(m), 0)
+        a = a + steps[len(key)]
+        base = base + float(a) * frame[axis]
+        specs.append(
+            HyperplaneSpec(
+                eps=key,
                 axis=axis,
-                normal=frame[axis].copy(),
+                normal=normals[axis],
                 base=base,
-                offset=float(frame[axis] @ base),
+                offset=float(normals[axis] @ base),
                 alpha_exact=a,
             )
-        if d > 1 and k > 1:  # bit-0 children inherit the flat unchanged
-            stack.append((d - 1, k, eps + (1,), base, a))
-            stack.append((d, k - 1, eps + (0,), base, a))
-    return result
+        )
+    return dict(zip(tree.key, specs))
+
+
+def flat_bases(tree: DecompTree, hyperplanes: dict) -> np.ndarray:
+    """The base point of every flat: row s that of split s's hyperplane and
+    the last row the origin, so row tree.flat[v] is the base of vertex v."""
+    return np.array([*(hyperplanes[key].base for key in tree.key), np.zeros(tree.m)])
 
 
 def vertex_base(tree: DecompTree, vertex: Vertex, hyperplanes: dict) -> np.ndarray:
-    """Base point of the flat a vertex lives on.
-
-    This is the base of the nearest ancestor-or-self whose eps ends in 1,
-    or the origin if the path is all zeros.
-    """
-    eps = vertex.eps
-    for stop in range(len(eps), 0, -1):
-        if eps[stop - 1] == 1:
-            return hyperplanes[eps[:stop]].base
-    return np.zeros(tree.m)
+    """Base point of the flat a vertex lives on, read off the tree's table:
+    that of its nearest ancestor-or-self whose eps ends in 1, or the origin."""
+    flat = tree.flat[tree.eps.index(tuple(vertex.eps))]
+    return hyperplanes[tree.key[flat]].base if flat >= 0 else np.zeros(tree.m)
 
 
 def dump_tree(tree: DecompTree, hyperplanes: dict) -> str:

@@ -39,7 +39,7 @@ from .exceptions import SingularMatrixError
 from .monomials import build_order, count_degree, count_total
 # leaf_slices is unused here, but the benchmark's tracer wraps vandermonde.leaf_slices
 from .nodes import NodeSet, leaf_slices  # noqa: F401
-from .tree import build_tree, eps_label
+from .tree import build_tree
 
 __all__ = [
     "build_vandermonde",
@@ -297,13 +297,10 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
     points = nodes.points
     generic = True
     abs_det_log = 0.0
-    row = 0
     with np.errstate(divide="ignore"):
-        for leaf in tree.leaves:
-            d, k = leaf.sigma
-            pts = points[row : row + count_total(d, k)]
-            row += pts.shape[0]
-            if d == 1:
+        for v in tree.leaf:
+            pts = points[tree.lo[v] : tree.hi[v]]
+            if tree.sigma[v][0] == 1:
                 direction = pts[-1] - pts[0]
                 length = float(np.linalg.norm(direction))
                 if length == 0.0:

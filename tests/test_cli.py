@@ -82,6 +82,35 @@ def test_verify_collinear_reports_nongeneric_with_exit_zero(tmp_path, capsys):
     assert report["generic"] is False
 
 
+def strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not a JSON number")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_prints_null_for_non_finite_numbers(tmp_path, capsys):
+    # six points of the unit circle: a singular V(2,2), so the log
+    # determinant is -inf and the condition number inf
+    theta = 0.3 + np.arange(6) * np.pi / 3
+    target = tmp_path / "circle.nodes"
+    target.write_text(
+        "2,2,6\n" + "".join(f"{float(np.cos(t))!r},{float(np.sin(t))!r},-\n" for t in theta)
+    )
+    code, out, _ = run(capsys, "verify", str(target))
+    report = strict_json(out)
+    assert code == 0 and report["generic"] is False
+    assert report["abs_det_log"] is None and report["cond_1"] is None
+    # above COND_DESK_LIMIT nodes cond_1 is not computed (nan)
+    run(capsys, "nodes", "--m", "15", "--n", "4", "-o", str(target))
+    code, out, _ = run(capsys, "verify", str(target))
+    report = strict_json(out)
+    assert code == 0 and report["generic"] is True
+    assert report["cond_1"] is None and np.isfinite(report["abs_det_log"])
+
+
 def test_verify_malformed_file_exits_two(tmp_path, capsys):
     target = tmp_path / "broken.nodes"
     target.write_text("2,1\n0,0,-\n")
@@ -201,6 +230,13 @@ def test_solve_overflow_exits_two(tmp_path, capsys):
     assert code == 2
     assert "overflowed floating point" in err
     assert out == ""
+
+
+def test_solve_ill_posed_geometry_exits_two(capsys):
+    # the divisor products of (2, 90) at lambda 11/10 overflow
+    code, out, err = run(capsys, "solve", "runge", "--m", "2", "--n", "90", "--lambda", "11/10")
+    assert (code, out) == (2, "")
+    assert "lambda/kappa configuration is ill posed" in err
 
 
 # ---------------------------------------------------------------------- bench

@@ -210,6 +210,22 @@ def test_non_finite_geometry_rejected(m, n):
             assemble_generic(m, n, kappa=kappa)
 
 
+@pytest.mark.parametrize("m,n", [(2, 0), (1, 3), (3, 1), (3, 3)])
+def test_non_orthonormal_frame_rejected(m, n):
+    frame = np.eye(m)
+    frame[0, -1] += 0.5
+    with pytest.raises(ValueError, match="frame rows are not orthonormal"):
+        assemble_generic(m, n, frame=frame)
+    # a first row off unit length by 1e-11 passes the 1e-10 orthonormality
+    # test but not the tighter one on the line direction
+    frame = np.eye(m)
+    frame[0, 0] += 1e-11
+    with pytest.raises(ValueError, match="line direction must have unit norm"):
+        assemble_generic(m, n, frame=frame)
+    rotated = np.linalg.qr(np.random.default_rng([3, m]).standard_normal((m, m)))[0]
+    assert len(assemble_generic(m, n, frame=rotated)[0]) == count_total(m, n)
+
+
 def test_separation_failure_message():
     # at lambda = 1 + 1e-6 a node of leaf 10100 comes within 3e-12 of the
     # hyperplane its leaf divides by at the split of vertex 101

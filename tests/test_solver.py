@@ -106,7 +106,7 @@ def test_corrected_value_single_split_hand_chain():
 
 def test_corrected_value_division_guard():
     factor = MultiPoly(2, 1, [-2.0, 0.0, 1.0])  # y - 2
-    with pytest.raises(GeometryConfigError) as err:
+    with np.errstate(all="ignore"), pytest.raises(GeometryConfigError) as err:
         corrected_value([1.0], MultiPoly.zero(2, 2), [("10", factor)], np.array([[5.0, 2.0]]))
     assert "10" in str(err.value)
     assert "lambda/kappa" in str(err.value)
@@ -152,7 +152,7 @@ def test_corrected_value_block_matches_pointwise_rule(rng):
 def test_corrected_value_guard_names_first_close_node():
     factor = MultiPoly(2, 1, [-2.0, 0.0, 1.0])  # y - 2
     points = np.array([[0.0, 1.0], [3.0, 2.0], [4.0, 2.0]])
-    with pytest.raises(GeometryConfigError, match=r"node \[3\. 2\.\]"):
+    with np.errstate(all="ignore"), pytest.raises(GeometryConfigError, match=r"node \[3\. 2\.\]"):
         corrected_value(np.ones(3), MultiPoly.zero(2, 2), [("1", factor)], points)
 
 
@@ -945,6 +945,22 @@ def test_plan_quantities_are_bitwise_the_walk_expressions(m, n, rotated):
             assert plan.offsets[i] == -float(line.direction @ line.base)
         else:
             assert pts[0].tobytes() == base.tobytes()
+
+
+def test_overflowing_divisor_product_is_rejected_when_planned():
+    # at (2, 90) and lambda 11/10 the products of the 88 divisors of leaf
+    # 0...01 pass the float range at its nodes; at (2, 85) the largest
+    # product is about 3e287, and f = 0 solves to zero coefficients
+    config = SolveConfig(lam=Fraction(11, 10))
+    solver.clear_plans()
+    with pytest.raises(GeometryConfigError) as err:
+        solve(np.zeros(count_total(2, 90)), 2, 90, config)
+    assert not solver._plans
+    assert str(err.value).startswith(f"the divisor product of leaf {'0' * 88}1 overflows at node ")
+    assert str(err.value).endswith("; the lambda/kappa configuration is ill posed")
+    q, _, _ = solve(np.zeros(count_total(2, 85)), 2, 85, config)
+    solver.clear_plans()
+    assert not q.coeffs.any()
 
 
 def test_kept_plan_holds_at_most_300_bytes_per_node():
