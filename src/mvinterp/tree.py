@@ -281,15 +281,11 @@ def assign_hyperplanes(tree: DecompTree, frame=None, lam=Fraction(2)) -> dict:
         outer, axis = tree.flat[vertex], tree.sigma[vertex][0] - 1
         base, a = (specs[outer].base, specs[outer].alpha_exact) if outer >= 0 else (np.zeros(m), 0)
         a = a + steps[len(key)]
-        base = base + float(a) * frame[axis]
+        normal = normals[axis]
+        base = base + float(a) * normal
         specs.append(
             HyperplaneSpec(
-                eps=key,
-                axis=axis,
-                normal=normals[axis],
-                base=base,
-                offset=float(normals[axis] @ base),
-                alpha_exact=a,
+                eps=key, axis=axis, normal=normal, base=base, offset=float(normal @ base), alpha_exact=a
             )
         )
     return dict(zip(tree.key, specs))
