@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
@@ -70,7 +69,12 @@ class Vertex(NamedTuple):
 
 def _vertex_list(sigma, eps) -> list:
     """Vertex(s, e) for the pairs of sigma and eps, each made by tuple.__new__
-    without a Python-level call, as a large tree has tens of thousands."""
+    without a Python-level call, as a large tree has tens of thousands.
+
+    The lists are not kept: a Vertex is a tuple subclass, which the garbage
+    collector never stops tracking, so a kept list of a large tree's
+    vertices would make its full collections rescan them all.
+    """
     return list(map(tuple.__new__, repeat(Vertex), zip(sigma, eps)))
 
 
@@ -155,9 +159,9 @@ class DecompTree:
                 k -= 1
         return Vertex((d, k), eps)
 
-    @cached_property
+    @property
     def vertices(self) -> list:
-        """Every vertex in preorder, bit-0 child first."""
+        """Every vertex in preorder, bit-0 child first, as a new list."""
         return _vertex_list(self.sigma, self.eps)
 
     def splits(self):
@@ -176,9 +180,9 @@ class DecompTree:
             split = self.cross[self.split[split]]
         return out[::-1]
 
-    @cached_property
+    @property
     def leaves(self) -> list:
-        """Leaves in left-to-right order (bit-0 child first)."""
+        """Leaves in left-to-right order (bit-0 child first), as a new list."""
         return _vertex_list(map(self.sigma.__getitem__, self.leaf), map(self.eps.__getitem__, self.leaf))
 
     def provenance(self) -> list:

