@@ -123,6 +123,7 @@ class DecompTree:
                 if d == 1 or k == 1:
                     leaves.append(vertex)
                     break
+                # the bit-0 child's N(d, k-1) rows are N(d, k) * k / (d + k)
                 split, key, mid = len(keys), eps + (1,), lo + (hi - lo) * k // (d + k)
                 vertices.append(vertex)
                 keys.append(key)
