@@ -92,22 +92,32 @@ def _check_separation(tree, hyperplanes, points, provenance, shift=None) -> None
 
     At the rows lo:mid of each split, |<normal, x> - offset| must exceed
     GEOMETRY_RTOL * max(1, |offset| + |normal|.|x|), the scale the solver
-    divides at; offset is that of the hyperplane moved by shift.  Reported
-    is the first failing leaf in storage order, at its split nearest the
-    root, with its nodes' least distance.
+    divides at; offset is that of the hyperplane moved by shift.  The splits
+    of one sigma share a normal, that of their axis, and equally many rows,
+    so each sigma is checked at once, on one gather from the points'
+    projections onto that normal, computed once per axis.  Reported is the
+    first failing leaf in storage order, at its split nearest the root,
+    with its nodes' least distance.
     """
+    lo = np.array(tree.lo)[tree.split]
+    offsets = np.array([hyperplanes[key].offset for key in tree.key])
     failures = []
-    for key, _, lo, mid, _ in tree.splits():
-        spec = hyperplanes[key]
-        offset = spec.offset if shift is None else spec.offset + float(spec.normal @ shift)
-        off = points[lo:mid]
-        gaps = np.abs(off @ spec.normal - offset)
-        scales = np.maximum(1.0, abs(offset) + np.abs(off) @ np.abs(spec.normal))
-        close = np.flatnonzero(gaps <= GEOMETRY_RTOL * scales)
-        if close.size:
-            label = provenance[lo + close[0]]
-            first = provenance.index(label, lo)  # the failing leaf's rows
-            leaf = gaps[first - lo : first - lo + provenance.count(label)]
+    axis = None
+    for (d, k), at in sorted(tree.by_sigma(tree.split).items()):
+        if d - 1 != axis:
+            axis, normal = d - 1, hyperplanes[tree.key[at[0]]].normal
+            along, scale = points @ normal, np.abs(points) @ np.abs(normal)
+            moved = 0.0 if shift is None else float(normal @ shift)
+        offset = offsets[at, None] + moved
+        starts = lo[at]
+        rows = starts[:, None] + np.arange(count_total(d, k - 1))
+        gaps = np.abs(along[rows] - offset)
+        close = gaps <= GEOMETRY_RTOL * np.maximum(1.0, np.abs(offset) + scale[rows])
+        for i in np.flatnonzero(close.any(axis=1)):
+            start, key = starts[i], tree.key[at[i]]
+            label = provenance[start + close[i].argmax()]
+            first = provenance.index(label, start)  # the failing leaf's rows
+            leaf = gaps[i, first - start : first - start + provenance.count(label)]
             failures.append((first, len(key), label, eps_label(key), leaf.min()))
     if failures:
         _, _, label, key, worst = min(failures)
@@ -171,14 +181,12 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
     else:
         tree = build_tree(m, n)
         hyperplanes = assign_hyperplanes(tree, frame=frame, lam=lam)
-        groups: dict = {}  # the leaves of each sigma, whose blocks are built at once
-        for v in tree.leaf:
-            groups.setdefault(tree.sigma[v], []).append(v)
-        bases, lo, flat = flat_bases(tree, hyperplanes), np.array(tree.lo), np.array(tree.flat)
+        leaf = np.array(tree.leaf)
+        bases, lo, flat = flat_bases(tree, hyperplanes), np.array(tree.lo)[leaf], np.array(tree.flat)[leaf]
         points = np.empty((total, m))
-        for sigma, leaves in groups.items():
-            blocks = _leaf_blocks(sigma, bases[flat[leaves]], frame, kappa)
-            points[lo[leaves, None] + np.arange(blocks.shape[1])] = blocks
+        for sigma, at in tree.by_sigma(tree.leaf).items():
+            blocks = _leaf_blocks(sigma, bases[flat[at]], frame, kappa)
+            points[lo[at, None] + np.arange(blocks.shape[1])] = blocks
     provenance = ["-"] * len(points) if tree is None else tree.provenance()
     if mu is not None:
         points += mu

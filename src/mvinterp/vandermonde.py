@@ -34,6 +34,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .exceptions import SingularMatrixError
 from .monomials import build_order, count_degree, count_total
@@ -112,8 +113,9 @@ def _fill_vandermonde(v: np.ndarray, pts: np.ndarray, m: int, n: int) -> None:
 
 
 def _pow2_row_scales(v: np.ndarray) -> np.ndarray:
-    """Per-row power-of-two scale with row_max / scale in [1/2, 1)."""
-    row_max = np.abs(v).max(axis=1)
+    """Per-row power-of-two scale with row_max / scale in [1/2, 1), for a
+    matrix or a stack of matrices."""
+    row_max = np.abs(v).max(axis=-1)
     _, exps = np.frexp(row_max)
     scales = np.ldexp(np.ones_like(row_max), exps)
     scales[row_max == 0.0] = 1.0
@@ -283,57 +285,83 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
     structure (the caller then falls back to the dense route): the
     provenance must give the tree's leaf blocks in storage order, and the
     rows mid:hi of each split must lie on its hyperplane.  The normals are
-    those of the hyperplanes given, or else the axes, and each offset is
-    read off the plane's first node, <normal, points[mid]>, so a translated
-    node set certifies as its construction does.  Pivot-style thresholds
-    are applied factor by factor: leaf-local LU pivots, QR diagonals of
-    degree-1 leaf offsets, and each hyperplane value at rows lo:mid as a
-    1x1 pivot.
-    Membership and separation scale by max(1, |offset|, max |<normal, p>|),
-    taken over a split's on-rows and off-rows respectively.
+    those of the hyperplanes given, or else the axes; the splits of one
+    axis must share one normal, as assign_hyperplanes gives them.  Each
+    offset is read off the plane's first node, <normal, points[mid]>, so a
+    translated node set certifies as its construction does.  Pivot-style
+    thresholds are applied factor by factor: leaf-local LU pivots, QR
+    diagonals of degree-1 leaf offsets, and each hyperplane value at rows
+    lo:mid as a 1x1 pivot.  Membership and separation scale by
+    max(1, |offset|, max |<normal, p>|), taken over a split's on-rows and
+    off-rows respectively.
+
+    Leaves or splits of one sigma own equally many rows, so each sigma is
+    one array pass: a line sigma forms its leaves' Vandermonde matrices at
+    once and factors them with one LAPACK getrf call each, a flat sigma is
+    one stacked QR, and a split sigma is one gather from the points'
+    projection onto the normal of its axis, computed once per axis.
     """
     if list(nodes.provenance) != tree.provenance():
         return None
     points = nodes.points
+    lo = np.array(tree.lo)
+    axes = np.eye(m)
+    if hyperplanes is not None:
+        normals = np.array([hyperplanes[key].normal for key in tree.key])
+        split_axes = [tree.sigma[v][0] - 1 for v in tree.split]
+        axes[split_axes] = normals
+        if (axes[split_axes] != normals).any():
+            return None
     generic = True
     abs_det_log = 0.0
     with np.errstate(divide="ignore"):
-        for v in tree.leaf:
-            pts = points[tree.lo[v] : tree.hi[v]]
-            if tree.sigma[v][0] == 1:
-                direction = pts[-1] - pts[0]
-                length = float(np.linalg.norm(direction))
-                if length == 0.0:
+        leaf = np.array(tree.leaf)
+        for (d, k), at in tree.by_sigma(tree.leaf).items():
+            pts = points[lo[leaf[at], None] + np.arange(k + 1 if d == 1 else d + 1)]
+            rel = pts - pts[:, :1]
+            if d == 1:
+                # the stacked products give each leaf's t the bits of its own dot products
+                last = rel[:, -1, None]
+                length = np.sqrt(last @ last.transpose(0, 2, 1)).ravel()
+                if not length.all():
                     return None
-                direction /= length
-                t = (pts - pts[0]) @ direction
-                resid = pts - pts[0] - t[:, None] * direction
-                if np.abs(resid).max() > MEMBERSHIP_RTOL * (1.0 + np.abs(t).max()):
+                direction = rel[:, -1] / length[:, None]
+                t = (rel @ direction[:, :, None])[..., 0]
+                resid = rel - t[..., None] * direction[:, None]
+                if (np.abs(resid).max(axis=(1, 2)) > MEMBERSHIP_RTOL * (1 + np.abs(t).max(axis=1))).any():
                     return None
-                local = np.vander(t, increasing=True)
-                lu, piv, scales, pivots, threshold = _factor(local)
-                if pivots.min() <= threshold:
+                local = np.vander(t.ravel(), k + 1, increasing=True).reshape(-1, k + 1, k + 1)
+                scales = _pow2_row_scales(local)
+                scaled = local / scales[..., None]
+                lus = np.array([scipy.linalg.lapack.dgetrf(a)[0] for a in scaled])
+                pivots = np.abs(np.diagonal(lus, axis1=1, axis2=2))
+                thresholds = PIVOT_RTOL * np.abs(scaled).max(axis=(1, 2))
+                if (pivots.min(axis=1) <= thresholds).any():
                     generic = False
                 abs_det_log += float(np.log(pivots).sum() + np.log(scales).sum())
             else:
-                edges = pts[1:] - pts[0]
-                r = np.linalg.qr(edges.T, mode="r")
-                diag = np.abs(np.diagonal(r))
-                if diag.min() <= PIVOT_RTOL * max(1.0, diag.max()):
+                r = np.linalg.qr(rel[:, 1:].transpose(0, 2, 1), mode="r")
+                diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+                if (diag.min(axis=1) <= PIVOT_RTOL * np.maximum(1.0, diag.max(axis=1))).any():
                     generic = False
                 abs_det_log += float(np.log(diag).sum())
-        axes = np.eye(m)
-        for key, axis, lo, mid, hi in tree.splits():
-            normal = axes[axis] if hyperplanes is None else hyperplanes[key].normal
-            on, off = points[mid:hi] @ normal, points[lo:mid] @ normal
-            offset = float(on[0])
-            on_scale, off_scale = (max(1.0, abs(offset), float(np.abs(v).max())) for v in (on, off))
-            if np.abs(on - offset).max() > MEMBERSHIP_RTOL * on_scale:
+        lo, mid = lo[tree.split], np.array(tree.mid)
+        axis = None
+        for (d, k), at in sorted(tree.by_sigma(tree.split).items()):
+            if d - 1 != axis:
+                axis = d - 1
+                along = points @ axes[axis]
+            on = along[mid[at, None] + np.arange(count_total(d - 1, k))]
+            off = along[lo[at, None] + np.arange(count_total(d, k - 1))]
+            offset = on[:, :1]
+            floor = np.maximum(1.0, np.abs(offset))
+            on_scale, off_scale = (np.maximum(floor, np.abs(v).max(1, keepdims=True)) for v in (on, off))
+            if (np.abs(on - offset) > MEMBERSHIP_RTOL * on_scale).any():
                 return None
-            values = off - offset
-            if np.abs(values).min() <= PIVOT_RTOL * off_scale:
+            values = np.abs(off - offset)
+            if (values <= PIVOT_RTOL * off_scale).any():
                 generic = False
-            abs_det_log += float(np.log(np.abs(values)).sum())
+            abs_det_log += float(np.log(values).sum())
     return {
         "generic": generic,
         "abs_det_log": abs_det_log if generic else float("-inf"),

@@ -19,7 +19,7 @@ from mvinterp.nodes import GEOMETRY_RTOL, NodeSet, assemble_generic
 from mvinterp.tree import eps_label
 from mvinterp.vandermonde import MEMBERSHIP_RTOL, PIVOT_RTOL, _structured_certificate, genericity_check
 
-SHAPES = [*itertools.product(range(2, 7), range(2, 7)), (10, 4), (8, 6), (3, 12)]
+SHAPES = [*itertools.product(range(2, 7), range(2, 7)), (10, 4), (8, 6), (3, 12), (2, 9), (2, 25)]
 
 
 def reference_certificate(nodes, m, n, tree, hyperplanes):
