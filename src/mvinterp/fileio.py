@@ -41,11 +41,12 @@ class FileFormatError(ValueError):
 
 
 def format_nodes(nodes: NodeSet) -> str:
+    line = ",".join(["%.17g"] * nodes.m) + ",%s"
     lines = [f"{nodes.m},{nodes.n},{len(nodes)}"]
     for row, label in zip(nodes.points, nodes.provenance):
-        coords = ",".join("%.17g" % float(x) for x in row)
-        lines.append(f"{coords},{label}")
-    return "\n".join(lines) + "\n"
+        lines.append(line % (*row.tolist(), label))
+    lines.append("")  # ends the last row, without a second copy of the text
+    return "\n".join(lines)
 
 
 def write_nodes(nodes: NodeSet, path) -> None:
@@ -54,37 +55,36 @@ def write_nodes(nodes: NodeSet, path) -> None:
 
 
 def parse_nodes(text: str, source: str = "<string>") -> NodeSet:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    lines = text.splitlines()
+    # the numbers of the lines in use: blank lines are skipped, but counted
+    numbers = np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))) + 1
+    if not numbers.size:
         raise FileFormatError(f"{source}:1: empty node file, expected header m,n,count")
-    header = lines[0].split(",")
+    at, head = numbers[0], lines[numbers[0] - 1]
+    header = head.split(",")
     if len(header) != 3:
-        raise FileFormatError(
-            f"{source}:1: header must be m,n,count, got {lines[0]!r}"
-        )
+        raise FileFormatError(f"{source}:{at}: header must be m,n,count, got {head!r}")
     try:
         m, n, count = (int(field) for field in header)
     except ValueError:
-        raise FileFormatError(
-            f"{source}:1: header fields must be integers, got {lines[0]!r}"
-        ) from None
+        raise FileFormatError(f"{source}:{at}: header fields must be integers, got {head!r}") from None
     if m < 1 or n < 0 or count < 1:
-        raise FileFormatError(f"{source}:1: header values out of range: m={m} n={n} count={count}")
-    if len(lines) - 1 != count:
+        raise FileFormatError(f"{source}:{at}: header values out of range: m={m} n={n} count={count}")
+    if len(numbers) - 1 != count:
         raise FileFormatError(
-            f"{source}: header announces {count} nodes but file has {len(lines) - 1} rows"
+            f"{source}: header announces {count} nodes but file has {len(numbers) - 1} rows"
         )
     points = np.empty((count, m))
     labels = []
-    for i, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
+    for row, i in enumerate(numbers[1:]):
+        fields = lines[i - 1].split(",")
         if len(fields) != m + 1:
             raise FileFormatError(
                 f"{source}:{i}: expected {m} coordinates plus a provenance label, "
                 f"got {len(fields)} fields"
             )
         try:
-            points[i - 2] = [float(field) for field in fields[:m]]
+            points[row] = [float(field) for field in fields[:m]]
         except ValueError as bad:
             raise FileFormatError(f"{source}:{i}: bad coordinate: {bad}") from None
         label = fields[m].strip()
@@ -95,7 +95,7 @@ def parse_nodes(text: str, source: str = "<string>") -> NodeSet:
         labels.append(label)
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if bad.size:
-        raise FileFormatError(f"{source}:{bad[0] + 2}: coordinates must be finite")
+        raise FileFormatError(f"{source}:{numbers[bad[0] + 1]}: coordinates must be finite")
     return NodeSet(points, labels, m, n)
 
 

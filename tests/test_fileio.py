@@ -83,6 +83,13 @@ def test_parse_nodes_reports_line_numbers():
     assert str(err.value).startswith("f:3:")
     with pytest.raises(FileFormatError, match=r"^f:4: coordinates must be finite"):
         parse_nodes("2,1,3\n0,0,-\n1,0,-\n0,-inf,-\n", source="f")
+    # blank lines are skipped but still counted
+    with pytest.raises(FileFormatError, match=r"^<string>:5: bad coordinate"):
+        parse_nodes("2,1,3\n\n0,0,-\n1,0,-\n0,x,-\n")
+    with pytest.raises(FileFormatError, match=r"^f:6: coordinates must be finite"):
+        parse_nodes("\n2,1,3\n0,0,-\n\n1,0,-\n0,nan,-\n", source="f")
+    with pytest.raises(FileFormatError, match=r"^f:3: header must be m,n,count"):
+        parse_nodes("\n  \n2,1\n", source="f")
 
 
 def test_parse_nodes_accepts_degenerate_geometry():
