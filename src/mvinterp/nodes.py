@@ -6,7 +6,8 @@ independent unit-offset nodes.  The union over all leaves has exactly
 N(m,n) points and is generic by construction: bit-1 branch nodes lie on
 their splitting hyperplane, bit-0 branch nodes stay clear of it.  The
 blocks are built one array operation per leaf sigma, from the rows and
-flats of the tree's table.
+flats of the tree's table, and the geometry guard checks one split sigma
+at a time.
 """
 
 from __future__ import annotations
@@ -92,24 +93,19 @@ def _check_separation(tree, hyperplanes, points, provenance, shift=None) -> None
 
     At the rows lo:mid of each split, |<normal, x> - offset| must exceed
     GEOMETRY_RTOL * max(1, |offset| + |normal|.|x|), the scale the solver
-    divides at; offset is that of the hyperplane moved by shift.  The splits
-    of one sigma share a normal, that of their axis, and equally many rows,
-    so each sigma is checked at once, on one gather from the points'
-    projections onto that normal, computed once per axis.  Reported is the
-    first failing leaf in storage order, at its split nearest the root,
-    with its nodes' least distance.
+    divides at; offset is that of the hyperplane moved by shift.  Each split
+    sigma is checked at once, on a gather from the points' projection onto
+    the normal of its axis.  Reported is the first failing leaf in storage
+    order, at its split nearest the root, with its nodes' least distance.
     """
-    lo = np.array(tree.lo)[tree.split]
-    offsets = np.array([hyperplanes[key].offset for key in tree.key])
-    failures = []
-    axis = None
-    for (d, k), at in sorted(tree.by_sigma(tree.split).items()):
+    lo, offsets = np.array(tree.lo)[tree.split], np.array([hyperplanes[key].offset for key in tree.key])
+    failures, axis = [], None
+    for (d, k), at in tree.by_sigma(tree.split).items():
         if d - 1 != axis:
             axis, normal = d - 1, hyperplanes[tree.key[at[0]]].normal
             along, scale = points @ normal, np.abs(points) @ np.abs(normal)
             moved = 0.0 if shift is None else float(normal @ shift)
-        offset = offsets[at, None] + moved
-        starts = lo[at]
+        offset, starts = offsets[at, None] + moved, lo[at]
         rows = starts[:, None] + np.arange(count_total(d, k - 1))
         gaps = np.abs(along[rows] - offset)
         close = gaps <= GEOMETRY_RTOL * np.maximum(1.0, np.abs(offset) + scale[rows])

@@ -172,15 +172,13 @@ class DecompTree:
             yield key, self.sigma[vertex][0] - 1, self.lo[vertex], mid, self.hi[vertex]
 
     def by_sigma(self, column) -> dict:
-        """sigma -> array of the positions i in a column of vertices
-        (``leaf`` or ``split``) whose vertex column[i] has that sigma, in
-        table order.  Leaves of one sigma own equally many rows, as do splits
-        of one sigma, which also share a normal axis, so each group's rows
-        make one regular array."""
+        """sigma -> array of the positions i in a column of vertices (``leaf``
+        or ``split``) whose vertex column[i] has that sigma, in order of sigma.
+        Such a group's row blocks are equally long; a split group's share an axis."""
         groups: dict = {}
         for i, vertex in enumerate(column):
             groups.setdefault(self.sigma[vertex], []).append(i)
-        return {sigma: np.array(at) for sigma, at in groups.items()}
+        return {sigma: np.array(groups[sigma]) for sigma in sorted(groups)}
 
     def crossed(self, vertex: int) -> list:
         """The splits whose hyperplanes the rows of a vertex divide by, one

@@ -18,7 +18,8 @@ that are regularity-equivalent in exact arithmetic:
   the nodes that must avoid it (peel one hyperplane at a time: in
   coordinates adapted to H the matrix is block triangular with blocks
   V(P_on_H) and diag(Q_H(p)) · V(P_off_H)).  Every factor is O(1)-scaled,
-  so the pivot test is applied where it means something.
+  so the pivot test is applied where it means something.  The factors of
+  leaves or splits of one sigma are formed and tested together.
 - dense route: map the nodes affinely into [-1,1]^m (an affine image of a
   generic set is generic), balance rows and columns by exact powers of
   two, and run pivoted LU with the relative threshold.
@@ -113,8 +114,7 @@ def _fill_vandermonde(v: np.ndarray, pts: np.ndarray, m: int, n: int) -> None:
 
 
 def _pow2_row_scales(v: np.ndarray) -> np.ndarray:
-    """Per-row power-of-two scale with row_max / scale in [1/2, 1), for a
-    matrix or a stack of matrices."""
+    """Per-row power-of-two scale with row_max / scale in [1/2, 1), in a matrix or a stack."""
     row_max = np.abs(v).max(axis=-1)
     _, exps = np.frexp(row_max)
     scales = np.ldexp(np.ones_like(row_max), exps)
@@ -284,45 +284,31 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
     Returns a result dict, or None when the node set lacks the on/off
     structure (the caller then falls back to the dense route): the
     provenance must give the tree's leaf blocks in storage order, and the
-    rows mid:hi of each split must lie on its hyperplane.  The normals are
-    those of the hyperplanes given, or else the axes; the splits of one
-    axis must share one normal, as assign_hyperplanes gives them.  Each
-    offset is read off the plane's first node, <normal, points[mid]>, so a
-    translated node set certifies as its construction does.  Pivot-style
-    thresholds are applied factor by factor: leaf-local LU pivots, QR
-    diagonals of degree-1 leaf offsets, and each hyperplane value at rows
-    lo:mid as a 1x1 pivot.  Membership and separation scale by
-    max(1, |offset|, max |<normal, p>|), taken over a split's on-rows and
-    off-rows respectively.
-
-    Leaves or splits of one sigma own equally many rows, so each sigma is
-    one array pass: a line sigma forms its leaves' Vandermonde matrices at
-    once and factors them with one LAPACK getrf call each, a flat sigma is
-    one stacked QR, and a split sigma is one gather from the points'
-    projection onto the normal of its axis, computed once per axis.
+    rows mid:hi of each split must lie on its hyperplane.  The normal of an
+    axis is that of its first hyperplane given (assign_hyperplanes gives all
+    splits of an axis one), or else the axis, and each offset is read off
+    the plane's first node, <normal, points[mid]>, so a translated node set
+    certifies as its construction does.  Pivot-style thresholds are applied
+    factor by factor: leaf-local LU pivots, QR diagonals of degree-1 leaf
+    offsets, and each hyperplane value at rows lo:mid as a 1x1 pivot.
+    Membership and separation scale by max(1, |offset|, max |<normal, p>|),
+    taken over a split's on-rows and off-rows respectively.  Each sigma is
+    one array pass: line leaves take one LAPACK getrf call each, flat leaves
+    one stacked QR, splits one gather from a projection made once per axis.
     """
     if list(nodes.provenance) != tree.provenance():
         return None
     points = nodes.points
-    lo = np.array(tree.lo)
-    axes = np.eye(m)
-    if hyperplanes is not None:
-        normals = np.array([hyperplanes[key].normal for key in tree.key])
-        split_axes = [tree.sigma[v][0] - 1 for v in tree.split]
-        axes[split_axes] = normals
-        if (axes[split_axes] != normals).any():
-            return None
+    lo, leaf = np.array(tree.lo), np.array(tree.leaf)
     generic = True
     abs_det_log = 0.0
     with np.errstate(divide="ignore"):
-        leaf = np.array(tree.leaf)
         for (d, k), at in tree.by_sigma(tree.leaf).items():
             pts = points[lo[leaf[at], None] + np.arange(k + 1 if d == 1 else d + 1)]
             rel = pts - pts[:, :1]
             if d == 1:
-                # the stacked products give each leaf's t the bits of its own dot products
-                last = rel[:, -1, None]
-                length = np.sqrt(last @ last.transpose(0, 2, 1)).ravel()
+                # stacked products, so that each leaf's t has the bits of its own dot products
+                length = np.sqrt(rel[:, -1:] @ rel[:, -1:].transpose(0, 2, 1)).ravel()
                 if not length.all():
                     return None
                 direction = rel[:, -1] / length[:, None]
@@ -333,10 +319,8 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
                 local = np.vander(t.ravel(), k + 1, increasing=True).reshape(-1, k + 1, k + 1)
                 scales = _pow2_row_scales(local)
                 scaled = local / scales[..., None]
-                lus = np.array([scipy.linalg.lapack.dgetrf(a)[0] for a in scaled])
-                pivots = np.abs(np.diagonal(lus, axis1=1, axis2=2))
-                thresholds = PIVOT_RTOL * np.abs(scaled).max(axis=(1, 2))
-                if (pivots.min(axis=1) <= thresholds).any():
+                pivots = np.abs([np.diagonal(scipy.linalg.lapack.dgetrf(a)[0]) for a in scaled])
+                if (pivots.min(axis=1) <= PIVOT_RTOL * np.abs(scaled).max(axis=(1, 2))).any():
                     generic = False
                 abs_det_log += float(np.log(pivots).sum() + np.log(scales).sum())
             else:
@@ -345,21 +329,18 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
                 if (diag.min(axis=1) <= PIVOT_RTOL * np.maximum(1.0, diag.max(axis=1))).any():
                     generic = False
                 abs_det_log += float(np.log(diag).sum())
-        lo, mid = lo[tree.split], np.array(tree.mid)
-        axis = None
-        for (d, k), at in sorted(tree.by_sigma(tree.split).items()):
+        lo, mid, axis = lo[tree.split], np.array(tree.mid), None
+        for (d, k), at in tree.by_sigma(tree.split).items():
             if d - 1 != axis:
                 axis = d - 1
-                along = points @ axes[axis]
+                along = points @ (np.eye(m)[axis] if hyperplanes is None else hyperplanes[tree.key[at[0]]].normal)
             on = along[mid[at, None] + np.arange(count_total(d - 1, k))]
             off = along[lo[at, None] + np.arange(count_total(d, k - 1))]
             offset = on[:, :1]
-            floor = np.maximum(1.0, np.abs(offset))
-            on_scale, off_scale = (np.maximum(floor, np.abs(v).max(1, keepdims=True)) for v in (on, off))
-            if (np.abs(on - offset) > MEMBERSHIP_RTOL * on_scale).any():
+            if (np.abs(on - offset) > MEMBERSHIP_RTOL * np.abs(on).max(1, keepdims=True).clip(1.0)).any():
                 return None
             values = np.abs(off - offset)
-            if (values <= PIVOT_RTOL * off_scale).any():
+            if (values <= PIVOT_RTOL * np.maximum(np.abs(offset), np.abs(off).max(1, keepdims=True)).clip(1.0)).any():
                 generic = False
             abs_det_log += float(np.log(values).sum())
     return {
