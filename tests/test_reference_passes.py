@@ -229,9 +229,11 @@ def test_rejected_configurations_match_reference(m, n, config, guards_compared):
 
 def test_tampered_guard_inputs_match_reference():
     # nodes moved onto hyperplanes they divide by: leaf 010 onto that of
-    # split 011, leaf 011 onto that of the root, and both
+    # split 011, leaf 011 onto that of the root, both, and leaves 00 and 011
+    # onto that of the root (two failing leaves at one split)
     nodes, tree, specs = assemble_generic(3, 3)
-    for rows in ([(5, 1, (0, 1, 1))], [(8, 2, (1,))], [(5, 1, (0, 1, 1)), (8, 2, (1,))]):
+    leaf_010, leaf_011, leaf_00 = (5, 1, (0, 1, 1)), (8, 2, (1,)), (1, 2, (1,))
+    for rows in ([leaf_010], [leaf_011], [leaf_010, leaf_011], [leaf_00, leaf_011]):
         points = nodes.points.copy()
         for row, axis, key in rows:
             points[row, axis] = specs[key].offset
