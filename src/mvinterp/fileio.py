@@ -5,14 +5,16 @@ m coordinates as decimals with 17 significant digits followed by the
 provenance bit string of the leaf that produced the node ("-" for
 problems solved without a tree).
 
-Polynomial files: a JSON document with fields m, n, ordering (the fixed
-string "graded-lex-eqC") and coefficients, position-matched to the
-canonical monomial order.  JSON float text round-trips at full precision.
+Polynomial files: a JSON document with fields m, n (integers), ordering
+(the fixed string "graded-lex-eqC") and coefficients (finite JSON
+numbers), position-matched to the canonical monomial order.  JSON float
+text round-trips at full precision.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -130,7 +132,8 @@ def parse_polynomial(text: str, source: str = "<string>") -> MultiPoly:
         if field not in doc:
             raise FileFormatError(f"{source}: missing field '{field}'")
     m, n = doc["m"], doc["n"]
-    if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 0:
+    # JSON true and false load as bool, which is an int subclass
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in (m, n)) or m < 1 or n < 0:
         raise FileFormatError(f"{source}: field 'm'/'n' must be integers with m>=1, n>=0")
     if doc["ordering"] != ORDERING_TAG:
         raise FileFormatError(
@@ -143,10 +146,16 @@ def parse_polynomial(text: str, source: str = "<string>") -> MultiPoly:
             f"{source}: field 'coefficients' must be a list of {expected} reals "
             f"for m={m}, n={n}"
         )
-    try:
-        values = np.array([float(c) for c in coeffs])
-    except (TypeError, ValueError):
-        raise FileFormatError(f"{source}: field 'coefficients' holds a non-numeric entry") from None
+    values = []
+    for i, c in enumerate(coeffs):
+        if not isinstance(c, (int, float)) or isinstance(c, bool):
+            raise FileFormatError(f"{source}: field 'coefficients' holds a non-numeric entry")
+        try:
+            values.append(float(c))
+        except OverflowError:  # an integer beyond the float range
+            values.append(math.inf)
+        if not math.isfinite(values[-1]):
+            raise FileFormatError(f"{source}: coefficient {i} is not finite: {values[-1]}")
     return MultiPoly(m, n, values)
 
 

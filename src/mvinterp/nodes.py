@@ -19,13 +19,15 @@ import numpy as np
 
 from .exceptions import GeometryConfigError
 from .monomials import count_total
-from .tree import DecompTree, Vertex, assign_hyperplanes, build_tree, eps_label, flat_bases, vertex_base
+from .tree import assign_hyperplanes, build_tree, eps_label, vertex_base
 from .univariate import chebyshev_parameters
 
 __all__ = ["NodeSet", "leaf_slices", "leaf_nodes", "assemble_generic", "GEOMETRY_RTOL"]
 
-# the one geometry tolerance: a gap the construction guarantees must exceed
-# GEOMETRY_RTOL times the magnitudes it is computed from (at least 1)
+# the one geometry tolerance, relative to the magnitudes a quantity is
+# computed from (at least 1): a gap the construction guarantees must exceed
+# it, and a deviation the construction excludes (a node off its line or its
+# hyperplane) must stay within it
 GEOMETRY_RTOL = 1e-9
 
 
@@ -66,7 +68,7 @@ def leaf_slices(nodes: NodeSet) -> dict:
     return {label: slice(lo, hi) for label, (lo, hi) in out.items()}
 
 
-def _leaf_blocks(sigma: tuple, bases: np.ndarray, frame: np.ndarray, kappa: float) -> np.ndarray:
+def leaf_nodes(sigma: tuple, bases: np.ndarray, frame: np.ndarray, kappa: float) -> np.ndarray:
     """The node blocks of leaves of one sigma whose flats have the given
     bases (one row each), as an array (leaves, nodes per leaf, m).
 
@@ -80,12 +82,6 @@ def _leaf_blocks(sigma: tuple, bases: np.ndarray, frame: np.ndarray, kappa: floa
     if k == 1:
         return np.concatenate((bases[:, None, :], bases[:, None, :] + frame[:d]), axis=1)
     raise ValueError(f"sigma {sigma} is not that of a leaf")
-
-
-def leaf_nodes(leaf: Vertex, tree: DecompTree, hyperplanes: dict, frame, kappa: float) -> np.ndarray:
-    """Node block for one leaf: Chebyshev on a line, or unit offsets on a flat."""
-    base = vertex_base(tree, leaf, hyperplanes)
-    return _leaf_blocks(leaf.sigma, base[None], np.asarray(frame, dtype=float), kappa)[0]
 
 
 def _check_separation(tree, hyperplanes, points, provenance, shift=None) -> None:
@@ -173,15 +169,15 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
     if n == 0:
         points = np.zeros((1, m))
     elif m == 1 or n == 1:
-        points = _leaf_blocks((m, n), np.zeros((1, m)), frame, kappa)[0]
+        points = leaf_nodes((m, n), np.zeros((1, m)), frame, kappa)[0]
     else:
         tree = build_tree(m, n)
         hyperplanes = assign_hyperplanes(tree, frame=frame, lam=lam)
         leaf = np.array(tree.leaf)
-        bases, lo, flat = flat_bases(tree, hyperplanes), np.array(tree.lo)[leaf], np.array(tree.flat)[leaf]
+        bases, lo, flat = vertex_base(tree, hyperplanes), np.array(tree.lo)[leaf], np.array(tree.flat)[leaf]
         points = np.empty((total, m))
         for sigma, at in tree.by_sigma(tree.leaf).items():
-            blocks = _leaf_blocks(sigma, bases[flat[at]], frame, kappa)
+            blocks = leaf_nodes(sigma, bases[flat[at]], frame, kappa)
             points[lo[at, None] + np.arange(blocks.shape[1])] = blocks
     provenance = ["-"] * len(points) if tree is None else tree.provenance()
     if mu is not None:

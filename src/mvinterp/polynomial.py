@@ -2,7 +2,10 @@
 
 A polynomial lives in ``m`` variables with a structural degree bound ``n``
 and a coefficient vector of length N(m,n) laid out per
-:mod:`mvinterp.monomials`.  Operations return new values; nothing here
+:mod:`mvinterp.monomials`.  The solver's lifts work on raw coefficient
+arrays: mul_linear multiplies by a linear row [c0, normal], and
+embed_univariate turns a polynomial in a line parameter into one in m
+variables by such lifts.  Operations return new values; nothing here
 mutates its inputs.
 """
 
@@ -20,7 +23,6 @@ __all__ = [
     "evaluate",
     "evaluate_rows",
     "add",
-    "lift_linear",
     "mul_linear",
     "embed_univariate",
 ]
@@ -56,14 +58,6 @@ class MultiPoly:
     @classmethod
     def zero(cls, m: int, n: int) -> "MultiPoly":
         return cls(m, n, np.zeros(count_total(m, n)))
-
-    def effective_degree(self, tol: float = 0.0) -> int:
-        """Largest k whose degree-k coefficient block is not all |c| <= tol."""
-        order = build_order(self.m, self.n)
-        for k in range(self.n, 0, -1):
-            if np.any(np.abs(self.coeffs[order.block(k)]) > tol):
-                return k
-        return 0
 
 
 def evaluate(q: MultiPoly, x) -> float:
@@ -118,7 +112,7 @@ def add(q1: MultiPoly, q2: MultiPoly) -> MultiPoly:
     return MultiPoly(q1.m, hi.n, out)
 
 
-def lift_linear(qc: np.ndarray, row: np.ndarray, order) -> np.ndarray:
+def mul_linear(qc: np.ndarray, row: np.ndarray, order) -> np.ndarray:
     """Coefficients, in order, of qc times the linear row[0] + <row[1:], x>.
 
     qc holds the leading coefficients of a polynomial of degree < order.n.
@@ -134,64 +128,15 @@ def lift_linear(qc: np.ndarray, row: np.ndarray, order) -> np.ndarray:
     return out
 
 
-def mul_linear(q: MultiPoly, l: MultiPoly, n_out: int | None = None) -> MultiPoly:
-    """Product of q with a degree <= 1 factor.
-
-    Cost is proportional to (m+1)·N(m, deg q): see lift_linear.  The
-    coefficients are scanned for their actual degrees only when the
-    structural bounds q.n and l.n do not already fit the result.
-
-    Parameters
-    ----------
-    n_out : int, optional
-        Structural bound of the result (default q.n + 1).  Requesting a
-        bound too small for the actual product raises ValueError.
-    """
-    if q.m != l.m:
-        raise ValueError(f"dimension mismatch: {q.m} vs {l.m}")
-    if l.n > 1 and l.effective_degree() > 1:
-        raise ValueError("factor must have effective degree <= 1")
-    row = np.zeros(1 + l.m)  # the constant, then one coefficient per variable
-    row[: min(l.coeffs.size, 1 + l.m)] = l.coeffs[: 1 + l.m]
-    if n_out is None:
-        n_out = q.n + 1
-    deg_q = q.n
-    if q.n + min(l.n, 1) > n_out:
-        # the structural bound does not fit; the actual degrees decide
-        deg_q = q.effective_degree()
-        needed = deg_q + (1 if np.any(row[1:] != 0.0) else 0)
-        if n_out < needed:
-            raise ValueError(
-                f"product has degree {needed} but the requested bound is {n_out}"
-            )
-    qc = q.coeffs[: count_total(q.m, deg_q)]
-    return MultiPoly(q.m, n_out, lift_linear(qc, row, build_order(q.m, n_out)))
-
-
-def embed_univariate(chat, line_dir, base) -> MultiPoly:
-    """Lift univariate coefficients along a line into m variables.
-
-    Given coefficients (c_0..c_k) of a polynomial in the line parameter
-    t(x) = <x - base, line_dir>, returns sum c_i * t(x)^i as a MultiPoly
-    (see embed_row).  The direction must have unit norm within 1e-12.
-    """
-    chat, xi, b = (np.asarray(a, dtype=float) for a in (chat, line_dir, base))
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
-        raise ValueError("line direction must have unit norm (within 1e-12)")
-    if chat.size < 1:
-        raise ValueError("need at least one coefficient")
-    return MultiPoly(xi.size, chat.size - 1, embed_row(chat, -float(xi @ b), xi))
-
-
-def embed_row(chat: np.ndarray, t0: float, direction: np.ndarray, tally=None) -> np.ndarray:
-    """The core of embed_univariate: the coefficients of sum chat[i] * t(x)^i,
+def embed_univariate(chat: np.ndarray, t0: float, direction: np.ndarray, tally=None) -> np.ndarray:
+    """The coefficients in m variables of sum chat[i] * t(x)^i, with
     t(x) = t0 + <direction, x>, by Horner's rule over k linear lifts."""
     m = direction.size
     deg = chat.size - 1
     t_row = np.concatenate(([t0], direction))
     acc = np.array([float(chat[deg])])
     for i in range(deg - 1, -1, -1):
-        acc = lift_linear(acc, t_row, build_order(m, deg - i))
+        acc = mul_linear(acc, t_row, build_order(m, deg - i))
         acc[0] += chat[i]
     if tally is not None:
         tally.add_ops((m + 2) * (count_total(m + 1, deg) - 1))  # (m + 2) N(m, i) for lift i

@@ -41,15 +41,14 @@ import numpy as np
 
 from .exceptions import GeometryConfigError
 from .instrument import Tally
-# leaf_slices, vertex_base, evaluate, mul_linear, solve_linear and
-# solve_on_line are unused here, but the benchmark's tracer wraps them under
-# these names
-from .linear import flat_coefficients, solve_linear  # noqa: F401
+from .linear import solve_linear
 from .monomials import build_order
+# leaf_slices and evaluate are unused here, but the benchmark's tracer wraps
+# them under these names
 from .nodes import NodeSet, assemble_generic, leaf_slices  # noqa: F401
-from .polynomial import MultiPoly, embed_row, evaluate, evaluate_rows, lift_linear, mul_linear  # noqa: F401
-from .tree import flat_bases, vertex_base  # noqa: F401
-from .univariate import check_distinct, newton_coefficients, solve_on_line  # noqa: F401
+from .polynomial import MultiPoly, evaluate, evaluate_rows, mul_linear  # noqa: F401
+from .tree import vertex_base
+from .univariate import check_distinct, solve_on_line
 
 __all__ = [
     "SolveConfig",
@@ -69,14 +68,17 @@ class SolveConfig:
     mu: np.ndarray | None = None
 
 
-def corrected_value(
-    values, correction: MultiPoly, divisors, points, tally: Tally | None = None
-) -> np.ndarray:
+def _divisor_product(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The product over the divisor rows [c0, normal] at each row of points."""
+    return np.prod(rows[:, :1] + rows[:, 1:] @ points.T, axis=0)
+
+
+def corrected_value(values, correction: MultiPoly, points, product, labels, count: int, tally=None) -> np.ndarray:
     """The corrected function (f - correction) / divisor product on a block.
 
-    values holds f at the rows of points; divisors are (label, factor)
-    pairs, one per bit-0 edge on the path from the root, a factor being the
-    coefficients [c0, c_1..c_m] of a degree-1 polynomial or the MultiPoly.
+    values holds f at the rows of points, and product the product of the
+    count divisors at each row (see _divisor_product); labels, an iterable
+    read only to name the divisors in an error, gives their hyperplanes.
 
     Raises
     ------
@@ -86,22 +88,6 @@ def corrected_value(
         When the division does, naming the node and the divisor labels; a
         backstop, as assembly keeps divisors clear of zero (GEOMETRY_RTOL).
     """
-    points = np.asarray(points, dtype=float)
-    rows = np.array([getattr(factor, "coeffs", factor) for _, factor in divisors])
-    product = _divisor_product(rows.reshape(len(divisors), points.shape[1] + 1), points)
-    labels = [label for label, _ in divisors]
-    return _divided(values, correction, points, product, labels, len(labels), tally)
-
-
-def _divisor_product(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """The product over the divisor rows [c0, normal] at each row of points."""
-    return np.prod(rows[:, :1] + rows[:, 1:] @ points.T, axis=0)
-
-
-def _divided(values, correction, points, product, labels, count: int, tally) -> np.ndarray:
-    """The core of corrected_value: product holds the product of the count
-    divisors at each row of points, and labels (an iterable read only to
-    name them in an error) their labels."""
     numerator = np.asarray(values, dtype=float) - evaluate_rows(correction, points)
     corrected = numerator / product
     if not np.isfinite(corrected).all():
@@ -192,7 +178,7 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
         table = np.empty((len(specs), m + 1))
         table[row, 0] = [-spec.offset - float(spec.normal @ shift) for spec in specs]
         table[row, 1:] = [spec.normal for spec in specs]
-        flats = flat_bases(tree, hyperplanes) + shift
+        flats = vertex_base(tree, hyperplanes) + shift
         del hyperplanes, specs  # freed before the per-node vectors, as is the tree
         walk = tree.leaf[::-1]
         lines, flat_of = [tree.sigma[v][0] == 1 for v in walk], [tree.flat[v] for v in walk]
@@ -312,11 +298,10 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
             fvals = values[lo:hi]
         eps = provenance[lo]  # a leaf divides by the hyperplane of each 0 bit
         labels = (eps[:j] + "1" for j, bit in enumerate(eps) if bit == "0")
-        corrected = _divided(fvals, correction, pts, plan.divisor[lo:hi], labels, count, t)
+        corrected = corrected_value(fvals, correction, pts, plan.divisor[lo:hi], labels, count, t)
         if plan.lines[i]:
-            chat = newton_coefficients(plan.param[lo:hi], corrected, t)
-            return embed_row(chat, plan.offsets[i], direction, t)
-        return flat_coefficients(corrected, plan.frame[: hi - lo - 1], pts[0], t)
+            return solve_on_line(plan.param[lo:hi], corrected, plan.offsets[i], direction, t)
+        return solve_linear(corrected, plan.frame[: hi - lo - 1], pts[0], t)
 
     def add_leaf(i):
         """Solve leaf i, lift it by its divisors and add it into acc."""
@@ -330,7 +315,7 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
         for row in rows:
             degree += 1
             t.add_ops((1 + int(np.count_nonzero(row[1:]))) * coeffs.size)
-            coeffs = lift_linear(coeffs, row, build_order(m, degree))
+            coeffs = mul_linear(coeffs, row, build_order(m, degree))
             grabbed = t.alloc(coeffs.size)
             t.free(held)
             held = grabbed

@@ -31,7 +31,6 @@ import numpy as np
 
 from .exceptions import GeometryConfigError
 from .monomials import count_total
-from .polynomial import MultiPoly
 
 __all__ = [
     "Vertex",
@@ -40,7 +39,6 @@ __all__ = [
     "build_tree",
     "alpha",
     "assign_hyperplanes",
-    "flat_bases",
     "vertex_base",
     "dump_tree",
     "eps_label",
@@ -165,12 +163,6 @@ class DecompTree:
         """Every vertex in preorder, bit-0 child first, as a new list."""
         return _vertex_list(self.sigma, self.eps)
 
-    def splits(self):
-        """(key, axis, lo, mid, hi) for every split, in preorder; axis is the
-        0-based frame row of the normal of its hyperplane."""
-        for vertex, key, mid in zip(self.split, self.key, self.mid):
-            yield key, self.sigma[vertex][0] - 1, self.lo[vertex], mid, self.hi[vertex]
-
     def by_sigma(self, column) -> dict:
         """sigma -> array of the positions i in a column of vertices (``leaf``
         or ``split``) whose vertex column[i] has that sigma, in order of sigma.
@@ -256,14 +248,6 @@ class HyperplaneSpec:
     offset: float
     alpha_exact: Fraction
 
-    def poly(self) -> MultiPoly:
-        """The degree-1 polynomial <normal, x> - offset."""
-        m = self.normal.size
-        coeffs = np.zeros(count_total(m, 1))
-        coeffs[0] = -self.offset
-        coeffs[1:] = self.normal
-        return MultiPoly(m, 1, coeffs)
-
 
 def assign_hyperplanes(tree: DecompTree, frame=None, lam=Fraction(2)) -> dict:
     """Assign a hyperplane to every vertex whose eps ends in 1.
@@ -305,17 +289,10 @@ def assign_hyperplanes(tree: DecompTree, frame=None, lam=Fraction(2)) -> dict:
     return dict(zip(tree.key, specs))
 
 
-def flat_bases(tree: DecompTree, hyperplanes: dict) -> np.ndarray:
+def vertex_base(tree: DecompTree, hyperplanes: dict) -> np.ndarray:
     """The base point of every flat: row s that of split s's hyperplane and
     the last row the origin, so row tree.flat[v] is the base of vertex v."""
     return np.array([*(hyperplanes[key].base for key in tree.key), np.zeros(tree.m)])
-
-
-def vertex_base(tree: DecompTree, vertex: Vertex, hyperplanes: dict) -> np.ndarray:
-    """Base point of the flat a vertex lives on, read off the tree's table:
-    that of its nearest ancestor-or-self whose eps ends in 1, or the origin."""
-    flat = tree.flat[tree.eps.index(tuple(vertex.eps))]
-    return hyperplanes[tree.key[flat]].base if flat >= 0 else np.zeros(tree.m)
 
 
 def dump_tree(tree: DecompTree, hyperplanes: dict) -> str:

@@ -40,7 +40,7 @@ import scipy.linalg.lapack
 from .exceptions import SingularMatrixError
 from .monomials import build_order, count_degree, count_total
 # leaf_slices is unused here, but the benchmark's tracer wraps vandermonde.leaf_slices
-from .nodes import NodeSet, leaf_slices  # noqa: F401
+from .nodes import GEOMETRY_RTOL, NodeSet, leaf_slices  # noqa: F401
 from .tree import build_tree
 
 __all__ = [
@@ -57,9 +57,6 @@ __all__ = [
 ]
 
 PIVOT_RTOL = 1e-13
-# membership of on-hyperplane nodes must hold to data accuracy, not just to
-# pivot accuracy; construction and file round-trips are exact to ~1e-16
-MEMBERSHIP_RTOL = 1e-9
 # explicit inverses (1-norm cond) stay desk-scale
 COND_DESK_LIMIT = 3000
 
@@ -314,7 +311,7 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
                 direction = rel[:, -1] / length[:, None]
                 t = (rel @ direction[:, :, None])[..., 0]
                 resid = rel - t[..., None] * direction[:, None]
-                if (np.abs(resid).max(axis=(1, 2)) > MEMBERSHIP_RTOL * (1 + np.abs(t).max(axis=1))).any():
+                if (np.abs(resid).max(axis=(1, 2)) > GEOMETRY_RTOL * (1 + np.abs(t).max(axis=1))).any():
                     return None
                 local = np.vander(t.ravel(), k + 1, increasing=True).reshape(-1, k + 1, k + 1)
                 scales = _pow2_row_scales(local)
@@ -337,7 +334,7 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
             on = along[mid[at, None] + np.arange(count_total(d - 1, k))]
             off = along[lo[at, None] + np.arange(count_total(d, k - 1))]
             offset = on[:, :1]
-            if (np.abs(on - offset) > MEMBERSHIP_RTOL * np.abs(on).max(1, keepdims=True).clip(1.0)).any():
+            if (np.abs(on - offset) > GEOMETRY_RTOL * np.abs(on).max(1, keepdims=True).clip(1.0)).any():
                 return None
             values = np.abs(off - offset)
             if (values <= PIVOT_RTOL * np.maximum(np.abs(offset), np.abs(off).max(1, keepdims=True)).clip(1.0)).any():

@@ -57,3 +57,12 @@ def brute_force_eval(coeffs, indices, x) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def tree_splits(tree) -> list:
+    """(key, axis, lo, mid, hi) of every split of a DecompTree, in preorder,
+    read off its table; axis is the 0-based frame row of the split's normal."""
+    return [
+        (key, tree.sigma[v][0] - 1, tree.lo[v], mid, tree.hi[v])
+        for v, key, mid in zip(tree.split, tree.key, tree.mid)
+    ]

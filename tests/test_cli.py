@@ -207,17 +207,31 @@ def test_solve_malformed_polynomial_exits_two(tmp_path, capsys):
 
 
 def test_solve_non_finite_function_exits_two(tmp_path, capsys):
-    source = tmp_path / "nan.json"
-    source.write_text(
-        '{"m": 2, "n": 2, "ordering": "graded-lex-eqC",'
-        ' "coefficients": [NaN, 0, 0, 0, 0, 0]}'
-    )
-    code, out, err = run(capsys, "solve", str(source))
+    # the file's coefficients are finite (a file with a non-finite one is
+    # refused when read), but --kappa 4 puts the outer nodes of the line at
+    # |x| > 1, where 1e308 x overflows
+    source = tmp_path / "inf.json"
+    write_polynomial(MultiPoly(1, 2, [0.0, 1e308, 0.0]), str(source))
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "solve", str(source), "--kappa", "4")
     assert code == 2
     # a callback is read leaf by leaf in walk order, so the node named is the
     # first one read, not necessarily node 0
-    assert re.search(r"not finite at node \d+: nan", err)
+    assert re.search(r"not finite at node \d+: inf", err)
     assert out == ""
+
+
+@pytest.mark.parametrize("coefficient", ["NaN", "Infinity", "true"])
+def test_solve_non_finite_polynomial_file_exits_two(tmp_path, capsys, coefficient):
+    source = tmp_path / "bad.json"
+    source.write_text(
+        '{"m": 2, "n": 2, "ordering": "graded-lex-eqC",'
+        f' "coefficients": [{coefficient}, 0, 0, 0, 0, 0]}}'
+    )
+    code, out, err = run(capsys, "solve", str(source))
+    assert (code, out) == (2, "")
+    assert str(source) in err
+    assert "not finite at node" not in err
 
 
 def test_solve_overflow_exits_two(tmp_path, capsys):

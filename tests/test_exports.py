@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mvinterp
+from mvinterp import solver
 from mvinterp.tree import build_tree
 
 MODULES = [mvinterp] + [
@@ -40,3 +41,29 @@ def test_tracing_targets_resolve():
     tracer = tracing.Tracer()
     tracing.HOOKS["tree.build_tree"](tracer, (3, 3), {}, build_tree(3, 3))
     assert tracer.counters["tree.vertices"] == len(build_tree(3, 3).vertices) == 11
+
+
+def test_solve_calls_every_traced_walk_step():
+    """Each name the tracer wraps in the solver's modules is one the walk
+    calls, so no span of a solve reads 0 (evaluate and leaf_slices are kept
+    for the tracer only)."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.append(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    solver.clear_plans()
+    try:
+        with tracer.installed():
+            for m, n in ((3, 3), (3, 3), (1, 4)):  # a first and a repeat call, then a line
+                solver.solve(lambda p: float(p.sum() ** 2), m, n)
+    finally:
+        solver.clear_plans()
+    recorded = {span[0] for span in tracer.spans}
+    idle = [
+        (module, attr)
+        for (module, attr), name in tracing.TARGETS.items()
+        if module in ("mvinterp.solver", "mvinterp.nodes", "mvinterp.univariate")
+        and (module, attr) not in (("mvinterp.solver", "evaluate"), ("mvinterp.solver", "leaf_slices"))
+        and name not in recorded
+    ]
+    assert idle == []

@@ -134,6 +134,14 @@ def test_polynomial_file_round_trip_on_disk(tmp_path, rng):
             '{"m": 2, "n": 1, "ordering": "graded-lex-eqC", "coefficients": [0, "x", 0]}',
             "non-numeric",
         ),
+        # JSON booleans load as Python bools, an int subclass
+        ('{"m": true, "n": 1, "ordering": "graded-lex-eqC", "coefficients": [0, 0]}', "'m'/'n'"),
+        ('{"m": 2, "n": false, "ordering": "graded-lex-eqC", "coefficients": [0]}', "'m'/'n'"),
+        ('{"m": 2, "n": 1, "ordering": "graded-lex-eqC", "coefficients": [0, true, 0]}', "non-numeric"),
+        ('{"m": 2, "n": 1, "ordering": "graded-lex-eqC", "coefficients": [0, "1.5", 0]}', "non-numeric"),
+        ('{"m": 2, "n": 1, "ordering": "graded-lex-eqC", "coefficients": [0, 0, NaN]}', "coefficient 2 is not finite: nan"),
+        ('{"m": 2, "n": 1, "ordering": "graded-lex-eqC", "coefficients": [-Infinity, 0, 0]}', "coefficient 0 is not finite: -inf"),
+        ('{"m": 2, "n": 1, "ordering": "graded-lex-eqC", "coefficients": [0, 1e400, 0]}', "coefficient 1 is not finite: inf"),
     ],
 )
 def test_parse_polynomial_names_the_problem(text, fragment):
@@ -141,6 +149,12 @@ def test_parse_polynomial_names_the_problem(text, fragment):
         parse_polynomial(text, source="bad.json")
     assert fragment in str(err.value)
     assert "bad.json" in str(err.value)
+
+
+def test_parse_polynomial_refuses_an_integer_beyond_the_float_range():
+    text = '{"m": 1, "n": 1, "ordering": "graded-lex-eqC", "coefficients": [0, 1%s]}' % ("0" * 400)
+    with pytest.raises(FileFormatError, match="bad.json: coefficient 1 is not finite: inf"):
+        parse_polynomial(text, source="bad.json")
 
 
 def test_node_set_from_parse_supports_slicing():

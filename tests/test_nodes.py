@@ -14,7 +14,7 @@ from conftest import brute_force_indices
 from mvinterp.exceptions import GeometryConfigError
 from mvinterp.monomials import count_total
 from mvinterp.nodes import NodeSet, _check_separation, assemble_generic, leaf_nodes, leaf_slices
-from mvinterp.tree import alpha, assign_hyperplanes, build_tree
+from mvinterp.tree import alpha, assign_hyperplanes, build_tree, vertex_base
 
 
 def brute_vandermonde(points, m, n):
@@ -70,12 +70,19 @@ def test_assembly_2_2_pattern():
     assert leaf_slices(nodes) == {"0": slice(0, 3), "1": slice(3, 6)}
 
 
+def leaf_block(tree, specs, eps, frame):
+    """The node block of the vertex at path eps, at the base of its flat."""
+    v = tree.eps.index(tuple(eps))
+    base = vertex_base(tree, specs)[tree.flat[v]]
+    return leaf_nodes(tree.sigma[v], base[None], frame, kappa=1.0)[0]
+
+
 def test_leaf_block_line_example():
     # the (1, 3) leaf of the (3, 3) tree sits on the line through
     # (0, -2, 2) in direction x1
     tree = build_tree(3, 3)
     specs = assign_hyperplanes(tree)
-    pts = leaf_nodes(tree.vertex((1, 1)), tree, specs, np.eye(3), kappa=1.0)
+    pts = leaf_block(tree, specs, (1, 1), np.eye(3))
     xs = [cos(pi / 8), cos(3 * pi / 8), cos(5 * pi / 8), cos(7 * pi / 8)]
     np.testing.assert_allclose(pts[:, 0], xs, atol=1e-15)
     np.testing.assert_array_equal(pts[:, 1], [-2.0] * 4)
@@ -85,7 +92,7 @@ def test_leaf_block_line_example():
 def test_leaf_block_flat_example():
     tree = build_tree(3, 3)
     specs = assign_hyperplanes(tree)
-    pts = leaf_nodes(tree.vertex((0, 1, 0)), tree, specs, np.eye(3), kappa=1.0)
+    pts = leaf_block(tree, specs, (0, 1, 0), np.eye(3))
     np.testing.assert_array_equal(
         pts, [[0, 0, -4], [1, 0, -4], [0, 1, -4]]
     )
@@ -95,7 +102,7 @@ def test_leaf_nodes_rejects_interior_vertex():
     tree = build_tree(3, 3)
     specs = assign_hyperplanes(tree)
     with pytest.raises(ValueError):
-        leaf_nodes(tree.vertex((0,)), tree, specs, np.eye(3), kappa=1.0)
+        leaf_block(tree, specs, (0,), np.eye(3))
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -256,7 +263,7 @@ def test_tree_provenance_follows_leaf_blocks(m, n):
     specs = assign_hyperplanes(tree)
     labels = []
     for leaf in tree.leaves:
-        pts = leaf_nodes(leaf, tree, specs, np.eye(m), kappa=1.0)
+        pts = leaf_block(tree, specs, leaf.eps, np.eye(m))
         labels += ["".join(map(str, leaf.eps))] * pts.shape[0]
     assert tree.provenance() == labels == assemble_generic(m, n)[0].provenance
 

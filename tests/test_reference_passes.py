@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import tree_splits
 from mvinterp import nodes as nodes_module
 from mvinterp.exceptions import GeometryConfigError
 from mvinterp.nodes import GEOMETRY_RTOL, NodeSet, assemble_generic
 from mvinterp.tree import eps_label
-from mvinterp.vandermonde import MEMBERSHIP_RTOL, PIVOT_RTOL, _structured_certificate, genericity_check
+from mvinterp.vandermonde import PIVOT_RTOL, _structured_certificate, genericity_check
 
 SHAPES = [*itertools.product(range(2, 7), range(2, 7)), (10, 4), (8, 6), (3, 12), (2, 9), (2, 25)]
 
@@ -43,7 +44,7 @@ def reference_certificate(nodes, m, n, tree, hyperplanes):
                 direction /= length
                 t = (pts - pts[0]) @ direction
                 resid = pts - pts[0] - t[:, None] * direction
-                if np.abs(resid).max() > MEMBERSHIP_RTOL * (1.0 + np.abs(t).max()):
+                if np.abs(resid).max() > GEOMETRY_RTOL * (1.0 + np.abs(t).max()):
                     return None
                 local = np.vander(t, increasing=True)
                 _, exps = np.frexp(np.abs(local).max(axis=1))
@@ -64,12 +65,12 @@ def reference_certificate(nodes, m, n, tree, hyperplanes):
                     generic = False
                 abs_det_log += float(np.log(diag).sum())
         axes = np.eye(m)
-        for key, axis, lo, mid, hi in tree.splits():
+        for key, axis, lo, mid, hi in tree_splits(tree):
             normal = axes[axis] if hyperplanes is None else hyperplanes[key].normal
             on, off = points[mid:hi] @ normal, points[lo:mid] @ normal
             offset = float(on[0])
             on_scale, off_scale = (max(1.0, abs(offset), float(np.abs(v).max())) for v in (on, off))
-            if np.abs(on - offset).max() > MEMBERSHIP_RTOL * on_scale:
+            if np.abs(on - offset).max() > GEOMETRY_RTOL * on_scale:
                 return None
             values = off - offset
             if np.abs(values).min() <= PIVOT_RTOL * off_scale:
@@ -85,7 +86,7 @@ def reference_certificate(nodes, m, n, tree, hyperplanes):
 def reference_separation(tree, hyperplanes, points, provenance, shift=None):
     """The separation guard one split at a time, in preorder."""
     failures = []
-    for key, _, lo, mid, _ in tree.splits():
+    for key, _, lo, mid, _ in tree_splits(tree):
         spec = hyperplanes[key]
         offset = spec.offset if shift is None else spec.offset + float(spec.normal @ shift)
         off = points[lo:mid]
@@ -186,7 +187,7 @@ def test_tampered_sets_match_references(m, n):
         labels[0] = labels[-1]
         relabelled = NodeSet(nodes.points, labels, m, n)
         assert certify_both(relabelled, m, n, tree, specs) is None
-        *_, hi = next(tree.splits())
+        *_, hi = tree_splits(tree)[0]
         moved = NodeSet(nodes.points.copy(), nodes.provenance, m, n)
         moved.points[hi - 1] += 0.25 * specs[tree.key[0]].normal
         assert certify_both(moved, m, n, tree, specs) is None

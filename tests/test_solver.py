@@ -20,13 +20,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from conftest import brute_force_eval, brute_force_indices
+from conftest import brute_force_eval, brute_force_indices, tree_splits
 from mvinterp import nodes as nodes_module
 from mvinterp import solver
 from mvinterp.exceptions import GeometryConfigError
 from mvinterp.instrument import Tally
-from mvinterp.linear import FlatSpec, solve_linear
-from mvinterp.monomials import count_total
+from mvinterp.linear import solve_linear
+from mvinterp.monomials import build_order, count_total
 from mvinterp.nodes import GEOMETRY_RTOL, assemble_generic, leaf_slices
 from mvinterp.polynomial import MultiPoly, evaluate, mul_linear
 from mvinterp.solver import (
@@ -35,7 +35,7 @@ from mvinterp.solver import (
     solve,
 )
 from mvinterp.tree import vertex_base
-from mvinterp.univariate import LineSpec, solve_on_line
+from mvinterp.univariate import solve_on_line
 from mvinterp.vandermonde import build_vandermonde, lu_solve
 
 
@@ -64,8 +64,15 @@ def test_corrected_value_root_passthrough():
     f = lambda p: 1.5 * p[0] - p[1] ** 2 + 0.25
     points = np.array([[0.0, 0.0], [1.0, -2.0], [0.3, 0.7]])
     values = np.array([f(p) for p in points])
-    got = corrected_value(values, MultiPoly.zero(2, 2), [], points)
+    got = corrected_value(values, MultiPoly.zero(2, 2), points, np.ones(3), [], 0)
     assert np.array_equal(got, values)
+
+
+def line_solution(f, points, direction, base):
+    """The interpolant of f at points on the line base + t * direction."""
+    t = (points - base) @ direction
+    values = np.array([f(p) for p in points])
+    return MultiPoly(points.shape[1], len(points) - 1, solve_on_line(t, values, -float(direction @ base), direction))
 
 
 def test_corrected_value_vanishing_numerator_after_split():
@@ -74,12 +81,11 @@ def test_corrected_value_vanishing_numerator_after_split():
     f = lambda p: p[0] ** 2 + 3 * p[0] + 1
     nodes, tree, hyperplanes = assemble_generic(2, 2)
     blocks = leaf_slices(nodes)
-    line = LineSpec(direction=np.array([1.0, 0.0]), base=np.array([0.0, 2.0]), kappa=1.0)
-    on_line = nodes.points[blocks["1"]]
-    qw = solve_on_line([f(p) for p in on_line], 2, line, on_line)
+    qw = line_solution(f, nodes.points[blocks["1"]], np.array([1.0, 0.0]), np.array([0.0, 2.0]))
     pts = nodes.points[blocks["0"]]
     values = [f(p) for p in pts]
-    got = corrected_value(values, qw, [("1", hyperplanes[(1,)].poly())], pts)
+    spec = hyperplanes[(1,)]
+    got = corrected_value(values, qw, pts, pts @ spec.normal - spec.offset, ["1"], 1)
     for value, p in zip(got, pts):
         assert abs(value) <= 1e-12 * (1 + abs(f(p)))
 
@@ -89,14 +95,13 @@ def test_corrected_value_single_split_hand_chain():
     f = lambda p: 2 * p[0] ** 2 - p[0] * p[1] + 3 * p[1] - 1
     nodes, tree, hyperplanes = assemble_generic(2, 2)
     blocks = leaf_slices(nodes)
-    line = LineSpec(direction=np.array([1.0, 0.0]), base=np.array([0.0, 2.0]), kappa=1.0)
-    on_line = nodes.points[blocks["1"]]
-    qw = solve_on_line([f(p) for p in on_line], 2, line, on_line)
+    qw = line_solution(f, nodes.points[blocks["1"]], np.array([1.0, 0.0]), np.array([0.0, 2.0]))
     assert np.allclose(qw.coeffs, [5.0, -2.0, 0.0, 2.0, 0.0, 0.0], atol=1e-12)
 
     pts = nodes.points[blocks["0"]]
     values = [f(p) for p in pts]
-    got = corrected_value(values, qw, [("1", hyperplanes[(1,)].poly())], pts)
+    spec = hyperplanes[(1,)]
+    got = corrected_value(values, qw, pts, pts @ spec.normal - spec.offset, ["1"], 1)
     assert np.allclose(got, [3.0, 2.0, 3.0], atol=1e-12)
 
     # the full solve reassembles f exactly: Q_w + (y - 2)(3 - x)
@@ -105,9 +110,9 @@ def test_corrected_value_single_split_hand_chain():
 
 
 def test_corrected_value_division_guard():
-    factor = MultiPoly(2, 1, [-2.0, 0.0, 1.0])  # y - 2
+    # the divisor y - 2 vanishes at the node
     with np.errstate(all="ignore"), pytest.raises(GeometryConfigError) as err:
-        corrected_value([1.0], MultiPoly.zero(2, 2), [("10", factor)], np.array([[5.0, 2.0]]))
+        corrected_value([1.0], MultiPoly.zero(2, 2), np.array([[5.0, 2.0]]), np.zeros(1), ["10"], 1)
     assert "10" in str(err.value)
     assert "lambda/kappa" in str(err.value)
 
@@ -118,13 +123,13 @@ def test_corrected_value_overflow_is_a_value_error():
     with np.errstate(all="ignore"), pytest.raises(
         ValueError, match=r"overflowed floating point at node \[0\. 2\.\]"
     ):
-        corrected_value([1e308], correction, [], np.array([[0.0, 2.0]]))
+        corrected_value([1e308], correction, np.array([[0.0, 2.0]]), np.ones(1), [], 0)
 
 
 def test_corrected_value_counts_ops():
-    factor = MultiPoly(2, 1, [-2.0, 0.0, 1.0])
     tally = Tally()
-    corrected_value([1.0], MultiPoly.zero(2, 2), [("1", factor)], np.array([[0.5, 0.5]]), tally)
+    product = np.array([-1.5])  # the divisor y - 2 at the node
+    corrected_value([1.0], MultiPoly.zero(2, 2), np.array([[0.5, 0.5]]), product, ["1"], 1, tally)
     # 2 * N(2,2) for the correction evaluation, (m + 1) per divisor, 1 division
     assert tally.multiply_adds == 2 * 6 + 3 * 1 + 1
 
@@ -132,28 +137,26 @@ def test_corrected_value_counts_ops():
 def test_corrected_value_block_matches_pointwise_rule(rng):
     """A block call equals (f - correction(p)) / prod(divisor(p)) node by node."""
     correction = MultiPoly(3, 2, rng.uniform(-1.0, 1.0, 10))
-    divisors = [
-        ("1", MultiPoly(3, 1, [-2.0, 0.0, 0.0, 1.0])),
-        ("01", MultiPoly(3, 1, [0.5, 0.6, 0.0, -0.8])),
-    ]
+    rows = np.array([[-2.0, 0.0, 0.0, 1.0], [0.5, 0.6, 0.0, -0.8]])  # divisor rows [c0, normal]
     points = rng.uniform(-1.0, 1.0, (4, 3))
     values = rng.uniform(-1.0, 1.0, 4)
     tally = Tally()
-    got = corrected_value(values, correction, divisors, points, tally)
+    product = solver._divisor_product(rows, points)
+    got = corrected_value(values, correction, points, product, ["1", "01"], 2, tally)
     for value, p, corrected in zip(values, points, got):
         denominator = 1.0
-        for _, factor in divisors:
-            denominator *= factor.coeffs[0] + factor.coeffs[1:] @ p
+        for row in rows:
+            denominator *= row[0] + row[1:] @ p
         expected = (value - evaluate(correction, p)) / denominator
         assert corrected == pytest.approx(expected, rel=1e-14)
     assert tally.multiply_adds == 4 * (2 * 10 + 4 * 2 + 1)
 
 
 def test_corrected_value_guard_names_first_close_node():
-    factor = MultiPoly(2, 1, [-2.0, 0.0, 1.0])  # y - 2
     points = np.array([[0.0, 1.0], [3.0, 2.0], [4.0, 2.0]])
+    product = points[:, 1] - 2.0  # the divisor y - 2
     with np.errstate(all="ignore"), pytest.raises(GeometryConfigError, match=r"node \[3\. 2\.\]"):
-        corrected_value(np.ones(3), MultiPoly.zero(2, 2), [("1", factor)], points)
+        corrected_value(np.ones(3), MultiPoly.zero(2, 2), points, product, ["1"], 1)
 
 
 # ---------------------------------------------------------------------- solve
@@ -255,7 +258,6 @@ def test_degree_soundness(m, n):
     q, _, _ = solve(lambda p: float(np.sum(p)) + 1.0, m, n)
     assert q.m == m and q.n == n
     assert q.coeffs.shape == (count_total(m, n),)
-    assert q.effective_degree() <= n
 
 
 # ------------------------------------------------------------------- traversal
@@ -298,29 +300,25 @@ def iterative_reference_solve(f, m, n):
         leaf = ready[-1]  # right-to-left choice where the rule allows any
         pending.remove(leaf)
 
-        divisors = [
-            hyperplanes[leaf.eps[:i] + (1,)].poly()
-            for i, bit in enumerate(leaf.eps)
-            if bit == 0
-        ]
+        crossed = [hyperplanes[leaf.eps[:i] + (1,)] for i, bit in enumerate(leaf.eps) if bit == 0]
+        divisors = [np.concatenate(([-spec.offset], spec.normal)) for spec in crossed]
         pts = nodes.points[blocks["".join(map(str, leaf.eps))]]
-        labelled = [(str(i), d) for i, d in enumerate(divisors)]
-        corrected = corrected_value([f(p) for p in pts], acc, labelled, pts)
-        base = vertex_base(tree, leaf, hyperplanes)
+        product = solver._divisor_product(np.array(divisors).reshape(-1, m + 1), pts)
+        labels = [str(i) for i in range(len(divisors))]
+        corrected = corrected_value([f(p) for p in pts], acc, pts, product, labels, len(divisors))
+        base = vertex_base(tree, hyperplanes)[tree.flat[tree.eps.index(leaf.eps)]]
         d, k = leaf.sigma
         if d == 1:
-            local = solve_on_line(
-                corrected, k, LineSpec(direction=np.eye(m)[0], base=base, kappa=1.0), pts
-            )
+            direction = np.eye(m)[0]
+            t = (pts - base) @ direction
+            contribution, degree = solve_on_line(t, corrected, -float(direction @ base), direction), k
         else:
-            local = solve_linear(
-                corrected, FlatSpec(frame=np.eye(m), active=tuple(range(d)), base=base)
-            )
-        contribution = local
-        for factor in divisors:
-            contribution = mul_linear(contribution, factor, n_out=contribution.n + 1)
-        assert contribution.n == n
-        acc.coeffs += contribution.coeffs
+            contribution, degree = solve_linear(corrected, np.eye(m)[:d], base), 1
+        for row in divisors:
+            degree += 1
+            contribution = mul_linear(contribution, row, build_order(m, degree))
+        assert degree == n
+        acc.coeffs += contribution
     return acc, ambiguous
 
 
@@ -336,8 +334,8 @@ def test_traversal_order_is_forced_and_result_unique(m, n):
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 2), (2, 4), (4, 4), (5, 3)])
 def test_walk_is_bitwise_the_multipoly_walk(m, n):
-    """The walk's row kernel, divisor rows and raw lifts change no bit of
-    the result against corrected_value, MultiPoly divisors and mul_linear."""
+    """The plan's divisor table and stored products change no bit of the
+    result against products and lifts by each leaf's own hyperplanes."""
     truth = random_poly(m, n, (29, m, n))
     f = lambda p: evaluate(truth, p)
     solver.clear_plans()
@@ -371,7 +369,7 @@ def test_plan_divisors_are_rows_of_one_table():
     plan = solver._build_plan(m, n, None, Fraction(2), 1.0, mu)
     _, tree, hyperplanes = assemble_generic(m, n)
     # one row per hyperplane, each [-offset - <normal, mu>, normal] exactly
-    assert plan.table.shape == (len(hyperplanes), m + 1) == (len(list(tree.splits())), m + 1)
+    assert plan.table.shape == (len(hyperplanes), m + 1) == (len(tree_splits(tree)), m + 1)
     labels = table_labels(plan, hyperplanes, mu)
     assert sorted(labels) == sorted("".join(map(str, key)) for key in hyperplanes)
     # every divisor is a row of that table, and every row divides a leaf
@@ -598,7 +596,7 @@ def test_geometry_knobs_recover_a_random_polynomial(m, n, lam, kappa, shift, ang
     plain, tree, specs = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa)
     assert np.array_equal(nodes.points, plain.points + config.mu)
     span = 1.0 + np.abs(plain.points).max()
-    for key, _, lo, mid, hi in tree.splits():
+    for key, _, lo, mid, hi in tree_splits(tree):
         on = plain.points[mid:hi] @ specs[key].normal - specs[key].offset
         off = plain.points[lo:mid] @ specs[key].normal - specs[key].offset
         assert np.abs(on).max() <= 1e-12 * span
@@ -650,7 +648,7 @@ def test_accepted_geometry_keeps_the_construction_guarantees(m, n, lam, kappa, s
         return
     if len(nodes) > 1:
         assert pdist(nodes.points).min() > 0
-    for key, _, lo, mid, _ in tree.splits() if tree is not None else ():
+    for key, _, lo, mid, _ in tree_splits(tree) if tree is not None else ():
         const = -specs[key].offset - specs[key].normal @ mu
         off = nodes.points[lo:mid]
         scales = abs(const) + np.abs(off) @ np.abs(specs[key].normal)
@@ -919,7 +917,7 @@ def test_plan_walks_leaves_in_reverse_storage_order(m, n):
 def test_plan_quantities_are_bitwise_the_walk_expressions(m, n, rotated):
     # the stored divisor product, line parameter and line offset of every
     # node and leaf, and a flat's base, have the bits of the expressions
-    # corrected_value, solve_on_line and embed_univariate compute them with
+    # the walk would compute them with from the leaf's own hyperplanes
     config = rotated_config(m) if rotated else SolveConfig(mu=np.linspace(-0.5, 0.25, m))
     frame = np.eye(m) if config.frame is None else config.frame
     plan = solver._build_plan(m, n, config.frame, Fraction(config.lam), config.kappa, config.mu)
@@ -938,11 +936,10 @@ def test_plan_quantities_are_bitwise_the_walk_expressions(m, n, rotated):
         ).reshape(len(crossed), m + 1)
         factors = rows[:, :1] + rows[:, 1:] @ pts.T
         assert plan.divisor[block].tobytes() == np.prod(factors, axis=0).tobytes()
-        base = vertex_base(tree, leaf, hyperplanes) + config.mu
+        base = vertex_base(tree, hyperplanes)[tree.flat[tree.eps.index(leaf.eps)]] + config.mu
         if leaf.sigma[0] == 1:
-            line = LineSpec(direction=frame[0], base=base, kappa=config.kappa)
-            assert plan.param[block].tobytes() == ((pts - line.base) @ line.direction).tobytes()
-            assert plan.offsets[i] == -float(line.direction @ line.base)
+            assert plan.param[block].tobytes() == ((pts - base) @ frame[0]).tobytes()
+            assert plan.offsets[i] == -float(frame[0] @ base)
         else:
             assert pts[0].tobytes() == base.tobytes()
 

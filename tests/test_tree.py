@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import tree_splits
 from mvinterp.exceptions import GeometryConfigError
 from mvinterp.monomials import count_total
 from mvinterp.nodes import NodeSet, assemble_generic, leaf_slices
@@ -99,7 +100,7 @@ def test_shape_closed_forms(m, n):
 
 def test_splits_3_3():
     # leaf rows: 00 0:4, 010 4:7, 011 7:10, 100 10:13, 101 13:16, 11 16:20
-    assert list(build_tree(3, 3).splits()) == [
+    assert tree_splits(build_tree(3, 3)) == [
         ((1,), 2, 0, 10, 20),
         ((0, 1), 2, 0, 4, 10),
         ((0, 1, 1), 1, 4, 7, 10),
@@ -127,7 +128,7 @@ def test_splits_address_subtree_rows(m, n):
         """First and end row of the leaves whose path starts with path."""
         return starts[bisect_left(names, path)], starts[bisect_left(names, path + "2")]
 
-    splits = list(tree.splits())
+    splits = tree_splits(tree)
     paths = ["".join(map(str, key[:-1])) for key, *_ in splits]
     # one split per internal vertex, in preorder, keyed by its bit-1 child
     assert len(set(paths)) == len(splits) == tree.leaf_count - 1
@@ -234,7 +235,6 @@ def test_hyperplanes_2_2():
     np.testing.assert_array_equal(s.base, [0.0, 2.0])
     assert s.offset == 2.0
     assert s.alpha_exact == Fraction(2)
-    np.testing.assert_array_equal(s.poly().coeffs, [-2.0, 0.0, 1.0])
 
 
 def test_hyperplanes_3_3_golden():
@@ -260,16 +260,12 @@ def test_hyperplanes_3_3_golden():
 
 def test_bit0_children_inherit_base():
     tree = build_tree(3, 3)
-    specs = assign_hyperplanes(tree)
-    np.testing.assert_array_equal(
-        vertex_base(tree, tree.vertex((1, 0)), specs), [0.0, 0.0, 2.0]
-    )
-    np.testing.assert_array_equal(
-        vertex_base(tree, tree.vertex((0, 0)), specs), [0.0, 0.0, 0.0]
-    )
-    np.testing.assert_array_equal(
-        vertex_base(tree, tree.vertex((1, 0, 1)), specs), [0.0, 10.0, 2.0]
-    )
+    bases = vertex_base(tree, assign_hyperplanes(tree))
+    # row tree.flat[v] is the base of vertex v, the last row the origin
+    assert bases.shape == (len(tree.key) + 1, 3)
+    np.testing.assert_array_equal(bases[tree.flat[tree.eps.index((1, 0))]], [0.0, 0.0, 2.0])
+    np.testing.assert_array_equal(bases[tree.flat[tree.eps.index((0, 0))]], [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(bases[tree.flat[tree.eps.index((1, 0, 1))]], [0.0, 10.0, 2.0])
 
 
 def test_custom_frame_rotates_geometry():
