@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -56,13 +58,17 @@ def write_nodes(nodes: NodeSet, path) -> None:
         handle.write(format_nodes(nodes))
 
 
+def _bad_label(label: str) -> bool:
+    return label != "-" and (not label or bool(label.strip("01")))
+
+
 def parse_nodes(text: str, source: str = "<string>") -> NodeSet:
     lines = text.splitlines()
     # the numbers of the lines in use: blank lines are skipped, but counted
     numbers = np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))) + 1
     if not numbers.size:
         raise FileFormatError(f"{source}:1: empty node file, expected header m,n,count")
-    at, head = numbers[0], lines[numbers[0] - 1]
+    at, head = int(numbers[0]), lines[numbers[0] - 1]
     header = head.split(",")
     if len(header) != 3:
         raise FileFormatError(f"{source}:{at}: header must be m,n,count, got {head!r}")
@@ -76,9 +82,40 @@ def parse_nodes(text: str, source: str = "<string>") -> NodeSet:
         raise FileFormatError(
             f"{source}: header announces {count} nodes but file has {len(numbers) - 1} rows"
         )
-    points = np.empty((count, m))
+
+    def rows():  # the node rows, read lazily
+        return filter(str.strip, islice(lines, at, None))
+
+    # one array pass when every row holds m commas and a good label; else the
+    # row loop names the first bad row, or reads what float() takes but the
+    # array parser refuses (such as 1_0).  The array parser also strips \x1f
+    # around a number, which float() refuses.  Rows of one leaf share one
+    # label string, as assembled node sets do.
+    labels = [sys.intern(row.rsplit(",", 1)[-1].strip()) for row in rows()]
+    points = None
+    if (
+        "\x1f" not in text
+        and set(map(str.count, rows(), repeat(","))) == {m}
+        and not any(map(_bad_label, set(labels)))
+    ):
+        try:
+            points = np.loadtxt(rows(), delimiter=",", usecols=range(m), comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if points is None:
+        points, labels = _parse_rows(lines, numbers[1:], m, source)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise FileFormatError(f"{source}:{numbers[bad[0] + 1]}: coordinates must be finite")
+    return NodeSet(points, labels, m, n)
+
+
+def _parse_rows(lines: list, numbers: np.ndarray, m: int, source: str):
+    """Points and labels of the node rows at the given line numbers, one
+    row at a time; raises on the first row that breaks the format."""
+    points = np.empty((len(numbers), m))
     labels = []
-    for row, i in enumerate(numbers[1:]):
+    for row, i in enumerate(numbers):
         fields = lines[i - 1].split(",")
         if len(fields) != m + 1:
             raise FileFormatError(
@@ -90,20 +127,32 @@ def parse_nodes(text: str, source: str = "<string>") -> NodeSet:
         except ValueError as bad:
             raise FileFormatError(f"{source}:{i}: bad coordinate: {bad}") from None
         label = fields[m].strip()
-        if label != "-" and (not label or set(label) - {"0", "1"}):
+        if _bad_label(label):
             raise FileFormatError(
                 f"{source}:{i}: provenance must be a 0/1 bit string or '-', got {label!r}"
             )
-        labels.append(label)
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if bad.size:
-        raise FileFormatError(f"{source}:{numbers[bad[0] + 1]}: coordinates must be finite")
-    return NodeSet(points, labels, m, n)
+        labels.append(sys.intern(label))
+    return points, labels
+
+
+def _read_ascii(path) -> str:
+    """The text of an ASCII file; a byte outside ASCII is a FileFormatError
+    naming its line."""
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        pass
+    with open(path, "rb") as handle:
+        data = handle.read()
+    at = next(i for i, byte in enumerate(data) if byte > 0x7F)
+    # the lines before the byte, and its own
+    line = len((data[:at].decode("ascii") + "?").splitlines())
+    raise FileFormatError(f"{path}:{line}: byte 0x{data[at]:02x} at offset {at} is not ASCII")
 
 
 def read_nodes(path) -> NodeSet:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_nodes(handle.read(), source=str(path))
+    return parse_nodes(_read_ascii(path), source=str(path))
 
 
 def format_polynomial(poly: MultiPoly) -> str:
@@ -160,5 +209,4 @@ def parse_polynomial(text: str, source: str = "<string>") -> MultiPoly:
 
 
 def read_polynomial(path) -> MultiPoly:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_polynomial(handle.read(), source=str(path))
+    return parse_polynomial(_read_ascii(path), source=str(path))

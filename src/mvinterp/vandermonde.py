@@ -59,6 +59,8 @@ __all__ = [
 PIVOT_RTOL = 1e-13
 # explicit inverses (1-norm cond) stay desk-scale
 COND_DESK_LIMIT = 3000
+# a tree path's bits, the ints 0 and 1, as the characters of its eps_label
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def lu_factor_ops(size: int) -> int:
@@ -103,11 +105,28 @@ def build_vandermonde(nodes, m: int, n: int, tally=None) -> np.ndarray:
 
 
 def _fill_vandermonde(v: np.ndarray, pts: np.ndarray, m: int, n: int) -> None:
+    """Fill V in place one degree block at a time, in the layout of v.
+
+    A C-ordered v is filled column block by column block.  Any other is
+    filled as the rows of v.T: each row block is gathered from its parent
+    rows straight into place and scaled by whole rows of pts.T, so a
+    Fortran-ordered v (as LU takes it) is written contiguously and without
+    a block temporary.  Both form the same products.
+    """
     order = build_order(m, n)
-    v[:, 0] = 1.0
+    if v.flags.c_contiguous:
+        v[:, 0] = 1.0
+        for k in range(1, n + 1):
+            blk = order.block(k)
+            v[:, blk] = v[:, order.parent[blk]] * pts[:, order.var[blk]]
+        return
+    vt, coords = v.T, np.ascontiguousarray(pts.T)
+    vt[0] = 1.0
     for k in range(1, n + 1):
         blk = order.block(k)
-        v[:, blk] = v[:, order.parent[blk]] * pts[:, order.var[blk]]
+        # parents lie in earlier blocks, so the gather never reads rows it writes
+        np.take(vt, order.parent[blk], axis=0, out=vt[blk], mode="clip")
+        vt[blk] *= coords[order.var[blk]]
 
 
 def _pow2_row_scales(v: np.ndarray) -> np.ndarray:
@@ -205,25 +224,40 @@ def _box_normalize(pts: np.ndarray):
     return (pts - center) / half, log_half_sum
 
 
-def _balance_pow2(v: np.ndarray, passes: int = 4):
+# passes at most, a row and a column half-pass each; on certificate
+# matrices the first pass does all the scaling
+_BALANCE_PASSES = 4
+
+
+def _balance_pow2(v: np.ndarray):
     """Two-sided exact power-of-two balancing, in place.
+
+    Alternates row and column half-passes, each dividing every row (or
+    column) by the power of two that brings its max |entry| into [1/2, 1),
+    and stops once a row and a column half-pass in a row scale nothing:
+    the matrix then no longer changes.  At most _BALANCE_PASSES of each.
 
     Returns (v, total_exp) where total_exp is the summed binary exponent of
     all row and column scales, so log|det unbalanced| =
     log|det balanced| + total_exp * log 2.
     """
-    total_exp = 0
-    for _ in range(passes):
-        for axis in (1, 0):
-            mx = np.abs(v).max(axis=axis)
-            _, exps = np.frexp(mx)
-            exps[mx == 0.0] = 0
-            scales = np.ldexp(np.ones_like(mx), exps)
-            if axis == 1:
-                v /= scales[:, None]
-            else:
-                v /= scales[None, :]
-            total_exp += int(exps.sum())
+    total_exp = idle = 0
+    for axis in (1, 0) * _BALANCE_PASSES:
+        mx = np.abs(v).max(axis=axis)
+        _, exps = np.frexp(mx)
+        exps[mx == 0.0] = 0
+        if not exps.any():
+            idle += 1
+            if idle == 2:
+                break
+            continue
+        idle = 0
+        scales = np.ldexp(np.ones_like(mx), exps)
+        if axis == 1:
+            v /= scales[:, None]
+        else:
+            v /= scales[None, :]
+        total_exp += int(exps.sum())
     return v, total_exp
 
 
@@ -247,8 +281,10 @@ def _dense_certificate(pts: np.ndarray, m: int, n: int, cond_limit: int) -> dict
     v = np.empty((total, total), order="F")
     _fill_vandermonde(v, mapped, m, n)
     v, scale_exp = _balance_pow2(v)
-    threshold = PIVOT_RTOL * np.abs(v).max()
-    norm_balanced = _one_norm(v)
+    magnitude = np.abs(v)
+    threshold = PIVOT_RTOL * magnitude.max()
+    norm_balanced = float(magnitude.sum(axis=0).max())
+    del magnitude  # LU and the inverse need no third N x N array
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(v, overwrite_a=True, check_finite=False)
@@ -263,7 +299,7 @@ def _dense_certificate(pts: np.ndarray, m: int, n: int, cond_limit: int) -> dict
     cond_1 = float("nan")
     if total <= cond_limit:
         with np.errstate(all="ignore"):
-            inv = scipy.linalg.lu_solve((lu, piv), np.eye(total), check_finite=False)
+            inv, _ = scipy.linalg.lapack.dgetrs(lu, piv, np.eye(total, order="F"), overwrite_b=True)
             cond_1 = norm_balanced * _one_norm(inv)
         if not np.isfinite(cond_1):
             cond_1 = float("inf")
@@ -293,8 +329,11 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
     one array pass: line leaves take one LAPACK getrf call each, flat leaves
     one stacked QR, splits one gather from a projection made once per axis.
     """
-    if list(nodes.provenance) != tree.provenance():
-        return None
+    provenance = nodes.provenance
+    for vertex in tree.leaf:
+        lo, hi = tree.lo[vertex], tree.hi[vertex]
+        if provenance[lo:hi].count(bytes(tree.eps[vertex]).translate(_BIT_CHARS).decode()) != hi - lo:
+            return None
     points = nodes.points
     lo, leaf = np.array(tree.lo), np.array(tree.leaf)
     generic = True

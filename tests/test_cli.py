@@ -131,6 +131,14 @@ def test_non_finite_inputs_exit_two(tmp_path, capsys):
     assert (code, out) == (2, "") and "mu has a non-finite entry" in err
 
 
+def test_verify_non_ascii_file_exits_two(tmp_path, capsys):
+    target = tmp_path / "accent.nodes"
+    target.write_bytes("2,1,3\n0,0,0\n1,0,1\n0,1,1\u00e9\n".encode("utf-8"))
+    code, out, err = run(capsys, "verify", str(target))
+    assert (code, out) == (2, "")
+    assert f"{target}:4: byte 0xc3 at offset 23 is not ASCII" in err
+
+
 def test_verify_missing_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(tmp_path / "absent.nodes"))
     assert code == 2
@@ -204,6 +212,14 @@ def test_solve_malformed_polynomial_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(source))
     assert code == 2
     assert "missing field" in err
+
+
+def test_solve_non_ascii_polynomial_exits_two(tmp_path, capsys):
+    source = tmp_path / "accent.json"
+    source.write_bytes('{"m": 1, "n": 0,\n "ordering": "graded-lex-\u00e9qC", "coefficients": [1]}'.encode("utf-8"))
+    code, out, err = run(capsys, "solve", str(source))
+    assert (code, out) == (2, "")
+    assert f"{source}:2: byte 0xc3 at offset 42 is not ASCII" in err
 
 
 def test_solve_non_finite_function_exits_two(tmp_path, capsys):

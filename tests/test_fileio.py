@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -20,13 +23,25 @@ from mvinterp.nodes import NodeSet, assemble_generic
 from mvinterp.polynomial import MultiPoly
 
 
+def _rotated_frame(m):
+    frame = np.eye(m)
+    if m >= 2:
+        c, s = np.cos(0.3), np.sin(0.3)
+        frame[:2, :2] = [[c, -s], [s, c]]
+    return frame
+
+
 def test_node_format_round_trip_is_exact():
-    nodes, _, _ = assemble_generic(2, 2)
-    back = parse_nodes(format_nodes(nodes))
-    # 17 significant digits pin each double exactly
-    assert np.array_equal(back.points, nodes.points)
-    assert back.provenance == nodes.provenance
-    assert (back.m, back.n) == (2, 2)
+    for m, n in itertools.product(range(1, 7), range(6)):
+        shifted = dict(frame=_rotated_frame(m), lam=Fraction(11, 10), kappa=0.5, mu=np.linspace(-0.75, 1.5, m))
+        for geometry in ({}, shifted):
+            nodes, _, _ = assemble_generic(m, n, **geometry)
+            back = parse_nodes(format_nodes(nodes))
+            # 17 significant digits pin each double exactly
+            assert back.points.tobytes() == nodes.points.tobytes()
+            assert back.points.shape == nodes.points.shape
+            assert back.provenance == nodes.provenance
+            assert (back.m, back.n) == (m, n)
 
 
 def test_node_format_layout():
@@ -68,6 +83,16 @@ def test_node_base_case_uses_dash_provenance():
         ("2,1,1\n0,nan,-\n", "must be finite"),
         ("2,1,1\n0,0,2\n", "provenance"),
         ("0,1,1\n0,-\n", "out of range"),
+        # a row of m fields (no label) and one of m + 2
+        ("2,1,1\n0,1\n", "bad.nodes:2: expected 2 coordinates plus a provenance label, got 2 fields"),
+        ("2,1,1\n0,1,0,1\n", "bad.nodes:2: expected 2 coordinates plus a provenance label, got 4 fields"),
+        ("2,1,2\n0,0,-\n1e400,0,-\n", "bad.nodes:3: coordinates must be finite"),
+        ("2,1,2\n0,0,0\n0.5,-1e400,1\n", "bad.nodes:3: coordinates must be finite"),
+        # a bad label after valid coordinates
+        ("2,1,1\n0,0,01x\n", "bad.nodes:2: provenance must be a 0/1 bit string or '-', got '01x'"),
+        ("2,1,2\n0,0,0\n1,1,\n", "bad.nodes:3: provenance must be a 0/1 bit string or '-', got ''"),
+        # the array parser strips \x1f around a number; float() refuses it
+        ("2,1,1\n\x1f0,0,-\n", "bad.nodes:2: bad coordinate: could not convert string to float: '\\x1f0'"),
     ],
 )
 def test_parse_nodes_names_the_problem(text, fragment):
@@ -90,12 +115,55 @@ def test_parse_nodes_reports_line_numbers():
         parse_nodes("\n2,1,3\n0,0,-\n\n1,0,-\n0,nan,-\n", source="f")
     with pytest.raises(FileFormatError, match=r"^f:3: header must be m,n,count"):
         parse_nodes("\n  \n2,1\n", source="f")
+    # whitespace-only lines between rows, and CRLF endings
+    with pytest.raises(FileFormatError, match=r"^f:5: bad coordinate: could not convert string to float: 'x'$"):
+        parse_nodes("2,1,2\n0,0,0\n  \n\t\n1,x,1\n", source="f")
+    with pytest.raises(FileFormatError, match=r"^f:4: provenance must be a 0/1 bit string or '-', got '1x'$"):
+        parse_nodes("2,1,2\r\n0,0,0\r\n\r\n1,0,1x\r\n", source="f")
+    with pytest.raises(FileFormatError, match=r"^f:3: coordinates must be finite$"):
+        parse_nodes("2,1,2\n0,0,-\n1e400,0,-\n", source="f")
+    with pytest.raises(FileFormatError, match=r"^f:5: expected 2 coordinates plus a provenance label, got 2 fields$"):
+        parse_nodes("2,1,2\n\n0,0,0\n\n1,0\n", source="f")
+
+
+@pytest.mark.parametrize(
+    "text,points,labels",
+    [
+        # float() reads 1_0; the array parser does not
+        ("2,1,1\n1_0,0,-\n", [[10.0, 0.0]], ["-"]),
+        ("2,1,2\n0,0,0\n1,1_000,1\n", [[0.0, 0.0], [1.0, 1000.0]], ["0", "1"]),
+        # spaces around fields
+        ("2,1,2\n 0 , 1 , 0 \n1,\t0,1\n", [[0.0, 1.0], [1.0, 0.0]], ["0", "1"]),
+        ("2,1,2\r\n0,0,0\r\n1,0,1\r\n", [[0.0, 0.0], [1.0, 0.0]], ["0", "1"]),
+        ("2,1,2\n0,0,0\n   \n\t\n1,0,1\n", [[0.0, 0.0], [1.0, 0.0]], ["0", "1"]),
+        ("1,1,2\n-0,-\n1e-400,-\n", [[-0.0], [0.0]], ["-", "-"]),
+    ],
+)
+def test_parse_nodes_reads_loose_rows(text, points, labels):
+    back = parse_nodes(text)
+    assert back.points.tobytes() == np.array(points).tobytes()
+    assert back.points.shape == np.shape(points)
+    assert back.provenance == labels
 
 
 def test_parse_nodes_accepts_degenerate_geometry():
     """Duplicate-free but singular sets must load; verification judges them."""
     back = parse_nodes("2,1,3\n0,0,-\n1,1,-\n2,2,-\n")
     assert len(back) == 3
+
+
+def test_non_ascii_node_file_names_the_line(tmp_path):
+    path = tmp_path / "accent.nodes"
+    path.write_bytes("2,1,3\n0,0,0\n1,0,1\u00e9\n0,1,1\n".encode("utf-8"))
+    with pytest.raises(FileFormatError, match=r"accent.nodes:3: byte 0xc3 at offset 17 is not ASCII$"):
+        read_nodes(path)
+
+
+def test_non_ascii_polynomial_file_names_the_line(tmp_path):
+    path = tmp_path / "accent.json"
+    path.write_bytes(b'{\r\n  "m": 1,\r\n  "n": 0,\xa0\r\n  "ordering": "graded-lex-eqC"}')
+    with pytest.raises(FileFormatError, match=r"accent.json:3: byte 0xa0 at offset 23 is not ASCII$"):
+        read_polynomial(path)
 
 
 def test_polynomial_round_trip_is_exact(rng):

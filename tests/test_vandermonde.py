@@ -1,5 +1,7 @@
 """Dense baseline: build/solve/invert examples, genericity oracle, conditioning."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from mvinterp.nodes import NodeSet, assemble_generic
 from mvinterp.polynomial import MultiPoly, evaluate
 from mvinterp.vandermonde import (
     COND_DESK_LIMIT,
+    _balance_pow2,
+    _box_normalize,
+    _fill_vandermonde,
     build_vandermonde,
     cond_two,
     genericity_check,
@@ -114,6 +119,52 @@ def test_roundtrip_against_inverse(rng):
     coeffs = rng.uniform(-1.0, 1.0, len(nodes))
     values = v @ coeffs
     np.testing.assert_allclose(lu_solve(v, values), coeffs, atol=1e-9)
+
+
+def _balance_four_passes(v):
+    """Two-sided power-of-two balancing with a fixed four row and four
+    column half-passes; the fixed-point balancing must match it bit for bit."""
+    total_exp = 0
+    for _ in range(4):
+        for axis in (1, 0):
+            mx = np.abs(v).max(axis=axis)
+            _, exps = np.frexp(mx)
+            exps[mx == 0.0] = 0
+            scales = np.ldexp(np.ones_like(mx), exps)
+            v /= scales[:, None] if axis == 1 else scales[None, :]
+            total_exp += int(exps.sum())
+    return v, total_exp
+
+
+def _certificate_matrix(m, n):
+    """The box-normalized points of an assembled set and their V, in the
+    layout the dense certificate fills."""
+    nodes, _, _ = assemble_generic(m, n, lam=Fraction(11, 10), mu=np.linspace(-0.5, 1.0, m))
+    mapped, _ = _box_normalize(nodes.points)
+    total = count_total(m, n)
+    v = np.empty((total, total), order="F")
+    _fill_vandermonde(v, mapped, m, n)
+    return mapped, v
+
+
+def test_fortran_fill_matches_the_column_fill():
+    for m, n in [(10, 4), (3, 6), (1, 5), (4, 0), (2, 1)]:
+        mapped, v = _certificate_matrix(m, n)
+        assert v.flags.f_contiguous
+        assert v.tobytes(order="F") == np.asfortranarray(build_vandermonde(mapped, m, n)).tobytes(order="F")
+
+
+def test_balance_matches_four_fixed_passes(rng):
+    wide = np.ldexp(rng.uniform(-1.0, 1.0, (40, 40)), rng.integers(-664, 665, (40, 40)))  # 1e-200..1e200
+    wide[3] = 0.0
+    wide[:, 7] = 0.0
+    # the first row half-pass scales nothing here, the column one does
+    rows_balanced = np.array([[0.75, 1e-5, 0.0], [-0.5, 1e-3, 0.0], [0.5, 0.0, 0.0]])
+    for v in (_certificate_matrix(10, 4)[1], _certificate_matrix(3, 6)[1], wide, rows_balanced):
+        expected, expected_exp = _balance_four_passes(v.copy())
+        got, got_exp = _balance_pow2(v.copy())
+        assert got.tobytes() == expected.tobytes()
+        assert got_exp == expected_exp
 
 
 def test_genericity_positive_examples():
