@@ -138,17 +138,18 @@ def _parse_rows(lines: list, numbers: np.ndarray, m: int, source: str):
 def _read_ascii(path) -> str:
     """The text of an ASCII file; a byte outside ASCII is a FileFormatError
     naming its line."""
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            return handle.read()
-    except UnicodeDecodeError:
-        pass
     with open(path, "rb") as handle:
         data = handle.read()
-    at = next(i for i, byte in enumerate(data) if byte > 0x7F)
-    # the lines before the byte, and its own
-    line = len((data[:at].decode("ascii") + "?").splitlines())
-    raise FileFormatError(f"{path}:{line}: byte 0x{data[at]:02x} at offset {at} is not ASCII")
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as bad:
+        # the lines before the byte, and its own
+        line = len((data[:bad.start].decode("ascii") + "?").splitlines())
+        raise FileFormatError(
+            f"{path}:{line}: byte 0x{data[bad.start]:02x} at offset {bad.start} is not ASCII"
+        ) from None
+    # the newlines of a text-mode read, so JSON errors count lines as before
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_nodes(path) -> NodeSet:

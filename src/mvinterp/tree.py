@@ -45,9 +45,13 @@ __all__ = [
 ]
 
 
+# a path's bits, the ints 0 and 1, as the characters of its label
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def eps_label(eps) -> str:
     """The bit string of a path, "-" for the empty root path."""
-    return "".join(map(str, eps)) or "-"
+    return bytes(tuple(eps)).translate(_BIT_CHARS).decode() or "-"
 
 
 class Vertex(NamedTuple):

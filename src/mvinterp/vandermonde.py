@@ -41,7 +41,7 @@ from .exceptions import SingularMatrixError
 from .monomials import build_order, count_degree, count_total
 # leaf_slices is unused here, but the benchmark's tracer wraps vandermonde.leaf_slices
 from .nodes import GEOMETRY_RTOL, NodeSet, leaf_slices  # noqa: F401
-from .tree import build_tree
+from .tree import build_tree, eps_label
 
 __all__ = [
     "build_vandermonde",
@@ -59,8 +59,6 @@ __all__ = [
 PIVOT_RTOL = 1e-13
 # explicit inverses (1-norm cond) stay desk-scale
 COND_DESK_LIMIT = 3000
-# a tree path's bits, the ints 0 and 1, as the characters of its eps_label
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def lu_factor_ops(size: int) -> int:
@@ -87,7 +85,8 @@ def build_vandermonde(nodes, m: int, n: int, tally=None) -> np.ndarray:
 
     Accepts a NodeSet or a raw (count, m) array.  Columns are filled one
     degree block at a time through the parent recursion
-    column[j] = column[parent(j)] * coordinate[var(j)].
+    column[j] = column[parent(j)] * coordinate[var(j)].  V is Fortran-ordered,
+    the layout LAPACK factors in place.
     """
     pts = _points_of(nodes)
     total = count_total(m, n)
@@ -97,7 +96,7 @@ def build_vandermonde(nodes, m: int, n: int, tally=None) -> np.ndarray:
         raise ValueError(
             f"node count {pts.shape[0]} does not match N({m},{n}) = {total}"
         )
-    v = np.empty((total, total))
+    v = np.empty((total, total), order="F")
     _fill_vandermonde(v, pts, m, n)
     if tally is not None:
         tally.add_ops(total * (total - 1))
@@ -105,21 +104,13 @@ def build_vandermonde(nodes, m: int, n: int, tally=None) -> np.ndarray:
 
 
 def _fill_vandermonde(v: np.ndarray, pts: np.ndarray, m: int, n: int) -> None:
-    """Fill V in place one degree block at a time, in the layout of v.
+    """Fill a Fortran-ordered V in place one degree block at a time.
 
-    A C-ordered v is filled column block by column block.  Any other is
-    filled as the rows of v.T: each row block is gathered from its parent
-    rows straight into place and scaled by whole rows of pts.T, so a
-    Fortran-ordered v (as LU takes it) is written contiguously and without
-    a block temporary.  Both form the same products.
+    The fill runs over the rows of v.T: each row block is gathered from its
+    parent rows straight into place and scaled by whole rows of pts.T, so
+    it writes contiguously and needs no block temporary.
     """
     order = build_order(m, n)
-    if v.flags.c_contiguous:
-        v[:, 0] = 1.0
-        for k in range(1, n + 1):
-            blk = order.block(k)
-            v[:, blk] = v[:, order.parent[blk]] * pts[:, order.var[blk]]
-        return
     vt, coords = v.T, np.ascontiguousarray(pts.T)
     vt[0] = 1.0
     for k in range(1, n + 1):
@@ -224,40 +215,29 @@ def _box_normalize(pts: np.ndarray):
     return (pts - center) / half, log_half_sum
 
 
-# passes at most, a row and a column half-pass each; on certificate
-# matrices the first pass does all the scaling
-_BALANCE_PASSES = 4
-
-
 def _balance_pow2(v: np.ndarray):
     """Two-sided exact power-of-two balancing, in place.
 
-    Alternates row and column half-passes, each dividing every row (or
-    column) by the power of two that brings its max |entry| into [1/2, 1),
-    and stops once a row and a column half-pass in a row scale nothing:
-    the matrix then no longer changes.  At most _BALANCE_PASSES of each.
+    One row half-pass divides every row by the power of two that brings its
+    max |entry| into [1/2, 1); one column half-pass then does the same for
+    every column.  For finite entries below 2^1023 that is the fixed point
+    of alternating passes: after the row pass every entry is below 1, so
+    the column pass only scales columns up, to maxima below 1, and leaves
+    unscaled the column that holds each row's max.  A half-pass that scales
+    nothing skips its divide.
 
     Returns (v, total_exp) where total_exp is the summed binary exponent of
     all row and column scales, so log|det unbalanced| =
     log|det balanced| + total_exp * log 2.
     """
-    total_exp = idle = 0
-    for axis in (1, 0) * _BALANCE_PASSES:
+    total_exp = 0
+    for axis in (1, 0):
         mx = np.abs(v).max(axis=axis)
-        _, exps = np.frexp(mx)
-        exps[mx == 0.0] = 0
-        if not exps.any():
-            idle += 1
-            if idle == 2:
-                break
-            continue
-        idle = 0
-        scales = np.ldexp(np.ones_like(mx), exps)
-        if axis == 1:
-            v /= scales[:, None]
-        else:
-            v /= scales[None, :]
-        total_exp += int(exps.sum())
+        _, exps = np.frexp(mx)  # 0 for a zero row or column
+        if exps.any():
+            scales = np.ldexp(np.ones_like(mx), exps)
+            v /= scales[:, None] if axis == 1 else scales
+            total_exp += int(exps.sum())
     return v, total_exp
 
 
@@ -329,10 +309,10 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
     one array pass: line leaves take one LAPACK getrf call each, flat leaves
     one stacked QR, splits one gather from a projection made once per axis.
     """
-    provenance = nodes.provenance
+    provenance = list(nodes.provenance)
     for vertex in tree.leaf:
         lo, hi = tree.lo[vertex], tree.hi[vertex]
-        if provenance[lo:hi].count(bytes(tree.eps[vertex]).translate(_BIT_CHARS).decode()) != hi - lo:
+        if provenance[lo:hi].count(eps_label(tree.eps[vertex])) != hi - lo:
             return None
     points = nodes.points
     lo, leaf = np.array(tree.lo), np.array(tree.leaf)

@@ -166,6 +166,14 @@ def test_non_ascii_polynomial_file_names_the_line(tmp_path):
         read_polynomial(path)
 
 
+def test_polynomial_file_counts_lines_at_any_newline(tmp_path):
+    path = tmp_path / "mac.json"
+    for newline in (b"\n", b"\r\n", b"\r"):
+        path.write_bytes(newline.join([b"{", b'"m": 1,', b'"n": 0,', b'"ordering": x}']))
+        with pytest.raises(FileFormatError, match=r"mac.json:4: not valid JSON"):
+            read_polynomial(path)
+
+
 def test_polynomial_round_trip_is_exact(rng):
     poly = MultiPoly(3, 2, rng.uniform(-1.0, 1.0, 10))
     back = parse_polynomial(format_polynomial(poly))

@@ -147,13 +147,6 @@ def _certificate_matrix(m, n):
     return mapped, v
 
 
-def test_fortran_fill_matches_the_column_fill():
-    for m, n in [(10, 4), (3, 6), (1, 5), (4, 0), (2, 1)]:
-        mapped, v = _certificate_matrix(m, n)
-        assert v.flags.f_contiguous
-        assert v.tobytes(order="F") == np.asfortranarray(build_vandermonde(mapped, m, n)).tobytes(order="F")
-
-
 def test_balance_matches_four_fixed_passes(rng):
     wide = np.ldexp(rng.uniform(-1.0, 1.0, (40, 40)), rng.integers(-664, 665, (40, 40)))  # 1e-200..1e200
     wide[3] = 0.0
@@ -249,6 +242,15 @@ def test_genericity_structured_needs_storage_order():
     r = genericity_check(swapped, 3, 3, tree=tree, hyperplanes=hp)
     assert r["route"] == "dense"
     assert r["generic"] is True
+
+
+def test_genericity_structured_takes_any_label_sequence():
+    nodes, tree, hp = assemble_generic(3, 3)
+    expected = genericity_check(nodes, 3, 3, tree=tree, hyperplanes=hp)
+    assert expected["route"] == "structured"
+    for labels in (tuple(nodes.provenance), np.array(nodes.provenance)):
+        relabelled = NodeSet(nodes.points, labels, 3, 3)
+        assert genericity_check(relabelled, 3, 3, tree=tree, hyperplanes=hp) == expected
 
 
 def test_genericity_mu_shifted_node_file_stays_structured():
