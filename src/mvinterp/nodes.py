@@ -94,11 +94,11 @@ def _check_separation(tree, hyperplanes, points, provenance, shift=None) -> None
     the normal of its axis.  Reported is the first failing leaf in storage
     order, at its split nearest the root, with its nodes' least distance.
     """
-    lo, offsets = np.array(tree.lo)[tree.split], np.array([hyperplanes[key].offset for key in tree.key])
+    lo, offsets = np.array(tree.lo)[tree.split], hyperplanes.for_tree(tree).offset
     failures, axis = [], None
     for (d, k), at in tree.by_sigma(tree.split).items():
         if d - 1 != axis:
-            axis, normal = d - 1, hyperplanes[tree.key[at[0]]].normal
+            axis, normal = d - 1, hyperplanes.frame[d - 1]
             along, scale = points @ normal, np.abs(points) @ np.abs(normal)
             moved = 0.0 if shift is None else float(normal @ shift)
         offset, starts = offsets[at, None] + moved, lo[at]
@@ -164,8 +164,7 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
     if not 0 < kappa < np.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     total = count_total(m, n)
-    tree = None
-    hyperplanes: dict = {}
+    tree, hyperplanes = None, {}
     if n == 0:
         points = np.zeros((1, m))
     elif m == 1 or n == 1:

@@ -150,7 +150,7 @@ def _identity(m: int) -> np.ndarray:
 
 
 def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
-    """The plan of a configuration, read off the tree's table.
+    """The plan of a configuration, read off the tree's and its hyperplanes' tables.
 
     Leaves are stored in walk order, the reverse of storage order, each with
     its rows, kind and the table rows of the splits it crosses, root first.
@@ -173,13 +173,13 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
         table, row, flats = np.empty((0, m + 1)), np.empty(0, np.intp), shift[None]
         starts, lines, flat_of, indptr = [len(nodes), 0], [m == 1 or n == 0], [-1], [0, 0]
     else:
-        row = np.argsort(np.argsort(tree.mid))
-        specs = [hyperplanes[key] for key in tree.key]
-        table = np.empty((len(specs), m + 1))
-        table[row, 0] = [-spec.offset - float(spec.normal @ shift) for spec in specs]
-        table[row, 1:] = [spec.normal for spec in specs]
+        row, axis, normals = np.argsort(np.argsort(tree.mid)), hyperplanes.axis, hyperplanes.frame
+        moved = np.array([normal @ shift for normal in normals])  # a dot per axis: a matrix product may round apart
+        table = np.empty((len(axis), m + 1))
+        table[row, 0] = -hyperplanes.offset - moved[axis]
+        table[row, 1:] = normals[axis]
         flats = vertex_base(tree, hyperplanes) + shift
-        del hyperplanes, specs  # freed before the per-node vectors, as is the tree
+        del hyperplanes, axis, normals  # freed before the per-node vectors, as is the tree
         walk = tree.leaf[::-1]
         lines, flat_of = [tree.sigma[v][0] == 1 for v in walk], [tree.flat[v] for v in walk]
         starts, indptr = [len(nodes)], [0]

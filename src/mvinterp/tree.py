@@ -17,13 +17,16 @@ integers, which keeps parallel hyperplanes at least 2 apart and every
 off-hyperplane node at distance >= 1 from any hyperplane it must avoid.
 
 The tree depends on (m, n) only.  Building it walks it once into one
-preorder table (see DecompTree), which everything else reads.
+preorder table (see DecompTree), which everything else reads; its
+hyperplanes, fixed by it, the frame and lambda, form a second table with one
+row per split (see HyperplaneTable), alpha kept exact as integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
@@ -36,6 +39,7 @@ __all__ = [
     "Vertex",
     "DecompTree",
     "HyperplaneSpec",
+    "HyperplaneTable",
     "build_tree",
     "alpha",
     "assign_hyperplanes",
@@ -58,15 +62,12 @@ class Vertex(NamedTuple):
     """One tree vertex: sigma = (dimension, degree), eps = path bits.
 
     The path names the vertex: its children are eps + (0,) and eps + (1,),
-    its parent is eps[:-1] and its depth is len(eps).
+    its parent is eps[:-1] and its depth is len(eps).  It is a leaf when
+    1 is in sigma.
     """
 
     sigma: tuple
     eps: tuple
-
-    @property
-    def is_leaf(self) -> bool:
-        return 1 in self.sigma
 
 
 def _vertex_list(sigma, eps) -> list:
@@ -99,8 +100,7 @@ class DecompTree:
     Nodes are stored subtree by subtree, bit-0 child first, so a split of
     sigma (d, k) owns rows lo:hi: N(d, k-1) rows lo:mid of its bit-0 child,
     which divide by its hyperplane, and N(d-1, k) rows mid:hi of its bit-1
-    child, which lie on it.  ``root``, ``child`` and ``vertex`` make one
-    vertex each from its path without the table.
+    child, which lie on it.
     """
 
     def __init__(self, m: int, n: int):
@@ -135,32 +135,6 @@ class DecompTree:
         self.sigma, self.eps, self.lo, self.hi = sigma, paths, starts, ends
         self.flat, self.cross = flats, crosses
         self.split, self.key, self.mid, self.leaf = vertices, keys, mids, leaves
-
-    @property
-    def root(self) -> Vertex:
-        return Vertex((self.m, self.n), ())
-
-    def child(self, vertex: Vertex, bit: int) -> Vertex:
-        """The bit-0 or bit-1 child of an internal vertex."""
-        if vertex.is_leaf:
-            raise ValueError(f"vertex {eps_label(vertex.eps)} is a leaf")
-        d, k = vertex.sigma
-        if bit == 0:
-            return Vertex((d, k - 1), vertex.eps + (0,))
-        return Vertex((d - 1, k), vertex.eps + (1,))
-
-    def vertex(self, eps: tuple) -> Vertex:
-        """The vertex at path eps; KeyError if no vertex has that path."""
-        eps = tuple(eps)
-        d, k = self.m, self.n
-        for bit in eps:
-            if d == 1 or k == 1 or bit not in (0, 1):
-                raise KeyError(eps)
-            if bit:
-                d -= 1
-            else:
-                k -= 1
-        return Vertex((d, k), eps)
 
     @property
     def vertices(self) -> list:
@@ -235,15 +209,10 @@ def alpha(eps, lam=Fraction(2)) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
-class HyperplaneSpec:
-    """A splitting hyperplane {x : <normal, x - base> = 0}.
-
-    axis is the 0-based frame row used as the normal, a read-only row of
-    one copy of the frame that the specs of an assignment share; offset is
-    <normal, base>; alpha_exact is the rational offset along the axis
-    relative to the inherited base.
-    """
+class HyperplaneSpec(NamedTuple):
+    """A row of a HyperplaneTable, the hyperplane {x : <normal, x - base> = 0}
+    of split eps: axis is its 0-based frame row, offset <normal, base>, and
+    alpha_exact the rational offset along it from the inherited base."""
 
     eps: tuple
     axis: int
@@ -253,66 +222,96 @@ class HyperplaneSpec:
     alpha_exact: Fraction
 
 
-def assign_hyperplanes(tree: DecompTree, frame=None, lam=Fraction(2)) -> dict:
-    """Assign a hyperplane to every vertex whose eps ends in 1.
-
-    Returns a dict eps -> HyperplaneSpec, in the tree's split order.  The
-    normal at such a vertex v is frame[sigma1(v)] (0-based: the axis one
-    past the remaining dimension); the base adds alpha(eps) * normal to the
-    base of the flat v's parent lives on (the origin for the whole space).
-    One pass over the splits in preorder suffices, as that flat belongs to
-    an earlier split.
-
-    Validation: lambda > 1.  The hyperplanes splitting one flat stay apart
-    because assemble_generic's geometry check does: the nodes on a later
-    one are dividing rows of an earlier one, at exactly the offset gap.
+class HyperplaneTable(Mapping):
+    """The splitting hyperplanes of a tree, placed as above, as columns in
+    the tree's split order: ``axis``, whose row of ``frame``, a read-only
+    copy, is the normal; ``base``, (splits + 1, m) and read-only, with the
+    origin as the last row, so ``base[tree.flat[v]]`` is the base of vertex
+    v's flat; ``offset``, <normal, base>; and ``numerator``, alpha(eps) *
+    q**len(eps) as an int for lambda = p/q.  A split lives on the flat of a
+    split whose axis is one higher, so bases are filled one axis at a time.
+    It also reads as a Mapping from a split's key to a HyperplaneSpec.
     """
-    m = tree.m
-    if frame is None:
-        frame = np.eye(m)
-    frame = np.asarray(frame, dtype=float)
+
+    def __init__(self, tree: DecompTree, frame, lam: Fraction):
+        m, p, q = tree.m, lam.numerator, lam.denominator
+        self.m, self.n, self.key, self.q = m, tree.n, tree.key, q
+        self.frame = frame = np.array(np.eye(m) if frame is None else frame, dtype=float)
+        frame.flags.writeable = False
+        flat = np.array([tree.flat[v] for v in tree.split], dtype=np.intp)  # -1 reads the origin row
+        self.axis = axis = np.array([tree.sigma[v][0] - 1 for v in tree.split], dtype=np.intp)
+        # alpha(eps) = alpha(outer eps) + (-1)^(d-1) lam^d at d = |eps|, over q^d,
+        # in Python ints, as int64 would overflow at lambda 1001/1000
+        self.numerator = numerator = []
+        for outer, key in zip(flat.tolist(), tree.key):
+            d = len(key)
+            step = p**d if d % 2 else -(p**d)
+            numerator.append(step if outer < 0 else numerator[outer] * q ** (d - len(tree.key[outer])) + step)
+        # correctly rounded true divisions: the floats of the Fractions they equal
+        alpha = np.array([a / q ** len(key) for a, key in zip(numerator, tree.key)])
+        self.base = base = np.zeros((len(axis) + 1, m))
+        self.offset = offset = np.empty(len(axis))
+        for a in range(m - 1, 0, -1):
+            at = np.flatnonzero(axis == a)
+            base[at] = base[flat[at]] + alpha[at, None] * frame[a]
+            offset[at] = [frame[a] @ b for b in base[at]]  # a dot per row: batched, the sums may round apart
+        base.flags.writeable = False
+
+    def for_tree(self, tree) -> HyperplaneTable:
+        """This table, once seen to be one of a tree of tree's shape (read
+        by position, another tree's table would misplace every plane)."""
+        if (self.m, self.n) != (tree.m, tree.n):
+            raise ValueError(f"these hyperplanes are the ({self.m}, {self.n}) tree's, not the ({tree.m}, {tree.n}) tree's")
+        return self
+
+    def row(self, split: int) -> HyperplaneSpec:
+        """The hyperplane of the split at that position, as one record."""
+        key, axis = self.key[split], int(self.axis[split])
+        alpha_exact = Fraction(self.numerator[split], self.q ** len(key))
+        return HyperplaneSpec(key, axis, self.frame[axis], self.base[split], float(self.offset[split]), alpha_exact)
+
+    @cached_property
+    def _position(self) -> dict:
+        return dict(zip(self.key, range(len(self.key))))
+
+    def __getitem__(self, eps) -> HyperplaneSpec:
+        return self.row(self._position[eps])
+
+    def __iter__(self):
+        return iter(self.key)
+
+    def __len__(self) -> int:
+        return len(self.key)
+
+
+def assign_hyperplanes(tree: DecompTree, frame=None, lam=Fraction(2)) -> HyperplaneTable:
+    """The HyperplaneTable of a tree, a frame (default the identity) and a
+    lambda, which must exceed 1.  The hyperplanes splitting one flat stay
+    apart because assemble_generic's geometry check does: the nodes on a
+    later one are dividing rows of an earlier one, at exactly the offset gap.
+    """
     lam = Fraction(lam)
     if not lam > 1:
         raise GeometryConfigError(f"lambda must exceed 1, got {lam}")
-    # alpha(eps) = alpha(eps[:-1]) + (-1)^(d-1) * lam^d at depth d = |eps|
-    steps = [lam**d if d % 2 else -(lam**d) for d in range(tree.depth)]
-    normals = frame.copy()
-    normals.flags.writeable = False
-    specs = []
-    for vertex, key in zip(tree.split, tree.key):
-        outer, axis = tree.flat[vertex], tree.sigma[vertex][0] - 1
-        base, a = (specs[outer].base, specs[outer].alpha_exact) if outer >= 0 else (np.zeros(m), 0)
-        a = a + steps[len(key)]
-        normal = normals[axis]
-        base = base + float(a) * normal
-        specs.append(
-            HyperplaneSpec(
-                eps=key, axis=axis, normal=normal, base=base, offset=float(normal @ base), alpha_exact=a
-            )
-        )
-    return dict(zip(tree.key, specs))
+    return HyperplaneTable(tree, frame, lam)
 
 
-def vertex_base(tree: DecompTree, hyperplanes: dict) -> np.ndarray:
-    """The base point of every flat: row s that of split s's hyperplane and
-    the last row the origin, so row tree.flat[v] is the base of vertex v."""
-    return np.array([*(hyperplanes[key].base for key in tree.key), np.zeros(tree.m)])
+def vertex_base(tree: DecompTree, hyperplanes: HyperplaneTable) -> np.ndarray:
+    """The base point of every flat, read-only: row s that of split s's
+    hyperplane and the last row the origin, so row tree.flat[v] is the base
+    of vertex v."""
+    return hyperplanes.for_tree(tree).base
 
 
-def dump_tree(tree: DecompTree, hyperplanes: dict) -> str:
+def dump_tree(tree: DecompTree, hyperplanes: HyperplaneTable) -> str:
     """Structured text dump of every vertex for golden-file comparisons."""
+    hyperplanes = hyperplanes.for_tree(tree)
     lines = [f"tree m={tree.m} n={tree.n} depth={tree.depth} leaves={tree.leaf_count}"]
-    for v in tree.vertices:
-        parts = [
-            f"eps={eps_label(v.eps)}",
-            f"sigma=({v.sigma[0]},{v.sigma[1]})",
-            "leaf" if v.is_leaf else "split",
-        ]
-        spec = hyperplanes.get(v.eps)
-        if spec is not None:
+    for sigma, eps, flat in zip(tree.sigma, tree.eps, tree.flat):
+        parts = [f"eps={eps_label(eps)}", f"sigma=({sigma[0]},{sigma[1]})", "leaf" if 1 in sigma else "split"]
+        if eps[-1:] == (1,):  # on the hyperplane of split flat, whose bit-1 child it is
+            spec = hyperplanes.row(flat)
             base_str = ",".join(f"{c:.17g}" for c in spec.base)
-            parts.append(f"axis={spec.axis + 1}")
-            parts.append(f"alpha={spec.alpha_exact}")
-            parts.append(f"base=({base_str})")
+            parts += [f"axis={spec.axis + 1}", f"alpha={spec.alpha_exact}", f"base=({base_str})"]
         lines.append(" ".join(parts))
     return "\n".join(lines)

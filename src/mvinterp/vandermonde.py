@@ -298,17 +298,18 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
     structure (the caller then falls back to the dense route): the
     provenance must give the tree's leaf blocks in storage order, and the
     rows mid:hi of each split must lie on its hyperplane.  The normal of an
-    axis is that of its first hyperplane given (assign_hyperplanes gives all
-    splits of an axis one), or else the axis, and each offset is read off
-    the plane's first node, <normal, points[mid]>, so a translated node set
-    certifies as its construction does.  Pivot-style thresholds are applied
-    factor by factor: leaf-local LU pivots, QR diagonals of degree-1 leaf
-    offsets, and each hyperplane value at rows lo:mid as a 1x1 pivot.
-    Membership and separation scale by max(1, |offset|, max |<normal, p>|),
-    taken over a split's on-rows and off-rows respectively.  Each sigma is
-    one array pass: line leaves take one LAPACK getrf call each, flat leaves
-    one stacked QR, splits one gather from a projection made once per axis.
+    axis is its row of the hyperplanes' frame, or else the axis; each offset
+    is read off the plane's first node, <normal, points[mid]>, so a
+    translated node set certifies as its construction does.  Pivot-style
+    thresholds are applied factor by factor: leaf-local LU pivots, QR
+    diagonals of degree-1 leaf offsets, and each hyperplane value at rows
+    lo:mid as a 1x1 pivot.  Membership and separation scale by
+    max(1, |offset|, max |<normal, p>|), taken over a split's on-rows and
+    off-rows respectively.  Each sigma is one array pass: line leaves take
+    one LAPACK getrf call each, flat leaves one stacked QR, splits one
+    gather from a projection made once per axis.
     """
+    normals = np.eye(m) if hyperplanes is None else hyperplanes.for_tree(tree).frame
     provenance = list(nodes.provenance)
     for vertex in tree.leaf:
         lo, hi = tree.lo[vertex], tree.hi[vertex]
@@ -349,7 +350,7 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
         for (d, k), at in tree.by_sigma(tree.split).items():
             if d - 1 != axis:
                 axis = d - 1
-                along = points @ (np.eye(m)[axis] if hyperplanes is None else hyperplanes[tree.key[at[0]]].normal)
+                along = points @ normals[axis]
             on = along[mid[at, None] + np.arange(count_total(d - 1, k))]
             off = along[lo[at, None] + np.arange(count_total(d, k - 1))]
             offset = on[:, :1]
@@ -387,7 +388,7 @@ def genericity_check(
     their plane).  cond_1 always describes the dense normalized system and
     needs the explicit inverse, so it is only computed for N <= cond_limit
     and is nan above that.  A node set of the wrong shape or with a
-    non-finite coordinate raises ValueError.
+    non-finite coordinate, or hyperplanes of another tree, raise ValueError.
     """
     pts = _points_of(nodes)
     total = count_total(m, n)

@@ -282,7 +282,7 @@ def iterative_reference_solve(f, m, n):
     """
     nodes, tree, hyperplanes = assemble_generic(m, n)
     blocks = leaf_slices(nodes)
-    leaves = [v for v in tree.vertices if v.is_leaf]
+    leaves = [v for v in tree.vertices if 1 in v.sigma]
     acc = MultiPoly.zero(m, n)
     pending = list(leaves)
     ambiguous = 0

@@ -25,15 +25,17 @@ from mvinterp.tree import (
 
 def test_single_split_2_2():
     tree = build_tree(2, 2)
-    assert len(tree.vertices) == 3
-    assert tree.root.sigma == (2, 2)
-    assert tree.root.eps == ()
-    left = tree.vertex((0,))
-    right = tree.vertex((1,))
-    assert left.sigma == (2, 1) and left.is_leaf
-    assert right.sigma == (1, 2) and right.is_leaf
-    assert tree.child(tree.root, 0) == left
-    assert tree.child(tree.root, 1) == right
+    assert len(tree.vertices) == len(tree.sigma) == 3
+    assert tree.sigma[0] == (2, 2)
+    assert tree.eps[0] == ()
+    left = tree.eps.index((0,))
+    right = tree.eps.index((1,))
+    assert tree.sigma[left] == (2, 1) and left in tree.leaf
+    assert tree.sigma[right] == (1, 2) and right in tree.leaf
+    # the root's one split: its bit-0 child owns rows lo:mid, its bit-1 child mid:hi
+    assert tree.split == [0]
+    assert (tree.lo[left], tree.hi[left]) == (tree.lo[0], tree.mid[0])
+    assert (tree.lo[right], tree.hi[right]) == (tree.mid[0], tree.hi[0])
     # left-to-right = bit-0 first
     assert [v.eps for v in tree.leaves] == [(0,), (1,)]
     assert tree.depth == 2
@@ -63,7 +65,7 @@ def test_preorder_3_3():
         ((1, 0, 1), (1, 2)),
         ((1, 1), (1, 3)),
     ]
-    assert tree.vertex((0, 1)).sigma == (2, 2)
+    assert tree.sigma[tree.eps.index((0, 1))] == (2, 2)
     assert tree.depth == 4
     assert tree.leaf_count == 6
 
@@ -85,17 +87,21 @@ def test_shape_closed_forms(m, n):
         for leaf in tree.leaves
     )
     assert budget == count_total(m, n)
-    # leaves, depth and leaf_count come from the leaf walk, vertices from
-    # child() and vertex() from counting path bits: they must agree
-    assert tree.leaves == [v for v in tree.vertices if v.is_leaf]
+    # leaves, depth and leaf_count come from the leaf column, the split and
+    # leaf columns partition the vertices, and a path's bits give its sigma
+    assert tree.leaves == [v for v in tree.vertices if 1 in v.sigma]
     assert len(tree.leaves) == tree.leaf_count
-    for v in tree.vertices:
-        assert tree.vertex(v.eps) == v
-        if v.is_leaf:
-            continue
-        d, k = v.sigma
-        assert tree.child(v, 0) == ((d, k - 1), v.eps + (0,))
-        assert tree.child(v, 1) == ((d - 1, k), v.eps + (1,))
+    assert sorted(tree.split + tree.leaf) == list(range(len(tree.eps)))
+    position = {eps: v for v, eps in enumerate(tree.eps)}
+    assert len(position) == len(tree.eps)  # a path names one vertex
+    for sigma, eps in zip(tree.sigma, tree.eps):
+        assert sigma == (m - sum(eps), n - len(eps) + sum(eps))
+    for v, mid in zip(tree.split, tree.mid):
+        d, k = tree.sigma[v]
+        zero, one = position[tree.eps[v] + (0,)], position[tree.eps[v] + (1,)]
+        assert zero == v + 1 and tree.sigma[zero] == (d, k - 1)
+        assert tree.sigma[one] == (d - 1, k)
+        assert (tree.lo[zero], tree.hi[zero], tree.lo[one], tree.hi[one]) == (tree.lo[v], mid, mid, tree.hi[v])
 
 
 def test_splits_3_3():
@@ -146,7 +152,7 @@ def test_splits_address_subtree_rows(m, n):
 
 def test_leaf_sequence_reads_like_a_list():
     tree = build_tree(4, 3)
-    leaves = [v for v in tree.vertices if v.is_leaf]
+    leaves = [v for v in tree.vertices if 1 in v.sigma]
     assert len(tree.leaves) == len(leaves) == 10
     assert tree.leaves[0] == leaves[0] and tree.leaves[-1] == leaves[-1]
     assert tree.leaves[2:7:2] == leaves[2:7:2]
@@ -159,12 +165,13 @@ def test_leaf_sequence_reads_like_a_list():
 def test_vertex_rejects_paths_outside_the_tree():
     tree = build_tree(3, 3)
     for eps in [(0, 0, 0), (1, 1, 0), (2,), (0, 1, 1, 1)]:
-        with pytest.raises(KeyError):
-            tree.vertex(eps)
-    assert tree.child(tree.root, 1) == tree.vertex((1,))
-    assert tree.child(tree.vertex((0, 1)), 0) == tree.vertex((0, 1, 0))
-    with pytest.raises(ValueError):
-        tree.child(tree.vertex((0, 0)), 1)
+        assert eps not in tree.eps
+    # the root's bit-1 child starts, and the bit-0 child of 01 ends, at its split's mid
+    assert tree.lo[tree.eps.index((1,))] == tree.mid[tree.split.index(0)]
+    split = tree.split.index(tree.eps.index((0, 1)))
+    assert tree.hi[tree.eps.index((0, 1, 0))] == tree.mid[split]
+    # a leaf splits no further
+    assert tree.eps.index((0, 0)) in tree.leaf and tree.eps.index((0, 0)) not in tree.split
 
 
 def test_build_tree_rejects_base_cases():
