@@ -28,7 +28,6 @@ from fractions import Fraction
 import numpy as np
 
 from .exceptions import SingularMatrixError
-from .instrument import Tally
 from .monomials import count_total
 from .nodes import assemble_generic
 from .polynomial import MultiPoly, evaluate_rows
@@ -39,7 +38,10 @@ from .vandermonde import (
     cond_two,
     genericity_check,
     invert,
+    invert_ops,
+    lu_factor_ops,
     lu_solve,
+    lu_solve_ops,
 )
 
 __all__ = [
@@ -202,27 +204,26 @@ def experiment_runtime(cfg: ExperimentConfig) -> list:
         for rep in range(cfg.reps):
             target = _rng(cfg, m, n, rep).uniform(-1.0, 1.0, total)
             for method in cfg.methods:
-                tally = Tally()
                 if method == "pip-solver":
                     clear_plans()  # so that the time includes node generation
                 start = time.perf_counter()
                 try:
                     if method == "pip-solver":
-                        solve(target, m, n, config=cfg.solve_config(m), tally=tally)
+                        multiply_adds = solve(target, m, n, config=cfg.solve_config(m))[2]["multiply_adds"]
                     else:
                         nodes, _, _ = _assemble(cfg, m, n)
-                        v = build_vandermonde(nodes.points, m, n, tally)
+                        v = build_vandermonde(nodes.points, m, n)
+                        multiply_adds = total * (total - 1)  # the build
                         if method == "linsolve":
-                            lu_solve(v, target, tally)
+                            lu_solve(v, target)
+                            multiply_adds += lu_factor_ops(total) + lu_solve_ops(total)
                         else:
-                            v_inv = invert(v, tally)
-                            v_inv @ target
-                            tally.add_ops(total * total)
+                            invert(v) @ target
+                            multiply_adds += invert_ops(total) + total * total
                 except SingularMatrixError:
                     seconds = multiply_adds = None
                 else:
                     seconds = time.perf_counter() - start
-                    multiply_adds = tally.multiply_adds
                 rows.append(
                     {
                         "m": m,

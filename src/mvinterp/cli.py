@@ -222,6 +222,7 @@ def cmd_solve(args) -> int:
     doc["report"] = {
         "multiply_adds": report["multiply_adds"],
         "peak_reals_stored": report["peak_reals_stored"],
+        "largest_single_alloc": report["largest_single_alloc"],
         "wall_seconds": wall,
         "node_count": len(nodes),
         "nodes_file": nodes_file,

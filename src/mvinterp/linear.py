@@ -15,7 +15,7 @@ from .monomials import count_total
 __all__ = ["solve_linear"]
 
 
-def solve_linear(values, axes, base, tally=None) -> np.ndarray:
+def solve_linear(values, axes, base) -> np.ndarray:
     """The coefficients in m variables of the degree-1 interpolant of values
     at the nodes base and base + axes[a], axes holding the k active frame
     rows.  In flat coordinates c_0 = f(base) and
@@ -27,6 +27,4 @@ def solve_linear(values, axes, base, tally=None) -> np.ndarray:
     coeffs = np.zeros(count_total(base.size, 1))
     coeffs[0] = c0 - w @ base
     coeffs[1:] = w
-    if tally is not None:
-        tally.add_ops((base.size + 2) * values.size)
     return coeffs

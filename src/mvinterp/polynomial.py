@@ -128,7 +128,7 @@ def mul_linear(qc: np.ndarray, row: np.ndarray, order) -> np.ndarray:
     return out
 
 
-def embed_univariate(chat: np.ndarray, t0: float, direction: np.ndarray, tally=None) -> np.ndarray:
+def embed_univariate(chat: np.ndarray, t0: float, direction: np.ndarray) -> np.ndarray:
     """The coefficients in m variables of sum chat[i] * t(x)^i, with
     t(x) = t0 + <direction, x>, by Horner's rule over k linear lifts."""
     m = direction.size
@@ -138,6 +138,4 @@ def embed_univariate(chat: np.ndarray, t0: float, direction: np.ndarray, tally=N
     for i in range(deg - 1, -1, -1):
         acc = mul_linear(acc, t_row, build_order(m, deg - i))
         acc[0] += chat[i]
-    if tally is not None:
-        tally.add_ops((m + 2) * (count_total(m + 1, deg) - 1))  # (m + 2) N(m, i) for lift i
     return acc

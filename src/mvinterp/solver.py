@@ -20,13 +20,14 @@ correction is that accumulator evaluated at the leaf's rows, so each leaf
 absorbs the rounding already in it; a walk on factored leaf values alone is
 faster but less accurate.  A leaf's work runs in a helper, so nothing it
 allocates outlives it into the next leaf's callback.  Only the current
-leaf's corrected values exist, which caps tracked storage at a small
-multiple of m * N(m,n).
+leaf's corrected values exist, which caps storage at a small multiple of
+m * N(m,n).
 
-Operation counts are analytic, derived from structural block sizes, so
-two runs with the same (m, n, config) report identical counts whatever
-values f takes.  Per convention, a fused multiply-add, a lone multiply,
-and a division each count as one operation.
+The report is counted once per plan, as nothing in it depends on f's
+values: the plan's multiply-adds (see _step_multiply_adds; a fused
+multiply-add, a lone multiply and a division each count one), and the reals
+a solve holds at its peak and in its largest array, closed forms in m, n
+and whether f is an array.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import GeometryConfigError
-from .instrument import Tally
 from .linear import solve_linear
-from .monomials import build_order
+from .monomials import build_order, count_total
 # leaf_slices and evaluate are unused here, but the benchmark's tracer wraps
 # them under these names
 from .nodes import NodeSet, assemble_generic, leaf_slices  # noqa: F401
@@ -73,17 +73,19 @@ def _divisor_product(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.prod(rows[:, :1] + rows[:, 1:] @ points.T, axis=0)
 
 
-def corrected_value(values, correction: MultiPoly, points, product, labels, count: int, tally=None) -> np.ndarray:
+def corrected_value(values, correction: MultiPoly, points, product, labels) -> np.ndarray:
     """The corrected function (f - correction) / divisor product on a block.
 
     values holds f at the rows of points, and product the product of the
-    count divisors at each row (see _divisor_product); labels, an iterable
-    read only to name the divisors in an error, gives their hyperplanes.
+    divisors at each row (see _divisor_product); labels, an iterable read
+    only to name the divisors in an error, gives their hyperplanes.
 
     Raises
     ------
     ValueError
-        When f minus the correction overflows at a node.
+        When f minus the correction overflows at a node, naming the block's
+        coordinate scale: large coordinates overflow the correction's
+        monomials even for a bounded f.
     GeometryConfigError
         When the division does, naming the node and the divisor labels; a
         backstop, as assembly keeps divisors clear of zero (GEOMETRY_RTOL).
@@ -94,15 +96,16 @@ def corrected_value(values, correction: MultiPoly, points, product, labels, coun
         node = np.flatnonzero(~np.isfinite(corrected))[0]
         where = f"at node {np.array2string(points[node], precision=6)}"
         if not np.isfinite(numerator[node]):
-            raise ValueError(f"f minus the interpolant so far overflowed floating point {where}")
+            raise ValueError(
+                f"f minus the interpolant so far overflowed floating point {where}; the "
+                f"block's coordinates reach {np.abs(points).max():.3g} (max |x|), so "
+                "lambda, kappa or mu may be to blame rather than f"
+            )
         raise GeometryConfigError(
             f"the corrected value {where} is {corrected[node]}; its leaf divides by "
             f"the hyperplanes {', '.join(labels)}, and the "
             "lambda/kappa configuration is ill posed"
         )
-    if tally is not None:
-        rows, m = points.shape
-        tally.add_ops(rows * (2 * correction.coeffs.size + (m + 1) * count + 1))
     return corrected
 
 
@@ -135,6 +138,7 @@ class Plan(NamedTuple):
     offsets: np.ndarray  # (leaves,) t0 of a line leaf, t(x) = t0 + <frame[0], x>
     divisor: np.ndarray  # (nodes,) the product of a node's divisors at it
     param: np.ndarray  # (nodes,) a line leaf node's t; 0 at flat nodes
+    multiply_adds: int  # of a solve, see _step_multiply_adds
 
 
 _identities = weakref.WeakValueDictionary()  # m -> the identity frame plans share
@@ -149,6 +153,39 @@ def _identity(m: int) -> np.ndarray:
     return eye
 
 
+def _step_multiply_adds(m: int, n: int, starts, lines, table, indptr, indices) -> dict:
+    """The multiply-adds of each step of a solve, summed over the leaves.
+
+    The arguments are a plan's (see Plan).  A leaf of rows nodes that
+    divides by c hyperplanes costs, with N = N(m, n):
+
+    - correct: rows (2 N + (m + 1) c + 1), for the correction evaluated at
+      each row, the divisor product and one division;
+    - solve: on a line, with k = rows - 1, 3 k (k + 1) / 2 for the divided
+      differences, k (k + 1) for their monomial expansion and
+      (m + 2) (N(m + 1, k) - 1) for the k lifts of the embedding; on a flat,
+      (m + 2) rows;
+    - lift: by divisor row j = 0 .. c - 1, (1 + the non-zeros of its normal)
+      N(m, n - c + j);
+    - add: N into the accumulator, unless the one leaf is the whole problem.
+    """
+    total = count_total(m, n)
+    rows, count = starts[:-1] - starts[1:], np.diff(indptr)
+    k = rows[lines] - 1
+    on_line = np.array([count_total(m + 1, d) for d in range(n + 1)])  # N(m + 1, k)
+    sizes = np.array([count_total(m, d) for d in range(n + 1)])  # N(m, d)
+    # the lift by division d of leaf i starts from degree n - c + (d - indptr[i])
+    degree = np.repeat(n - count - indptr[:-1], count) + np.arange(indices.size)
+    nonzeros = np.count_nonzero(table[:, 1:], axis=1)
+    return {
+        "correct": int(rows @ (2 * total + (m + 1) * count + 1)),
+        "solve": int((3 * k * (k + 1) // 2 + k * (k + 1) + (m + 2) * (on_line[k] - 1)).sum())
+        + (m + 2) * int(rows[~lines].sum()),
+        "lift": int((1 + nonzeros[indices]) @ sizes[degree]),
+        "add": total * rows.size if rows.size > 1 else 0,
+    }
+
+
 def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     """The plan of a configuration, read off the tree's and its hyperplanes' tables.
 
@@ -159,8 +196,9 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     the rows from the last to the first.  Each node's divisor product and
     each line node's parameter <x - base, frame[0]> are computed here once,
     with the expressions of the leaf's own divisor rows and line, and a
-    line's parameters are checked for near-duplicates.  A divisor product
-    that overflows raises GeometryConfigError naming the leaf.
+    line's parameters are checked for near-duplicates, and a solve's
+    multiply-adds counted.  A divisor product that overflows raises
+    GeometryConfigError naming the leaf.
     """
     nodes, tree, hyperplanes = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
     points = nodes.points
@@ -206,8 +244,9 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
         param[lo:hi] = (points[lo:hi] - base) @ direction
         check_distinct(param[lo:hi])
         offsets[i] = -float(direction @ base)
+    ops = sum(_step_multiply_adds(m, n, starts, lines, table, indptr, indices).values())
     # the frame in C order, as solve_linear takes a flat's active rows
-    return Plan(nodes, np.ascontiguousarray(frame), table, starts, lines, indptr, indices, offsets, divisor, param)
+    return Plan(nodes, np.ascontiguousarray(frame), table, starts, lines, indptr, indices, offsets, divisor, param, ops)
 
 
 # key -> plan, the most recently used last; a hit relinks in place, as a pop
@@ -247,12 +286,16 @@ def clear_plans() -> None:
     _plans.clear()
 
 
-def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | None = None):
+def solve(f, m: int, n: int, config: SolveConfig | None = None):
     """Interpolate f with the unique degree <= n polynomial on generated nodes.
 
     f is a callback on m-vectors, or an array of N(m,n) values in node
     storage order.  Returns (poly, nodes, report): the interpolant, the
-    generated NodeSet, and the operation/storage report of the run.
+    generated NodeSet, and the report of the run, counted once per plan:
+    multiply_adds, peak_reals_stored (m N for the nodes, N more for an
+    array of values and, when there is a tree, 2 N + N(m, n-1) for the
+    accumulator and the last lift's input and output, N = N(m,n)) and
+    largest_single_alloc (m N, the nodes).
 
     A plan holds the nodes and every quantity of the walk that does not
     depend on f, so a repeat call does only f's arithmetic.  The newest
@@ -272,11 +315,9 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
         When assemble_generic rejects the geometry.
     """
     cfg = config if config is not None else SolveConfig()
-    t = tally if tally is not None else Tally()
     plan = _plan(m, n, cfg)
     points, provenance = plan.nodes.points, plan.nodes.provenance
     nodes = NodeSet(points, list(provenance), m, n)
-    t.alloc(nodes.points.size)
     values = None
     if not callable(f):
         values = np.asarray(f, dtype=float)
@@ -286,10 +327,9 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
                 f"got shape {values.shape}"
             )
         _finite(values)
-        t.alloc(values.size)
     starts, indptr, direction = plan.starts, plan.indptr, plan.frame[0]
 
-    def solve_leaf(i, lo, hi, count, correction):
+    def solve_leaf(i, lo, hi, correction):
         """Leaf i's interpolant of its corrected values, as coefficients."""
         pts = points[lo:hi]
         if values is None:
@@ -298,38 +338,32 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None, tally: Tally | N
             fvals = values[lo:hi]
         eps = provenance[lo]  # a leaf divides by the hyperplane of each 0 bit
         labels = (eps[:j] + "1" for j, bit in enumerate(eps) if bit == "0")
-        corrected = corrected_value(fvals, correction, pts, plan.divisor[lo:hi], labels, count, t)
+        corrected = corrected_value(fvals, correction, pts, plan.divisor[lo:hi], labels)
         if plan.lines[i]:
-            return solve_on_line(plan.param[lo:hi], corrected, plan.offsets[i], direction, t)
-        return solve_linear(corrected, plan.frame[: hi - lo - 1], pts[0], t)
+            return solve_on_line(plan.param[lo:hi], corrected, plan.offsets[i], direction)
+        return solve_linear(corrected, plan.frame[: hi - lo - 1], pts[0])
 
     def add_leaf(i):
         """Solve leaf i, lift it by its divisors and add it into acc."""
         lo, hi = int(starts[i + 1]), int(starts[i])
         rows = plan.table[plan.indices[indptr[i] : indptr[i + 1]]]
-        held = t.alloc(hi - lo)
-        coeffs = solve_leaf(i, lo, hi, len(rows), acc)
-        t.free(held)
-        held = t.alloc(coeffs.size)
+        coeffs = solve_leaf(i, lo, hi, acc)
         degree = n - len(rows)
         for row in rows:
             degree += 1
-            t.add_ops((1 + int(np.count_nonzero(row[1:]))) * coeffs.size)
             coeffs = mul_linear(coeffs, row, build_order(m, degree))
-            grabbed = t.alloc(coeffs.size)
-            t.free(held)
-            held = grabbed
         acc.coeffs += coeffs
-        t.add_ops(coeffs.size)
-        t.free(held)
 
+    total = len(nodes)
+    peak = m * total + (0 if values is None else total)
     if len(plan.lines) == 1:  # no tree: the one leaf's interpolant is f's
-        acc = MultiPoly(m, n, solve_leaf(0, 0, len(nodes), 0, MultiPoly.zero(m, n)))
+        acc = MultiPoly(m, n, solve_leaf(0, 0, total, MultiPoly.zero(m, n)))
     else:
+        peak += 2 * total + count_total(m, n - 1)
         acc = MultiPoly.zero(m, n)
-        t.alloc(acc.coeffs.size)
         for i in range(len(plan.lines)):
             add_leaf(i)
     if not np.isfinite(acc.coeffs).all():
         raise ValueError("the interpolant overflowed floating point")
-    return acc, nodes, t.report()
+    report = {"multiply_adds": plan.multiply_adds, "peak_reals_stored": peak, "largest_single_alloc": m * total}
+    return acc, nodes, report

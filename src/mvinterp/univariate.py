@@ -32,7 +32,7 @@ def check_distinct(t: np.ndarray) -> None:
         raise DegenerateInputError("interpolation nodes contain a (near-)duplicate pair")
 
 
-def solve_univariate(t: np.ndarray, c: np.ndarray, tally=None) -> np.ndarray:
+def solve_univariate(t: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Coefficients (c_0..c_k) of the unique degree <= k interpolant of the
     values c at the parameters t.
 
@@ -50,13 +50,11 @@ def solve_univariate(t: np.ndarray, c: np.ndarray, tally=None) -> np.ndarray:
         out[0] = 0.0
         out[: k - i] -= t[i] * out[1 : k - i + 1]
         out[0] += c[i]
-    if tally is not None:
-        tally.add_ops(3 * k * (k + 1) // 2 + k * (k + 1))
     return out
 
 
-def solve_on_line(t: np.ndarray, values: np.ndarray, t0: float, direction: np.ndarray, tally=None) -> np.ndarray:
+def solve_on_line(t: np.ndarray, values: np.ndarray, t0: float, direction: np.ndarray) -> np.ndarray:
     """The coefficients in m variables of the interpolant of values at the
     nodes of a line, whose parameters t(x) = t0 + <direction, x> are t;
     overwrites values."""
-    return embed_univariate(solve_univariate(t, values, tally), t0, direction, tally)
+    return embed_univariate(solve_univariate(t, values), t0, direction)

@@ -80,7 +80,7 @@ def _points_of(nodes) -> np.ndarray:
     return np.asarray(getattr(nodes, "points", nodes), dtype=float)
 
 
-def build_vandermonde(nodes, m: int, n: int, tally=None) -> np.ndarray:
+def build_vandermonde(nodes, m: int, n: int) -> np.ndarray:
     """V[i, j] = monomial j evaluated at node i, columns in canonical order.
 
     Accepts a NodeSet or a raw (count, m) array.  Columns are filled one
@@ -98,8 +98,6 @@ def build_vandermonde(nodes, m: int, n: int, tally=None) -> np.ndarray:
         )
     v = np.empty((total, total), order="F")
     _fill_vandermonde(v, pts, m, n)
-    if tally is not None:
-        tally.add_ops(total * (total - 1))
     return v
 
 
@@ -129,7 +127,7 @@ def _pow2_row_scales(v: np.ndarray) -> np.ndarray:
     return scales
 
 
-def _factor(v: np.ndarray, tally=None):
+def _factor(v: np.ndarray):
     """Row-equilibrated partial-pivot LU.
 
     Returns (lu, piv, scales, pivots, threshold): lu/piv factor the row-scaled
@@ -145,8 +143,6 @@ def _factor(v: np.ndarray, tally=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(scaled, overwrite_a=True, check_finite=False)
-    if tally is not None:
-        tally.add_ops(lu_factor_ops(v.shape[0]))
     pivots = np.abs(np.diagonal(lu))
     return lu, piv, scales, pivots, threshold
 
@@ -161,7 +157,7 @@ def _require_regular(pivots: np.ndarray, threshold: float) -> None:
         )
 
 
-def lu_solve(v, rhs, tally=None, stats: dict | None = None) -> np.ndarray:
+def lu_solve(v, rhs, stats: dict | None = None) -> np.ndarray:
     """Solve V x = rhs by partial-pivoted elimination.
 
     Raises SingularMatrixError when a pivot falls below the relative
@@ -172,27 +168,22 @@ def lu_solve(v, rhs, tally=None, stats: dict | None = None) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (v.shape[0],):
         raise ValueError(f"rhs shape {rhs.shape} does not match matrix {v.shape}")
-    lu, piv, scales, pivots, threshold = _factor(v, tally)
+    lu, piv, scales, pivots, threshold = _factor(v)
     _require_regular(pivots, threshold)
     x = scipy.linalg.lu_solve((lu, piv), rhs / scales, check_finite=False)
-    if tally is not None:
-        tally.add_ops(lu_solve_ops(v.shape[0]))
     if stats is not None:
         stats["residual_inf"] = float(np.abs(v @ x - rhs).max())
     return x
 
 
-def invert(v, tally=None) -> np.ndarray:
+def invert(v) -> np.ndarray:
     """Explicit inverse via one LU factorization and N substitution pairs."""
     v = np.asarray(v, dtype=float)
-    lu, piv, scales, pivots, threshold = _factor(v, tally)
+    lu, piv, scales, pivots, threshold = _factor(v)
     _require_regular(pivots, threshold)
     # V = diag(scales) @ Vhat, so V^-1 = Vhat^-1 @ diag(1/scales)
     rhs = np.diag(1.0 / scales)
-    out = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-    if tally is not None:
-        tally.add_ops(v.shape[0] * lu_solve_ops(v.shape[0]))
-    return out
+    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
 def _one_norm(a: np.ndarray) -> float:

@@ -166,6 +166,7 @@ def test_solve_random_poly_round_trip(tmp_path, capsys):
     report = doc["report"]
     assert report["multiply_adds"] > 0
     assert report["peak_reals_stored"] > 0
+    assert report["largest_single_alloc"] == 2 * 10  # m N, the nodes
     assert report["wall_seconds"] > 0
     assert report["node_count"] == 10
     sidecar = read_nodes(report["nodes_file"])

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from mvinterp.instrument import Tally
 from mvinterp.linear import solve_linear
 from mvinterp.nodes import leaf_nodes
 from mvinterp.polynomial import MultiPoly, evaluate
+from mvinterp.solver import _step_multiply_adds
 
 
 def flat_nodes(axes, base):
@@ -82,6 +82,7 @@ def test_node_matrix_nonsingular_up_to_m30():
 
 def test_cost_scales_linearly():
     for m, k in [(3, 3), (10, 10), (20, 5), (30, 30)]:
-        tally = Tally()
-        solve_linear(np.ones(k + 1), np.eye(m)[:k], np.zeros(m), tally=tally)
-        assert tally.multiply_adds <= 4 * (m + 2) * (k + 1)
+        # the one flat leaf of k + 1 nodes in m-space
+        no_divisors = np.empty((0, m + 1)), np.array([0, 0]), np.empty(0, np.intp)
+        steps = _step_multiply_adds(m, 1, np.array([k + 1, 0]), np.array([False]), *no_divisors)
+        assert steps["solve"] <= 4 * (m + 2) * (k + 1)

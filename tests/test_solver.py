@@ -24,7 +24,6 @@ from conftest import brute_force_eval, brute_force_indices, tree_splits
 from mvinterp import nodes as nodes_module
 from mvinterp import solver
 from mvinterp.exceptions import GeometryConfigError
-from mvinterp.instrument import Tally
 from mvinterp.linear import solve_linear
 from mvinterp.monomials import build_order, count_total
 from mvinterp.nodes import GEOMETRY_RTOL, assemble_generic, leaf_slices
@@ -64,7 +63,7 @@ def test_corrected_value_root_passthrough():
     f = lambda p: 1.5 * p[0] - p[1] ** 2 + 0.25
     points = np.array([[0.0, 0.0], [1.0, -2.0], [0.3, 0.7]])
     values = np.array([f(p) for p in points])
-    got = corrected_value(values, MultiPoly.zero(2, 2), points, np.ones(3), [], 0)
+    got = corrected_value(values, MultiPoly.zero(2, 2), points, np.ones(3), [])
     assert np.array_equal(got, values)
 
 
@@ -85,7 +84,7 @@ def test_corrected_value_vanishing_numerator_after_split():
     pts = nodes.points[blocks["0"]]
     values = [f(p) for p in pts]
     spec = hyperplanes[(1,)]
-    got = corrected_value(values, qw, pts, pts @ spec.normal - spec.offset, ["1"], 1)
+    got = corrected_value(values, qw, pts, pts @ spec.normal - spec.offset, ["1"])
     for value, p in zip(got, pts):
         assert abs(value) <= 1e-12 * (1 + abs(f(p)))
 
@@ -101,7 +100,7 @@ def test_corrected_value_single_split_hand_chain():
     pts = nodes.points[blocks["0"]]
     values = [f(p) for p in pts]
     spec = hyperplanes[(1,)]
-    got = corrected_value(values, qw, pts, pts @ spec.normal - spec.offset, ["1"], 1)
+    got = corrected_value(values, qw, pts, pts @ spec.normal - spec.offset, ["1"])
     assert np.allclose(got, [3.0, 2.0, 3.0], atol=1e-12)
 
     # the full solve reassembles f exactly: Q_w + (y - 2)(3 - x)
@@ -112,7 +111,7 @@ def test_corrected_value_single_split_hand_chain():
 def test_corrected_value_division_guard():
     # the divisor y - 2 vanishes at the node
     with np.errstate(all="ignore"), pytest.raises(GeometryConfigError) as err:
-        corrected_value([1.0], MultiPoly.zero(2, 2), np.array([[5.0, 2.0]]), np.zeros(1), ["10"], 1)
+        corrected_value([1.0], MultiPoly.zero(2, 2), np.array([[5.0, 2.0]]), np.zeros(1), ["10"])
     assert "10" in str(err.value)
     assert "lambda/kappa" in str(err.value)
 
@@ -123,15 +122,16 @@ def test_corrected_value_overflow_is_a_value_error():
     with np.errstate(all="ignore"), pytest.raises(
         ValueError, match=r"overflowed floating point at node \[0\. 2\.\]"
     ):
-        corrected_value([1e308], correction, np.array([[0.0, 2.0]]), np.ones(1), [], 0)
+        corrected_value([1e308], correction, np.array([[0.0, 2.0]]), np.ones(1), [])
 
 
 def test_corrected_value_counts_ops():
-    tally = Tally()
-    product = np.array([-1.5])  # the divisor y - 2 at the node
-    corrected_value([1.0], MultiPoly.zero(2, 2), np.array([[0.5, 0.5]]), product, ["1"], 1, tally)
+    # a one-node leaf of (2, 2) that divides by y - 2
+    steps = solver._step_multiply_adds(
+        2, 2, np.array([1, 0]), np.array([True]), np.array([[-2.0, 0.0, 1.0]]), np.array([0, 1]), np.array([0])
+    )
     # 2 * N(2,2) for the correction evaluation, (m + 1) per divisor, 1 division
-    assert tally.multiply_adds == 2 * 6 + 3 * 1 + 1
+    assert steps["correct"] == 2 * 6 + 3 * 1 + 1
 
 
 def test_corrected_value_block_matches_pointwise_rule(rng):
@@ -140,23 +140,37 @@ def test_corrected_value_block_matches_pointwise_rule(rng):
     rows = np.array([[-2.0, 0.0, 0.0, 1.0], [0.5, 0.6, 0.0, -0.8]])  # divisor rows [c0, normal]
     points = rng.uniform(-1.0, 1.0, (4, 3))
     values = rng.uniform(-1.0, 1.0, 4)
-    tally = Tally()
     product = solver._divisor_product(rows, points)
-    got = corrected_value(values, correction, points, product, ["1", "01"], 2, tally)
+    got = corrected_value(values, correction, points, product, ["1", "01"])
     for value, p, corrected in zip(values, points, got):
         denominator = 1.0
         for row in rows:
             denominator *= row[0] + row[1:] @ p
         expected = (value - evaluate(correction, p)) / denominator
         assert corrected == pytest.approx(expected, rel=1e-14)
-    assert tally.multiply_adds == 4 * (2 * 10 + 4 * 2 + 1)
+    steps = solver._step_multiply_adds(3, 2, np.array([4, 0]), np.array([False]), rows, np.array([0, 2]), np.array([0, 1]))
+    assert steps["correct"] == 4 * (2 * 10 + 4 * 2 + 1)
+
+
+def test_overflow_names_the_coordinate_scale():
+    # f is bounded, but at lambda 3 in a rotated frame the (3, 12) nodes
+    # reach |x| ~ 5e4, where the correction's degree-12 monomials overflow
+    w = np.array([0.3, 0.7, 1.1])
+    config = SolveConfig(frame=ROTATED_3, lam=Fraction(3))
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
+        solve(lambda p: float(np.cos(w @ p)), 3, 12, config=config)
+    message = str(err.value)
+    assert message.startswith("f minus the interpolant so far overflowed floating point at node [")
+    scale = float(message.split("coordinates reach ")[1].split(" ")[0])
+    assert 1e4 <= scale <= 1e7
+    assert "(max |x|), so lambda, kappa or mu may be to blame" in message
 
 
 def test_corrected_value_guard_names_first_close_node():
     points = np.array([[0.0, 1.0], [3.0, 2.0], [4.0, 2.0]])
     product = points[:, 1] - 2.0  # the divisor y - 2
     with np.errstate(all="ignore"), pytest.raises(GeometryConfigError, match=r"node \[3\. 2\.\]"):
-        corrected_value(np.ones(3), MultiPoly.zero(2, 2), points, product, ["1"], 1)
+        corrected_value(np.ones(3), MultiPoly.zero(2, 2), points, product, ["1"])
 
 
 # ---------------------------------------------------------------------- solve
@@ -305,7 +319,7 @@ def iterative_reference_solve(f, m, n):
         pts = nodes.points[blocks["".join(map(str, leaf.eps))]]
         product = solver._divisor_product(np.array(divisors).reshape(-1, m + 1), pts)
         labels = [str(i) for i in range(len(divisors))]
-        corrected = corrected_value([f(p) for p in pts], acc, pts, product, labels, len(divisors))
+        corrected = corrected_value([f(p) for p in pts], acc, pts, product, labels)
         base = vertex_base(tree, hyperplanes)[tree.flat[tree.eps.index(leaf.eps)]]
         d, k = leaf.sigma
         if d == 1:
@@ -471,6 +485,46 @@ def test_storage_stays_linear_in_m_times_n(m, n):
     # nothing quadratic in N is ever held; the widest buffer is the node table
     assert report["largest_single_alloc"] <= m * total
     assert report["largest_single_alloc"] < total * total or total <= 3
+
+
+# a rotation of 3-space with no zero entry, from two 3-4-5 Givens rotations
+_GIVENS_XY = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+_GIVENS_YZ = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, -0.8], [0.0, 0.8, 0.6]])
+ROTATED_3 = _GIVENS_XY @ _GIVENS_YZ @ _GIVENS_XY
+
+
+# (m, n, config): multiply_adds, peak_reals_stored for a callback and for an
+# array of values, largest_single_alloc; recorded from the runtime tally the
+# plan-time count replaced
+PINNED_REPORTS = [
+    (3, 0, None, 3, 3, 4, 3),
+    (1, 6, None, 291, 7, 14, 7),
+    (5, 1, None, 120, 30, 36, 30),
+    (3, 3, None, 1588, 110, 130, 60),
+    (15, 4, SolveConfig(lam=Fraction(11, 10)), 34817809, 66708, 70584, 58140),
+    (3, 12, SolveConfig(lam=Fraction(11, 10)), 748126, 2639, 3094, 1365),
+    (3, 12, SolveConfig(frame=ROTATED_3, lam=Fraction(11, 10)), 936314, 2639, 3094, 1365),
+]
+
+
+@pytest.mark.parametrize("m,n,config,ops,peak_callback,peak_array,largest", PINNED_REPORTS)
+def test_report_matches_the_pinned_counts(m, n, config, ops, peak_callback, peak_array, largest):
+    f = lambda p: float(np.cos(p.sum()))
+    _, nodes, from_callback = solve(f, m, n, config=config)
+    _, _, from_array = solve(np.cos(nodes.points.sum(axis=1)), m, n, config=config)
+    assert from_callback == {"multiply_adds": ops, "peak_reals_stored": peak_callback, "largest_single_alloc": largest}
+    assert from_array == {"multiply_adds": ops, "peak_reals_stored": peak_array, "largest_single_alloc": largest}
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_storage_report_is_the_closed_form(m):
+    # the nodes, the values, and on a tree the accumulator and the last lift
+    for n in range(9):
+        total = count_total(m, n)
+        _, _, report = solve(np.zeros(total), m, n)
+        tree = 2 * total + count_total(m, n - 1) if m > 1 and n > 1 else 0
+        assert report["peak_reals_stored"] == m * total + total + tree
+        assert report["largest_single_alloc"] == m * total
 
 
 def test_op_counts_do_not_depend_on_values():

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import brute_force_indices
 from mvinterp.exceptions import SingularMatrixError
-from mvinterp.instrument import Tally
 from mvinterp.monomials import count_total
 from mvinterp.fileio import format_nodes, parse_nodes
 from mvinterp.nodes import NodeSet, assemble_generic
@@ -354,19 +353,6 @@ def test_op_count_formulas():
     # manual elimination count for size 3: step 1 does 2 divisions and a
     # 2x2 update (4), step 2 does 1 division and a 1x1 update (1)
     assert lu_factor_ops(3) == 2 + 4 + 1 + 1
-
-
-def test_tally_integration():
-    tally = Tally()
-    nodes, _, _ = assemble_generic(2, 2)
-    v = build_vandermonde(nodes, 2, 2, tally=tally)
-    assert tally.multiply_adds == 6 * 5
-    before = tally.multiply_adds
-    lu_solve(v, np.ones(6), tally=tally)
-    assert tally.multiply_adds == before + lu_factor_ops(6) + lu_solve_ops(6)
-    before = tally.multiply_adds
-    invert(v, tally=tally)
-    assert tally.multiply_adds == before + invert_ops(6)
 
 
 def test_desk_limit_constant_sane():
