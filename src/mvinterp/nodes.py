@@ -36,11 +36,12 @@ class NodeSet:
     """Ordered node list with per-point provenance.
 
     points has shape (count, m); provenance[i] is the bit string of the
-    leaf that produced point i ("-" when the problem had no tree).
+    leaf that produced point i ("-" when the problem had no tree), a list,
+    or the tuple a solve shares with its plan.
     """
 
     points: np.ndarray
-    provenance: list
+    provenance: list | tuple
     m: int
     n: int
 

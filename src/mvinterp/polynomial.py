@@ -82,6 +82,9 @@ def evaluate_rows(q: MultiPoly, points) -> np.ndarray:
     Each row's monomial values are built in one reused buffer, degree block
     by degree block, from the parent recursion value[I] = x[j] * value[I - e_j],
     then dotted with the coefficients: 2·N(m,n) floating operations per row.
+    The top degree block, the largest, is gathered from x into the buffer
+    itself, so a row allocates one block-sized temporary (its parents'
+    values), not two.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != q.m:
@@ -89,11 +92,16 @@ def evaluate_rows(q: MultiPoly, points) -> np.ndarray:
     vals = np.empty(q.coeffs.size)
     vals[0] = 1.0
     steps = [(vals[blk], var, parent) for blk, var, parent in _row_steps(q.m, q.n)]
+    top = steps.pop() if steps else None
     coeffs = q.coeffs
     out = np.empty(len(points))
     for i, x in enumerate(points):
         for block, var, parent in steps:
             np.multiply(x[var], vals[parent], out=block)
+        if top is not None:
+            block, var, parent = top
+            x.take(var, out=block, mode="wrap")  # var < m: "wrap" only skips take's buffer
+            np.multiply(block, vals[parent], out=block)
         out[i] = vals @ coeffs
     return out
 
@@ -117,13 +125,16 @@ def mul_linear(qc: np.ndarray, row: np.ndarray, order) -> np.ndarray:
 
     qc holds the leading coefficients of a polynomial of degree < order.n.
     One scaled copy for the constant part, then one scatter-add along the
-    lift table of each variable with a non-zero coefficient, in axis order.
+    lift table of each variable with a non-zero coefficient, in axis order;
+    a coefficient of exactly 1 adds qc itself, unscaled.
     """
     nq = qc.size
     out = np.zeros(len(order))
     out[:nq] += row[0] * qc
     for a, la in enumerate(row[1:].tolist()):
-        if la != 0.0:
+        if la == 1.0:  # qc itself, the same bits as 1.0 * qc without its copy
+            out[order.lift(a)[:nq]] += qc
+        elif la != 0.0:
             out[order.lift(a)[:nq]] += la * qc
     return out
 

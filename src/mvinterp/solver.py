@@ -20,7 +20,10 @@ correction is that accumulator evaluated at the leaf's rows, so each leaf
 absorbs the rounding already in it; a walk on factored leaf values alone is
 faster but less accurate.  A leaf's work runs in a helper, so nothing it
 allocates outlives it into the next leaf's callback.  Only the current
-leaf's corrected values exist, which caps storage at a small multiple of
+leaf's corrected values exist, the row kernel fills one monomial buffer
+with one top-block temporary per row, and the returned nodes share the
+plan's points and labels, which caps a repeat solve's storage at about
+3 N(m,n) reals beyond its plan, and a first solve's at a small multiple of
 m * N(m,n).
 
 The report is counted once per plan, as nothing in it depends on f's
@@ -128,7 +131,7 @@ class Plan(NamedTuple):
     and divides, root first, by the rows indices[indptr[i]:indptr[i + 1]]
     of table."""
 
-    nodes: NodeSet  # read-only points and their provenance
+    nodes: NodeSet  # read-only points and their provenance, a tuple
     frame: np.ndarray  # a copy of the given frame, or the shared identity
     table: np.ndarray  # (hyperplanes, m + 1): a divisor row [c0, normal] each
     starts: np.ndarray  # (leaves + 1,), starts[0] the node count
@@ -245,6 +248,7 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
         check_distinct(param[lo:hi])
         offsets[i] = -float(direction @ base)
     ops = sum(_step_multiply_adds(m, n, starts, lines, table, indptr, indices).values())
+    nodes = NodeSet(points, tuple(nodes.provenance), m, n)  # labels every solve shares
     # the frame in C order, as solve_linear takes a flat's active rows
     return Plan(nodes, np.ascontiguousarray(frame), table, starts, lines, indptr, indices, offsets, divisor, param, ops)
 
@@ -295,14 +299,18 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
     multiply_adds, peak_reals_stored (m N for the nodes, N more for an
     array of values and, when there is a tree, 2 N + N(m, n-1) for the
     accumulator and the last lift's input and output, N = N(m,n)) and
-    largest_single_alloc (m N, the nodes).
+    largest_single_alloc (m N, the nodes).  The closed form leaves out
+    the row kernel's monomial buffer (N) and its one top-block temporary
+    per row (see evaluate_rows).
 
     A plan holds the nodes and every quantity of the walk that does not
     depend on f, so a repeat call does only f's arithmetic.  The newest
     PLAN_CACHE_SIZE plans of (m, n, config) are kept while they weigh
-    PLAN_CACHE_REALS reals in all (about 4.3 MB at most); clear_plans
-    releases them.  nodes.points is shared and read-only, and
-    nodes.provenance a fresh list, so changing either cannot change a plan.
+    PLAN_CACHE_REALS reals in all (about 4.3 MB at most), so a plan that
+    alone weighs more, (20, 4) upward, is never kept; clear_plans releases
+    them.  The returned nodes share the plan's read-only points and its
+    tuple of provenance labels, so writing to either raises and cannot
+    change a plan.
 
     Raises
     ------
@@ -317,7 +325,7 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
     cfg = config if config is not None else SolveConfig()
     plan = _plan(m, n, cfg)
     points, provenance = plan.nodes.points, plan.nodes.provenance
-    nodes = NodeSet(points, list(provenance), m, n)
+    nodes = NodeSet(points, provenance, m, n)
     values = None
     if not callable(f):
         values = np.asarray(f, dtype=float)

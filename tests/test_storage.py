@@ -1,0 +1,70 @@
+"""The storage claim in bytes: a solve's traced peak is a small multiple of
+m N reals.
+
+A repeat solve holds only what the walk needs beyond the kept plan: the
+accumulator, the row kernel's monomial buffer with one top-block
+temporary, and a lift's input and output, about 3 N reals.  A first solve
+at N = 10626, whose plan is too large to keep, builds its nodes, plan and
+monomial tables within a few node tables (m N reals).  Peaks come from
+tracemalloc, so they count only what Python and NumPy allocate; no
+wall-clock time is asserted.
+"""
+
+import gc
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from mvinterp import monomials, polynomial, solver
+from mvinterp.monomials import count_total
+from mvinterp.nodes import assemble_generic
+from mvinterp.polynomial import MultiPoly, evaluate_rows
+from mvinterp.solver import SolveConfig, solve
+
+CONFIG = SolveConfig(lam=Fraction(11, 10))
+# repeat solves read 2.98 (15, 4) and 3.08 (8, 6) N-vectors; 4.77 and 4.52
+# while a solve copied the provenance and the row kernel gathered twice
+REPEAT_PEAK_REALS = 3.25
+# a first (20, 4) solve from cold monomial tables read 4.27 node tables
+FIRST_PEAK_NODE_TABLES = 5.0
+
+
+def traced_peak(call):
+    """The tracemalloc peak in bytes of call(), and what call returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = call()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m,n", [(15, 4), (8, 6)])
+def test_repeat_solve_peaks_within_a_few_n_vectors(m, n):
+    total = count_total(m, n)
+    values = np.random.default_rng([53, m, n]).uniform(-1.0, 1.0, total)
+    first, _, _ = solve(values, m, n, CONFIG)  # builds and keeps the plan
+    peak, (again, _, _) = traced_peak(lambda: solve(values, m, n, CONFIG))
+    solver.clear_plans()
+    assert again.coeffs.tobytes() == first.coeffs.tobytes()
+    assert peak <= REPEAT_PEAK_REALS * 8 * total
+
+
+def test_first_large_solve_peaks_within_a_few_node_tables():
+    m, n = 20, 4
+    nodes, _, _ = assemble_generic(m, n, lam=CONFIG.lam)
+    total = len(nodes)
+    assert total == 10626
+    coeffs = np.random.default_rng(42).uniform(-1.0, 1.0, total)
+    values = evaluate_rows(MultiPoly(m, n, coeffs), nodes.points)
+    # a first solve in a fresh process: no plan and no monomial table built
+    solver.clear_plans()
+    monomials.build_order.cache_clear()
+    polynomial._row_steps.cache_clear()
+    peak, (q, _, _) = traced_peak(lambda: solve(values, m, n, CONFIG))
+    assert not solver._plans  # above PLAN_CACHE_REALS, so never kept
+    assert peak <= FIRST_PEAK_NODE_TABLES * 8 * m * total
+    assert np.abs(q.coeffs - coeffs).max() <= 1e-9
