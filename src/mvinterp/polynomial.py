@@ -84,7 +84,8 @@ def evaluate_rows(q: MultiPoly, points) -> np.ndarray:
     then dotted with the coefficients: 2·N(m,n) floating operations per row.
     The top degree block, the largest, is gathered from x into the buffer
     itself, so a row allocates one block-sized temporary (its parents'
-    values), not two.
+    values), not two.  The lower blocks keep the plain product: take's
+    call costs more than the copy it saves on a small block.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != q.m:
@@ -126,7 +127,8 @@ def mul_linear(qc: np.ndarray, row: np.ndarray, order) -> np.ndarray:
     qc holds the leading coefficients of a polynomial of degree < order.n.
     One scaled copy for the constant part, then one scatter-add along the
     lift table of each variable with a non-zero coefficient, in axis order;
-    a coefficient of exactly 1 adds qc itself, unscaled.
+    a coefficient of exactly 1 adds qc itself, unscaled.  That saves a copy
+    of qc where a solve's last lift sets its peak, as at (8, 6).
     """
     nq = qc.size
     out = np.zeros(len(order))

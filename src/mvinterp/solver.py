@@ -310,7 +310,10 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
     alone weighs more, (20, 4) upward, is never kept; clear_plans releases
     them.  The returned nodes share the plan's read-only points and its
     tuple of provenance labels, so writing to either raises and cannot
-    change a plan.
+    change a plan.  That tuple is an API change: solve's provenance used
+    to be a fresh list, as assemble_generic's and parse_nodes' still are,
+    and a tuple never compares equal to a list, so compare labels as
+    list(nodes.provenance).
 
     Raises
     ------
