@@ -91,7 +91,7 @@ def parse_nodes(text: str, source: str = "<string>") -> NodeSet:
     # array parser refuses (such as 1_0).  The array parser also strips \x1f
     # around a number, which float() refuses.  Rows of one leaf share one
     # label string, as assembled node sets do.
-    labels = [sys.intern(row.rsplit(",", 1)[-1].strip()) for row in rows()]
+    labels = tuple(sys.intern(row.rsplit(",", 1)[-1].strip()) for row in rows())
     points = None
     if (
         "\x1f" not in text

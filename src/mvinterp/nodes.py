@@ -36,17 +36,18 @@ class NodeSet:
     """Ordered node list with per-point provenance.
 
     points has shape (count, m); provenance[i] is the bit string of the
-    leaf that produced point i ("-" when the problem had no tree), a list,
-    or the tuple a solve shares with its plan.
+    leaf that produced point i ("-" when the problem had no tree), held as
+    a tuple made from the sequence given (a tuple is kept, not copied).
     """
 
     points: np.ndarray
-    provenance: list | tuple
+    provenance: tuple
     m: int
     n: int
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
+        self.provenance = tuple(self.provenance)
         if self.points.ndim != 2 or self.points.shape[1] != self.m:
             raise ValueError(f"points must have shape (count, {self.m})")
         if len(self.provenance) != self.points.shape[0]:
@@ -179,7 +180,7 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
         for sigma, at in tree.by_sigma(tree.leaf).items():
             blocks = leaf_nodes(sigma, bases[flat[at]], frame, kappa)
             points[lo[at, None] + np.arange(blocks.shape[1])] = blocks
-    provenance = ["-"] * len(points) if tree is None else tree.provenance()
+    provenance = ("-",) * len(points) if tree is None else tree.provenance()
     if mu is not None:
         points += mu
     if tree is not None:

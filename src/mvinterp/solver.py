@@ -72,8 +72,9 @@ class SolveConfig:
 
 
 def _divisor_product(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """The product over the divisor rows [c0, normal] at each row of points."""
-    return np.prod(rows[:, :1] + rows[:, 1:] @ points.T, axis=0)
+    """The product over the divisor rows [c0, normal] at each row of points;
+    stacks (..., c, m + 1) and (..., r, m) pair up on their leading axes."""
+    return (rows[..., :1] + rows[..., 1:] @ points.swapaxes(-1, -2)).prod(axis=-2)
 
 
 def corrected_value(values, correction: MultiPoly, points, product, labels) -> np.ndarray:
@@ -93,8 +94,13 @@ def corrected_value(values, correction: MultiPoly, points, product, labels) -> n
         When the division does, naming the node and the divisor labels; a
         backstop, as assembly keeps divisors clear of zero (GEOMETRY_RTOL).
     """
-    numerator = np.asarray(values, dtype=float) - evaluate_rows(correction, points)
-    corrected = numerator / product
+    try:
+        numerator = np.asarray(values, dtype=float) - evaluate_rows(correction, points)
+        corrected = numerator / product
+    except RuntimeWarning:  # a warnings filter made NumPy's warning an error: redo quietly, to name the node
+        with np.errstate(all="ignore"):
+            numerator = np.asarray(values, dtype=float) - evaluate_rows(correction, points)
+            corrected = numerator / product
     if not np.isfinite(corrected).all():
         node = np.flatnonzero(~np.isfinite(corrected))[0]
         where = f"at node {np.array2string(points[node], precision=6)}"
@@ -196,12 +202,14 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     its rows, kind and the table rows of the splits it crosses, root first.
     Table row r is the divisor row [c0, normal] of the split with the r-th
     smallest mid, its hyperplane moved by mu, so the walk first divides by
-    the rows from the last to the first.  Each node's divisor product and
-    each line node's parameter <x - base, frame[0]> are computed here once,
-    with the expressions of the leaf's own divisor rows and line, and a
-    line's parameters are checked for near-duplicates, and a solve's
-    multiply-adds counted.  A divisor product that overflows raises
-    GeometryConfigError naming the leaf.
+    the rows from the last to the first.  One walk up the cross column finds
+    every leaf's crossed splits at once, right-aligned and root first, so a
+    leaf of sigma (d, k) has them in its last n - k columns.  Then, one leaf
+    sigma at a time as in assembly, come the divisor products, which raise
+    GeometryConfigError naming the leaf if one overflows, and the line
+    parameters <x - base, frame[0]>, checked for near-duplicates, and line
+    offsets, each with the bits of its leaf's own expression.  Without a
+    tree there is one leaf, of sigma (1, n) or (m, n), dividing by nothing.
     """
     nodes, tree, hyperplanes = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
     points = nodes.points
@@ -209,32 +217,33 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     frame = _identity(m) if frame is None else frame
     direction = frame[0]
     shift = np.zeros(m) if mu is None else mu
-    indices = []
     if tree is None:  # one leaf on the whole space, which divides by nothing
-        table, row, flats = np.empty((0, m + 1)), np.empty(0, np.intp), shift[None]
-        starts, lines, flat_of, indptr = [len(nodes), 0], [m == 1 or n == 0], [-1], [0, 0]
+        table, row, bases, lo = np.empty((0, m + 1)), np.empty(0, np.intp), shift[None], np.zeros(1, np.intp)
+        crossed = np.empty((1, 0), np.intp)
+        groups = {(1, n) if m == 1 or n == 0 else (m, n): np.zeros(1, np.intp)}
     else:
         row, axis, normals = np.argsort(np.argsort(tree.mid)), hyperplanes.axis, hyperplanes.frame
         moved = np.array([normal @ shift for normal in normals])  # a dot per axis: a matrix product may round apart
         table = np.empty((len(axis), m + 1))
         table[row, 0] = -hyperplanes.offset - moved[axis]
         table[row, 1:] = normals[axis]
-        flats = vertex_base(tree, hyperplanes) + shift
-        del hyperplanes, axis, normals  # freed before the per-node vectors, as is the tree
-        walk = tree.leaf[::-1]
-        lines, flat_of = [tree.sigma[v][0] == 1 for v in walk], [tree.flat[v] for v in walk]
-        starts, indptr = [len(nodes)], [0]
-        for v in walk:
-            starts.append(tree.lo[v])
-            indices += tree.crossed(v)
-            indptr.append(len(indices))
-        del tree
-    starts, lines, indptr, indices = np.array(starts), np.array(lines), np.array(indptr), row[indices]
-    divisor, param, offsets = np.empty(len(nodes)), np.zeros(len(nodes)), np.zeros(lines.size)
+        leaf, cross, split = np.array(tree.leaf), np.array(tree.cross + [-1]), np.array(tree.split + [-1])
+        bases, lo = (vertex_base(tree, hyperplanes) + shift)[np.array(tree.flat)[leaf]], np.array(tree.lo)[leaf]
+        crossed, up = np.empty((leaf.size, n), np.intp), cross[leaf]
+        for column in range(n - 1, -1, -1):  # each leaf's next split up; -1, past the root, stays -1
+            crossed[:, column] = up
+            up = cross[split[up]]
+        groups = tree.by_sigma(tree.leaf)
+        del tree, hyperplanes, axis, normals  # freed before the per-node vectors
+    walk = crossed[::-1]
+    valid = walk >= 0
+    starts, indptr = np.concatenate(([len(nodes)], lo[::-1])), np.concatenate(([0], valid.sum(1).cumsum()))
+    indices = row[walk[valid]]
+    divisor = np.empty(len(nodes))
     with np.errstate(over="ignore"):  # rejected next, naming the leaf
-        for i in range(lines.size):
-            lo, hi = starts[i + 1], starts[i]
-            divisor[lo:hi] = _divisor_product(table[indices[indptr[i] : indptr[i + 1]]], points[lo:hi])
+        for (d, k), at in groups.items():
+            block = lo[at, None] + np.arange(k + 1 if d == 1 else d + 1)
+            divisor[block] = _divisor_product(table[row[crossed[at, k:]]], points[block])
     bad = np.flatnonzero(~np.isfinite(divisor))
     if bad.size:
         raise GeometryConfigError(
@@ -242,13 +251,15 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
             f"{np.array2string(points[bad[0]], precision=6)}; the lambda/kappa "
             "configuration is ill posed"
         )
-    for i in np.flatnonzero(lines):
-        lo, hi, base = starts[i + 1], starts[i], flats[flat_of[i]]
-        param[lo:hi] = (points[lo:hi] - base) @ direction
-        check_distinct(param[lo:hi])
-        offsets[i] = -float(direction @ base)
+    param, lines, offsets = np.zeros(len(nodes)), np.zeros(lo.size, bool), np.zeros(lo.size)
+    for (d, k), at in groups.items():
+        if d == 1:  # its leaves' walk positions are lo.size - 1 - at
+            block, base = lo[at, None] + np.arange(k + 1), bases[at, None]
+            param[block] = t = (points[block] - base) @ direction  # a gemv per leaf, as on a leaf's own line
+            check_distinct(t)
+            lines[-1 - at] = True
+            offsets[-1 - at] = -(base @ direction[:, None])[:, 0, 0]  # a dot per leaf: one gemv may round apart
     ops = sum(_step_multiply_adds(m, n, starts, lines, table, indptr, indices).values())
-    nodes = NodeSet(points, tuple(nodes.provenance), m, n)  # labels every solve shares
     # the frame in C order, as solve_linear takes a flat's active rows
     return Plan(nodes, np.ascontiguousarray(frame), table, starts, lines, indptr, indices, offsets, divisor, param, ops)
 
@@ -310,10 +321,7 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
     alone weighs more, (20, 4) upward, is never kept; clear_plans releases
     them.  The returned nodes share the plan's read-only points and its
     tuple of provenance labels, so writing to either raises and cannot
-    change a plan.  That tuple is an API change: solve's provenance used
-    to be a fresh list, as assemble_generic's and parse_nodes' still are,
-    and a tuple never compares equal to a list, so compare labels as
-    list(nodes.provenance).
+    change a plan.
 
     Raises
     ------

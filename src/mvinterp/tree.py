@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -150,27 +150,14 @@ class DecompTree:
             groups.setdefault(self.sigma[vertex], []).append(i)
         return {sigma: np.array(groups[sigma]) for sigma in sorted(groups)}
 
-    def crossed(self, vertex: int) -> list:
-        """The splits whose hyperplanes the rows of a vertex divide by, one
-        per 0 bit of its path, root first."""
-        out = []
-        split = self.cross[vertex]
-        while split >= 0:
-            out.append(split)
-            split = self.cross[self.split[split]]
-        return out[::-1]
-
     @property
     def leaves(self) -> list:
         """Leaves in left-to-right order (bit-0 child first), as a new list."""
         return _vertex_list(map(self.sigma.__getitem__, self.leaf), map(self.eps.__getitem__, self.leaf))
 
-    def provenance(self) -> list:
+    def provenance(self) -> tuple:
         """The label of the leaf that owns each node row, in storage order."""
-        out = []
-        for v in self.leaf:
-            out += [eps_label(self.eps[v])] * (self.hi[v] - self.lo[v])
-        return out
+        return tuple(chain.from_iterable(repeat(eps_label(self.eps[v]), self.hi[v] - self.lo[v]) for v in self.leaf))
 
     @property
     def leaf_count(self) -> int:

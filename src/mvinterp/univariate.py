@@ -26,9 +26,10 @@ def chebyshev_parameters(count: int, kappa: float = 1.0) -> np.ndarray:
 
 def check_distinct(t: np.ndarray) -> None:
     """Raise DegenerateInputError unless the least gap between the line
-    parameters t exceeds 1e-14 times their span."""
-    srt = np.sort(t)
-    if t.size >= 2 and np.min(np.diff(srt)) <= 1e-14 * (srt[-1] - srt[0]):
+    parameters t exceeds 1e-14 times their span, along the last axis: a
+    stack (..., count) holds the parameters of one line per row."""
+    srt = np.sort(t, axis=-1)
+    if t.shape[-1] >= 2 and ((srt[..., 1:] - srt[..., :-1]).min(axis=-1) <= 1e-14 * (srt[..., -1] - srt[..., 0])).any():
         raise DegenerateInputError("interpolation nodes contain a (near-)duplicate pair")
 
 

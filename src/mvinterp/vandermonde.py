@@ -301,10 +301,9 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
     gather from a projection made once per axis.
     """
     normals = np.eye(m) if hyperplanes is None else hyperplanes.for_tree(tree).frame
-    provenance = list(nodes.provenance)
     for vertex in tree.leaf:
         lo, hi = tree.lo[vertex], tree.hi[vertex]
-        if provenance[lo:hi].count(eps_label(tree.eps[vertex])) != hi - lo:
+        if nodes.provenance[lo:hi].count(eps_label(tree.eps[vertex])) != hi - lo:
             return None
     points = nodes.points
     lo, leaf = np.array(tree.lo), np.array(tree.leaf)

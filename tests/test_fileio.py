@@ -67,7 +67,7 @@ def test_node_base_case_uses_dash_provenance():
     text = format_nodes(nodes)
     for line in text.splitlines()[1:]:
         assert line.endswith(",-")
-    assert parse_nodes(text).provenance == ["-"] * 4
+    assert parse_nodes(text).provenance == ("-",) * 4
 
 
 @pytest.mark.parametrize(
@@ -130,13 +130,13 @@ def test_parse_nodes_reports_line_numbers():
     "text,points,labels",
     [
         # float() reads 1_0; the array parser does not
-        ("2,1,1\n1_0,0,-\n", [[10.0, 0.0]], ["-"]),
-        ("2,1,2\n0,0,0\n1,1_000,1\n", [[0.0, 0.0], [1.0, 1000.0]], ["0", "1"]),
+        ("2,1,1\n1_0,0,-\n", [[10.0, 0.0]], ("-",)),
+        ("2,1,2\n0,0,0\n1,1_000,1\n", [[0.0, 0.0], [1.0, 1000.0]], ("0", "1")),
         # spaces around fields
-        ("2,1,2\n 0 , 1 , 0 \n1,\t0,1\n", [[0.0, 1.0], [1.0, 0.0]], ["0", "1"]),
-        ("2,1,2\r\n0,0,0\r\n1,0,1\r\n", [[0.0, 0.0], [1.0, 0.0]], ["0", "1"]),
-        ("2,1,2\n0,0,0\n   \n\t\n1,0,1\n", [[0.0, 0.0], [1.0, 0.0]], ["0", "1"]),
-        ("1,1,2\n-0,-\n1e-400,-\n", [[-0.0], [0.0]], ["-", "-"]),
+        ("2,1,2\n 0 , 1 , 0 \n1,\t0,1\n", [[0.0, 1.0], [1.0, 0.0]], ("0", "1")),
+        ("2,1,2\r\n0,0,0\r\n1,0,1\r\n", [[0.0, 0.0], [1.0, 0.0]], ("0", "1")),
+        ("2,1,2\n0,0,0\n   \n\t\n1,0,1\n", [[0.0, 0.0], [1.0, 0.0]], ("0", "1")),
+        ("1,1,2\n-0,-\n1e-400,-\n", [[-0.0], [0.0]], ("-", "-")),
     ],
 )
 def test_parse_nodes_reads_loose_rows(text, points, labels):

@@ -32,7 +32,7 @@ def test_base_case_degree_zero():
     nodes, tree, specs = assemble_generic(3, 0)
     assert tree is None and specs == {}
     np.testing.assert_array_equal(nodes.points, [[0.0, 0.0, 0.0]])
-    assert nodes.provenance == ["-"]
+    assert nodes.provenance == ("-",)
 
 
 def test_base_case_one_dimension():
@@ -40,7 +40,7 @@ def test_base_case_one_dimension():
     assert tree is None
     expected = [cos(pi / 8), cos(3 * pi / 8), cos(5 * pi / 8), cos(7 * pi / 8)]
     np.testing.assert_allclose(nodes.points[:, 0], expected, atol=1e-15)
-    assert nodes.provenance == ["-"] * 4
+    assert nodes.provenance == ("-",) * 4
 
 
 def test_base_case_degree_one():
@@ -66,7 +66,7 @@ def test_assembly_2_2_pattern():
         ],
         atol=1e-15,
     )
-    assert nodes.provenance == ["0"] * 3 + ["1"] * 3
+    assert nodes.provenance == ("0",) * 3 + ("1",) * 3
     assert leaf_slices(nodes) == {"0": slice(0, 3), "1": slice(3, 6)}
 
 
@@ -261,10 +261,10 @@ def test_separation_reports_first_failing_leaf():
 def test_tree_provenance_follows_leaf_blocks(m, n):
     tree = build_tree(m, n)
     specs = assign_hyperplanes(tree)
-    labels = []
+    labels = ()
     for leaf in tree.leaves:
         pts = leaf_block(tree, specs, leaf.eps, np.eye(m))
-        labels += ["".join(map(str, leaf.eps))] * pts.shape[0]
+        labels += ("".join(map(str, leaf.eps)),) * pts.shape[0]
     assert tree.provenance() == labels == assemble_generic(m, n)[0].provenance
 
 
@@ -334,7 +334,7 @@ def test_assembly_is_bitwise_the_reference_recursion(m, n):
         nodes, _, specs = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
         points, labels, bases = reference_assembly(m, n, frame, lam, kappa, mu)
         assert np.array_equal(nodes.points, points)
-        assert nodes.provenance == labels
+        assert nodes.provenance == tuple(labels)
         assert set(specs) == set(bases)
         for eps, base in bases.items():
             assert np.array_equal(specs[eps].base, base), eps

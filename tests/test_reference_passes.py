@@ -28,7 +28,7 @@ def reference_certificate(nodes, m, n, tree, hyperplanes):
     leaf by the row-equilibrated pivoted LU of its Vandermonde matrix in its
     line parameter, a flat leaf by the QR of its edges, a split by the values
     of its hyperplane (offset read off its first on-row) at its off-rows."""
-    if list(nodes.provenance) != tree.provenance():
+    if nodes.provenance != tree.provenance():
         return None
     points = nodes.points
     generic = True

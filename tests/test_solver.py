@@ -110,7 +110,7 @@ def test_corrected_value_single_split_hand_chain():
 
 def test_corrected_value_division_guard():
     # the divisor y - 2 vanishes at the node
-    with np.errstate(all="ignore"), pytest.raises(GeometryConfigError) as err:
+    with pytest.raises(GeometryConfigError) as err:
         corrected_value([1.0], MultiPoly.zero(2, 2), np.array([[5.0, 2.0]]), np.zeros(1), ["10"])
     assert "10" in str(err.value)
     assert "lambda/kappa" in str(err.value)
@@ -119,7 +119,7 @@ def test_corrected_value_division_guard():
 def test_corrected_value_overflow_is_a_value_error():
     # f and the correction are finite, but their difference is not
     correction = MultiPoly(2, 0, [-1e308])
-    with np.errstate(all="ignore"), pytest.raises(
+    with pytest.raises(
         ValueError, match=r"overflowed floating point at node \[0\. 2\.\]"
     ):
         corrected_value([1e308], correction, np.array([[0.0, 2.0]]), np.ones(1), [])
@@ -150,6 +150,9 @@ def test_corrected_value_block_matches_pointwise_rule(rng):
         assert corrected == pytest.approx(expected, rel=1e-14)
     steps = solver._step_multiply_adds(3, 2, np.array([4, 0]), np.array([False]), rows, np.array([0, 2]), np.array([0, 1]))
     assert steps["correct"] == 4 * (2 * 10 + 4 * 2 + 1)
+    # stacked on a leading axis, each pair has the bits of its own call
+    stacked = solver._divisor_product(np.stack([rows, rows[::-1]]), np.stack([points, points[::-1]]))
+    assert stacked.tobytes() == np.stack([product, solver._divisor_product(rows[::-1], points[::-1])]).tobytes()
 
 
 def test_overflow_names_the_coordinate_scale():
@@ -157,7 +160,7 @@ def test_overflow_names_the_coordinate_scale():
     # reach |x| ~ 5e4, where the correction's degree-12 monomials overflow
     w = np.array([0.3, 0.7, 1.1])
     config = SolveConfig(frame=ROTATED_3, lam=Fraction(3))
-    with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
+    with pytest.raises(ValueError) as err:
         solve(lambda p: float(np.cos(w @ p)), 3, 12, config=config)
     message = str(err.value)
     assert message.startswith("f minus the interpolant so far overflowed floating point at node [")
@@ -169,7 +172,7 @@ def test_overflow_names_the_coordinate_scale():
 def test_corrected_value_guard_names_first_close_node():
     points = np.array([[0.0, 1.0], [3.0, 2.0], [4.0, 2.0]])
     product = points[:, 1] - 2.0  # the divisor y - 2
-    with np.errstate(all="ignore"), pytest.raises(GeometryConfigError, match=r"node \[3\. 2\.\]"):
+    with pytest.raises(GeometryConfigError, match=r"node \[3\. 2\.\]"):
         corrected_value(np.ones(3), MultiPoly.zero(2, 2), points, product, ["1"])
 
 
@@ -424,7 +427,7 @@ def test_walk_backstop_names_the_leafs_divisors():
     block, rows = next(leaf for leaf in plan_leaves(plan) if leaf[1].size > 1)
     plan.divisor[block.start] = 0.0
     try:
-        with np.errstate(all="ignore"), pytest.raises(GeometryConfigError) as err:
+        with pytest.raises(GeometryConfigError) as err:
             solve(values, m, n)
     finally:
         solver.clear_plans()
@@ -966,36 +969,52 @@ def test_plan_walks_leaves_in_reverse_storage_order(m, n):
         assert line == (eps.count("1") == m - 1)  # a line has dimension 1
 
 
-@pytest.mark.parametrize("m,n", [(3, 4), (5, 3), (4, 4)])
+@pytest.mark.parametrize(
+    "m,n,lam",
+    [
+        *(pytest.param(m, n, None, id=f"{m}-{n}") for m, n in [(3, 4), (5, 3), (4, 4), (3, 12), (8, 6)]),
+        *(pytest.param(m, n, Fraction(11, 10), id=f"{m}-{n}-11/10") for m, n in [(3, 4), (5, 3), (4, 4), (2, 25)]),
+        pytest.param(1, 6, None, id="1-6"),  # no tree: one line leaf
+        pytest.param(5, 1, None, id="5-1"),  # no tree: one flat leaf
+    ],
+)
 @pytest.mark.parametrize("rotated", [False, True])
-def test_plan_quantities_are_bitwise_the_walk_expressions(m, n, rotated):
+def test_plan_quantities_are_bitwise_the_walk_expressions(m, n, lam, rotated):
     # the stored divisor product, line parameter and line offset of every
     # node and leaf, and a flat's base, have the bits of the expressions
-    # the walk would compute them with from the leaf's own hyperplanes
+    # the walk would compute them with from the leaf's own hyperplanes; a
+    # problem without a tree is one leaf at mu that divides by nothing
     config = rotated_config(m) if rotated else SolveConfig(mu=np.linspace(-0.5, 0.25, m))
+    config.lam = config.lam if lam is None else lam
     frame = np.eye(m) if config.frame is None else config.frame
     plan = solver._build_plan(m, n, config.frame, Fraction(config.lam), config.kappa, config.mu)
     _, tree, hyperplanes = assemble_generic(
         m, n, frame=config.frame, lam=config.lam, kappa=config.kappa
     )
-    blocks = leaf_slices(plan.nodes)
-    for i, leaf in enumerate(reversed(list(tree.leaves))):
-        label = "".join(map(str, leaf.eps))
-        block = blocks[label]
+    if tree is None:
+        leaves = [(slice(0, len(plan.nodes)), [], m == 1 or n == 0, config.mu)]
+    else:
+        blocks, leaves = leaf_slices(plan.nodes), []
+        for leaf in reversed(tree.leaves):
+            crossed = [hyperplanes[leaf.eps[:j] + (1,)] for j, bit in enumerate(leaf.eps) if bit == 0]
+            base = vertex_base(tree, hyperplanes)[tree.flat[tree.eps.index(leaf.eps)]] + config.mu
+            leaves.append((blocks["".join(map(str, leaf.eps))], crossed, leaf.sigma[0] == 1, base))
+    assert len(plan.lines) == len(leaves)
+    for i, (block, crossed, line, base) in enumerate(leaves):
         assert block == slice(plan.starts[i + 1], plan.starts[i])
         pts = plan.nodes.points[block]
-        crossed = [hyperplanes[leaf.eps[:j] + (1,)] for j, bit in enumerate(leaf.eps) if bit == 0]
         rows = np.array(
             [[-spec.offset - float(spec.normal @ config.mu), *spec.normal] for spec in crossed]
         ).reshape(len(crossed), m + 1)
         factors = rows[:, :1] + rows[:, 1:] @ pts.T
         assert plan.divisor[block].tobytes() == np.prod(factors, axis=0).tobytes()
-        base = vertex_base(tree, hyperplanes)[tree.flat[tree.eps.index(leaf.eps)]] + config.mu
-        if leaf.sigma[0] == 1:
+        assert plan.lines[i] == line
+        if line:
             assert plan.param[block].tobytes() == ((pts - base) @ frame[0]).tobytes()
             assert plan.offsets[i] == -float(frame[0] @ base)
         else:
             assert pts[0].tobytes() == base.tobytes()
+            assert not plan.param[block].any() and plan.offsets[i] == 0.0
 
 
 def test_overflowing_divisor_product_is_rejected_when_planned():

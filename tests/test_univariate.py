@@ -60,6 +60,10 @@ def test_check_distinct_rejects_duplicates():
     with pytest.raises(DegenerateInputError):
         check_distinct(np.array([0.0, 1.0, 1.0 + 1e-16]))
     check_distinct(np.array([0.0, 1.0, 1.0 + 1e-13]))
+    # a stack holds one line per row; one near-duplicate pair rejects it
+    check_distinct(np.array([[0.0, 1.0, 1.0 + 1e-13], [2.0, 0.0, 1.0]]))
+    with pytest.raises(DegenerateInputError):
+        check_distinct(np.array([[0.0, 1.0, 2.0], [2.0, 1.0 + 1e-16, 1.0]]))
 
 
 def test_roundtrip_coefficient_recovery(rng):
