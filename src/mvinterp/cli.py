@@ -33,10 +33,11 @@ from .exceptions import (
 )
 from .fileio import (
     FileFormatError,
-    format_nodes,
     format_polynomial,
+    node_blocks,
     read_nodes,
     read_polynomial,
+    write_nodes,
 )
 from .monomials import count_total
 from .polynomial import MultiPoly, evaluate
@@ -182,7 +183,10 @@ def cmd_nodes(args) -> int:
         args.m, args.n, lam=args.lam, kappa=args.kappa,
         mu=_mu_for(args.mu, args.m),
     )
-    _emit(format_nodes(nodes), args.output)
+    if args.output is None:
+        sys.stdout.writelines(node_blocks(nodes))
+    else:
+        write_nodes(nodes, args.output)
     return EXIT_OK
 
 
@@ -217,7 +221,7 @@ def cmd_solve(args) -> int:
     nodes_file = None
     if args.output is not None:
         nodes_file = args.output + ".nodes"
-        _emit(format_nodes(nodes), nodes_file)
+        write_nodes(nodes, nodes_file)
     doc = json.loads(format_polynomial(result))
     doc["report"] = {
         "multiply_adds": report["multiply_adds"],

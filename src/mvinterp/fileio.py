@@ -27,7 +27,9 @@ from .polynomial import MultiPoly
 __all__ = [
     "FileFormatError",
     "ORDERING_TAG",
+    "NODE_BLOCK_ROWS",
     "format_nodes",
+    "node_blocks",
     "parse_nodes",
     "read_nodes",
     "write_nodes",
@@ -44,31 +46,44 @@ class FileFormatError(ValueError):
     """A node or polynomial file violates its format; message names the spot."""
 
 
+# rows a node file is formatted and written in at a time
+NODE_BLOCK_ROWS = 64
+# the line breaks str.splitlines takes in ASCII besides "\n", and \x1f,
+# which the array parser strips around a number and float() refuses
+_LOOSE_CHARS = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def node_blocks(nodes: NodeSet):
+    """The text of a node file in pieces: the header line, then blocks of
+    NODE_BLOCK_ROWS rows, each line ended by "\n".  Only one block is held
+    at a time."""
+    line = ",".join(["%.17g"] * nodes.m) + ",%s\n"
+    yield f"{nodes.m},{nodes.n},{len(nodes)}\n"
+    for start in range(0, len(nodes), NODE_BLOCK_ROWS):
+        rows = nodes.points[start : start + NODE_BLOCK_ROWS].tolist()
+        labels = nodes.provenance[start : start + NODE_BLOCK_ROWS]
+        yield "".join([line % (*row, label) for row, label in zip(rows, labels)])
+
+
 def format_nodes(nodes: NodeSet) -> str:
-    line = ",".join(["%.17g"] * nodes.m) + ",%s"
-    lines = [f"{nodes.m},{nodes.n},{len(nodes)}"]
-    for row, label in zip(nodes.points, nodes.provenance):
-        lines.append(line % (*row.tolist(), label))
-    lines.append("")  # ends the last row, without a second copy of the text
-    return "\n".join(lines)
+    """The text of a node file.  It holds the blocks of node_blocks and
+    their join, about twice the text, at once."""
+    return "".join(node_blocks(nodes))
 
 
 def write_nodes(nodes: NodeSet, path) -> None:
+    """Write a node file block by block, holding one block of
+    NODE_BLOCK_ROWS rows at a time, never the whole text."""
     with open(path, "w", encoding="ascii") as handle:
-        handle.write(format_nodes(nodes))
+        handle.writelines(node_blocks(nodes))
 
 
 def _bad_label(label: str) -> bool:
     return label != "-" and (not label or bool(label.strip("01")))
 
 
-def parse_nodes(text: str, source: str = "<string>") -> NodeSet:
-    lines = text.splitlines()
-    # the numbers of the lines in use: blank lines are skipped, but counted
-    numbers = np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))) + 1
-    if not numbers.size:
-        raise FileFormatError(f"{source}:1: empty node file, expected header m,n,count")
-    at, head = int(numbers[0]), lines[numbers[0] - 1]
+def _header(head: str, at: int, source: str):
+    """m, n and count of the header line head, which is line at."""
     header = head.split(",")
     if len(header) != 3:
         raise FileFormatError(f"{source}:{at}: header must be m,n,count, got {head!r}")
@@ -78,6 +93,65 @@ def parse_nodes(text: str, source: str = "<string>") -> NodeSet:
         raise FileFormatError(f"{source}:{at}: header fields must be integers, got {head!r}") from None
     if m < 1 or n < 0 or count < 1:
         raise FileFormatError(f"{source}:{at}: header values out of range: m={m} n={n} count={count}")
+    return m, n, count
+
+
+def parse_nodes(text: str, source: str = "<string>") -> NodeSet:
+    """The NodeSet of a node file's text.
+
+    A well-formed text is read in one lazy pass: np.loadtxt takes the rows
+    from a generator that finds each in the text, so only the text, the
+    points and the labels are held at once.  Well-formed means the header
+    on line 1, then exactly count rows of m commas and a good label, every
+    line ended by "\n" alone (the last may lack it), and every value one
+    the array parser reads to a finite float.  Any other text (blank lines,
+    other line breaks, \x1f, a wrong count, comma count or label, or a
+    value such as 1_0 or inf) goes to the strict reader, which also holds a
+    list of the text's lines, skips blank lines and raises FileFormatError
+    naming the line of the first problem.
+    """
+    end = text.find("\n")
+    head = text if end < 0 else text[:end]
+    if not head.strip() or not text.isascii() or any(map(text.__contains__, _LOOSE_CHARS)):
+        return _parse_strict(text, source)
+    m, n, count = _header(head, 1, source)
+    if end < 0 or text.count("\n", end + 1, len(text) - 1) != count - 1:
+        return _parse_strict(text, source)
+    labels = []
+
+    def rows():  # the node rows, each followed by "\n" or the end of the text
+        start, tail = end + 1, "\n"
+        for _ in range(count):
+            stop = text.find("\n", start)
+            row = text[start:] if stop < 0 else text[start:stop]
+            if row.count(",") != m:
+                raise ValueError("a row the strict reader must read")
+            if not row.endswith(tail):  # else the rows of one leaf share its label
+                label = row[row.rfind(",") + 1 :].strip()
+                tail = "," + label
+            labels.append(label)
+            yield row
+            start = stop + 1
+
+    try:
+        points = np.loadtxt(rows(), delimiter=",", usecols=range(m), comments=None, ndmin=2, max_rows=count)
+    except ValueError:
+        return _parse_strict(text, source)
+    if any(map(_bad_label, set(labels))) or not np.isfinite(points).all():
+        return _parse_strict(text, source)
+    return NodeSet(points, labels, m, n)
+
+
+def _parse_strict(text: str, source: str) -> NodeSet:
+    """The NodeSet of any node file's text, or the FileFormatError that
+    names the line of its first problem."""
+    lines = text.splitlines()
+    # the numbers of the lines in use: blank lines are skipped, but counted
+    numbers = np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))) + 1
+    if not numbers.size:
+        raise FileFormatError(f"{source}:1: empty node file, expected header m,n,count")
+    at, head = int(numbers[0]), lines[numbers[0] - 1]
+    m, n, count = _header(head, at, source)
     if len(numbers) - 1 != count:
         raise FileFormatError(
             f"{source}: header announces {count} nodes but file has {len(numbers) - 1} rows"

@@ -96,9 +96,9 @@ def _check_separation(tree, hyperplanes, points, provenance, shift=None) -> None
     the normal of its axis.  Reported is the first failing leaf in storage
     order, at its split nearest the root, with its nodes' least distance.
     """
-    lo, offsets = np.array(tree.lo)[tree.split], hyperplanes.for_tree(tree).offset
+    lo, offsets = tree.split_lo, hyperplanes.for_tree(tree).offset
     failures, axis = [], None
-    for (d, k), at in tree.by_sigma(tree.split).items():
+    for (d, k), at in tree.split_groups.items():
         if d - 1 != axis:
             axis, normal = d - 1, hyperplanes.frame[d - 1]
             along, scale = points @ normal, np.abs(points) @ np.abs(normal)
@@ -174,10 +174,9 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
     else:
         tree = build_tree(m, n)
         hyperplanes = assign_hyperplanes(tree, frame=frame, lam=lam)
-        leaf = np.array(tree.leaf)
-        bases, lo, flat = vertex_base(tree, hyperplanes), np.array(tree.lo)[leaf], np.array(tree.flat)[leaf]
+        bases, lo, flat = vertex_base(tree, hyperplanes), tree.leaf_lo, tree.leaf_flat
         points = np.empty((total, m))
-        for sigma, at in tree.by_sigma(tree.leaf).items():
+        for sigma, at in tree.leaf_groups.items():
             blocks = leaf_nodes(sigma, bases[flat[at]], frame, kappa)
             points[lo[at, None] + np.arange(blocks.shape[1])] = blocks
     provenance = ("-",) * len(points) if tree is None else tree.provenance()

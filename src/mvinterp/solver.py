@@ -228,12 +228,12 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
         table[row, 0] = -hyperplanes.offset - moved[axis]
         table[row, 1:] = normals[axis]
         leaf, cross, split = np.array(tree.leaf), np.array(tree.cross + [-1]), np.array(tree.split + [-1])
-        bases, lo = (vertex_base(tree, hyperplanes) + shift)[np.array(tree.flat)[leaf]], np.array(tree.lo)[leaf]
+        bases, lo = (vertex_base(tree, hyperplanes) + shift)[tree.leaf_flat], tree.leaf_lo
         crossed, up = np.empty((leaf.size, n), np.intp), cross[leaf]
         for column in range(n - 1, -1, -1):  # each leaf's next split up; -1, past the root, stays -1
             crossed[:, column] = up
             up = cross[split[up]]
-        groups = tree.by_sigma(tree.leaf)
+        groups = tree.leaf_groups
         del tree, hyperplanes, axis, normals  # freed before the per-node vectors
     walk = crossed[::-1]
     valid = walk >= 0

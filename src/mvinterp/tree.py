@@ -81,6 +81,13 @@ def _vertex_list(sigma, eps) -> list:
     return list(map(tuple.__new__, repeat(Vertex), zip(sigma, eps)))
 
 
+def _read_only(values) -> np.ndarray:
+    """The values as an array that readers share, so none may write it."""
+    out = np.array(values)
+    out.flags.writeable = False
+    return out
+
+
 class DecompTree:
     """Binary decomposition tree for dimension m >= 2 and degree n >= 2.
 
@@ -96,6 +103,11 @@ class DecompTree:
     - per split, in preorder: ``split``, its vertex; ``key``, the path of
       its bit-1 child, which names its hyperplane; and ``mid``;
     - per leaf, left to right: ``leaf``, its vertex.
+
+    Array readers share what they gather, made once on first read and
+    read-only: ``leaf_lo``, ``leaf_flat`` and ``split_lo``, the lo or flat
+    column at each leaf or split, and ``leaf_groups`` and ``split_groups``,
+    the leaves and splits grouped by sigma.
 
     Nodes are stored subtree by subtree, bit-0 child first, so a split of
     sigma (d, k) owns rows lo:hi: N(d, k-1) rows lo:mid of its bit-0 child,
@@ -141,14 +153,34 @@ class DecompTree:
         """Every vertex in preorder, bit-0 child first, as a new list."""
         return _vertex_list(self.sigma, self.eps)
 
-    def by_sigma(self, column) -> dict:
-        """sigma -> array of the positions i in a column of vertices (``leaf``
-        or ``split``) whose vertex column[i] has that sigma, in order of sigma.
-        Such a group's row blocks are equally long; a split group's share an axis."""
+    def _by_sigma(self, column) -> dict:
+        """sigma -> positions i in a column of vertices whose column[i] has it, in order of sigma."""
         groups: dict = {}
         for i, vertex in enumerate(column):
             groups.setdefault(self.sigma[vertex], []).append(i)
-        return {sigma: np.array(groups[sigma]) for sigma in sorted(groups)}
+        return {sigma: _read_only(groups[sigma]) for sigma in sorted(groups)}
+
+    @cached_property
+    def leaf_groups(self) -> dict:
+        """The leaves by sigma, as positions in ``leaf``; a group's row blocks are equally long."""
+        return self._by_sigma(self.leaf)
+
+    @cached_property
+    def split_groups(self) -> dict:
+        """The splits by sigma, as positions in ``split``; a group's splits share an axis."""
+        return self._by_sigma(self.split)
+
+    @cached_property
+    def leaf_lo(self) -> np.ndarray:
+        return _read_only(list(map(self.lo.__getitem__, self.leaf)))
+
+    @cached_property
+    def leaf_flat(self) -> np.ndarray:
+        return _read_only(list(map(self.flat.__getitem__, self.leaf)))
+
+    @cached_property
+    def split_lo(self) -> np.ndarray:
+        return _read_only(list(map(self.lo.__getitem__, self.split)))
 
     @property
     def leaves(self) -> list:

@@ -306,12 +306,11 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
         if nodes.provenance[lo:hi].count(eps_label(tree.eps[vertex])) != hi - lo:
             return None
     points = nodes.points
-    lo, leaf = np.array(tree.lo), np.array(tree.leaf)
     generic = True
     abs_det_log = 0.0
     with np.errstate(divide="ignore"):
-        for (d, k), at in tree.by_sigma(tree.leaf).items():
-            pts = points[lo[leaf[at], None] + np.arange(k + 1 if d == 1 else d + 1)]
+        for (d, k), at in tree.leaf_groups.items():
+            pts = points[tree.leaf_lo[at, None] + np.arange(k + 1 if d == 1 else d + 1)]
             rel = pts - pts[:, :1]
             if d == 1:
                 # stacked products, so that each leaf's t has the bits of its own dot products
@@ -336,8 +335,8 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
                 if (diag.min(axis=1) <= PIVOT_RTOL * np.maximum(1.0, diag.max(axis=1))).any():
                     generic = False
                 abs_det_log += float(np.log(diag).sum())
-        lo, mid, axis = lo[tree.split], np.array(tree.mid), None
-        for (d, k), at in tree.by_sigma(tree.split).items():
+        lo, mid, axis = tree.split_lo, np.array(tree.mid), None
+        for (d, k), at in tree.split_groups.items():
             if d - 1 != axis:
                 axis = d - 1
                 along = points @ normals[axis]

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mvinterp import cli, fileio
 from mvinterp.fileio import (
     FileFormatError,
     format_nodes,
     format_polynomial,
+    node_blocks,
     parse_nodes,
     parse_polynomial,
     read_nodes,
@@ -70,31 +73,47 @@ def test_node_base_case_uses_dash_provenance():
     assert parse_nodes(text).provenance == ("-",) * 4
 
 
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("", "empty node file"),
-        ("2,2\n", "header must be m,n,count"),
-        ("a,b,c\n", "must be integers"),
-        ("2,2,3\n0,0,-\n1,1,-\n", "announces 3 nodes"),
-        ("2,1,1\n0,0,oops,-\n", "expected 2 coordinates"),
-        ("2,1,1\nx,0,-\n", "bad coordinate"),
-        ("2,1,1\ninf,0,-\n", "must be finite"),
-        ("2,1,1\n0,nan,-\n", "must be finite"),
-        ("2,1,1\n0,0,2\n", "provenance"),
-        ("0,1,1\n0,-\n", "out of range"),
-        # a row of m fields (no label) and one of m + 2
-        ("2,1,1\n0,1\n", "bad.nodes:2: expected 2 coordinates plus a provenance label, got 2 fields"),
-        ("2,1,1\n0,1,0,1\n", "bad.nodes:2: expected 2 coordinates plus a provenance label, got 4 fields"),
-        ("2,1,2\n0,0,-\n1e400,0,-\n", "bad.nodes:3: coordinates must be finite"),
-        ("2,1,2\n0,0,0\n0.5,-1e400,1\n", "bad.nodes:3: coordinates must be finite"),
-        # a bad label after valid coordinates
-        ("2,1,1\n0,0,01x\n", "bad.nodes:2: provenance must be a 0/1 bit string or '-', got '01x'"),
-        ("2,1,2\n0,0,0\n1,1,\n", "bad.nodes:3: provenance must be a 0/1 bit string or '-', got ''"),
-        # the array parser strips \x1f around a number; float() refuses it
-        ("2,1,1\n\x1f0,0,-\n", "bad.nodes:2: bad coordinate: could not convert string to float: '\\x1f0'"),
-    ],
-)
+# malformed node texts and a fragment of the message each must raise
+MALFORMED_NODE_TEXTS = [
+    ("", "empty node file"),
+    ("2,2\n", "header must be m,n,count"),
+    ("a,b,c\n", "must be integers"),
+    ("2,2,3\n0,0,-\n1,1,-\n", "announces 3 nodes"),
+    ("2,1,1\n0,0,oops,-\n", "expected 2 coordinates"),
+    ("2,1,1\nx,0,-\n", "bad coordinate"),
+    ("2,1,1\ninf,0,-\n", "must be finite"),
+    ("2,1,1\n0,nan,-\n", "must be finite"),
+    ("2,1,1\n0,0,2\n", "provenance"),
+    ("0,1,1\n0,-\n", "out of range"),
+    # a row of m fields (no label) and one of m + 2
+    ("2,1,1\n0,1\n", "bad.nodes:2: expected 2 coordinates plus a provenance label, got 2 fields"),
+    ("2,1,1\n0,1,0,1\n", "bad.nodes:2: expected 2 coordinates plus a provenance label, got 4 fields"),
+    ("2,1,2\n0,0,-\n1e400,0,-\n", "bad.nodes:3: coordinates must be finite"),
+    ("2,1,2\n0,0,0\n0.5,-1e400,1\n", "bad.nodes:3: coordinates must be finite"),
+    # a bad label after valid coordinates
+    ("2,1,1\n0,0,01x\n", "bad.nodes:2: provenance must be a 0/1 bit string or '-', got '01x'"),
+    ("2,1,2\n0,0,0\n1,1,\n", "bad.nodes:3: provenance must be a 0/1 bit string or '-', got ''"),
+    # the array parser strips \x1f around a number; float() refuses it
+    ("2,1,1\n\x1f0,0,-\n", "bad.nodes:2: bad coordinate: could not convert string to float: '\\x1f0'"),
+]
+
+# malformed node texts, their source and the whole message each must raise
+NUMBERED_NODE_TEXTS = [
+    ("2,1,2\n0,0,-\n1,broken,-\n", "f", r"^f:3:"),
+    ("2,1,3\n0,0,-\n1,0,-\n0,-inf,-\n", "f", r"^f:4: coordinates must be finite"),
+    # blank lines are skipped but still counted
+    ("2,1,3\n\n0,0,-\n1,0,-\n0,x,-\n", "<string>", r"^<string>:5: bad coordinate"),
+    ("\n2,1,3\n0,0,-\n\n1,0,-\n0,nan,-\n", "f", r"^f:6: coordinates must be finite"),
+    ("\n  \n2,1\n", "f", r"^f:3: header must be m,n,count"),
+    # whitespace-only lines between rows, and CRLF endings
+    ("2,1,2\n0,0,0\n  \n\t\n1,x,1\n", "f", r"^f:5: bad coordinate: could not convert string to float: 'x'$"),
+    ("2,1,2\r\n0,0,0\r\n\r\n1,0,1x\r\n", "f", r"^f:4: provenance must be a 0/1 bit string or '-', got '1x'$"),
+    ("2,1,2\n0,0,-\n1e400,0,-\n", "f", r"^f:3: coordinates must be finite$"),
+    ("2,1,2\n\n0,0,0\n\n1,0\n", "f", r"^f:5: expected 2 coordinates plus a provenance label, got 2 fields$"),
+]
+
+
+@pytest.mark.parametrize("text,fragment", MALFORMED_NODE_TEXTS)
 def test_parse_nodes_names_the_problem(text, fragment):
     with pytest.raises(FileFormatError) as err:
         parse_nodes(text, source="bad.nodes")
@@ -103,27 +122,92 @@ def test_parse_nodes_names_the_problem(text, fragment):
 
 
 def test_parse_nodes_reports_line_numbers():
+    for text, source, message in NUMBERED_NODE_TEXTS:
+        with pytest.raises(FileFormatError, match=message):
+            parse_nodes(text, source=source)
+
+
+@pytest.mark.parametrize(
+    "text,source",
+    [(text, "bad.nodes") for text, _ in MALFORMED_NODE_TEXTS]
+    + [(text, source) for text, source, _ in NUMBERED_NODE_TEXTS]
+    + [
+        ("2,1,2\n0,0,-\n1,1,-\n2,2,-", "f"),  # one row too many, no final newline
+        ("2,1,2\n0,0,-\n", "f"),
+        ("2,1,1\n0,,-\n", "f"),
+        ("2,1,2\n0,0,-\r1,x,-\r", "f"),
+        ("2,1,1\n0,0\x0c,-\n", "f"),
+        ("2,1,1\n0,0,1,\n", "f"),
+        ("2,-1,1\n0,0,-\n", "f"),
+        ("3,1,1\n0,0,-\n", "f"),
+    ],
+)
+def test_parse_nodes_messages_are_the_strict_readers(text, source):
+    # the one-pass reader raises nothing of its own: every malformed text
+    # gets the message of the strict reader, line number included
+    with pytest.raises(FileFormatError) as strict:
+        fileio._parse_strict(text, source)
     with pytest.raises(FileFormatError) as err:
-        parse_nodes("2,1,2\n0,0,-\n1,broken,-\n", source="f")
-    assert str(err.value).startswith("f:3:")
-    with pytest.raises(FileFormatError, match=r"^f:4: coordinates must be finite"):
-        parse_nodes("2,1,3\n0,0,-\n1,0,-\n0,-inf,-\n", source="f")
-    # blank lines are skipped but still counted
-    with pytest.raises(FileFormatError, match=r"^<string>:5: bad coordinate"):
-        parse_nodes("2,1,3\n\n0,0,-\n1,0,-\n0,x,-\n")
-    with pytest.raises(FileFormatError, match=r"^f:6: coordinates must be finite"):
-        parse_nodes("\n2,1,3\n0,0,-\n\n1,0,-\n0,nan,-\n", source="f")
-    with pytest.raises(FileFormatError, match=r"^f:3: header must be m,n,count"):
-        parse_nodes("\n  \n2,1\n", source="f")
-    # whitespace-only lines between rows, and CRLF endings
-    with pytest.raises(FileFormatError, match=r"^f:5: bad coordinate: could not convert string to float: 'x'$"):
-        parse_nodes("2,1,2\n0,0,0\n  \n\t\n1,x,1\n", source="f")
-    with pytest.raises(FileFormatError, match=r"^f:4: provenance must be a 0/1 bit string or '-', got '1x'$"):
-        parse_nodes("2,1,2\r\n0,0,0\r\n\r\n1,0,1x\r\n", source="f")
-    with pytest.raises(FileFormatError, match=r"^f:3: coordinates must be finite$"):
-        parse_nodes("2,1,2\n0,0,-\n1e400,0,-\n", source="f")
-    with pytest.raises(FileFormatError, match=r"^f:5: expected 2 coordinates plus a provenance label, got 2 fields$"):
-        parse_nodes("2,1,2\n\n0,0,0\n\n1,0\n", source="f")
+        parse_nodes(text, source=source)
+    assert str(err.value) == str(strict.value)
+
+
+def _loose_spellings(text: str) -> dict:
+    """Irregular but valid spellings of a node file's text."""
+    head, *rows = text.splitlines()
+
+    def underscored(line, fields):  # "_" between any two digits of the first fields
+        split = line.split(",")
+        return ",".join([re.sub(r"(?<=\d)(?=\d)", "_", f) for f in split[:fields]] + split[fields:])
+
+    return {
+        "no trailing newline": text[:-1],
+        "blank lines": "\n\n" + head + "\n\n" + "\n\n".join(rows) + "\n\n",
+        "whitespace-only lines": " \t\n" + head + "\n  \n" + "\n\t\n".join(rows) + "\n",
+        "CRLF": text.replace("\n", "\r\n"),
+        "lone CR": text.replace("\n", "\r"),
+        "form feed": text.replace("\n", "\x0c"),
+        "spaces around fields": text.replace(",", " , ").replace("\n", " \n"),
+        "underscores in numbers": "\n".join([underscored(head, 3)] + [underscored(row, -1) for row in rows]) + "\n",
+    }
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (3, 3), (2, 0)])
+def test_parse_nodes_reads_irregular_spellings_of_a_file(m, n):
+    nodes, _, _ = assemble_generic(m, n, frame=_rotated_frame(m), lam=Fraction(11, 10), mu=np.linspace(-0.75, 1.5, m))
+    for name, text in _loose_spellings(format_nodes(nodes)).items():
+        back = parse_nodes(text)
+        assert back.points.tobytes() == nodes.points.tobytes(), name
+        assert back.points.shape == nodes.points.shape, name
+        assert back.provenance == nodes.provenance, name
+        assert (back.m, back.n) == (m, n), name
+
+
+def test_well_formed_node_files_take_one_pass(monkeypatch):
+    def strict(text, source):
+        raise AssertionError(f"strict reader called on {text[:40]!r}")
+
+    monkeypatch.setattr(fileio, "_parse_strict", strict)
+    for m, n in ((1, 0), (1, 4), (2, 1), (4, 3), (3, 5)):
+        nodes, _, _ = assemble_generic(m, n, mu=np.linspace(-1.0, 1.0, m))
+        for text in (format_nodes(nodes), format_nodes(nodes)[:-1]):
+            back = parse_nodes(text)
+            assert back.points.tobytes() == nodes.points.tobytes()
+            assert back.provenance == nodes.provenance
+
+
+def test_node_file_writers_emit_format_nodes_bytes(tmp_path, capsys):
+    mu = np.linspace(-0.5, 0.25, 15)
+    nodes, _, _ = assemble_generic(15, 4, lam=Fraction(11, 10), mu=mu)
+    text = format_nodes(nodes).encode("ascii")
+    assert text == b"".join(block.encode("ascii") for block in node_blocks(nodes))
+    write_nodes(nodes, tmp_path / "write.nodes")
+    assert (tmp_path / "write.nodes").read_bytes() == text
+    args = ["nodes", "--m", "15", "--n", "4", "--lambda", "11/10", "--mu=" + ",".join(map(repr, mu.tolist()))]
+    assert cli.main(args + ["-o", str(tmp_path / "cli.nodes")]) == 0
+    assert (tmp_path / "cli.nodes").read_bytes() == text
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out.encode("ascii") == text
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,11 @@ A repeat solve holds only what the walk needs beyond the kept plan: the
 accumulator, the row kernel's monomial buffer with one top-block
 temporary, and a lift's input and output, about 3 N reals.  A first solve
 at N = 10626, whose plan is too large to keep, builds its nodes, plan and
-monomial tables within a few node tables (m N reals).  Peaks come from
-tracemalloc, so they count only what Python and NumPy allocate; no
-wall-clock time is asserted.
+monomial tables within a few node tables (m N reals).  A node file's
+round trip holds its text about once more: reading it, the points and
+labels beside the text; formatting it, the text's blocks and their join;
+writing it, one block.  Peaks come from tracemalloc, so they count only
+what Python and NumPy allocate; no wall-clock time is asserted.
 """
 
 import gc
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from mvinterp import monomials, polynomial, solver
+from mvinterp.fileio import format_nodes, parse_nodes, write_nodes
 from mvinterp.monomials import count_total
 from mvinterp.nodes import assemble_generic
 from mvinterp.polynomial import MultiPoly, evaluate_rows
@@ -29,6 +32,14 @@ CONFIG = SolveConfig(lam=Fraction(11, 10))
 REPEAT_PEAK_REALS = 3.25
 # a first (20, 4) solve from cold monomial tables read 4.27 node tables
 FIRST_PEAK_NODE_TABLES = 5.0
+# beyond the text, parse_nodes read 1.29 (15, 4) and 1.60 (8, 6) node
+# tables, 4.37 and 5.11 while it split the text into a list of lines
+PARSE_PEAK_NODE_TABLES = 2.0
+# format_nodes read 2.01 and 2.02 texts, 2.19 and 2.36 while it joined one
+# string per row; write_nodes 0.10 and 0.12, 2.22 and 2.37 while it wrote
+# format_nodes' text
+FORMAT_PEAK_TEXTS = 2.1
+WRITE_PEAK_TEXTS = 0.25
 
 
 def traced_peak(call):
@@ -68,3 +79,19 @@ def test_first_large_solve_peaks_within_a_few_node_tables():
     assert not solver._plans  # above PLAN_CACHE_REALS, so never kept
     assert peak <= FIRST_PEAK_NODE_TABLES * 8 * m * total
     assert np.abs(q.coeffs - coeffs).max() <= 1e-9
+
+
+@pytest.mark.parametrize("m,n", [(15, 4), (8, 6)])
+def test_node_file_round_trip_holds_its_text_about_once_more(m, n, tmp_path):
+    nodes, _, _ = assemble_generic(m, n, lam=CONFIG.lam, mu=np.linspace(-0.5, 0.25, m))
+    text = format_nodes(nodes)
+    peak, back = traced_peak(lambda: parse_nodes(text))
+    assert back.points.tobytes() == nodes.points.tobytes()
+    assert peak <= PARSE_PEAK_NODE_TABLES * 8 * m * len(nodes)
+    peak, again = traced_peak(lambda: format_nodes(nodes))
+    assert again == text
+    assert peak <= FORMAT_PEAK_TEXTS * len(text)
+    path = tmp_path / "nodes.csv"
+    peak, _ = traced_peak(lambda: write_nodes(nodes, path))
+    assert path.read_bytes() == text.encode("ascii")
+    assert peak <= WRITE_PEAK_TEXTS * len(text)
