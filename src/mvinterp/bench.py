@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -252,8 +252,7 @@ def conditioning_row(m: int, n: int, nodes) -> dict:
     if not certificate["generic"]:
         cond_1 = float("inf")
     if total <= COND_TWO_LIMIT:
-        points = np.asarray(getattr(nodes, "points", nodes), dtype=float)
-        cond_2 = cond_two(build_vandermonde(points, m, n))
+        cond_2 = cond_two(build_vandermonde(nodes, m, n))
     else:
         cond_2 = None
     bound = total * total

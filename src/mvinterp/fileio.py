@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from itertools import islice, repeat
 
 import numpy as np
 
@@ -106,9 +104,9 @@ def parse_nodes(text: str, source: str = "<string>") -> NodeSet:
     line ended by "\n" alone (the last may lack it), and every value one
     the array parser reads to a finite float.  Any other text (blank lines,
     other line breaks, \x1f, a wrong count, comma count or label, or a
-    value such as 1_0 or inf) goes to the strict reader, which also holds a
-    list of the text's lines, skips blank lines and raises FileFormatError
-    naming the line of the first problem.
+    value such as 1_0 or inf) goes to the strict reader's row loop, which
+    also holds a list of the text's lines, skips blank lines and raises
+    FileFormatError naming the line of the first problem.
     """
     end = text.find("\n")
     head = text if end < 0 else text[:end]
@@ -143,8 +141,9 @@ def parse_nodes(text: str, source: str = "<string>") -> NodeSet:
 
 
 def _parse_strict(text: str, source: str) -> NodeSet:
-    """The NodeSet of any node file's text, or the FileFormatError that
-    names the line of its first problem."""
+    """The NodeSet of any node file's text, read one row at a time, or the
+    FileFormatError that names the line of its first problem.  Rows of one
+    leaf share one label string, as assembled node sets do."""
     lines = text.splitlines()
     # the numbers of the lines in use: blank lines are skipped, but counted
     numbers = np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))) + 1
@@ -156,40 +155,9 @@ def _parse_strict(text: str, source: str) -> NodeSet:
         raise FileFormatError(
             f"{source}: header announces {count} nodes but file has {len(numbers) - 1} rows"
         )
-
-    def rows():  # the node rows, read lazily
-        return filter(str.strip, islice(lines, at, None))
-
-    # one array pass when every row holds m commas and a good label; else the
-    # row loop names the first bad row, or reads what float() takes but the
-    # array parser refuses (such as 1_0).  The array parser also strips \x1f
-    # around a number, which float() refuses.  Rows of one leaf share one
-    # label string, as assembled node sets do.
-    labels = tuple(sys.intern(row.rsplit(",", 1)[-1].strip()) for row in rows())
-    points = None
-    if (
-        "\x1f" not in text
-        and set(map(str.count, rows(), repeat(","))) == {m}
-        and not any(map(_bad_label, set(labels)))
-    ):
-        try:
-            points = np.loadtxt(rows(), delimiter=",", usecols=range(m), comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if points is None:
-        points, labels = _parse_rows(lines, numbers[1:], m, source)
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if bad.size:
-        raise FileFormatError(f"{source}:{numbers[bad[0] + 1]}: coordinates must be finite")
-    return NodeSet(points, labels, m, n)
-
-
-def _parse_rows(lines: list, numbers: np.ndarray, m: int, source: str):
-    """Points and labels of the node rows at the given line numbers, one
-    row at a time; raises on the first row that breaks the format."""
-    points = np.empty((len(numbers), m))
-    labels = []
-    for row, i in enumerate(numbers):
+    points = np.empty((count, m))
+    labels, label = [], None
+    for row, i in enumerate(numbers[1:]):
         fields = lines[i - 1].split(",")
         if len(fields) != m + 1:
             raise FileFormatError(
@@ -200,13 +168,17 @@ def _parse_rows(lines: list, numbers: np.ndarray, m: int, source: str):
             points[row] = [float(field) for field in fields[:m]]
         except ValueError as bad:
             raise FileFormatError(f"{source}:{i}: bad coordinate: {bad}") from None
-        label = fields[m].strip()
-        if _bad_label(label):
-            raise FileFormatError(
-                f"{source}:{i}: provenance must be a 0/1 bit string or '-', got {label!r}"
-            )
-        labels.append(sys.intern(label))
-    return points, labels
+        if fields[m].strip() != label:
+            label = fields[m].strip()
+            if _bad_label(label):
+                raise FileFormatError(
+                    f"{source}:{i}: provenance must be a 0/1 bit string or '-', got {label!r}"
+                )
+        labels.append(label)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise FileFormatError(f"{source}:{numbers[bad[0] + 1]}: coordinates must be finite")
+    return NodeSet(points, labels, m, n)
 
 
 def _read_ascii(path) -> str:

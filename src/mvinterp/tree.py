@@ -44,7 +44,6 @@ __all__ = [
     "alpha",
     "assign_hyperplanes",
     "vertex_base",
-    "dump_tree",
     "eps_label",
 ]
 
@@ -283,18 +282,15 @@ class HyperplaneTable(Mapping):
             raise ValueError(f"these hyperplanes are the ({self.m}, {self.n}) tree's, not the ({tree.m}, {tree.n}) tree's")
         return self
 
-    def row(self, split: int) -> HyperplaneSpec:
-        """The hyperplane of the split at that position, as one record."""
-        key, axis = self.key[split], int(self.axis[split])
-        alpha_exact = Fraction(self.numerator[split], self.q ** len(key))
-        return HyperplaneSpec(key, axis, self.frame[axis], self.base[split], float(self.offset[split]), alpha_exact)
-
     @cached_property
     def _position(self) -> dict:
         return dict(zip(self.key, range(len(self.key))))
 
     def __getitem__(self, eps) -> HyperplaneSpec:
-        return self.row(self._position[eps])
+        split = self._position[eps]
+        key, axis = self.key[split], int(self.axis[split])
+        alpha_exact = Fraction(self.numerator[split], self.q ** len(key))
+        return HyperplaneSpec(key, axis, self.frame[axis], self.base[split], float(self.offset[split]), alpha_exact)
 
     def __iter__(self):
         return iter(self.key)
@@ -320,17 +316,3 @@ def vertex_base(tree: DecompTree, hyperplanes: HyperplaneTable) -> np.ndarray:
     hyperplane and the last row the origin, so row tree.flat[v] is the base
     of vertex v."""
     return hyperplanes.for_tree(tree).base
-
-
-def dump_tree(tree: DecompTree, hyperplanes: HyperplaneTable) -> str:
-    """Structured text dump of every vertex for golden-file comparisons."""
-    hyperplanes = hyperplanes.for_tree(tree)
-    lines = [f"tree m={tree.m} n={tree.n} depth={tree.depth} leaves={tree.leaf_count}"]
-    for sigma, eps, flat in zip(tree.sigma, tree.eps, tree.flat):
-        parts = [f"eps={eps_label(eps)}", f"sigma=({sigma[0]},{sigma[1]})", "leaf" if 1 in sigma else "split"]
-        if eps[-1:] == (1,):  # on the hyperplane of split flat, whose bit-1 child it is
-            spec = hyperplanes.row(flat)
-            base_str = ",".join(f"{c:.17g}" for c in spec.base)
-            parts += [f"axis={spec.axis + 1}", f"alpha={spec.alpha_exact}", f"base=({base_str})"]
-        lines.append(" ".join(parts))
-    return "\n".join(lines)

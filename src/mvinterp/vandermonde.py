@@ -122,9 +122,7 @@ def _pow2_row_scales(v: np.ndarray) -> np.ndarray:
     """Per-row power-of-two scale with row_max / scale in [1/2, 1), in a matrix or a stack."""
     row_max = np.abs(v).max(axis=-1)
     _, exps = np.frexp(row_max)
-    scales = np.ldexp(np.ones_like(row_max), exps)
-    scales[row_max == 0.0] = 1.0
-    return scales
+    return np.ldexp(np.ones_like(row_max), exps)  # 1 for a zero row
 
 
 def _factor(v: np.ndarray):
@@ -157,12 +155,11 @@ def _require_regular(pivots: np.ndarray, threshold: float) -> None:
         )
 
 
-def lu_solve(v, rhs, stats: dict | None = None) -> np.ndarray:
+def lu_solve(v, rhs) -> np.ndarray:
     """Solve V x = rhs by partial-pivoted elimination.
 
     Raises SingularMatrixError when a pivot falls below the relative
-    threshold.  When a stats dict is supplied, writes the achieved residual
-    under "residual_inf".
+    threshold.
     """
     v = np.asarray(v, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -170,10 +167,7 @@ def lu_solve(v, rhs, stats: dict | None = None) -> np.ndarray:
         raise ValueError(f"rhs shape {rhs.shape} does not match matrix {v.shape}")
     lu, piv, scales, pivots, threshold = _factor(v)
     _require_regular(pivots, threshold)
-    x = scipy.linalg.lu_solve((lu, piv), rhs / scales, check_finite=False)
-    if stats is not None:
-        stats["residual_inf"] = float(np.abs(v @ x - rhs).max())
-    return x
+    return scipy.linalg.lu_solve((lu, piv), rhs / scales, check_finite=False)
 
 
 def invert(v) -> np.ndarray:
@@ -238,7 +232,7 @@ def _variable_degree_sum(m: int, n: int) -> int:
     return total // m
 
 
-def _dense_certificate(pts: np.ndarray, m: int, n: int, cond_limit: int) -> dict:
+def _dense_certificate(pts: np.ndarray, m: int, n: int) -> dict:
     """Box-normalized, balanced, pivoted-LU regularity test.
 
     abs_det_log is mapped back to the raw monomial-basis matrix of the
@@ -268,7 +262,7 @@ def _dense_certificate(pts: np.ndarray, m: int, n: int, cond_limit: int) -> dict
             + _variable_degree_sum(m, n) * log_half_sum
         )
     cond_1 = float("nan")
-    if total <= cond_limit:
+    if total <= COND_DESK_LIMIT:
         with np.errstate(all="ignore"):
             inv, _ = scipy.linalg.lapack.dgetrs(lu, piv, np.eye(total, order="F"), overwrite_b=True)
             cond_1 = norm_balanced * _one_norm(inv)
@@ -362,7 +356,6 @@ def genericity_check(
     n: int,
     tree=None,
     hyperplanes=None,
-    cond_limit: int = COND_DESK_LIMIT,
 ) -> dict:
     """Decide regularity of V_{m,n}(nodes) and report its scale.
 
@@ -375,7 +368,7 @@ def genericity_check(
     are read off the nodes.  Anything else goes through the dense
     normalized pivoted LU (so does a structured set whose on-rows leave
     their plane).  cond_1 always describes the dense normalized system and
-    needs the explicit inverse, so it is only computed for N <= cond_limit
+    needs the explicit inverse, so it is only computed for N <= COND_DESK_LIMIT
     and is nan above that.  A node set of the wrong shape or with a
     non-finite coordinate, or hyperplanes of another tree, raise ValueError.
     """
@@ -394,9 +387,9 @@ def genericity_check(
         tree = build_tree(m, n) if tree is None else tree
         result = _structured_certificate(nodes, m, n, tree, hyperplanes)
     if result is None:
-        return _dense_certificate(pts, m, n, cond_limit)
-    if total <= cond_limit:
-        result["cond_1"] = _dense_certificate(pts, m, n, cond_limit)["cond_1"]
+        return _dense_certificate(pts, m, n)
+    if total <= COND_DESK_LIMIT:
+        result["cond_1"] = _dense_certificate(pts, m, n)["cond_1"]
     else:
         result["cond_1"] = float("nan")
     return result

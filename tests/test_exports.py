@@ -1,6 +1,8 @@
 """Every name a module exports through __all__ resolves to an attribute,
-and every attribute the benchmark's tracer wraps exists."""
+every attribute the benchmark's tracer wraps exists, and no module imports
+a name it never uses."""
 
+import ast
 import importlib
 import pkgutil
 import sys
@@ -18,12 +20,48 @@ MODULES = [mvinterp] + [
 ]
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SOURCES = sorted(Path(mvinterp.__file__).resolve().parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
 def test_exported_names_resolve(module):
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def unused_imports(source: str) -> list:
+    """The names source imports but never reads, does not list in __all__
+    and does not mark with "# noqa: F401" (pyflakes' unused-import code)."""
+    module, lines = ast.parse(source), source.splitlines()
+    used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in module.body:
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__" for target in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(module):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                marked = any("# noqa: F401" in lines[at - 1] for at in (node.lineno, alias.lineno))
+                if name not in used and not marked:
+                    unused.append(f"line {alias.lineno}: {name}")
+    return unused
+
+
+def test_unused_import_guard_sees_each_case():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport sys\nfrom itertools import islice, repeat  # noqa: F401\n"
+        "from math import (\n    comb,\n    pi,\n)\n"
+        "__all__ = ['pi']\n"
+        "def f():\n    from json import dumps\n    return os.path.sep\n"
+    )
+    assert unused_imports(source) == ["line 3: sys", "line 6: comb", "line 11: dumps"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_modules_import_no_unused_name(path):
+    assert unused_imports(path.read_text()) == []
 
 
 def test_tracing_targets_resolve():

@@ -196,6 +196,20 @@ def test_well_formed_node_files_take_one_pass(monkeypatch):
             assert back.provenance == nodes.provenance
 
 
+def test_node_file_rows_of_one_leaf_share_one_label_string():
+    nodes, tree, _ = assemble_generic(8, 6, lam=Fraction(11, 10))
+    text = format_nodes(nodes)
+    # the one-pass reader, then the strict reader's row loop on CRLF and on blank lines
+    for spelling in (text, text.replace("\n", "\r\n"), text.replace("\n", "\n\n")):
+        back = parse_nodes(spelling)
+        assert back.points.tobytes() == nodes.points.tobytes()
+        assert back.provenance == nodes.provenance
+        assert len(set(map(id, back.provenance))) == tree.leaf_count
+        for _, run in itertools.groupby(back.provenance):
+            first, *rest = run
+            assert all(label is first for label in rest)
+
+
 def test_node_file_writers_emit_format_nodes_bytes(tmp_path, capsys):
     mu = np.linspace(-0.5, 0.25, 15)
     nodes, _, _ = assemble_generic(15, 4, lam=Fraction(11, 10), mu=mu)

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mvinterp.nodes import _check_separation, assemble_generic
-from mvinterp.tree import alpha, assign_hyperplanes, build_tree, dump_tree, vertex_base
+from mvinterp.tree import alpha, assign_hyperplanes, build_tree, vertex_base
 from mvinterp.vandermonde import genericity_check
 
 LAMBDAS = [Fraction(2), Fraction(11, 10), Fraction(3), Fraction(1001, 1000), Fraction(5, 2)]
@@ -99,7 +99,6 @@ def test_a_table_of_another_tree_is_refused():
         lambda: genericity_check(nodes, 3, 3, hyperplanes=other),
         lambda: _check_separation(tree, other, nodes.points, nodes.provenance),
         lambda: vertex_base(tree, other),
-        lambda: dump_tree(tree, other),
     ):
         with pytest.raises(ValueError, match=message):
             check()

@@ -18,7 +18,6 @@ from mvinterp.tree import (
     alpha,
     assign_hyperplanes,
     build_tree,
-    dump_tree,
     vertex_base,
 )
 
@@ -330,16 +329,3 @@ def test_alpha_magnitude_bound(bits, lam):
     assert abs(value) <= bound
     # appending a zero bit never changes the value
     assert alpha(tuple(bits) + (0,), lam) == value
-
-
-def test_dump_tree_text():
-    tree = build_tree(2, 2)
-    specs = assign_hyperplanes(tree)
-    text = dump_tree(tree, specs)
-    lines = text.splitlines()
-    assert lines[0] == "tree m=2 n=2 depth=2 leaves=2"
-    assert any("eps=- sigma=(2,2) split" in line for line in lines)
-    assert any("eps=0 sigma=(2,1) leaf" in line for line in lines)
-    assert any(
-        "eps=1 sigma=(1,2) leaf axis=2 alpha=2 base=(0,2)" in line for line in lines
-    )

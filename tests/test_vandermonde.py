@@ -1,5 +1,6 @@
 """Dense baseline: build/solve/invert examples, genericity oracle, conditioning."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from mvinterp.vandermonde import (
     _balance_pow2,
     _box_normalize,
     _fill_vandermonde,
+    _pow2_row_scales,
     build_vandermonde,
     cond_two,
     genericity_check,
@@ -77,10 +79,9 @@ def test_lu_solve_examples():
 
 
 def test_lu_solve_residual_report():
-    stats = {}
     v = build_vandermonde(UNIT_SIMPLEX_21, 2, 1)
-    lu_solve(v, [1.0, 3.0, 0.0], stats=stats)
-    assert stats["residual_inf"] <= 1e-14
+    rhs = np.array([1.0, 3.0, 0.0])
+    assert np.abs(v @ lu_solve(v, rhs) - rhs).max() <= 1e-14
 
 
 def test_lu_solve_rejects_singular():
@@ -157,6 +158,19 @@ def test_balance_matches_four_fixed_passes(rng):
         got, got_exp = _balance_pow2(v.copy())
         assert got.tobytes() == expected.tobytes()
         assert got_exp == expected_exp
+
+
+def test_pow2_row_scales_need_no_zero_row_case(rng):
+    """frexp gives 0 the exponent 0, so a zero row's scale is already 1."""
+    wide = np.ldexp(rng.uniform(-1.0, 1.0, (40, 40)), rng.integers(-664, 665, (40, 40)))  # 1e-200..1e200
+    wide[3] = 0.0
+    for v in (_certificate_matrix(10, 4)[1], _certificate_matrix(3, 6)[1], wide, np.stack([wide, wide[::-1]])):
+        row_max = np.abs(v).max(axis=-1).ravel().tolist()
+        expected = [1.0 if top == 0.0 else math.ldexp(1.0, math.frexp(top)[1]) for top in row_max]
+        got = _pow2_row_scales(v)
+        assert got.shape == v.shape[:-1]
+        assert got.ravel().tobytes() == np.array(expected).tobytes()
+    assert _pow2_row_scales(wide)[3] == 1.0
 
 
 def test_genericity_positive_examples():
@@ -290,8 +304,11 @@ def test_genericity_mu_shifted_rotated_assembly_with_its_hyperplanes():
 
 
 def test_genericity_cond_desk_scale_cutoff():
-    nodes, tree, hp = assemble_generic(2, 2)
-    r = genericity_check(nodes, 2, 2, tree=tree, hyperplanes=hp, cond_limit=3)
+    # above COND_DESK_LIMIT nodes the explicit inverse, so cond_1, is skipped
+    assert count_total(15, 4) > COND_DESK_LIMIT
+    nodes, tree, hp = assemble_generic(15, 4, lam=Fraction(11, 10))
+    r = genericity_check(nodes, 15, 4, tree=tree, hyperplanes=hp)
+    assert r["route"] == "structured" and r["generic"] is True
     assert np.isnan(r["cond_1"])
 
 
