@@ -67,99 +67,78 @@ def count_degree(m: int, k: int) -> int:
     return total
 
 
-def _degree_indices(m: int, k: int):
-    """Yield all exponent tuples of total degree k, first variable dominant."""
-    if m == 1:
-        yield (k,)
-        return
-    for first in range(k, -1, -1):
-        for rest in _degree_indices(m - 1, k - first):
-            yield (first,) + rest
-
-
 class MonomialOrder:
     """Immutable table of multi-indices of degree <= n in canonical order.
 
-    Besides the table itself, the object caches the index arrays used for
-    fast evaluation and linear-factor multiplication:
+    The order is one integer table, ``step[k, a]``.  Block k is made
+    variable by variable: for each a, it is x_a times the suffix of block
+    k - 1 that uses only variables a and later, so x_a times the monomial
+    at position i of that suffix lands at position i + step[k, a].  The
+    rest is derived from the table:
 
     - ``var[i]``/``parent[i]``: for position i > 0, the first variable with a
       nonzero exponent and the position of the multi-index with that exponent
-      reduced by one.  Monomial values then satisfy
+      reduced by one, i - step[k, var[i]].  Monomial values then satisfy
       ``value[i] = point[var[i]] * value[parent[i]]``.
     - ``lift(a)``: position of I + e_a for every I of degree <= n-1, used to
-      scatter-add the product of a polynomial with a degree-1 factor.
+      scatter-add the product of a polynomial with a degree-1 factor.  It is
+      I + step[k, a] where a <= var[I], and else, as x_a I = x_var[I] x_a
+      parent[I], the lift of parent[I] plus step[k, var[I]].
+    - ``index(idx)`` walks the steps from the last variable to the first, and
+      ``table`` rebuilds every multi-index from var and parent when read.
     """
 
-    __slots__ = ("m", "n", "table", "_pos", "_blocks", "_var", "_parent", "_lift")
+    __slots__ = ("m", "n", "var", "parent", "_step", "_blocks", "_lifts")
 
     def __init__(self, m: int, n: int):
         self.m = m
         self.n = n
-        count_total(m, n)  # sizing guard
-        table = []
-        blocks = []
-        start = 0
-        for k in range(n + 1):
-            block = list(_degree_indices(m, k))
-            table.extend(block)
-            blocks.append(slice(start, start + len(block)))
-            start += len(block)
-        self.table = tuple(table)
-        self._blocks = tuple(blocks)
-        self._pos = {idx: i for i, idx in enumerate(table)}
-        self._var = None
-        self._parent = None
-        self._lift = {}
+        total = count_total(m, n)  # sizing guard
+        axes = np.arange(m)
+        # width[k, a]: monomials of degree k - 1 in the variables a..m-1, none for k = 0
+        width = np.array(
+            [[count_degree(m - a, k - 1) if k else 0 for a in range(m)] for k in range(n + 1)],
+            dtype=np.intp,
+        )
+        self._step = step = np.cumsum(width, axis=1)
+        sizes = [1, *step[1:, -1].tolist()]  # block k holds step[k, m - 1] monomials
+        self._blocks = tuple(slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes).tolist()))
+        self.var = np.concatenate(([0], np.repeat(np.tile(axes, n + 1), width.ravel())))
+        self.parent = np.arange(total) - step[np.repeat(np.arange(n + 1), sizes), self.var]
+        self._lifts = lifts = np.empty((m, total - sizes[n]), dtype=np.intp)
+        lifts[:, :1] = 1 + axes[:, None]  # x_a is position 1 + a
+        for k, blk in enumerate(self._blocks[1:n], 1):
+            var = self.var[blk]
+            lifts[:, blk] = np.where(
+                axes[:, None] <= var,
+                np.arange(blk.start, blk.stop) + step[k + 1, :, None],
+                lifts[:, self.parent[blk]] + step[k + 1, var],
+            )
 
     def __len__(self) -> int:
-        return len(self.table)
+        return self.var.size
 
     def block(self, k: int) -> slice:
         """Slice of positions holding the degree-k block."""
         return self._blocks[k]
 
-    def index(self, idx: tuple) -> int:
-        return self._pos[idx]
-
-    def _build_var_parent(self) -> None:
-        var = np.zeros(len(self.table), dtype=np.intp)
-        parent = np.zeros(len(self.table), dtype=np.intp)
-        for i, idx in enumerate(self.table):
-            if i == 0:
-                continue
-            j = next(a for a, e in enumerate(idx) if e > 0)
-            reduced = idx[:j] + (idx[j] - 1,) + idx[j + 1 :]
-            var[i] = j
-            parent[i] = self._pos[reduced]
-        self._var = var
-        self._parent = parent
+    def index(self, idx) -> int:
+        """Position of the multi-index idx, of degree <= n."""
+        axes = np.repeat(np.arange(self.m - 1, -1, -1), idx[::-1])
+        return int(self._step[np.arange(1, axes.size + 1), axes].sum())
 
     @property
-    def var(self) -> np.ndarray:
-        if self._var is None:
-            self._build_var_parent()
-        return self._var
-
-    @property
-    def parent(self) -> np.ndarray:
-        if self._parent is None:
-            self._build_var_parent()
-        return self._parent
+    def table(self) -> tuple:
+        """Every multi-index as a tuple of exponents, in order."""
+        unit = np.eye(self.m, dtype=np.intp)
+        exps = np.zeros((len(self), self.m), dtype=np.intp)
+        for blk in self._blocks[1:]:
+            exps[blk] = exps[self.parent[blk]] + unit[self.var[blk]]
+        return tuple(map(tuple, exps.tolist()))
 
     def lift(self, axis: int) -> np.ndarray:
         """Positions of I + e_axis for all I of degree <= n-1."""
-        cached = self._lift.get(axis)
-        if cached is not None:
-            return cached
-        upto = self._blocks[self.n].start if self.n >= 1 else 0
-        out = np.empty(upto, dtype=np.intp)
-        for i in range(upto):
-            idx = self.table[i]
-            lifted = idx[:axis] + (idx[axis] + 1,) + idx[axis + 1 :]
-            out[i] = self._pos[lifted]
-        self._lift[axis] = out
-        return out
+        return self._lifts[axis]
 
 
 @lru_cache(maxsize=128)
@@ -174,9 +153,13 @@ def position_of(order: MonomialOrder, idx: tuple) -> int:
     Raises
     ------
     ValueError
-        If the index has the wrong length or its degree exceeds the bound.
+        If the index has the wrong length, a non-integral or negative
+        exponent, or a degree above the bound.
     """
-    idx = tuple(int(e) for e in idx)
+    given = tuple(idx)
+    idx = tuple(int(e) for e in given)
+    if idx != given:
+        raise ValueError(f"multi-index {given} has a non-integral exponent")
     if len(idx) != order.m:
         raise ValueError(f"multi-index length {len(idx)} does not match m={order.m}")
     if any(e < 0 for e in idx):

@@ -26,17 +26,19 @@ def pytest_terminal_summary(terminalreporter):
 def brute_force_indices(m: int, n: int) -> list:
     """All exponent tuples of degree <= n, ordered independently of the package.
 
-    Grouped by total degree; within a degree, sorted descending
-    lexicographically (larger first exponent earlier).  This re-derives the
-    canonical order from its written definition, not from the implementation.
+    Grouped by total degree; within a degree k, every multiset of k
+    variables as an exponent tuple, sorted descending lexicographically
+    (larger first exponent earlier).  This re-derives the canonical order
+    from its written definition, not from the implementation.
     """
     out = []
     for k in range(n + 1):
-        block = [
-            idx
-            for idx in itertools.product(range(k + 1), repeat=m)
-            if sum(idx) == k
-        ]
+        block = []
+        for factors in itertools.combinations_with_replacement(range(m), k):
+            idx = [0] * m
+            for a in factors:
+                idx[a] += 1
+            block.append(tuple(idx))
         block.sort(reverse=True)
         out.extend(block)
     return out

@@ -1,6 +1,7 @@
 """Every name a module exports through __all__ resolves to an attribute,
-every attribute the benchmark's tracer wraps exists, and no module imports
-a name it never uses."""
+every attribute the benchmark's tracer wraps exists, no module imports a
+name it never uses, and no module defines a private name that nothing
+reads."""
 
 import ast
 import importlib
@@ -62,6 +63,50 @@ def test_unused_import_guard_sees_each_case():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_modules_import_no_unused_name(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict) -> list:
+    """The module-level private names (functions, classes and assignments
+    starting with one underscore) that no source reads, as "file: name".
+    A name counts as read where it is loaded or taken as an attribute, but
+    not inside the statement that defines it, as in a recursive call."""
+    defined, reads = [], []
+    for path, source in sources.items():
+        for statement in ast.parse(source).body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            else:
+                targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            private = [name for name in names if name.startswith("_") and not name.startswith("__")]
+            defined += [(path, name, len(reads)) for name in private]
+            reads.append({
+                node.attr if isinstance(node, ast.Attribute) else node.id
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            })
+    return [
+        f"{path}: {name}"
+        for path, name, at in defined
+        if not any(name in read for i, read in enumerate(reads) if i != at)
+    ]
+
+
+def test_dead_helper_guard_sees_each_case():
+    first = (
+        "__all__ = []\n_LIMIT = 3\n_unused = 4\nx: int = _LIMIT\n_typed: int = 5\n"
+        "def _walk(k):\n    return _walk(k - 1) if k else 0\n"
+        "class _Kept:\n    pass\nclass _Dropped:\n    pass\n"
+        "def public():\n    return _Kept()\n"
+    )
+    second = "from . import a\ndef _read_here():\n    pass\nprint(a._read_as_attr, _read_here)\n_read_as_attr = 1\n"
+    assert unread_private_names({"a.py": first, "b.py": second}) == [
+        "a.py: _unused", "a.py: _typed", "a.py: _walk", "a.py: _Dropped",
+    ]
+
+
+def test_package_defines_no_unread_private_name():
+    assert unread_private_names({path.name: path.read_text() for path in SOURCES}) == []
 
 
 def test_tracing_targets_resolve():

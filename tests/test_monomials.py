@@ -83,6 +83,9 @@ def test_position_of_examples():
     brute = brute_force_indices(3, 3)
     assert brute[-1] == (0, 0, 3)
     assert position_of(big, (0, 0, 3)) == 19
+    # integral floats and NumPy integers name the same multi-index
+    assert position_of(order, np.array([1.0, 1.0])) == 4
+    assert position_of(order, (np.int64(2), 0.0)) == 3
 
 
 @given(st.integers(1, 5), st.integers(0, 5))
@@ -98,6 +101,10 @@ def test_position_of_rejects_out_of_range():
         position_of(order, (3, 0))
     with pytest.raises(ValueError):
         position_of(order, (1, 1, 0))
+    # a non-integral exponent is refused, not truncated to (1, 0) or (0, 0)
+    for idx in ((1.5, 0), (0.9, 0.2), np.array([0.5, 1.0])):
+        with pytest.raises(ValueError, match="non-integral"):
+            position_of(order, idx)
 
 
 def test_blocks_strictly_decrease_lexicographically():
@@ -120,3 +127,36 @@ def test_parent_recursion_consistency(rng):
         vals[i] = x[order.var[i]] * vals[order.parent[i]]
     direct = [np.prod(x**np.array(idx)) for idx in order.table]
     np.testing.assert_allclose(vals, direct, rtol=1e-12)
+
+
+REFERENCE_SHAPES = [(m, n) for m in range(1, 9) for n in range(9)] + [
+    (15, 4), (20, 4), (25, 4), (3, 20), (2, 25), (1, 30), (30, 2),
+]
+
+
+@pytest.mark.parametrize("m,n", REFERENCE_SHAPES)
+def test_order_matches_a_brute_force_reference(m, n):
+    """Every table of the order against one derived from the brute-force
+    enumeration and a tuple -> position dict."""
+    indices = brute_force_indices(m, n)
+    pos = {idx: i for i, idx in enumerate(indices)}
+    var, parent = [0], [0]
+    for idx in indices[1:]:
+        a = next(a for a, e in enumerate(idx) if e)
+        var.append(a)
+        parent.append(pos[idx[:a] + (idx[a] - 1,) + idx[a + 1 :]])
+    below = [idx for idx in indices if sum(idx) < n]
+    order = build_order(m, n)
+    assert len(order) == len(indices) == count_total(m, n)
+    assert order.table == tuple(indices)
+    for got, want in ((order.var, var), (order.parent, parent)):
+        assert got.dtype == np.intp and got.tolist() == want
+    for a in range(m):
+        lifted = [pos[idx[:a] + (idx[a] + 1,) + idx[a + 1 :]] for idx in below]
+        assert order.lift(a).dtype == np.intp and order.lift(a).tolist() == lifted
+    start = 0
+    for k in range(n + 1):
+        size = sum(1 for idx in indices if sum(idx) == k)
+        assert order.block(k) == slice(start, start + size)
+        start += size
+    assert [order.index(idx) for idx in indices] == list(range(len(indices)))

@@ -5,7 +5,8 @@ A repeat solve holds only what the walk needs beyond the kept plan: the
 accumulator, the row kernel's monomial buffer with one top-block
 temporary, and a lift's input and output, about 3 N reals.  A first solve
 at N = 10626, whose plan is too large to keep, builds its nodes, plan and
-monomial tables within a few node tables (m N reals).  A node file's
+monomial tables within a few node tables (m N reals); the monomial order
+with all its lifts holds a fraction of one.  A node file's
 round trip holds its text about once more: reading it, the points and
 labels beside the text; formatting it, the text's blocks and their join;
 writing it, one block.  Peaks come from tracemalloc, so they count only
@@ -30,8 +31,12 @@ CONFIG = SolveConfig(lam=Fraction(11, 10))
 # repeat solves read 2.98 (15, 4) and 3.08 (8, 6) N-vectors; 4.77 and 4.52
 # while a solve copied the provenance and the row kernel gathered twice
 REPEAT_PEAK_REALS = 3.25
-# a first (20, 4) solve from cold monomial tables read 4.27 node tables
-FIRST_PEAK_NODE_TABLES = 5.0
+# a first (20, 4) solve from cold monomial tables read 3.10 node tables,
+# 4.27 while the monomial order held a tuple per monomial and a position dict
+FIRST_PEAK_NODE_TABLES = 3.5
+# a built (20, 4) order with every lift held 0.27 node tables; 2.05 with a
+# tuple per monomial and a position dict
+ORDER_NODE_TABLES = 0.5
 # beyond the text, parse_nodes read 1.29 (15, 4) and 1.60 (8, 6) node
 # tables, 4.37 and 5.11 while it split the text into a list of lines
 PARSE_PEAK_NODE_TABLES = 2.0
@@ -79,6 +84,23 @@ def test_first_large_solve_peaks_within_a_few_node_tables():
     assert not solver._plans  # above PLAN_CACHE_REALS, so never kept
     assert peak <= FIRST_PEAK_NODE_TABLES * 8 * m * total
     assert np.abs(q.coeffs - coeffs).max() <= 1e-9
+
+
+def test_a_built_order_holds_under_half_a_node_table():
+    m, n = 20, 4
+    solver.clear_plans()
+    monomials.build_order.cache_clear()
+    polynomial._row_steps.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        order = monomials.build_order(m, n)
+        for a in range(m):
+            order.lift(a)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= ORDER_NODE_TABLES * 8 * m * len(order)
 
 
 @pytest.mark.parametrize("m,n", [(15, 4), (8, 6)])

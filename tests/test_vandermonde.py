@@ -8,7 +8,7 @@ import pytest
 
 from conftest import brute_force_indices
 from mvinterp.exceptions import SingularMatrixError
-from mvinterp.monomials import count_total
+from mvinterp.monomials import count_degree, count_total
 from mvinterp.fileio import format_nodes, parse_nodes
 from mvinterp.nodes import NodeSet, assemble_generic
 from mvinterp.polynomial import MultiPoly, evaluate
@@ -18,6 +18,7 @@ from mvinterp.vandermonde import (
     _box_normalize,
     _fill_vandermonde,
     _pow2_row_scales,
+    _variable_degree_sum,
     build_vandermonde,
     cond_two,
     genericity_check,
@@ -171,6 +172,16 @@ def test_pow2_row_scales_need_no_zero_row_case(rng):
         assert got.shape == v.shape[:-1]
         assert got.ravel().tobytes() == np.array(expected).tobytes()
     assert _pow2_row_scales(wide)[3] == 1.0
+
+
+def test_variable_degree_sum_closed_form():
+    """C(m + n, m + 1) is the sum of k * count_degree(m, k) over k <= n,
+    divided by m: each variable carries a 1/m share of every degree."""
+    for m in range(1, 11):
+        for n in range(11):
+            degrees = sum(k * count_degree(m, k) for k in range(1, n + 1))
+            assert degrees % m == 0
+            assert _variable_degree_sum(m, n) == degrees // m
 
 
 def test_genericity_positive_examples():
