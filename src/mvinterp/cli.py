@@ -40,6 +40,7 @@ from .fileio import (
     write_nodes,
 )
 from .monomials import count_total
+from .nodes import assemble_generic
 from .polynomial import MultiPoly, evaluate
 from .solver import SolveConfig, solve
 from .vandermonde import genericity_check
@@ -177,8 +178,6 @@ def _builtin_callback(name: str, m: int, n: int, seed):
 
 
 def cmd_nodes(args) -> int:
-    from .nodes import assemble_generic
-
     nodes, _, _ = assemble_generic(
         args.m, args.n, lam=args.lam, kappa=args.kappa,
         mu=_mu_for(args.mu, args.m),

@@ -27,6 +27,11 @@ that are regularity-equivalent in exact arithmetic:
 lu_solve and invert are the baseline solvers and face the caller's matrix
 as given, up to exact power-of-two row equilibration, which changes no
 mantissa bits and preserves solutions exactly.
+
+SciPy's LAPACK wrappers are imported inside the functions that call them,
+because they take longer to import than the rest of the package and the
+solver, node and file paths never use them: a process pays their import
+on its first dense call.
 """
 
 from __future__ import annotations
@@ -35,8 +40,6 @@ import warnings
 from math import comb
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
 from .exceptions import SingularMatrixError
 from .monomials import build_order, count_total
@@ -126,27 +129,30 @@ def _pow2_row_scales(v: np.ndarray) -> np.ndarray:
     return np.ldexp(np.ones_like(row_max), exps)  # 1 for a zero row
 
 
-def _factor(v: np.ndarray):
-    """Row-equilibrated partial-pivot LU.
+def _factor_solve(v: np.ndarray, rhs) -> np.ndarray:
+    """Row-equilibrated partial-pivot LU of v, then one substitution.
 
-    Returns (lu, piv, scales, pivots, threshold): lu/piv factor the row-scaled
-    matrix v / scales[:, None]; pivots are |diag U|; threshold is the
-    singularity cutoff PIVOT_RTOL * max|scaled entry|.
+    LU factors the row-scaled matrix v / scales[:, None], each scale the
+    power of two that brings its row's max |entry| into [1/2, 1).  rhs is
+    a vector, or None for the inverse.  The singularity cutoff is
+    PIVOT_RTOL * max|scaled entry|: a pivot |diag U| at or below it raises
+    SingularMatrixError, and a non-finite entry, which makes the cutoff
+    non-finite, raises ValueError naming its row.
     """
-    v = np.asarray(v, dtype=float)
+    import scipy.linalg  # on first use: only the dense routines need SciPy
+
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError(f"matrix must be square, got shape {v.shape}")
     scales = _pow2_row_scales(v)
     scaled = v / scales[:, None]
     threshold = PIVOT_RTOL * np.abs(scaled).max()
+    if not np.isfinite(threshold):
+        row, col = np.argwhere(~np.isfinite(v))[0]
+        raise ValueError(f"matrix row {row} is not finite: entry {col} is {v[row, col]}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(scaled, overwrite_a=True, check_finite=False)
     pivots = np.abs(np.diagonal(lu))
-    return lu, piv, scales, pivots, threshold
-
-
-def _require_regular(pivots: np.ndarray, threshold: float) -> None:
     small = int(np.argmin(pivots))
     if pivots[small] <= threshold:
         raise SingularMatrixError(
@@ -154,31 +160,33 @@ def _require_regular(pivots: np.ndarray, threshold: float) -> None:
             f"{pivots[small]:.3e} (threshold {threshold:.3e}); "
             "the nodes appear degenerate"
         )
+    # V = diag(scales) @ Vhat, so V^-1 = Vhat^-1 @ diag(1/scales)
+    rhs = np.diag(1.0 / scales) if rhs is None else rhs / scales
+    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
 def lu_solve(v, rhs) -> np.ndarray:
     """Solve V x = rhs by partial-pivoted elimination.
 
     Raises SingularMatrixError when a pivot falls below the relative
-    threshold.
+    threshold, and ValueError naming the first non-finite row of V or rhs.
     """
     v = np.asarray(v, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (v.shape[0],):
         raise ValueError(f"rhs shape {rhs.shape} does not match matrix {v.shape}")
-    lu, piv, scales, pivots, threshold = _factor(v)
-    _require_regular(pivots, threshold)
-    return scipy.linalg.lu_solve((lu, piv), rhs / scales, check_finite=False)
+    bad = np.flatnonzero(~np.isfinite(rhs))
+    if bad.size:
+        raise ValueError(f"rhs row {bad[0]} is not finite: {rhs[bad[0]]}")
+    return _factor_solve(v, rhs)
 
 
 def invert(v) -> np.ndarray:
-    """Explicit inverse via one LU factorization and N substitution pairs."""
-    v = np.asarray(v, dtype=float)
-    lu, piv, scales, pivots, threshold = _factor(v)
-    _require_regular(pivots, threshold)
-    # V = diag(scales) @ Vhat, so V^-1 = Vhat^-1 @ diag(1/scales)
-    rhs = np.diag(1.0 / scales)
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    """Explicit inverse via one LU factorization and N substitution pairs.
+
+    Raises SingularMatrixError and ValueError as lu_solve does.
+    """
+    return _factor_solve(np.asarray(v, dtype=float), None)
 
 
 def _one_norm(a: np.ndarray) -> float:
@@ -242,6 +250,8 @@ def _dense_certificate(pts: np.ndarray, m: int, n: int) -> dict:
     gated on the pivot test: a huge finite value is the honest report for
     a near-singular system.
     """
+    import scipy.linalg.lapack  # on first use: only the dense routines need SciPy
+
     total = pts.shape[0]
     mapped, log_half_sum = _box_normalize(pts)
     v = np.empty((total, total), order="F")
@@ -295,6 +305,8 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
     one LAPACK getrf call each, flat leaves one stacked QR, splits one
     gather from a projection made once per axis.
     """
+    import scipy.linalg.lapack  # on first use: only the dense routines need SciPy
+
     normals = np.eye(m) if hyperplanes is None else hyperplanes.for_tree(tree).frame
     for vertex in tree.leaf:
         lo, hi = tree.lo[vertex], tree.hi[vertex]
@@ -403,6 +415,8 @@ def cond_two(v) -> float:
     epsilon times the largest: the matrix is rank-deficient to working
     precision, and LAPACK reports such a value as rounding noise, not 0.
     """
+    import scipy.linalg  # on first use: only the dense routines need SciPy
+
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError(f"matrix must be square, got shape {v.shape}")

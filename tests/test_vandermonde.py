@@ -95,6 +95,24 @@ def test_lu_solve_rejects_singular():
         lu_solve(np.zeros((2, 3)), [1.0, 2.0])
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_dense_baselines_reject_non_finite_input(value):
+    v = build_vandermonde(assemble_generic(2, 2)[0], 2, 2)
+    rhs = np.linspace(-1.0, 1.0, 6)
+    rhs[4] = value
+    with pytest.raises(ValueError, match="rhs row 4 is not finite"):
+        lu_solve(v, rhs)
+    rhs[4] = 0.5
+    v[4, 1] = value
+    v[5, 0] = value  # a later bad row is not the one named
+    with pytest.raises(ValueError, match="matrix row 4 is not finite: entry 1"):
+        lu_solve(v, rhs)
+    with pytest.raises(ValueError, match="matrix row 4 is not finite: entry 1"):
+        invert(v)
+    with pytest.raises(ValueError, match="matrix row 1 is not finite"):
+        lu_solve(np.diag([1.0, value, 1.0]), [1.0, 2.0, 3.0])
+
+
 def test_invert_examples():
     np.testing.assert_allclose(
         invert(np.array([[1.0, 0.0], [1.0, 1.0]])), [[1, 0], [-1, 1]]
