@@ -129,6 +129,13 @@ def _pow2_row_scales(v: np.ndarray) -> np.ndarray:
     return np.ldexp(np.ones_like(row_max), exps)  # 1 for a zero row
 
 
+def _require_square(v: np.ndarray) -> None:
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {v.shape}")
+    if not v.size:
+        raise ValueError("matrix is empty: shape (0, 0)")
+
+
 def _factor_solve(v: np.ndarray, rhs) -> np.ndarray:
     """Row-equilibrated partial-pivot LU of v, then one substitution.
 
@@ -141,8 +148,7 @@ def _factor_solve(v: np.ndarray, rhs) -> np.ndarray:
     """
     import scipy.linalg  # on first use: only the dense routines need SciPy
 
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {v.shape}")
+    _require_square(v)
     scales = _pow2_row_scales(v)
     scaled = v / scales[:, None]
     threshold = PIVOT_RTOL * np.abs(scaled).max()
@@ -169,7 +175,8 @@ def lu_solve(v, rhs) -> np.ndarray:
     """Solve V x = rhs by partial-pivoted elimination.
 
     Raises SingularMatrixError when a pivot falls below the relative
-    threshold, and ValueError naming the first non-finite row of V or rhs.
+    threshold, and ValueError naming the first non-finite row of V or rhs,
+    or a V that is not square or is empty.
     """
     v = np.asarray(v, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -414,12 +421,12 @@ def cond_two(v) -> float:
     Returns inf when the smallest singular value is at most machine
     epsilon times the largest: the matrix is rank-deficient to working
     precision, and LAPACK reports such a value as rounding noise, not 0.
+    A matrix that is not square or is empty raises ValueError.
     """
     import scipy.linalg  # on first use: only the dense routines need SciPy
 
     v = np.asarray(v, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {v.shape}")
+    _require_square(v)
     svals = scipy.linalg.svdvals(v)
     if svals[-1] <= np.finfo(float).eps * svals[0]:
         return float("inf")

@@ -34,11 +34,28 @@ def _rotated_frame(m):
     return frame
 
 
+def _one_template_blocks(nodes):
+    """The reference node_blocks: every row formatted with one "%" template."""
+    line = ",".join(["%.17g"] * nodes.m) + ",%s\n"
+    yield f"{nodes.m},{nodes.n},{len(nodes)}\n"
+    for start in range(0, len(nodes), fileio.NODE_BLOCK_ROWS):
+        rows = nodes.points[start : start + fileio.NODE_BLOCK_ROWS].tolist()
+        labels = nodes.provenance[start : start + fileio.NODE_BLOCK_ROWS]
+        yield "".join([line % (*row, label) for row, label in zip(rows, labels)])
+
+
+def _assert_formats_as_reference(nodes):
+    blocks = list(_one_template_blocks(nodes))
+    assert list(node_blocks(nodes)) == blocks
+    assert format_nodes(nodes) == "".join(blocks)
+
+
 def test_node_format_round_trip_is_exact():
     for m, n in itertools.product(range(1, 7), range(6)):
         shifted = dict(frame=_rotated_frame(m), lam=Fraction(11, 10), kappa=0.5, mu=np.linspace(-0.75, 1.5, m))
         for geometry in ({}, shifted):
             nodes, _, _ = assemble_generic(m, n, **geometry)
+            _assert_formats_as_reference(nodes)
             back = parse_nodes(format_nodes(nodes))
             # 17 significant digits pin each double exactly
             assert back.points.tobytes() == nodes.points.tobytes()
@@ -222,6 +239,72 @@ def test_node_file_writers_emit_format_nodes_bytes(tmp_path, capsys):
     assert (tmp_path / "cli.nodes").read_bytes() == text
     assert cli.main(args) == 0
     assert capsys.readouterr().out.encode("ascii") == text
+
+
+@pytest.mark.parametrize("m,n", [(8, 6), (15, 4)])
+@pytest.mark.parametrize("lam", [2, Fraction(11, 10)])
+def test_node_blocks_match_the_one_template_formatter(m, n, lam):
+    nodes, _, _ = assemble_generic(m, n, lam=lam, mu=np.linspace(-0.5, 0.25, m))
+    _assert_formats_as_reference(nodes)
+
+
+def test_node_blocks_reuse_text_only_for_equal_bits():
+    # equal values with different bits (0.0 and -0.0) side by side, within
+    # blocks and across block boundaries; the first block repeats no cell
+    values = np.array([0.0, -0.0, 5e-324, 1.5, -2.25])
+    rows = fileio.NODE_BLOCK_ROWS
+    picks = np.random.default_rng(11).integers(0, len(values), (3 * rows + 9, 3))
+    picks[:rows] = (np.arange(rows)[:, None] + np.arange(3)) % len(values)
+    points = values[picks]
+    points[rows] = [1.5, -2.25, -0.0]  # the row above is 1.5, -2.25, 0.0
+    points[2 * rows - 1 : 2 * rows + 1] = [[0.0, -0.0, 1.5], [-0.0, 0.0, 1.5]]
+    points[2 * rows + 4 : 2 * rows + 9] = points[2 * rows + 3]  # repeated rows
+    nodes = NodeSet(points, ["-"] * len(points), 3, 2)
+    _assert_formats_as_reference(nodes)
+    back = parse_nodes(format_nodes(nodes))
+    assert back.points.tobytes() == points.tobytes()
+
+
+def _nodes_with(label="1", value=0.5, n=1):
+    return NodeSet([[0.0, 0.0], [1.0, value]], ["0", label], 2, n)
+
+
+@pytest.mark.parametrize(
+    "nodes,message",
+    [
+        (_nodes_with(label="a,b"), "provenance must be a 0/1 bit string or '-', got 'a,b'"),
+        (_nodes_with(label="01\n1"), r"got '01\n1'"),
+        (_nodes_with(label=""), "got ''"),
+        (_nodes_with(label="2"), "got '2'"),
+        (_nodes_with(label=1), "got 1"),
+        (_nodes_with(value=float("nan")), "node 1 is not finite: [1.0, nan]"),
+        (_nodes_with(value=float("inf")), "node 1 is not finite"),
+        (_nodes_with(value=-float("inf")), "node 1 is not finite"),
+        (_nodes_with(n=-1), "n >= 0"),
+        (NodeSet(np.empty((0, 2)), [], 2, 1), "count=0"),
+    ],
+)
+def test_node_writers_refuse_what_the_reader_refuses(nodes, message, tmp_path):
+    if all(isinstance(label, str) for label in nodes.provenance):
+        with pytest.raises(FileFormatError):
+            parse_nodes("".join(_one_template_blocks(nodes)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        node_blocks(nodes)  # before the first block is asked for
+    with pytest.raises(ValueError, match=re.escape(message)):
+        format_nodes(nodes)
+    path = tmp_path / "refused.nodes"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_nodes(nodes, path)
+    assert not path.exists()
+
+
+def test_node_writers_check_each_distinct_label_once(monkeypatch):
+    nodes, tree, _ = assemble_generic(8, 6, lam=Fraction(11, 10))
+    checked = []
+    monkeypatch.setattr(fileio, "_bad_label", lambda label: checked.append(label) or False)
+    format_nodes(nodes)
+    assert sorted(checked) == sorted(set(nodes.provenance))
+    assert len(checked) == tree.leaf_count
 
 
 @pytest.mark.parametrize(

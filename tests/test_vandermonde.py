@@ -113,6 +113,13 @@ def test_dense_baselines_reject_non_finite_input(value):
         lu_solve(np.diag([1.0, value, 1.0]), [1.0, 2.0, 3.0])
 
 
+def test_dense_routines_name_an_empty_matrix():
+    empty = np.empty((0, 0))
+    for call in (lambda: lu_solve(empty, np.empty(0)), lambda: invert(empty), lambda: cond_two(empty)):
+        with pytest.raises(ValueError, match=r"matrix is empty: shape \(0, 0\)"):
+            call()
+
+
 def test_invert_examples():
     np.testing.assert_allclose(
         invert(np.array([[1.0, 0.0], [1.0, 1.0]])), [[1, 0], [-1, 1]]
