@@ -66,7 +66,9 @@ def node_blocks(nodes: NodeSet):
     cell whose bits equal the cell above reuses that cell's text; only the
     other cells are formatted, with "%.17g".  Comparing bits keeps 0.0 and
     -0.0 apart.  A block in which no cell repeats the one above, as in a
-    rotated frame, formats each row with one "%" template.
+    rotated frame, formats each row with one "%" template: the per-cell
+    path alone formats rotated (15, 4), (8, 6) and (10, 4) sets 25%, 17%
+    and 19% slower (best of 15 at (15, 4): 27.8 against 34.7 ms).
     """
     m, count = nodes.m, len(nodes)
     if m < 1 or nodes.n < 0 or count < 1:
@@ -75,7 +77,11 @@ def node_blocks(nodes: NodeSet):
     if not finite.all():
         bad = np.flatnonzero(~finite.all(axis=1))[0]
         raise ValueError(f"node {bad} is not finite: {nodes.points[bad].tolist()}")
-    for label in set(nodes.provenance):
+    try:
+        labels = set(nodes.provenance)
+    except TypeError:  # an unhashable label, so not a string
+        labels = nodes.provenance
+    for label in labels:
         if not isinstance(label, str) or _bad_label(label):
             raise ValueError(f"provenance must be a 0/1 bit string or '-', got {label!r}")
     return _blocks(nodes)

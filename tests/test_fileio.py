@@ -277,6 +277,7 @@ def _nodes_with(label="1", value=0.5, n=1):
         (_nodes_with(label=""), "got ''"),
         (_nodes_with(label="2"), "got '2'"),
         (_nodes_with(label=1), "got 1"),
+        (_nodes_with(label=["1"]), "got ['1']"),
         (_nodes_with(value=float("nan")), "node 1 is not finite: [1.0, nan]"),
         (_nodes_with(value=float("inf")), "node 1 is not finite"),
         (_nodes_with(value=-float("inf")), "node 1 is not finite"),
