@@ -261,6 +261,9 @@ def read_nodes(path) -> NodeSet:
 
 
 def format_polynomial(poly: MultiPoly) -> str:
+    if not np.isfinite(poly.coeffs).all():
+        bad = np.flatnonzero(~np.isfinite(poly.coeffs))[0]
+        raise ValueError(f"coefficient {bad} is not finite: {poly.coeffs[bad]}")
     doc = {
         "m": poly.m,
         "n": poly.n,
@@ -271,8 +274,9 @@ def format_polynomial(poly: MultiPoly) -> str:
 
 
 def write_polynomial(poly: MultiPoly, path) -> None:
+    text = format_polynomial(poly)  # refuses a non-finite coefficient before the path is opened
     with open(path, "w", encoding="ascii") as handle:
-        handle.write(format_polynomial(poly))
+        handle.write(text)
 
 
 def parse_polynomial(text: str, source: str = "<string>") -> MultiPoly:

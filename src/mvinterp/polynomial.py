@@ -22,6 +22,7 @@ __all__ = [
     "MultiPoly",
     "evaluate",
     "evaluate_rows",
+    "row_kernel",
     "add",
     "mul_linear",
     "embed_univariate",
@@ -90,6 +91,11 @@ def evaluate_rows(q: MultiPoly, points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != q.m:
         raise ValueError(f"points have shape {points.shape}, expected (count, {q.m})")
+    return row_kernel(q, points)
+
+
+def row_kernel(q: MultiPoly, points: np.ndarray) -> np.ndarray:
+    """evaluate_rows without its check: points must be a float (count, q.m) array."""
     vals = np.empty(q.coeffs.size)
     vals[0] = 1.0
     steps = [(vals[blk], var, parent) for blk, var, parent in _row_steps(q.m, q.n)]

@@ -46,10 +46,9 @@ import numpy as np
 from .exceptions import GeometryConfigError
 from .linear import solve_linear
 from .monomials import build_order, count_total
-# leaf_slices and evaluate are unused here, but the benchmark's tracer wraps
-# them under these names
+# leaf_slices and evaluate go unused here, but the benchmark's tracer wraps them
 from .nodes import NodeSet, assemble_generic, leaf_slices  # noqa: F401
-from .polynomial import MultiPoly, evaluate, evaluate_rows, mul_linear  # noqa: F401
+from .polynomial import MultiPoly, evaluate, mul_linear, row_kernel  # noqa: F401
 from .tree import vertex_base
 from .univariate import check_distinct, solve_on_line
 
@@ -80,9 +79,10 @@ def _divisor_product(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
 def corrected_value(values, correction: MultiPoly, points, product, labels) -> np.ndarray:
     """The corrected function (f - correction) / divisor product on a block.
 
-    values holds f at the rows of points, and product the product of the
-    divisors at each row (see _divisor_product); labels, an iterable read
-    only to name the divisors in an error, gives their hyperplanes.
+    values holds f at the rows of points, a float (rows, m) array read by
+    row_kernel unchecked, and product the product of the divisors at each
+    row (see _divisor_product); labels, an iterable read only to name the
+    divisors in an error, gives their hyperplanes.
 
     Raises
     ------
@@ -95,11 +95,11 @@ def corrected_value(values, correction: MultiPoly, points, product, labels) -> n
         backstop, as assembly keeps divisors clear of zero (GEOMETRY_RTOL).
     """
     try:
-        numerator = np.asarray(values, dtype=float) - evaluate_rows(correction, points)
+        numerator = np.asarray(values, dtype=float) - row_kernel(correction, points)
         corrected = numerator / product
     except RuntimeWarning:  # a warnings filter made NumPy's warning an error: redo quietly, to name the node
         with np.errstate(all="ignore"):
-            numerator = np.asarray(values, dtype=float) - evaluate_rows(correction, points)
+            numerator = np.asarray(values, dtype=float) - row_kernel(correction, points)
             corrected = numerator / product
     if not np.isfinite(corrected).all():
         node = np.flatnonzero(~np.isfinite(corrected))[0]
@@ -123,11 +123,9 @@ def _finite(values: np.ndarray, first: int = 0) -> np.ndarray:
 
     values[0] is node number first, which the error message counts from.
     """
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(
-            f"f is not finite at node {first + bad[0]}: {float(values[bad[0]])}"
-        )
+    if not np.isfinite(values).all():  # then find the first bad node, to name it
+        bad = np.flatnonzero(~np.isfinite(values))[0]
+        raise ValueError(f"f is not finite at node {first + bad}: {float(values[bad])}")
     return values
 
 
@@ -346,7 +344,7 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
                 f"got shape {values.shape}"
             )
         _finite(values)
-    starts, indptr, direction = plan.starts, plan.indptr, plan.frame[0]
+    starts, indptr, indices, table, direction = plan.starts, plan.indptr, plan.indices, plan.table, plan.frame[0]
 
     def solve_leaf(i, lo, hi, correction):
         """Leaf i's interpolant of its corrected values, as coefficients."""
@@ -364,13 +362,10 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
 
     def add_leaf(i):
         """Solve leaf i, lift it by its divisors and add it into acc."""
-        lo, hi = int(starts[i + 1]), int(starts[i])
-        rows = plan.table[plan.indices[indptr[i] : indptr[i + 1]]]
+        lo, hi, first, last = int(starts[i + 1]), int(starts[i]), int(indptr[i]), int(indptr[i + 1])
         coeffs = solve_leaf(i, lo, hi, acc)
-        degree = n - len(rows)
-        for row in rows:
-            degree += 1
-            coeffs = mul_linear(coeffs, row, build_order(m, degree))
+        for r in range(first, last):  # the lift by divisor row r ends at degree n - (last - 1 - r)
+            coeffs = mul_linear(coeffs, table[indices[r]], build_order(m, n + 1 + r - last))
         acc.coeffs += coeffs
 
     total = len(nodes)

@@ -35,27 +35,32 @@ def check_distinct(t: np.ndarray) -> None:
 
 def solve_univariate(t: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Coefficients (c_0..c_k) of the unique degree <= k interpolant of the
-    values c at the parameters t.
+    values c at the parameters t, which must be distinct (see check_distinct).
 
-    Newton divided differences, computed in place in c (which is
-    overwritten), followed by expansion into the monomial basis; O(k^2)
-    arithmetic.  The parameters must be distinct (see check_distinct).
+    Newton divided differences, then their expansion into the monomial basis,
+    in one list of Python floats: O(k^2) arithmetic without a NumPy call per
+    step, each operation and its order those of a slice-wise NumPy loop, so
+    the same bits.  The inputs are unchanged; equal parameters raise
+    DegenerateInputError naming the pair.
     """
-    k = t.size - 1
-    for j in range(1, k + 1):
-        c[j:] = (c[j:] - c[j - 1 : -1]) / (t[j:] - t[: -j])
-    out = np.zeros(k + 1)
-    out[0] = c[k]
-    for i in range(k - 1, -1, -1):
-        out[1 : k - i + 1] = out[: k - i]
-        out[0] = 0.0
-        out[: k - i] -= t[i] * out[1 : k - i + 1]
-        out[0] += c[i]
-    return out
+    t, c = np.asarray(t, float).tolist(), np.asarray(c, float).tolist()
+    k = len(t) - 1
+    try:
+        for j in range(1, k + 1):
+            for i in range(k, j - 1, -1):  # downward, so c[i - 1] is still of order j - 1
+                c[i] = (c[i] - c[i - 1]) / (t[i] - t[i - j])
+    except ZeroDivisionError:
+        raise DegenerateInputError(f"line parameters {i - j} and {i} are equal: {t[i]!r}") from None
+    for i in range(k - 1, -1, -1):  # c[i + 1:], the result so far, times (t - t[i]), plus c[i]
+        ti = t[i]
+        c[i] = 0.0 - ti * c[i + 1] + c[i]
+        for j in range(i + 1, k):
+            c[j] = c[j] - ti * c[j + 1]
+    return np.array(c)
 
 
 def solve_on_line(t: np.ndarray, values: np.ndarray, t0: float, direction: np.ndarray) -> np.ndarray:
     """The coefficients in m variables of the interpolant of values at the
-    nodes of a line, whose parameters t(x) = t0 + <direction, x> are t;
-    overwrites values."""
+    nodes of a line, whose parameters t(x) = t0 + <direction, x> are t; see
+    solve_univariate."""
     return embed_univariate(solve_univariate(t, values), t0, direction)

@@ -371,6 +371,24 @@ def test_polynomial_file_round_trip_on_disk(tmp_path, rng):
 
 
 @pytest.mark.parametrize(
+    "coeffs,message",
+    [
+        ([1.0, float("nan")], "coefficient 1 is not finite: nan"),
+        ([float("inf"), 0.0, -float("inf")], "coefficient 0 is not finite: inf"),
+        ([0.0, 1e308, -float("inf")], "coefficient 2 is not finite: -inf"),
+    ],
+)
+def test_polynomial_writers_refuse_what_the_reader_refuses(coeffs, message, tmp_path):
+    poly = MultiPoly(1, len(coeffs) - 1, coeffs)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        format_polynomial(poly)
+    path = tmp_path / "refused.json"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_polynomial(poly, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
     "text,fragment",
     [
         ("{", "not valid JSON"),

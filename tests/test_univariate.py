@@ -66,6 +66,24 @@ def test_check_distinct_rejects_duplicates():
         check_distinct(np.array([[0.0, 1.0, 2.0], [2.0, 1.0 + 1e-16, 1.0]]))
 
 
+def test_equal_line_parameters_are_refused_by_name():
+    # an equal pair in the divided differences of order 1, then of order 2
+    for t, pair in (([0.5, 0.5, 1.0], "0 and 1"), ([0.0, 1.0, 0.0], "0 and 2")):
+        with pytest.raises(DegenerateInputError, match=f"line parameters {pair} are equal"):
+            solve_univariate(t, [1, 2, 3])
+        with pytest.raises(DegenerateInputError, match=f"line parameters {pair} are equal"):
+            solve_on_line(np.array(t), np.array([1.0, 2.0, 3.0]), 0.0, np.array([1.0, 0.0]))
+    with pytest.raises(DegenerateInputError, match="line parameters 1 and 2 are equal: -0.0"):
+        solve_univariate(np.array([1.0, 0.0, -0.0]), np.ones(3))
+
+
+def test_line_solves_leave_their_inputs_unchanged():
+    t, values = chebyshev_parameters(5), np.arange(5.0)
+    solve_univariate(t, values)
+    solve_on_line(t, values, 0.25, np.array([0.6, 0.8]))
+    assert np.array_equal(t, chebyshev_parameters(5)) and np.array_equal(values, np.arange(5.0))
+
+
 def test_roundtrip_coefficient_recovery(rng):
     # random coefficients, Chebyshev nodes, recovery to 1e-8 up to degree 20
     for n in [1, 3, 7, 12, 20]:
