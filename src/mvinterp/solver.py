@@ -9,28 +9,28 @@ kept for reuse: the nodes, one table of divisor rows [c0, normal] (the
 split hyperplanes, which a leaf divides by for each 0 bit of its path), and
 flat arrays, per leaf its rows, kind, divisor rows and line offset, per node
 its divisor product and line parameter.  A solve then does f's arithmetic
-only.  It walks the leaves dimension-reduction branch first and reads f
-once per node: an array of node values is sliced by leaf, a callback is
-called on a leaf's rows when the walk reaches it, and a non-finite value is
-rejected.  Each leaf corrects its block of values in one call,
-(f - correction) / divisor product, solves, lifts its solution by its
-divisors on raw coefficient arrays and adds it into one shared monomial
-accumulator, which at the end of the walk is the interpolant.  The
-correction is that accumulator evaluated at the leaf's rows, so each leaf
-absorbs the rounding already in it; a walk on factored leaf values alone is
-faster but less accurate.  A leaf's work runs in a helper, so nothing it
-allocates outlives it into the next leaf's callback.  Only the current
-leaf's corrected values exist, the row kernel fills one monomial buffer
-with one top-block temporary per row, and the returned nodes share the
-plan's points and labels, which caps a repeat solve's storage at about
-3 N(m,n) reals beyond its plan, and a first solve's at a small multiple of
+only.  f is read into one array of node values before the walk: a callback
+is called once per node, in storage order, and a non-finite value is
+rejected, naming the lowest such node.  The walk visits the leaves
+dimension-reduction branch first and slices that array by leaf.  Each leaf
+corrects its block of values in one call, (f - correction) / divisor
+product, solves, lifts its solution by its divisors on raw coefficient
+arrays and adds it into one shared monomial accumulator, which at the end
+of the walk is the interpolant.  The correction is that accumulator
+evaluated at the leaf's rows, so each leaf absorbs the rounding already in
+it; a walk on factored leaf values alone is faster but less accurate.  A
+leaf's work runs in a helper, so nothing it allocates outlives it into the
+next leaf to raise the peak.  Only the current leaf's corrected values
+exist, the row kernel fills one monomial buffer with one top-block
+temporary per row, and the returned nodes share the plan's points and
+labels, which caps a repeat solve's storage at about 3 N(m,n) reals beyond
+its plan and the values, and a first solve's at a small multiple of
 m * N(m,n).
 
 The report is counted once per plan, as nothing in it depends on f's
 values: the plan's multiply-adds (see _step_multiply_adds; a fused
 multiply-add, a lone multiply and a division each count one), and the reals
-a solve holds at its peak and in its largest array, closed forms in m, n
-and whether f is an array.
+a solve holds at its peak and in its largest array, closed forms in m and n.
 """
 
 from __future__ import annotations
@@ -118,15 +118,11 @@ def corrected_value(values, correction: MultiPoly, points, product, labels) -> n
     return corrected
 
 
-def _finite(values: np.ndarray, first: int = 0) -> np.ndarray:
-    """Return values after checking that every entry is finite.
-
-    values[0] is node number first, which the error message counts from.
-    """
+def _finite(values: np.ndarray) -> None:
+    """Check that every node value is finite, naming the lowest bad node."""
     if not np.isfinite(values).all():  # then find the first bad node, to name it
         bad = np.flatnonzero(~np.isfinite(values))[0]
-        raise ValueError(f"f is not finite at node {first + bad}: {float(values[bad])}")
-    return values
+        raise ValueError(f"f is not finite at node {bad}: {float(values[bad])}")
 
 
 class Plan(NamedTuple):
@@ -303,10 +299,12 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
     """Interpolate f with the unique degree <= n polynomial on generated nodes.
 
     f is a callback on m-vectors, or an array of N(m,n) values in node
-    storage order.  Returns (poly, nodes, report): the interpolant, the
-    generated NodeSet, and the report of the run, counted once per plan:
-    multiply_adds, peak_reals_stored (m N for the nodes, N more for an
-    array of values and, when there is a tree, 2 N + N(m, n-1) for the
+    storage order.  A callback is called once per node, in storage order,
+    before the walk, on the plan's read-only points, and its results fill
+    the same array of values.  Returns (poly, nodes, report): the
+    interpolant, the generated NodeSet, and the report of the run, counted
+    once per plan: multiply_adds, peak_reals_stored (m N for the nodes, N
+    for the values and, when there is a tree, 2 N + N(m, n-1) for the
     accumulator and the last lift's input and output, N = N(m,n)) and
     largest_single_alloc (m N, the nodes).  The closed form leaves out
     the row kernel's monomial buffer (N) and its one top-block temporary
@@ -325,37 +323,31 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
     ------
     ValueError
         When an array of values has the wrong shape, or f is not finite at
-        a node.  The message names the first such node read: the lowest
-        index for an array, the first in walk order for a callback.  Also
-        when the interpolant overflows.
+        a node, naming the lowest such node index for either input form.
+        Also when a callback writes into its argument, and when the
+        interpolant overflows.
     GeometryConfigError
         When assemble_generic rejects the geometry.
     """
     cfg = config if config is not None else SolveConfig()
     plan = _plan(m, n, cfg)
     points, provenance = plan.nodes.points, plan.nodes.provenance
-    nodes = NodeSet(points, provenance, m, n)
-    values = None
-    if not callable(f):
+    nodes, total = NodeSet(points, provenance, m, n), len(provenance)
+    if callable(f):  # read once, in storage order, into the array the walk slices
+        values = np.fromiter((float(f(p)) for p in points), float, total)
+    else:
         values = np.asarray(f, dtype=float)
-        if values.shape != (len(nodes),):
-            raise ValueError(
-                f"expected a callback or {len(nodes)} node values, "
-                f"got shape {values.shape}"
-            )
-        _finite(values)
+        if values.shape != (total,):
+            raise ValueError(f"expected a callback or {total} node values, got shape {values.shape}")
+    _finite(values)
     starts, indptr, indices, table, direction = plan.starts, plan.indptr, plan.indices, plan.table, plan.frame[0]
 
     def solve_leaf(i, lo, hi, correction):
         """Leaf i's interpolant of its corrected values, as coefficients."""
         pts = points[lo:hi]
-        if values is None:
-            fvals = _finite(np.array([float(f(p)) for p in pts]), lo)
-        else:
-            fvals = values[lo:hi]
         eps = provenance[lo]  # a leaf divides by the hyperplane of each 0 bit
         labels = (eps[:j] + "1" for j, bit in enumerate(eps) if bit == "0")
-        corrected = corrected_value(fvals, correction, pts, plan.divisor[lo:hi], labels)
+        corrected = corrected_value(values[lo:hi], correction, pts, plan.divisor[lo:hi], labels)
         if plan.lines[i]:
             return solve_on_line(plan.param[lo:hi], corrected, plan.offsets[i], direction)
         return solve_linear(corrected, plan.frame[: hi - lo - 1], pts[0])
@@ -368,8 +360,7 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
             coeffs = mul_linear(coeffs, table[indices[r]], build_order(m, n + 1 + r - last))
         acc.coeffs += coeffs
 
-    total = len(nodes)
-    peak = m * total + (0 if values is None else total)
+    peak = (m + 1) * total  # the nodes and the values
     if len(plan.lines) == 1:  # no tree: the one leaf's interpolant is f's
         acc = MultiPoly(m, n, solve_leaf(0, 0, total, MultiPoly.zero(m, n)))
     else:

@@ -12,6 +12,9 @@ from hypothesis import settings
 settings.register_profile("suite", max_examples=60, deadline=None, derandomize=True)
 settings.load_profile("suite")
 
+# the (m, n) shapes of the benchmark's small-solve workload
+SMALL_SOLVE_SHAPES = [(1, 6), (5, 1), (3, 0), (2, 3), (3, 3), (2, 6), (4, 3), (3, 4), (5, 2), (2, 8), (4, 4), (6, 3)]
+
 
 def pytest_terminal_summary(terminalreporter):
     """Echo the acceptance verdict lines past the default output capture."""

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import SMALL_SOLVE_SHAPES
 from mvinterp import univariate
 from mvinterp.monomials import build_order, count_total
 from mvinterp.polynomial import MultiPoly, evaluate, evaluate_rows, mul_linear
@@ -159,9 +160,6 @@ def test_solve_univariate_is_bytewise_the_reference(k):
                 expected = reference_solve_univariate(t, values.copy())
             got = solve_univariate(t, values)
             assert got.tobytes() == expected.tobytes()
-
-
-SMALL_SOLVE_SHAPES = [(1, 6), (5, 1), (3, 0), (2, 3), (3, 3), (2, 6), (4, 3), (3, 4), (5, 2), (2, 8), (4, 4), (6, 3)]
 
 
 def solve_both_ways(monkeypatch, f, m, n, config):

@@ -20,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from conftest import brute_force_eval, brute_force_indices, tree_splits
+from conftest import SMALL_SOLVE_SHAPES, brute_force_eval, brute_force_indices, tree_splits
 from mvinterp import nodes as nodes_module
 from mvinterp import solver
 from mvinterp.exceptions import GeometryConfigError
@@ -496,9 +496,10 @@ _GIVENS_YZ = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, -0.8], [0.0, 0.8, 0.6]])
 ROTATED_3 = _GIVENS_XY @ _GIVENS_YZ @ _GIVENS_XY
 
 
-# (m, n, config): multiply_adds, peak_reals_stored for a callback and for an
-# array of values, largest_single_alloc; recorded from the runtime tally the
-# plan-time count replaced
+# (m, n, config): multiply_adds, peak_reals_stored less the N node values,
+# peak_reals_stored (the same for a callback, which is read into an array of
+# N values, as for an array), largest_single_alloc; recorded from the runtime
+# tally the plan-time count replaced
 PINNED_REPORTS = [
     (3, 0, None, 3, 3, 4, 3),
     (1, 6, None, 291, 7, 14, 7),
@@ -510,13 +511,14 @@ PINNED_REPORTS = [
 ]
 
 
-@pytest.mark.parametrize("m,n,config,ops,peak_callback,peak_array,largest", PINNED_REPORTS)
-def test_report_matches_the_pinned_counts(m, n, config, ops, peak_callback, peak_array, largest):
+@pytest.mark.parametrize("m,n,config,ops,peak_less_values,peak,largest", PINNED_REPORTS)
+def test_report_matches_the_pinned_counts(m, n, config, ops, peak_less_values, peak, largest):
     f = lambda p: float(np.cos(p.sum()))
     _, nodes, from_callback = solve(f, m, n, config=config)
     _, _, from_array = solve(np.cos(nodes.points.sum(axis=1)), m, n, config=config)
-    assert from_callback == {"multiply_adds": ops, "peak_reals_stored": peak_callback, "largest_single_alloc": largest}
-    assert from_array == {"multiply_adds": ops, "peak_reals_stored": peak_array, "largest_single_alloc": largest}
+    expected = {"multiply_adds": ops, "peak_reals_stored": peak, "largest_single_alloc": largest}
+    assert from_callback == from_array == expected
+    assert peak == peak_less_values + len(nodes)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -541,10 +543,11 @@ def test_op_counts_do_not_depend_on_values():
     _, _, from_callback = solve(lambda p: float(np.cos(p).sum()), m, n)
     assert reports[0]["multiply_adds"] == reports[1]["multiply_adds"]
     assert reports[0]["multiply_adds"] == from_callback["multiply_adds"]
-    # peak matches between equal input modes; values mode also holds the
-    # N-entry value table, so it sits above the callback peak by exactly N
+    # both input modes hold the N-entry value table, as a callback is read
+    # into one before the walk, so the peaks match
     assert reports[0]["peak_reals_stored"] == reports[1]["peak_reals_stored"]
-    assert reports[0]["peak_reals_stored"] == from_callback["peak_reals_stored"] + total
+    assert reports[0]["peak_reals_stored"] == from_callback["peak_reals_stored"]
+    assert reports[0]["peak_reals_stored"] == (m + 1) * total + 2 * total + count_total(m, n - 1)
 
 
 def test_op_budget_univariate_and_linear_edges():
@@ -569,13 +572,35 @@ def test_op_scaling_exponent_cubic_degree():
 # ------------------------------------------------------------------ input modes
 
 
+def rotated_3(m):
+    """The m x m identity with ROTATED_3 in its leading 3 x 3 block."""
+    frame = np.eye(m)
+    frame[:3, :3] = ROTATED_3
+    return frame
+
+
 def test_values_mode_matches_callback_exactly(rng):
-    truth = MultiPoly(3, 2, rng.uniform(-1.0, 1.0, 10))
-    f = lambda p: evaluate(truth, p)
-    q_cb, nodes, _ = solve(f, 3, 2)
-    values = np.array([f(p) for p in nodes.points])
-    q_vals, _, _ = solve(values, 3, 2)
-    assert np.array_equal(q_cb.coeffs, q_vals.coeffs)
+    # a callback gives the coefficient bytes of a solve of its node values,
+    # with the default config and kappa 0.5 plus a shift on the small-solve
+    # shapes, and at two large shapes in the identity and a rotated frame
+    cases = [(3, 2, SolveConfig())]
+    cases += [
+        (m, n, config)
+        for m, n in SMALL_SOLVE_SHAPES
+        for config in (SolveConfig(), SolveConfig(kappa=0.5, mu=rng.uniform(-1.0, 1.0, m)))
+    ]
+    cases += [
+        (m, n, SolveConfig(frame=frame, lam=Fraction(11, 10)))
+        for m, n in [(3, 12), (8, 6)]
+        for frame in (None, rotated_3(m))
+    ]
+    for m, n, config in cases:
+        weights = rng.uniform(-1.0, 1.0, m)
+        f = lambda p: float(np.cos(p @ weights))
+        q_cb, nodes, _ = solve(f, m, n, config)
+        values = np.array([f(p) for p in nodes.points])
+        q_vals, _, _ = solve(values, m, n, config)
+        assert q_cb.coeffs.tobytes() == q_vals.coeffs.tobytes(), (m, n, config)
 
 
 def test_values_mode_rejects_wrong_length():
@@ -618,6 +643,42 @@ def test_callback_is_called_once_per_node():
     _, nodes, _ = solve(lambda p: seen.append(p.copy()) or 1.0, 3, 3)
     assert len(seen) == len(nodes)
     assert {p.tobytes() for p in seen} == {p.tobytes() for p in nodes.points}
+
+
+@pytest.mark.parametrize(
+    "m,n,config",
+    [(3, 3, None), (2, 4, None), (4, 2, None), (3, 3, SolveConfig(frame=ROTATED_3, lam=Fraction(11, 10)))],
+)
+def test_callback_is_read_once_per_node_in_storage_order(m, n, config):
+    # before the walk, which visits the leaves in reverse storage order
+    seen = []
+    _, nodes, _ = solve(lambda p: seen.append(p.copy()) or 1.0, m, n, config)
+    assert np.array_equal(np.array(seen), nodes.points)
+
+
+def test_callback_cannot_write_into_the_plan():
+    solver.clear_plans()
+    f = lambda p: float(np.cos(p.sum()))
+    before = solve(f, 3, 3)[0].coeffs.tobytes()
+
+    def writes(p):
+        p[0] = 0.0
+        return 1.0
+
+    with pytest.raises(ValueError, match="read-only"):
+        solve(writes, 3, 3)
+    assert solve(f, 3, 3)[0].coeffs.tobytes() == before
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (1, 4), (4, 1), (3, 0)])
+def test_callback_mode_names_the_lowest_non_finite_node(m, n):
+    with pytest.raises(ValueError, match="not finite at node 0: nan"):
+        solve(lambda p: np.nan, m, n)
+    points = assemble_generic(m, n)[0].points
+    low = len(points) // 2
+    bad = {points[-1].tobytes(): np.inf, points[low].tobytes(): -np.inf}
+    with pytest.raises(ValueError, match=f"not finite at node {low}: -inf"):
+        solve(lambda p: bad.get(p.tobytes(), 1.0), m, n)
 
 
 # ---------------------------------------------------------------- configuration
