@@ -25,12 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bench import METHODS, ExperimentConfig, fit_power_law, format_csv, mu_vector, run_experiment
-from .exceptions import (
-    DegenerateInputError,
-    GeometryConfigError,
-    SingularMatrixError,
-    SizingError,
-)
+from .exceptions import GeometryConfigError
 from .fileio import (
     FileFormatError,
     format_polynomial,
@@ -167,14 +162,14 @@ def _echoed_seed(seed) -> int:
 
 def _builtin_callback(name: str, m: int, n: int, seed):
     if name == "runge":
-        return lambda p: 1.0 / (1.0 + float(p @ p)), None
+        return lambda p: 1.0 / (1.0 + float(p @ p))
     if name == "exp-sum":
-        return lambda p: float(np.exp(-(p * p)).sum()), None
+        return lambda p: float(np.exp(-(p * p)).sum())
     coeffs = np.random.default_rng(
         np.random.SeedSequence((seed, m, n))
     ).uniform(-1.0, 1.0, count_total(m, n))
     truth = MultiPoly(m, n, coeffs)
-    return (lambda p: evaluate(truth, p)), truth
+    return lambda p: evaluate(truth, p)
 
 
 def cmd_nodes(args) -> int:
@@ -203,7 +198,7 @@ def cmd_solve(args) -> int:
             raise UsageError(f"builtin {name!r} requires --m and --n")
         m, n = args.m, args.n
         seed = _echoed_seed(args.seed) if name == "random-poly" else args.seed
-        callback, _ = _builtin_callback(name, m, n, seed)
+        callback = _builtin_callback(name, m, n, seed)
     else:
         poly = read_polynomial(name)
         m = poly.m if args.m is None else args.m
@@ -329,16 +324,8 @@ def main(argv=None) -> int:
     except UsageError as bad:
         print(f"error: {bad}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        FileFormatError,
-        OSError,
-        SingularMatrixError,
-        DegenerateInputError,
-        GeometryConfigError,
-        SizingError,
-        ValueError,
-        ArithmeticError,
-    ) as bad:
+    # FileFormatError and DegenerateInputError are ValueErrors, SingularMatrixError and SizingError ArithmeticErrors
+    except (OSError, ValueError, ArithmeticError, GeometryConfigError) as bad:
         print(f"error: {bad}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -35,7 +35,6 @@ a solve holds at its peak and in its largest array, closed forms in m and n.
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +49,7 @@ from .monomials import build_order, count_total
 from .nodes import NodeSet, assemble_generic, leaf_slices  # noqa: F401
 from .polynomial import MultiPoly, evaluate, mul_linear, row_kernel  # noqa: F401
 from .tree import vertex_base
-from .univariate import check_distinct, solve_on_line
+from .univariate import solve_on_line
 
 __all__ = [
     "SolveConfig",
@@ -118,13 +117,6 @@ def corrected_value(values, correction: MultiPoly, points, product, labels) -> n
     return corrected
 
 
-def _finite(values: np.ndarray) -> None:
-    """Check that every node value is finite, naming the lowest bad node."""
-    if not np.isfinite(values).all():  # then find the first bad node, to name it
-        bad = np.flatnonzero(~np.isfinite(values))[0]
-        raise ValueError(f"f is not finite at node {bad}: {float(values[bad])}")
-
-
 class Plan(NamedTuple):
     """What a solve of one configuration reads besides f.  Leaf i, in walk
     order (the reverse of storage order), holds rows starts[i + 1]:starts[i]
@@ -132,7 +124,7 @@ class Plan(NamedTuple):
     of table."""
 
     nodes: NodeSet  # read-only points and their provenance, a tuple
-    frame: np.ndarray  # a copy of the given frame, or the shared identity
+    frame: np.ndarray  # a copy of the given frame, or the identity
     table: np.ndarray  # (hyperplanes, m + 1): a divisor row [c0, normal] each
     starts: np.ndarray  # (leaves + 1,), starts[0] the node count
     lines: np.ndarray  # (leaves,) bool: a line leaf, else a flat
@@ -142,18 +134,6 @@ class Plan(NamedTuple):
     divisor: np.ndarray  # (nodes,) the product of a node's divisors at it
     param: np.ndarray  # (nodes,) a line leaf node's t; 0 at flat nodes
     multiply_adds: int  # of a solve, see _step_multiply_adds
-
-
-_identities = weakref.WeakValueDictionary()  # m -> the identity frame plans share
-
-
-def _identity(m: int) -> np.ndarray:
-    """The read-only m x m identity, one while any plan holds it."""
-    eye = _identities.get(m)
-    if eye is None:
-        eye = _identities[m] = np.eye(m)
-        eye.flags.writeable = False
-    return eye
 
 
 def _step_multiply_adds(m: int, n: int, starts, lines, table, indptr, indices) -> dict:
@@ -201,14 +181,15 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     leaf of sigma (d, k) has them in its last n - k columns.  Then, one leaf
     sigma at a time as in assembly, come the divisor products, which raise
     GeometryConfigError naming the leaf if one overflows, and the line
-    parameters <x - base, frame[0]>, checked for near-duplicates, and line
-    offsets, each with the bits of its leaf's own expression.  Without a
-    tree there is one leaf, of sigma (1, n) or (m, n), dividing by nothing.
+    parameters <x - base, frame[0]> (kept apart by assembly's spread guard)
+    and line offsets, each with the bits of its leaf's own expression.
+    Without a tree there is one leaf, of sigma (1, n) or (m, n), dividing
+    by nothing.
     """
     nodes, tree, hyperplanes = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
     points = nodes.points
     points.flags.writeable = False
-    frame = _identity(m) if frame is None else frame
+    frame = np.eye(m) if frame is None else frame
     direction = frame[0]
     shift = np.zeros(m) if mu is None else mu
     if tree is None:  # one leaf on the whole space, which divides by nothing
@@ -249,8 +230,7 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     for (d, k), at in groups.items():
         if d == 1:  # its leaves' walk positions are lo.size - 1 - at
             block, base = lo[at, None] + np.arange(k + 1), bases[at, None]
-            param[block] = t = (points[block] - base) @ direction  # a gemv per leaf, as on a leaf's own line
-            check_distinct(t)
+            param[block] = (points[block] - base) @ direction  # a gemv per leaf, as on a leaf's own line
             lines[-1 - at] = True
             offsets[-1 - at] = -(base @ direction[:, None])[:, 0, 0]  # a dot per leaf: one gemv may round apart
     ops = sum(_step_multiply_adds(m, n, starts, lines, table, indptr, indices).values())
@@ -263,8 +243,8 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
 _plans: OrderedDict = OrderedDict()
 PLAN_CACHE_SIZE = 32
 # reals that the kept plans' points, divisor tables, per-node vectors and
-# frames may hold together, a frame shared by plans once; a plan was measured
-# to hold at most 16 bytes per real plus 3.2 KB, so all hold about 4.3 MB
+# frames may hold together; a plan was measured to hold at most 16 bytes
+# per real plus 3.2 KB, so all hold about 4.3 MB
 PLAN_CACHE_REALS = 2**18
 
 
@@ -278,13 +258,11 @@ def _plan(m: int, n: int, cfg: SolveConfig) -> Plan:
         _plans.move_to_end(key)
         return plan
     _plans[key] = plan = _build_plan(m, n, frame, lam, kappa, mu)
-    held, count, frames = 0, 0, set()
+    held, count = 0, 0
     for old, kept in reversed(list(_plans.items())):  # the newest first
-        size = sum(a.size for a in (kept.nodes.points, kept.table, kept.divisor, kept.param))
-        size += 0 if id(kept.frame) in frames else kept.frame.size  # unless a newer plan shares it
+        size = sum(a.size for a in (kept.nodes.points, kept.frame, kept.table, kept.divisor, kept.param))
         if count < PLAN_CACHE_SIZE and held + size <= PLAN_CACHE_REALS:
             held, count = held + size, count + 1
-            frames.add(id(kept.frame))
         else:
             _plans.pop(old, None)
     return plan
@@ -339,7 +317,9 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
         values = np.asarray(f, dtype=float)
         if values.shape != (total,):
             raise ValueError(f"expected a callback or {total} node values, got shape {values.shape}")
-    _finite(values)
+    if not np.isfinite(values).all():  # then find the first bad node, to name it
+        bad = np.flatnonzero(~np.isfinite(values))[0]
+        raise ValueError(f"f is not finite at node {bad}: {float(values[bad])}")
     starts, indptr, indices, table, direction = plan.starts, plan.indptr, plan.indices, plan.table, plan.frame[0]
 
     def solve_leaf(i, lo, hi, correction):

@@ -24,18 +24,9 @@ def chebyshev_parameters(count: int, kappa: float = 1.0) -> np.ndarray:
     return kappa * np.cos((2 * k - 1) * np.pi / (2 * count))
 
 
-def check_distinct(t: np.ndarray) -> None:
-    """Raise DegenerateInputError unless the least gap between the line
-    parameters t exceeds 1e-14 times their span, along the last axis: a
-    stack (..., count) holds the parameters of one line per row."""
-    srt = np.sort(t, axis=-1)
-    if t.shape[-1] >= 2 and ((srt[..., 1:] - srt[..., :-1]).min(axis=-1) <= 1e-14 * (srt[..., -1] - srt[..., 0])).any():
-        raise DegenerateInputError("interpolation nodes contain a (near-)duplicate pair")
-
-
 def solve_univariate(t: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Coefficients (c_0..c_k) of the unique degree <= k interpolant of the
-    values c at the parameters t, which must be distinct (see check_distinct).
+    values c at the parameters t, which must be distinct.
 
     Newton divided differences, then their expansion into the monomial basis,
     in one list of Python floats: O(k^2) arithmetic without a NumPy call per

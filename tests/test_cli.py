@@ -8,8 +8,10 @@ import re
 import numpy as np
 import pytest
 
+from mvinterp import cli
 from mvinterp.cli import main
-from mvinterp.fileio import parse_nodes, read_nodes, write_polynomial
+from mvinterp.exceptions import DegenerateInputError, GeometryConfigError, SingularMatrixError, SizingError
+from mvinterp.fileio import FileFormatError, parse_nodes, read_nodes, write_polynomial
 from mvinterp.monomials import count_total
 from mvinterp.polynomial import MultiPoly
 
@@ -268,6 +270,34 @@ def test_solve_ill_posed_geometry_exits_two(capsys):
     code, out, err = run(capsys, "solve", "runge", "--m", "2", "--n", "90", "--lambda", "11/10")
     assert (code, out) == (2, "")
     assert "lambda/kappa configuration is ill posed" in err
+
+
+def test_nodes_beyond_int64_exit_two(capsys):
+    # N(40, 40) = C(80, 40), about 1.1e23, does not fit a 64-bit integer
+    code, out, err = run(capsys, "nodes", "--m", "40", "--n", "40")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: monomial count for \(m=40, n=40\) is \d+, which exceeds the supported 64-bit range\n", err)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        FileFormatError,
+        OSError,
+        SingularMatrixError,
+        DegenerateInputError,
+        GeometryConfigError,
+        SizingError,
+        ValueError,
+        ArithmeticError,
+    ],
+)
+def test_each_package_error_exits_two(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("the message")
+
+    monkeypatch.setitem(cli.COMMANDS, "verify", fail)
+    assert run(capsys, "verify", "any.csv") == (2, "", "error: the message\n")
 
 
 # ---------------------------------------------------------------------- bench

@@ -7,7 +7,7 @@ from mvinterp.exceptions import DegenerateInputError
 from mvinterp.monomials import count_total
 from mvinterp.nodes import leaf_nodes
 from mvinterp.polynomial import MultiPoly, evaluate
-from mvinterp.univariate import chebyshev_parameters, check_distinct, solve_on_line, solve_univariate
+from mvinterp.univariate import chebyshev_parameters, solve_on_line, solve_univariate
 
 
 def chebyshev_nodes(count, direction, base, kappa=1.0):
@@ -54,16 +54,6 @@ def test_solve_univariate_examples():
     oracle = np.linalg.solve(np.vander(t, increasing=True), vals)
     np.testing.assert_allclose(oracle, [0.0, 0.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(solve_univariate(t, vals), oracle, atol=1e-12)
-
-
-def test_check_distinct_rejects_duplicates():
-    with pytest.raises(DegenerateInputError):
-        check_distinct(np.array([0.0, 1.0, 1.0 + 1e-16]))
-    check_distinct(np.array([0.0, 1.0, 1.0 + 1e-13]))
-    # a stack holds one line per row; one near-duplicate pair rejects it
-    check_distinct(np.array([[0.0, 1.0, 1.0 + 1e-13], [2.0, 0.0, 1.0]]))
-    with pytest.raises(DegenerateInputError):
-        check_distinct(np.array([[0.0, 1.0, 2.0], [2.0, 1.0 + 1e-16, 1.0]]))
 
 
 def test_equal_line_parameters_are_refused_by_name():
