@@ -48,7 +48,6 @@ __all__ = [
     "ExperimentConfig",
     "FitResult",
     "METHODS",
-    "TIMING_COLUMNS",
     "experiment_accuracy",
     "experiment_runtime",
     "experiment_conditioning",
@@ -61,8 +60,6 @@ __all__ = [
 
 METHODS = ("pip-solver", "linsolve", "inversion")
 EXPERIMENTS = ("accuracy", "runtime", "conditioning")
-# columns excluded from byte-for-byte determinism comparisons
-TIMING_COLUMNS = frozenset({"seconds"})
 
 ACCURACY_FIELDS = ("m", "n", "N", "method", "rep", "coeff_error_inf", "values_checksum")
 RUNTIME_FIELDS = ("m", "n", "N", "method", "rep", "seconds", "multiply_adds")

@@ -84,6 +84,8 @@ class MonomialOrder:
       scatter-add the product of a polynomial with a degree-1 factor.  It is
       I + step[k, a] where a <= var[I], and else, as x_a I = x_var[I] x_a
       parent[I], the lift of parent[I] plus step[k, var[I]].
+    - ``runs(k)``: for each a, block k's positions with var = a, which end at
+      start + step[k, a], next to their parents, the suffix of block k - 1.
     - ``index(idx)`` walks the steps from the last variable to the first, and
       ``table`` rebuilds every multi-index from var and parent when read.
     """
@@ -121,6 +123,16 @@ class MonomialOrder:
     def block(self, k: int) -> slice:
         """Slice of positions holding the degree-k block."""
         return self._blocks[k]
+
+    def runs(self, k: int) -> list:
+        """(run, parents) slice pairs of the degree-k block, k >= 1, one per
+        variable a in order: run holds the positions whose var is a, and
+        parents the suffix of block k - 1 that run multiplies by x_a."""
+        start = self._blocks[k].start  # where block k - 1 stops
+        bounds = [0, *self._step[k].tolist()]
+        return [
+            (slice(start + lo, start + hi), slice(start - hi + lo, start)) for lo, hi in zip(bounds, bounds[1:])
+        ]
 
     def index(self, idx) -> int:
         """Position of the multi-index idx, of degree <= n."""

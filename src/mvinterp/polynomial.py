@@ -40,7 +40,8 @@ class MultiPoly:
     n : int
         Structural degree bound; ``coeffs`` has length N(m,n).
     coeffs : numpy.ndarray
-        Coefficients in canonical monomial order, dtype float64.
+        Coefficients in canonical monomial order, dtype float64; complex
+        coefficients raise ValueError.
     """
 
     m: int
@@ -48,7 +49,10 @@ class MultiPoly:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        coeffs = np.asarray(self.coeffs)
+        if coeffs.dtype.kind == "c":  # the float conversion would drop the imaginary part
+            raise ValueError(f"coefficients must be real, got dtype {coeffs.dtype}")
+        self.coeffs = coeffs.astype(float, copy=False)
         expected = count_total(self.m, self.n)
         if self.coeffs.shape != (expected,):
             raise ValueError(

@@ -300,8 +300,9 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
     Raises
     ------
     ValueError
-        When an array of values has the wrong shape, or f is not finite at
-        a node, naming the lowest such node index for either input form.
+        When an array of values has the wrong shape or a complex dtype, or
+        f is not finite at a node, naming the lowest such node index for
+        either input form.
         Also when a callback writes into its argument, and when the
         interpolant overflows.
     GeometryConfigError
@@ -314,7 +315,10 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
     if callable(f):  # read once, in storage order, into the array the walk slices
         values = np.fromiter((float(f(p)) for p in points), float, total)
     else:
-        values = np.asarray(f, dtype=float)
+        values = np.asarray(f)
+        if values.dtype.kind == "c":  # the float conversion would drop the imaginary part
+            raise ValueError(f"f's values must be real, got dtype {values.dtype}")
+        values = values.astype(float, copy=False)
         if values.shape != (total,):
             raise ValueError(f"expected a callback or {total} node values, got shape {values.shape}")
     if not np.isfinite(values).all():  # then find the first bad node, to name it

@@ -108,18 +108,17 @@ def build_vandermonde(nodes, m: int, n: int) -> np.ndarray:
 def _fill_vandermonde(v: np.ndarray, pts: np.ndarray, m: int, n: int) -> None:
     """Fill a Fortran-ordered V in place one degree block at a time.
 
-    The fill runs over the rows of v.T: each row block is gathered from its
-    parent rows straight into place and scaled by whole rows of pts.T, so
-    it writes contiguously and needs no block temporary.
+    The fill runs over the rows of v.T: each run of one variable in a
+    block is its parent rows, a suffix of the block before, times that
+    coordinate's row of pts.T, written straight into place, so it writes
+    contiguously and needs no block temporary.
     """
     order = build_order(m, n)
     vt, coords = v.T, np.ascontiguousarray(pts.T)
     vt[0] = 1.0
     for k in range(1, n + 1):
-        blk = order.block(k)
-        # parents lie in earlier blocks, so the gather never reads rows it writes
-        np.take(vt, order.parent[blk], axis=0, out=vt[blk], mode="clip")
-        vt[blk] *= coords[order.var[blk]]
+        for row, (run, parents) in zip(coords, order.runs(k)):
+            np.multiply(vt[parents], row, out=vt[run])
 
 
 def _pow2_row_scales(v: np.ndarray) -> np.ndarray:
@@ -196,10 +195,6 @@ def invert(v) -> np.ndarray:
     return _factor_solve(np.asarray(v, dtype=float), None)
 
 
-def _one_norm(a: np.ndarray) -> float:
-    return float(np.abs(a).sum(axis=0).max())
-
-
 def _box_normalize(pts: np.ndarray):
     """Affine per-coordinate map onto [-1,1]^m; returns (mapped, sum log h).
 
@@ -214,6 +209,20 @@ def _box_normalize(pts: np.ndarray):
     with np.errstate(divide="ignore"):
         log_half_sum = float(np.log(half).sum())
     return (pts - center) / half, log_half_sum
+
+
+def _abs_max(v: np.ndarray, axis=None):
+    """Max |entry| of v, along axis when given, with no |v| copy."""
+    return np.maximum(v.max(axis=axis), -v.min(axis=axis))
+
+
+def _abs_column_sums(v: np.ndarray) -> np.ndarray:
+    """Column sums of |v|, taking |v| a block of at most 2^16 entries at a time."""
+    sums = np.empty(v.shape[1])
+    width = max(1, 2**16 // v.shape[0])
+    for lo in range(0, v.shape[1], width):
+        np.abs(v[:, lo : lo + width]).sum(axis=0, out=sums[lo : lo + width])
+    return sums
 
 
 def _balance_pow2(v: np.ndarray):
@@ -233,7 +242,7 @@ def _balance_pow2(v: np.ndarray):
     """
     total_exp = 0
     for axis in (1, 0):
-        mx = np.abs(v).max(axis=axis)
+        mx = _abs_max(v, axis)
         _, exps = np.frexp(mx)  # 0 for a zero row or column
         if exps.any():
             scales = np.ldexp(np.ones_like(mx), exps)
@@ -255,7 +264,9 @@ def _dense_certificate(pts: np.ndarray, m: int, n: int) -> dict:
     unnormalized points.  cond_1 describes the normalized balanced system
     (the best legally rescaled dense problem) and is deliberately not
     gated on the pivot test: a huge finite value is the honest report for
-    a near-singular system.
+    a near-singular system, and an exactly zero pivot reports inf.  V is
+    the one N x N array: it is filled, balanced and factored in place, and
+    for cond_1 LAPACK's getri overwrites its LU with the exact inverse.
     """
     import scipy.linalg.lapack  # on first use: only the dense routines need SciPy
 
@@ -264,10 +275,8 @@ def _dense_certificate(pts: np.ndarray, m: int, n: int) -> dict:
     v = np.empty((total, total), order="F")
     _fill_vandermonde(v, mapped, m, n)
     v, scale_exp = _balance_pow2(v)
-    magnitude = np.abs(v)
-    threshold = PIVOT_RTOL * magnitude.max()
-    norm_balanced = float(magnitude.sum(axis=0).max())
-    del magnitude  # LU and the inverse need no third N x N array
+    threshold = PIVOT_RTOL * _abs_max(v)
+    norm_balanced = float(_abs_column_sums(v).max())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(v, overwrite_a=True, check_finite=False)
@@ -282,8 +291,10 @@ def _dense_certificate(pts: np.ndarray, m: int, n: int) -> dict:
     cond_1 = float("nan")
     if total <= COND_DESK_LIMIT:
         with np.errstate(all="ignore"):
-            inv, _ = scipy.linalg.lapack.dgetrs(lu, piv, np.eye(total, order="F"), overwrite_b=True)
-            cond_1 = norm_balanced * _one_norm(inv)
+            # the queried workspace (N x block size) lets getri run blocked
+            lwork = int(scipy.linalg.lapack.dgetri_lwork(total)[0])
+            inv, info = scipy.linalg.lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
+            cond_1 = float("inf") if info else norm_balanced * float(_abs_column_sums(inv).max())
         if not np.isfinite(cond_1):
             cond_1 = float("inf")
     return {
@@ -388,9 +399,10 @@ def genericity_check(
     are read off the nodes.  Anything else goes through the dense
     normalized pivoted LU (so does a structured set whose on-rows leave
     their plane).  cond_1 always describes the dense normalized system and
-    needs the explicit inverse, so it is only computed for N <= COND_DESK_LIMIT
-    and is nan above that.  A node set of the wrong shape or with a
-    non-finite coordinate, or hyperplanes of another tree, raise ValueError.
+    is exact: getri inverts its LU in place, 4/3 N^3 flops, so it is only
+    computed for N <= COND_DESK_LIMIT and is nan above that.  A node set of
+    the wrong shape or with a non-finite coordinate, or hyperplanes of
+    another tree, raise ValueError.
     """
     pts = _points_of(nodes)
     total = count_total(m, n)

@@ -26,6 +26,12 @@ def times(q, row):
     return MultiPoly(q.m, q.n + 1, mul_linear(q.coeffs, row, build_order(q.m, q.n + 1)))
 
 
+def test_multipoly_refuses_complex_coefficients():
+    with pytest.raises(ValueError, match="must be real, got dtype complex128"):
+        MultiPoly(2, 2, np.full(6, 1 + 2j))
+    assert MultiPoly(2, 2, [1, 2, 3, 4, 5, 6]).coeffs.dtype == np.float64
+
+
 def test_evaluate_examples():
     q = MultiPoly(2, 1, [1.0, 2.0, -1.0])  # 1 + 2x1 - x2
     assert evaluate(q, (1.0, 1.0)) == pytest.approx(2.0)

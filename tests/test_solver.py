@@ -621,6 +621,13 @@ def test_values_mode_names_first_non_finite_node():
         solve(values, 3, 3)
 
 
+@pytest.mark.parametrize("values", [np.full(6, 1 + 2j), [1.0] * 5 + [2j], np.ones(6, dtype=np.complex64)])
+def test_values_mode_refuses_complex_values(values):
+    # converting them to floats would drop the imaginary parts, with only a warning
+    with pytest.raises(ValueError, match="must be real, got dtype complex"):
+        solve(values, 2, 2)
+
+
 @pytest.mark.parametrize("m,n,index", [(3, 3, 7), (2, 4, 14), (1, 5, 2), (5, 1, 3)])
 def test_callback_mode_rejects_inf_at_one_node(m, n, index):
     target = assemble_generic(m, n)[0].points[index]

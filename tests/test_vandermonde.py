@@ -1,6 +1,8 @@
 """Dense baseline: build/solve/invert examples, genericity oracle, conditioning."""
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from mvinterp.vandermonde import (
     COND_DESK_LIMIT,
     _balance_pow2,
     _box_normalize,
+    _dense_certificate,
     _fill_vandermonde,
     _pow2_row_scales,
     _variable_degree_sum,
@@ -337,6 +340,39 @@ def test_genericity_mu_shifted_rotated_assembly_with_its_hyperplanes():
     dense = genericity_check(nodes.points, 3, 3)
     assert given["route"] == "structured" and given["generic"] is True
     assert given["abs_det_log"] == pytest.approx(dense["abs_det_log"], rel=1e-9)
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (4, 4), (7, 3), (5, 5)])
+def test_genericity_cond_1_matches_an_independent_inverse(m, n):
+    # cond_1 inverts the LU in place; NumPy's norm of the matrix and of its
+    # inverse from gesv, on the same box-normalized, balanced V, agree
+    nodes, _, _ = assemble_generic(m, n)
+    mapped, _ = _box_normalize(nodes.points)
+    total = count_total(m, n)
+    v = np.empty((total, total), order="F")
+    _fill_vandermonde(v, mapped, m, n)
+    balanced, _ = _balance_pow2(v)
+    expected = np.linalg.norm(balanced, 1) * np.linalg.norm(np.linalg.inv(balanced), 1)
+    assert genericity_check(nodes.points, m, n)["cond_1"] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("m,n", [(10, 4), (6, 6)])
+def test_dense_certificate_holds_one_square_array(m, n):
+    # V is filled, balanced, factored and inverted in place: its traced peak
+    # stays within a quarter of an N x N array more than V itself
+    nodes, _, _ = assemble_generic(m, n)
+    points = np.array(nodes.points)
+    _dense_certificate(points[: count_total(2, 2), :2], 2, 2)  # SciPy's import is not the certificate's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = _dense_certificate(points, m, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result["generic"] is True and np.isfinite(result["cond_1"])
+    total = count_total(m, n)
+    assert peak <= 1.25 * total * total * 8, peak / (total * total * 8)
 
 
 def test_genericity_cond_desk_scale_cutoff():
