@@ -19,6 +19,7 @@ import numpy as np
 
 from .exceptions import GeometryConfigError
 from .monomials import count_total
+from .polynomial import _real_array
 from .tree import assign_hyperplanes, build_tree, eps_label, vertex_base
 from .univariate import chebyshev_parameters
 
@@ -37,8 +38,8 @@ class NodeSet:
 
     points has shape (count, m); provenance[i] is the bit string of the
     leaf that produced point i ("-" when the problem had no tree), held as
-    a tuple made from the sequence given (a tuple is kept, not copied).
-    """
+    a tuple made from the sequence given (a tuple is kept, not copied);
+    complex points raise ValueError."""
 
     points: np.ndarray
     provenance: tuple
@@ -46,7 +47,7 @@ class NodeSet:
     n: int
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
+        self.points = _real_array(self.points, "points")
         self.provenance = tuple(self.provenance)
         if self.points.ndim != 2 or self.points.shape[1] != self.m:
             raise ValueError(f"points must have shape (count, {self.m})")
@@ -132,10 +133,10 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
 
     mu, if given, translates all returned points (a post-transform; the tree
     and hyperplanes describe the untranslated construction).  A frame or mu
-    of the wrong shape or with a non-finite entry, a frame whose rows are
-    not orthonormal within 1e-10 or whose first row is not a unit vector
-    within 1e-12, or a kappa that is not positive and finite, raises
-    ValueError.
+    that is complex, of the wrong shape or with a non-finite entry, a frame
+    whose rows are not orthonormal within 1e-10 or whose first row is not a
+    unit vector within 1e-12, or a kappa that is not positive and finite,
+    raises ValueError.
 
     The returned points (after mu) pass one check with the one tolerance
     GEOMETRY_RTOL, or GeometryConfigError names the leaf, the hyperplane and
@@ -149,11 +150,11 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
         raise ValueError(f"need m >= 1 and n >= 0, got ({m}, {n})")
     if frame is None:
         frame = np.eye(m)
-    frame = np.asarray(frame, dtype=float)
+    frame = _real_array(frame, "frame")
     if frame.shape != (m, m):
         raise ValueError(f"frame shape {frame.shape} does not match m={m}")
     if mu is not None:
-        mu = np.asarray(mu, dtype=float)
+        mu = _real_array(mu, "mu")
         if mu.shape != (m,):
             raise ValueError(f"mu must be an m-vector, got shape {mu.shape}")
     for name, value in (("frame", frame), ("mu", mu)):

@@ -29,6 +29,14 @@ __all__ = [
 ]
 
 
+def _real_array(values, name: str) -> np.ndarray:
+    """values as a float array; a complex dtype raises ValueError, as the cast would drop its imaginary part."""
+    values = np.asarray(values)
+    if values.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got dtype {values.dtype}")
+    return values.astype(float, copy=False)
+
+
 @dataclass
 class MultiPoly:
     """Dense polynomial of degree <= n in m variables.
@@ -49,10 +57,7 @@ class MultiPoly:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs)
-        if coeffs.dtype.kind == "c":  # the float conversion would drop the imaginary part
-            raise ValueError(f"coefficients must be real, got dtype {coeffs.dtype}")
-        self.coeffs = coeffs.astype(float, copy=False)
+        self.coeffs = _real_array(self.coeffs, "coefficients")
         expected = count_total(self.m, self.n)
         if self.coeffs.shape != (expected,):
             raise ValueError(

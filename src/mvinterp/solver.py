@@ -47,7 +47,7 @@ from .linear import solve_linear
 from .monomials import build_order, count_total
 # leaf_slices and evaluate go unused here, but the benchmark's tracer wraps them
 from .nodes import NodeSet, assemble_generic, leaf_slices  # noqa: F401
-from .polynomial import MultiPoly, evaluate, mul_linear, row_kernel  # noqa: F401
+from .polynomial import MultiPoly, _real_array, evaluate, mul_linear, row_kernel  # noqa: F401
 from .tree import vertex_base
 from .univariate import solve_on_line
 
@@ -174,9 +174,8 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
 
     Leaves are stored in walk order, the reverse of storage order, each with
     its rows, kind and the table rows of the splits it crosses, root first.
-    Table row r is the divisor row [c0, normal] of the split with the r-th
-    smallest mid, its hyperplane moved by mu, so the walk first divides by
-    the rows from the last to the first.  One walk up the cross column finds
+    Table row r is the divisor row [c0, normal] of split r, in the tree's
+    preorder, its hyperplane moved by mu.  One walk up the cross column finds
     every leaf's crossed splits at once, right-aligned and root first, so a
     leaf of sigma (d, k) has them in its last n - k columns.  Then, one leaf
     sigma at a time as in assembly, come the divisor products, which raise
@@ -193,15 +192,13 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     direction = frame[0]
     shift = np.zeros(m) if mu is None else mu
     if tree is None:  # one leaf on the whole space, which divides by nothing
-        table, row, bases, lo = np.empty((0, m + 1)), np.empty(0, np.intp), shift[None], np.zeros(1, np.intp)
+        table, bases, lo = np.empty((0, m + 1)), shift[None], np.zeros(1, np.intp)
         crossed = np.empty((1, 0), np.intp)
         groups = {(1, n) if m == 1 or n == 0 else (m, n): np.zeros(1, np.intp)}
     else:
-        row, axis, normals = np.argsort(np.argsort(tree.mid)), hyperplanes.axis, hyperplanes.frame
+        axis, normals = hyperplanes.axis, hyperplanes.frame
         moved = np.array([normal @ shift for normal in normals])  # a dot per axis: a matrix product may round apart
-        table = np.empty((len(axis), m + 1))
-        table[row, 0] = -hyperplanes.offset - moved[axis]
-        table[row, 1:] = normals[axis]
+        table = np.column_stack((-hyperplanes.offset - moved[axis], normals[axis]))
         leaf, cross, split = np.array(tree.leaf), np.array(tree.cross + [-1]), np.array(tree.split + [-1])
         bases, lo = (vertex_base(tree, hyperplanes) + shift)[tree.leaf_flat], tree.leaf_lo
         crossed, up = np.empty((leaf.size, n), np.intp), cross[leaf]
@@ -213,12 +210,12 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     walk = crossed[::-1]
     valid = walk >= 0
     starts, indptr = np.concatenate(([len(nodes)], lo[::-1])), np.concatenate(([0], valid.sum(1).cumsum()))
-    indices = row[walk[valid]]
+    indices = walk[valid]
     divisor = np.empty(len(nodes))
     with np.errstate(over="ignore"):  # rejected next, naming the leaf
         for (d, k), at in groups.items():
             block = lo[at, None] + np.arange(k + 1 if d == 1 else d + 1)
-            divisor[block] = _divisor_product(table[row[crossed[at, k:]]], points[block])
+            divisor[block] = _divisor_product(table[crossed[at, k:]], points[block])
     bad = np.flatnonzero(~np.isfinite(divisor))
     if bad.size:
         raise GeometryConfigError(
@@ -250,7 +247,8 @@ PLAN_CACHE_REALS = 2**18
 
 def _plan(m: int, n: int, cfg: SolveConfig) -> Plan:
     """The plan of a solve, kept from an earlier call or built and kept."""
-    frame, mu = (None if a is None else np.array(a, dtype=float) for a in (cfg.frame, cfg.mu))
+    frame = None if cfg.frame is None else np.array(_real_array(cfg.frame, "frame"))
+    mu = None if cfg.mu is None else np.array(_real_array(cfg.mu, "mu"))
     lam, kappa = Fraction(cfg.lam), float(cfg.kappa)
     key = (m, n, lam, kappa, *(None if a is None else (a.shape, a.tobytes()) for a in (frame, mu)))
     plan = _plans.get(key)
@@ -303,8 +301,8 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
         When an array of values has the wrong shape or a complex dtype, or
         f is not finite at a node, naming the lowest such node index for
         either input form.
-        Also when a callback writes into its argument, and when the
-        interpolant overflows.
+        Also when a callback writes into its argument, when the config's
+        frame or mu is complex, and when the interpolant overflows.
     GeometryConfigError
         When assemble_generic rejects the geometry.
     """
@@ -315,10 +313,7 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
     if callable(f):  # read once, in storage order, into the array the walk slices
         values = np.fromiter((float(f(p)) for p in points), float, total)
     else:
-        values = np.asarray(f)
-        if values.dtype.kind == "c":  # the float conversion would drop the imaginary part
-            raise ValueError(f"f's values must be real, got dtype {values.dtype}")
-        values = values.astype(float, copy=False)
+        values = _real_array(f, "f's values")
         if values.shape != (total,):
             raise ValueError(f"expected a callback or {total} node values, got shape {values.shape}")
     if not np.isfinite(values).all():  # then find the first bad node, to name it

@@ -45,6 +45,7 @@ from .exceptions import SingularMatrixError
 from .monomials import build_order, count_total
 # leaf_slices is unused here, but the benchmark's tracer wraps vandermonde.leaf_slices
 from .nodes import GEOMETRY_RTOL, NodeSet, leaf_slices  # noqa: F401
+from .polynomial import _real_array
 from .tree import build_tree, eps_label
 
 __all__ = [
@@ -80,19 +81,15 @@ def invert_ops(size: int) -> int:
     return lu_factor_ops(size) + size * lu_solve_ops(size)
 
 
-def _points_of(nodes) -> np.ndarray:
-    return np.asarray(getattr(nodes, "points", nodes), dtype=float)
-
-
 def build_vandermonde(nodes, m: int, n: int) -> np.ndarray:
     """V[i, j] = monomial j evaluated at node i, columns in canonical order.
 
-    Accepts a NodeSet or a raw (count, m) array.  Columns are filled one
+    Accepts a NodeSet or a raw real (count, m) array.  Columns are filled one
     degree block at a time through the parent recursion
     column[j] = column[parent(j)] * coordinate[var(j)].  V is Fortran-ordered,
     the layout LAPACK factors in place.
     """
-    pts = _points_of(nodes)
+    pts = _real_array(getattr(nodes, "points", nodes), "nodes")
     total = count_total(m, n)
     if pts.ndim != 2 or pts.shape[1] != m:
         raise ValueError(f"nodes must have shape (count, {m}), got {pts.shape}")
@@ -121,11 +118,25 @@ def _fill_vandermonde(v: np.ndarray, pts: np.ndarray, m: int, n: int) -> None:
             np.multiply(vt[parents], row, out=vt[run])
 
 
+def _abs_max(v: np.ndarray, axis=None):
+    """np.abs(v).max(axis) with its bits, -0.0 never, and no |v| copy."""
+    return np.abs(np.maximum(v.max(axis), -v.min(axis)))
+
+
 def _pow2_row_scales(v: np.ndarray) -> np.ndarray:
     """Per-row power-of-two scale with row_max / scale in [1/2, 1), in a matrix or a stack."""
-    row_max = np.abs(v).max(axis=-1)
-    _, exps = np.frexp(row_max)
-    return np.ldexp(np.ones_like(row_max), exps)  # 1 for a zero row
+    return np.ldexp(1.0, np.frexp(_abs_max(v, -1))[1])
+
+
+def _lu_in_place(a: np.ndarray):
+    """getrf of a, in place when a is Fortran-ordered: (LU, pivots, |diag U|).
+    An exactly zero pivot is left to the caller's threshold, with no warning."""
+    import scipy.linalg  # on first use: only the dense routines need SciPy
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
+    return lu, piv, np.abs(np.diagonal(lu))
 
 
 def _require_square(v: np.ndarray) -> None:
@@ -138,26 +149,23 @@ def _require_square(v: np.ndarray) -> None:
 def _factor_solve(v: np.ndarray, rhs) -> np.ndarray:
     """Row-equilibrated partial-pivot LU of v, then one substitution.
 
-    LU factors the row-scaled matrix v / scales[:, None], each scale the
-    power of two that brings its row's max |entry| into [1/2, 1).  rhs is
-    a vector, or None for the inverse.  The singularity cutoff is
-    PIVOT_RTOL * max|scaled entry|: a pivot |diag U| at or below it raises
-    SingularMatrixError, and a non-finite entry, which makes the cutoff
-    non-finite, raises ValueError naming its row.
+    LU factors in place the row-scaled copy v / scales[:, None], each scale
+    the power of two that brings its row's max |entry| into [1/2, 1).  rhs
+    is a vector, or None for the inverse, solved in place in diag(1 / scales).
+    The singularity cutoff is PIVOT_RTOL * max|scaled entry|: a pivot
+    |diag U| at or below it raises SingularMatrixError, and a non-finite
+    entry, which makes the cutoff non-finite, raises ValueError naming its row.
     """
     import scipy.linalg  # on first use: only the dense routines need SciPy
 
     _require_square(v)
     scales = _pow2_row_scales(v)
-    scaled = v / scales[:, None]
-    threshold = PIVOT_RTOL * np.abs(scaled).max()
+    scaled = np.divide(v, scales[:, None], order="F")
+    threshold = PIVOT_RTOL * _abs_max(scaled)
     if not np.isfinite(threshold):
         row, col = np.argwhere(~np.isfinite(v))[0]
         raise ValueError(f"matrix row {row} is not finite: entry {col} is {v[row, col]}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(scaled, overwrite_a=True, check_finite=False)
-    pivots = np.abs(np.diagonal(lu))
+    lu, piv, pivots = _lu_in_place(scaled)
     small = int(np.argmin(pivots))
     if pivots[small] <= threshold:
         raise SingularMatrixError(
@@ -166,8 +174,8 @@ def _factor_solve(v: np.ndarray, rhs) -> np.ndarray:
             "the nodes appear degenerate"
         )
     # V = diag(scales) @ Vhat, so V^-1 = Vhat^-1 @ diag(1/scales)
-    rhs = np.diag(1.0 / scales) if rhs is None else rhs / scales
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    rhs = np.diag(1.0 / scales).T if rhs is None else rhs / scales
+    return scipy.linalg.lu_solve((lu, piv), rhs, overwrite_b=True, check_finite=False)
 
 
 def lu_solve(v, rhs) -> np.ndarray:
@@ -175,10 +183,10 @@ def lu_solve(v, rhs) -> np.ndarray:
 
     Raises SingularMatrixError when a pivot falls below the relative
     threshold, and ValueError naming the first non-finite row of V or rhs,
-    or a V that is not square or is empty.
+    or a V that is complex, not square or empty, or a complex rhs.
     """
-    v = np.asarray(v, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    v = _real_array(v, "matrix")
+    rhs = _real_array(rhs, "rhs")
     if rhs.shape != (v.shape[0],):
         raise ValueError(f"rhs shape {rhs.shape} does not match matrix {v.shape}")
     bad = np.flatnonzero(~np.isfinite(rhs))
@@ -192,7 +200,7 @@ def invert(v) -> np.ndarray:
 
     Raises SingularMatrixError and ValueError as lu_solve does.
     """
-    return _factor_solve(np.asarray(v, dtype=float), None)
+    return _factor_solve(_real_array(v, "matrix"), None)
 
 
 def _box_normalize(pts: np.ndarray):
@@ -209,11 +217,6 @@ def _box_normalize(pts: np.ndarray):
     with np.errstate(divide="ignore"):
         log_half_sum = float(np.log(half).sum())
     return (pts - center) / half, log_half_sum
-
-
-def _abs_max(v: np.ndarray, axis=None):
-    """Max |entry| of v, along axis when given, with no |v| copy."""
-    return np.maximum(v.max(axis=axis), -v.min(axis=axis))
 
 
 def _abs_column_sums(v: np.ndarray) -> np.ndarray:
@@ -233,21 +236,18 @@ def _balance_pow2(v: np.ndarray):
     every column.  For finite entries below 2^1023 that is the fixed point
     of alternating passes: after the row pass every entry is below 1, so
     the column pass only scales columns up, to maxima below 1, and leaves
-    unscaled the column that holds each row's max.  A half-pass that scales
-    nothing skips its divide.
+    unscaled the column that holds each row's max.  The column half-pass is
+    the row half-pass of v.T, with the scales of _pow2_row_scales.
 
     Returns (v, total_exp) where total_exp is the summed binary exponent of
     all row and column scales, so log|det unbalanced| =
     log|det balanced| + total_exp * log 2.
     """
     total_exp = 0
-    for axis in (1, 0):
-        mx = _abs_max(v, axis)
-        _, exps = np.frexp(mx)  # 0 for a zero row or column
-        if exps.any():
-            scales = np.ldexp(np.ones_like(mx), exps)
-            v /= scales[:, None] if axis == 1 else scales
-            total_exp += int(exps.sum())
+    for rows in (v, v.T):  # the rows, then the columns, in place
+        scales = _pow2_row_scales(rows)
+        rows /= scales[:, None]
+        total_exp += int((np.frexp(scales)[1] - 1).sum())
     return v, total_exp
 
 
@@ -277,10 +277,7 @@ def _dense_certificate(pts: np.ndarray, m: int, n: int) -> dict:
     v, scale_exp = _balance_pow2(v)
     threshold = PIVOT_RTOL * _abs_max(v)
     norm_balanced = float(_abs_column_sums(v).max())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(v, overwrite_a=True, check_finite=False)
-    pivots = np.abs(np.diagonal(lu))
+    lu, piv, pivots = _lu_in_place(v)
     generic = bool(pivots.min() > threshold)
     with np.errstate(divide="ignore"):
         abs_det_log = float(
@@ -351,7 +348,7 @@ def _structured_certificate(nodes: NodeSet, m: int, n: int, tree, hyperplanes):
                 scales = _pow2_row_scales(local)
                 scaled = local / scales[..., None]
                 pivots = np.abs([np.diagonal(scipy.linalg.lapack.dgetrf(a)[0]) for a in scaled])
-                if (pivots.min(axis=1) <= PIVOT_RTOL * np.abs(scaled).max(axis=(1, 2))).any():
+                if (pivots.min(axis=1) <= PIVOT_RTOL * _abs_max(scaled, (1, 2))).any():
                     generic = False
                 abs_det_log += float(np.log(pivots).sum() + np.log(scales).sum())
             else:
@@ -401,10 +398,10 @@ def genericity_check(
     their plane).  cond_1 always describes the dense normalized system and
     is exact: getri inverts its LU in place, 4/3 N^3 flops, so it is only
     computed for N <= COND_DESK_LIMIT and is nan above that.  A node set of
-    the wrong shape or with a non-finite coordinate, or hyperplanes of
-    another tree, raise ValueError.
+    the wrong shape, complex or with a non-finite coordinate, or hyperplanes
+    of another tree, raise ValueError.
     """
-    pts = _points_of(nodes)
+    pts = _real_array(getattr(nodes, "points", nodes), "nodes")
     total = count_total(m, n)
     if pts.shape != (total, m):
         raise ValueError(
@@ -433,11 +430,11 @@ def cond_two(v) -> float:
     Returns inf when the smallest singular value is at most machine
     epsilon times the largest: the matrix is rank-deficient to working
     precision, and LAPACK reports such a value as rounding noise, not 0.
-    A matrix that is not square or is empty raises ValueError.
+    A matrix that is complex, not square or empty raises ValueError.
     """
     import scipy.linalg  # on first use: only the dense routines need SciPy
 
-    v = np.asarray(v, dtype=float)
+    v = _real_array(v, "matrix")
     _require_square(v)
     svals = scipy.linalg.svdvals(v)
     if svals[-1] <= np.finfo(float).eps * svals[0]:

@@ -204,6 +204,18 @@ def test_invalid_inputs():
 
 
 @pytest.mark.parametrize("m,n", [(3, 3), (1, 4), (3, 1), (2, 0)])
+def test_complex_geometry_and_points_rejected(m, n):
+    # a float conversion would drop the imaginary part, with only a warning
+    with pytest.raises(ValueError, match=r"^frame must be real, got dtype complex128$"):
+        assemble_generic(m, n, frame=np.eye(m) * (1 + 0j))
+    with pytest.raises(ValueError, match=r"^mu must be real, got dtype complex128$"):
+        assemble_generic(m, n, mu=np.full(m, 0.5j))
+    points = assemble_generic(m, n)[0].points
+    with pytest.raises(ValueError, match=r"^points must be real, got dtype complex128$"):
+        NodeSet(points + 1j, ("-",) * len(points), m, n)
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (1, 4), (3, 1), (2, 0)])
 def test_non_finite_geometry_rejected(m, n):
     bad_frame = np.eye(m)
     bad_frame[0, -1] = np.nan

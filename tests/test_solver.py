@@ -628,6 +628,12 @@ def test_values_mode_refuses_complex_values(values):
         solve(values, 2, 2)
 
 
+@pytest.mark.parametrize("field,value", [("frame", np.eye(3) * (1 + 1j)), ("mu", np.full(3, 0.5j))])
+def test_solve_refuses_a_complex_frame_or_mu(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be real, got dtype complex128$"):
+        solve(lambda p: 1.0, 3, 3, SolveConfig(**{field: value}))
+
+
 @pytest.mark.parametrize("m,n,index", [(3, 3, 7), (2, 4, 14), (1, 5, 2), (5, 1, 3)])
 def test_callback_mode_rejects_inf_at_one_node(m, n, index):
     target = assemble_generic(m, n)[0].points[index]

@@ -16,6 +16,7 @@ from mvinterp.nodes import NodeSet, assemble_generic
 from mvinterp.polynomial import MultiPoly, evaluate
 from mvinterp.vandermonde import (
     COND_DESK_LIMIT,
+    _abs_max,
     _balance_pow2,
     _box_normalize,
     _dense_certificate,
@@ -189,11 +190,30 @@ def test_balance_matches_four_fixed_passes(rng):
         assert got_exp == expected_exp
 
 
+def _edge_matrices(rng):
+    """Matrices and stacks whose max |entry| is signed zero, NaN, inf or subnormal."""
+    tiny = np.ldexp(rng.uniform(-1.0, 1.0, (6, 5)), -1060)  # subnormals
+    odd = rng.uniform(-1.0, 1.0, (6, 5))
+    odd[0], odd[1], odd[2, 3], odd[3, 1], odd[4, 0], odd[5] = 0.0, -0.0, np.nan, -np.nan, -np.inf, np.inf
+    stack = np.stack([odd, tiny, -odd, np.zeros((6, 5))])
+    return [np.zeros((3, 4)), -np.zeros((3, 4)), tiny, -tiny, odd, odd[[0, 1]], stack]
+
+
+def test_abs_max_has_the_bits_of_abs_then_max(rng):
+    # the outer |.| of the reduced result keeps max(0.0, -0.0) from reading -0.0
+    for v in _edge_matrices(rng):
+        axes = [None, 0, 1, -1] + ([(1, 2), 2] if v.ndim == 3 else [])
+        for axis in axes:
+            assert _abs_max(v, axis).tobytes() == np.abs(v).max(axis).tobytes(), (v, axis)
+
+
 def test_pow2_row_scales_need_no_zero_row_case(rng):
     """frexp gives 0 the exponent 0, so a zero row's scale is already 1."""
     wide = np.ldexp(rng.uniform(-1.0, 1.0, (40, 40)), rng.integers(-664, 665, (40, 40)))  # 1e-200..1e200
     wide[3] = 0.0
-    for v in (_certificate_matrix(10, 4)[1], _certificate_matrix(3, 6)[1], wide, np.stack([wide, wide[::-1]])):
+    edge = _edge_matrices(rng)  # the columns too, as _balance_pow2 takes them
+    for v in (_certificate_matrix(10, 4)[1], _certificate_matrix(3, 6)[1], wide, np.stack([wide, wide[::-1]]),
+              *edge, *(np.swapaxes(e, -1, -2) for e in edge)):
         row_max = np.abs(v).max(axis=-1).ravel().tolist()
         expected = [1.0 if top == 0.0 else math.ldexp(1.0, math.frexp(top)[1]) for top in row_max]
         got = _pow2_row_scales(v)
@@ -356,6 +376,16 @@ def test_genericity_cond_1_matches_an_independent_inverse(m, n):
     assert genericity_check(nodes.points, m, n)["cond_1"] == pytest.approx(expected, rel=1e-12)
 
 
+def _traced_peak(call, *args):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("m,n", [(10, 4), (6, 6)])
 def test_dense_certificate_holds_one_square_array(m, n):
     # V is filled, balanced, factored and inverted in place: its traced peak
@@ -363,16 +393,47 @@ def test_dense_certificate_holds_one_square_array(m, n):
     nodes, _, _ = assemble_generic(m, n)
     points = np.array(nodes.points)
     _dense_certificate(points[: count_total(2, 2), :2], 2, 2)  # SciPy's import is not the certificate's
-    gc.collect()
-    tracemalloc.start()
-    try:
-        result = _dense_certificate(points, m, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = _traced_peak(_dense_certificate, points, m, n)
     assert result["generic"] is True and np.isfinite(result["cond_1"])
     total = count_total(m, n)
     assert peak <= 1.25 * total * total * 8, peak / (total * total * 8)
+
+
+@pytest.mark.parametrize("m,n", [(10, 4), (3, 12)])
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_dense_baselines_factor_in_place(m, n, order):
+    # lu_solve factors its one scaled copy of V in place; invert also solves
+    # in place in the scaled identity, so it holds two N x N arrays at most
+    nodes, _, _ = assemble_generic(m, n, lam=Fraction(11, 10))  # lambda 2 leaves (3, 12) singular to LU
+    v = np.asarray(build_vandermonde(nodes, m, n), order=order)
+    f = np.cos(nodes.points.sum(axis=1))
+    lu_solve(np.eye(2), np.ones(2))  # SciPy's import is not the solve's
+    total = count_total(m, n)
+    x, peak = _traced_peak(lu_solve, v, f)
+    assert np.isfinite(x).all()
+    assert peak <= 1.25 * total * total * 8, peak / (total * total * 8)
+    inv, peak = _traced_peak(invert, v)
+    assert inv.shape == (total, total) and np.isfinite(inv).all()
+    assert peak <= 2.25 * total * total * 8, peak / (total * total * 8)
+
+
+COMPLEX_ENTRIES = {  # entry point: (call with an added z, the name in its message)
+    "build_vandermonde": (lambda z: build_vandermonde(UNIT_SIMPLEX_21 + z, 2, 1), "nodes"),
+    "genericity_check": (lambda z: genericity_check(UNIT_SIMPLEX_21 + z, 2, 1), "nodes"),
+    "lu_solve matrix": (lambda z: lu_solve(np.eye(3) + z, np.ones(3)), "matrix"),
+    "lu_solve rhs": (lambda z: lu_solve(np.eye(3), np.ones(3) + z), "rhs"),
+    "invert": (lambda z: invert(np.eye(3) + z), "matrix"),
+    "cond_two": (lambda z: cond_two(np.eye(3) + z), "matrix"),
+}
+
+
+@pytest.mark.parametrize("entry", COMPLEX_ENTRIES)
+@pytest.mark.parametrize("z", [1j, 0j])
+def test_dense_routines_refuse_complex_input(entry, z):
+    # a float conversion would drop the imaginary part, with only a warning
+    call, name = COMPLEX_ENTRIES[entry]
+    with pytest.raises(ValueError, match=rf"^{name} must be real, got dtype complex128$"):
+        call(z)
 
 
 def test_genericity_cond_desk_scale_cutoff():
