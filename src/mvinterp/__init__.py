@@ -6,17 +6,15 @@ one-dimensional and degree-one sub-problems, and ships dense LU/inversion
 baselines plus a benchmark CLI for accuracy, conditioning, and runtime scaling.
 """
 
-from .monomials import build_order, count_degree, count_total, position_of
-from .polynomial import MultiPoly, add, embed_univariate, evaluate, mul_linear
+from .monomials import build_order, count_degree, count_total
+from .polynomial import MultiPoly, embed_univariate, evaluate, mul_linear
 
 __all__ = [
     "MultiPoly",
-    "add",
     "build_order",
     "count_degree",
     "count_total",
     "embed_univariate",
     "evaluate",
     "mul_linear",
-    "position_of",
 ]

@@ -218,9 +218,7 @@ def cmd_solve(args) -> int:
         write_nodes(nodes, nodes_file)
     doc = json.loads(format_polynomial(result))
     doc["report"] = {
-        "multiply_adds": report["multiply_adds"],
-        "peak_reals_stored": report["peak_reals_stored"],
-        "largest_single_alloc": report["largest_single_alloc"],
+        **report,
         "wall_seconds": wall,
         "node_count": len(nodes),
         "nodes_file": nodes_file,

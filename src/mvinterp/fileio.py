@@ -2,8 +2,8 @@
 
 Node files: a header line "m,n,count", then one row per node holding the
 m coordinates as decimals with 17 significant digits followed by the
-provenance bit string of the leaf that produced the node ("-" for
-problems solved without a tree).
+provenance bit string of the leaf that produced the node ("-" for the
+root, the one leaf of a base case's tree).
 
 Polynomial files: a JSON document with fields m, n (integers), ordering
 (the fixed string "graded-lex-eqC") and coefficients (finite JSON

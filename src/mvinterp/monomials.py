@@ -86,8 +86,7 @@ class MonomialOrder:
       parent[I], the lift of parent[I] plus step[k, var[I]].
     - ``runs(k)``: for each a, block k's positions with var = a, which end at
       start + step[k, a], next to their parents, the suffix of block k - 1.
-    - ``index(idx)`` walks the steps from the last variable to the first, and
-      ``table`` rebuilds every multi-index from var and parent when read.
+    - ``table`` rebuilds every multi-index from var and parent when read.
     """
 
     __slots__ = ("m", "n", "var", "parent", "_step", "_blocks", "_lifts")
@@ -134,11 +133,6 @@ class MonomialOrder:
             (slice(start + lo, start + hi), slice(start - hi + lo, start)) for lo, hi in zip(bounds, bounds[1:])
         ]
 
-    def index(self, idx) -> int:
-        """Position of the multi-index idx, of degree <= n."""
-        axes = np.repeat(np.arange(self.m - 1, -1, -1), idx[::-1])
-        return int(self._step[np.arange(1, axes.size + 1), axes].sum())
-
     @property
     def table(self) -> tuple:
         """Every multi-index as a tuple of exponents, in order."""
@@ -157,27 +151,3 @@ class MonomialOrder:
 def build_order(m: int, n: int) -> MonomialOrder:
     """Canonical monomial order for degree <= n in m variables (cached)."""
     return MonomialOrder(m, n)
-
-
-def position_of(order: MonomialOrder, idx: tuple) -> int:
-    """Position of a multi-index in the order's table.
-
-    Raises
-    ------
-    ValueError
-        If the index has the wrong length, a non-integral or negative
-        exponent, or a degree above the bound.
-    """
-    given = tuple(idx)
-    idx = tuple(int(e) for e in given)
-    if idx != given:
-        raise ValueError(f"multi-index {given} has a non-integral exponent")
-    if len(idx) != order.m:
-        raise ValueError(f"multi-index length {len(idx)} does not match m={order.m}")
-    if any(e < 0 for e in idx):
-        raise ValueError(f"multi-index {idx} has a negative exponent")
-    if sum(idx) > order.n:
-        raise ValueError(
-            f"multi-index {idx} has degree {sum(idx)} > bound n={order.n}"
-        )
-    return order.index(idx)

@@ -2,7 +2,8 @@
 
 Each line leaf (dimension 1, degree k) contributes k+1 Chebyshev nodes on
 its line; each degree-1 leaf (dimension j) contributes its j+1 affinely
-independent unit-offset nodes.  The union over all leaves has exactly
+independent unit-offset nodes, and the degree-0 leaf of an (m, 0) tree its
+base, the origin.  The union over all leaves has exactly
 N(m,n) points and is generic by construction: bit-1 branch nodes lie on
 their splitting hyperplane, bit-0 branch nodes stay clear of it.  The
 blocks are built one array operation per leaf sigma, from the rows and
@@ -37,9 +38,9 @@ class NodeSet:
     """Ordered node list with per-point provenance.
 
     points has shape (count, m); provenance[i] is the bit string of the
-    leaf that produced point i ("-" when the problem had no tree), held as
-    a tuple made from the sequence given (a tuple is kept, not copied);
-    complex points raise ValueError."""
+    leaf that produced point i (eps_label: "-" for a one-leaf tree's root),
+    held as a tuple made from the sequence given (a tuple is kept, not
+    copied); complex points raise ValueError."""
 
     points: np.ndarray
     provenance: tuple
@@ -75,11 +76,13 @@ def leaf_nodes(sigma: tuple, bases: np.ndarray, frame: np.ndarray, kappa: float)
     """The node blocks of leaves of one sigma whose flats have the given
     bases (one row each), as an array (leaves, nodes per leaf, m).
 
-    A line leaf of degree k holds base + t * frame[0] at the k + 1
-    Chebyshev parameters t; a degree-1 leaf of dimension d holds its base,
-    then base + frame[a] for each axis a < d.
+    A degree-0 leaf holds its base; a line leaf of degree k holds
+    base + t * frame[0] at the k + 1 Chebyshev parameters t; a degree-1 leaf
+    of dimension d holds its base, then base + frame[a] for each axis a < d.
     """
     d, k = sigma
+    if k == 0:
+        return bases[:, None, :]
     if d == 1:
         return bases[:, None, :] + chebyshev_parameters(k + 1, kappa)[:, None] * frame[0]
     if k == 1:
@@ -125,11 +128,12 @@ def _check_separation(tree, hyperplanes, points, provenance, shift=None) -> None
 def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float = 1.0, mu=None):
     """Build the generic node set for (m, n); returns (NodeSet, tree, hyperplanes).
 
-    Base cases are handled without a tree (tree None, empty hyperplane map):
-    n = 0 is the single origin node, m = 1 uses n+1 Chebyshev nodes on the
-    axis, n = 1 uses the m+1 unit-offset nodes.  Otherwise every leaf of the
-    decomposition tree contributes its block at the rows the tree's table
-    gives it, in left-to-right leaf order.
+    Every leaf of the decomposition tree contributes its block at the rows
+    the tree's table gives it, in left-to-right leaf order.  A base case is
+    a one-leaf tree with an empty hyperplane table: n = 0 is the single
+    origin node, m = 1 uses n+1 Chebyshev nodes on the axis, n = 1 uses the
+    m+1 unit-offset nodes.  A lambda that does not exceed 1 raises
+    GeometryConfigError for every shape.
 
     mu, if given, translates all returned points (a post-transform; the tree
     and hyperplanes describe the untranslated construction).  A frame or mu
@@ -166,25 +170,17 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
         raise ValueError("line direction must have unit norm (within 1e-12)")
     if not 0 < kappa < np.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
-    total = count_total(m, n)
-    tree, hyperplanes = None, {}
-    if n == 0:
-        points = np.zeros((1, m))
-    elif m == 1 or n == 1:
-        points = leaf_nodes((m, n), np.zeros((1, m)), frame, kappa)[0]
-    else:
-        tree = build_tree(m, n)
-        hyperplanes = assign_hyperplanes(tree, frame=frame, lam=lam)
-        bases, lo, flat = vertex_base(tree, hyperplanes), tree.leaf_lo, tree.leaf_flat
-        points = np.empty((total, m))
-        for sigma, at in tree.leaf_groups.items():
-            blocks = leaf_nodes(sigma, bases[flat[at]], frame, kappa)
-            points[lo[at, None] + np.arange(blocks.shape[1])] = blocks
-    provenance = ("-",) * len(points) if tree is None else tree.provenance()
+    tree = build_tree(m, n)
+    hyperplanes = assign_hyperplanes(tree, frame=frame, lam=lam)
+    bases, lo, flat = vertex_base(tree, hyperplanes), tree.leaf_lo, tree.leaf_flat
+    points = np.empty((count_total(m, n), m))
+    for sigma, at in tree.leaf_groups.items():
+        blocks = leaf_nodes(sigma, bases[flat[at]], frame, kappa)
+        points[lo[at, None] + np.arange(blocks.shape[1])] = blocks
+    provenance = tree.provenance()
     if mu is not None:
         points += mu
-    if tree is not None:
-        _check_separation(tree, hyperplanes, points, provenance, mu)
+    _check_separation(tree, hyperplanes, points, provenance, mu)
     # the closest nodes of a leaf: on the longest line, or unit offsets apart
     count = n + 1 if m == 1 or n > 1 else 1
     spread = np.min(-np.diff(chebyshev_parameters(count, kappa)), initial=1.0)

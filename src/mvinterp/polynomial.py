@@ -23,7 +23,6 @@ __all__ = [
     "evaluate",
     "evaluate_rows",
     "row_kernel",
-    "add",
     "mul_linear",
     "embed_univariate",
 ]
@@ -71,11 +70,12 @@ class MultiPoly:
 
 
 def evaluate(q: MultiPoly, x) -> float:
-    """Evaluate q at an m-vector: evaluate_rows on a single row."""
-    xv = np.asarray(x, dtype=float)
+    """Evaluate q at an m-vector: row_kernel on a single row; a complex
+    point raises ValueError, as the cast would drop its imaginary part."""
+    xv = _real_array(x, "points")
     if xv.shape != (q.m,):
         raise ValueError(f"point has shape {xv.shape}, expected ({q.m},)")
-    return float(evaluate_rows(q, xv[np.newaxis])[0])
+    return float(row_kernel(q, xv[np.newaxis])[0])
 
 
 @lru_cache(maxsize=128)
@@ -95,9 +95,10 @@ def evaluate_rows(q: MultiPoly, points) -> np.ndarray:
     The top degree block, the largest, is gathered from x into the buffer
     itself, so a row allocates one block-sized temporary (its parents'
     values), not two.  The lower blocks keep the plain product: take's
-    call costs more than the copy it saves on a small block.
+    call costs more than the copy it saves on a small block.  Complex
+    points raise ValueError.
     """
-    points = np.asarray(points, dtype=float)
+    points = _real_array(points, "points")
     if points.ndim != 2 or points.shape[1] != q.m:
         raise ValueError(f"points have shape {points.shape}, expected (count, {q.m})")
     return row_kernel(q, points)
@@ -120,20 +121,6 @@ def row_kernel(q: MultiPoly, points: np.ndarray) -> np.ndarray:
             np.multiply(block, vals[parent], out=block)
         out[i] = vals @ coeffs
     return out
-
-
-def add(q1: MultiPoly, q2: MultiPoly) -> MultiPoly:
-    """Sum of two polynomials; the result bound is max(n1, n2).
-
-    The graded layout makes the lower-degree coefficient vector a prefix of
-    the higher-degree one, so alignment is a prefix embed.
-    """
-    if q1.m != q2.m:
-        raise ValueError(f"dimension mismatch: {q1.m} vs {q2.m}")
-    lo, hi = (q1, q2) if q1.n <= q2.n else (q2, q1)
-    out = hi.coeffs.copy()
-    out[: lo.coeffs.size] += lo.coeffs
-    return MultiPoly(q1.m, hi.n, out)
 
 
 def mul_linear(qc: np.ndarray, row: np.ndarray, order) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Recursive interpolation solver over the decomposition tree.
 
 Every leaf of the tree is a problem solved directly: a univariate Chebyshev
-problem on a line, or a degree-1 problem on a flat.  A problem without a
-tree (n = 0, m = 1 or n = 1) is one such leaf with no divisors.
+problem on a line, or a degree-1 problem on a flat; the degree-0 leaf of an
+(m, 0) tree is walked as a degree-0 line.  A base case (n = 0, m = 1 or
+n = 1) is a one-leaf tree, whose leaf divides by nothing.
 
 What depends only on (m, n) and the geometry is computed once, into a plan
 kept for reuse: the nodes, one table of divisor rows [c0, normal] (the
@@ -181,9 +182,8 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     sigma at a time as in assembly, come the divisor products, which raise
     GeometryConfigError naming the leaf if one overflows, and the line
     parameters <x - base, frame[0]> (kept apart by assembly's spread guard)
-    and line offsets, each with the bits of its leaf's own expression.
-    Without a tree there is one leaf, of sigma (1, n) or (m, n), dividing
-    by nothing.
+    and line offsets, each with the bits of its leaf's own expression.  A
+    degree-0 leaf counts as a line, whose one node has parameter 0.
     """
     nodes, tree, hyperplanes = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
     points = nodes.points
@@ -191,22 +191,17 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     frame = np.eye(m) if frame is None else frame
     direction = frame[0]
     shift = np.zeros(m) if mu is None else mu
-    if tree is None:  # one leaf on the whole space, which divides by nothing
-        table, bases, lo = np.empty((0, m + 1)), shift[None], np.zeros(1, np.intp)
-        crossed = np.empty((1, 0), np.intp)
-        groups = {(1, n) if m == 1 or n == 0 else (m, n): np.zeros(1, np.intp)}
-    else:
-        axis, normals = hyperplanes.axis, hyperplanes.frame
-        moved = np.array([normal @ shift for normal in normals])  # a dot per axis: a matrix product may round apart
-        table = np.column_stack((-hyperplanes.offset - moved[axis], normals[axis]))
-        leaf, cross, split = np.array(tree.leaf), np.array(tree.cross + [-1]), np.array(tree.split + [-1])
-        bases, lo = (vertex_base(tree, hyperplanes) + shift)[tree.leaf_flat], tree.leaf_lo
-        crossed, up = np.empty((leaf.size, n), np.intp), cross[leaf]
-        for column in range(n - 1, -1, -1):  # each leaf's next split up; -1, past the root, stays -1
-            crossed[:, column] = up
-            up = cross[split[up]]
-        groups = tree.leaf_groups
-        del tree, hyperplanes, axis, normals  # freed before the per-node vectors
+    axis, normals = hyperplanes.axis, hyperplanes.frame
+    moved = np.array([normal @ shift for normal in normals])  # a dot per axis: a matrix product may round apart
+    table = np.column_stack((-hyperplanes.offset - moved[axis], normals[axis]))
+    leaf, cross, split = np.array(tree.leaf), np.array(tree.cross + [-1]), np.array(tree.split + [-1])
+    bases, lo = (vertex_base(tree, hyperplanes) + shift)[tree.leaf_flat], tree.leaf_lo
+    crossed, up = np.empty((leaf.size, n), np.intp), cross[leaf]
+    for column in range(n - 1, -1, -1):  # each leaf's next split up; -1, past the root, stays -1
+        crossed[:, column] = up
+        up = cross[split[up]]
+    groups = tree.leaf_groups
+    del tree, hyperplanes, axis, normals  # freed before the per-node vectors
     walk = crossed[::-1]
     valid = walk >= 0
     starts, indptr = np.concatenate(([len(nodes)], lo[::-1])), np.concatenate(([0], valid.sum(1).cumsum()))
@@ -214,7 +209,7 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     divisor = np.empty(len(nodes))
     with np.errstate(over="ignore"):  # rejected next, naming the leaf
         for (d, k), at in groups.items():
-            block = lo[at, None] + np.arange(k + 1 if d == 1 else d + 1)
+            block = lo[at, None] + np.arange(count_total(d, k))
             divisor[block] = _divisor_product(table[crossed[at, k:]], points[block])
     bad = np.flatnonzero(~np.isfinite(divisor))
     if bad.size:
@@ -225,7 +220,7 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
         )
     param, lines, offsets = np.zeros(len(nodes)), np.zeros(lo.size, bool), np.zeros(lo.size)
     for (d, k), at in groups.items():
-        if d == 1:  # its leaves' walk positions are lo.size - 1 - at
+        if d == 1 or k == 0:  # its leaves' walk positions are lo.size - 1 - at
             block, base = lo[at, None] + np.arange(k + 1), bases[at, None]
             param[block] = (points[block] - base) @ direction  # a gemv per leaf, as on a leaf's own line
             lines[-1 - at] = True
@@ -280,11 +275,11 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
     the same array of values.  Returns (poly, nodes, report): the
     interpolant, the generated NodeSet, and the report of the run, counted
     once per plan: multiply_adds, peak_reals_stored (m N for the nodes, N
-    for the values and, when there is a tree, 2 N + N(m, n-1) for the
-    accumulator and the last lift's input and output, N = N(m,n)) and
-    largest_single_alloc (m N, the nodes).  The closed form leaves out
-    the row kernel's monomial buffer (N) and its one top-block temporary
-    per row (see evaluate_rows).
+    for the values and, when the tree has more than one leaf,
+    2 N + N(m, n-1) for the accumulator and the last lift's input and
+    output, N = N(m,n)) and largest_single_alloc (m N, the nodes).  The
+    closed form leaves out the row kernel's monomial buffer (N) and its one
+    top-block temporary per row (see evaluate_rows).
 
     A plan holds the nodes and every quantity of the walk that does not
     depend on f, so a repeat call does only f's arithmetic.  The newest
@@ -340,7 +335,7 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
         acc.coeffs += coeffs
 
     peak = (m + 1) * total  # the nodes and the values
-    if len(plan.lines) == 1:  # no tree: the one leaf's interpolant is f's
+    if len(plan.lines) == 1:  # a one-leaf tree: its leaf's interpolant is f's
         acc = MultiPoly(m, n, solve_leaf(0, 0, total, MultiPoly.zero(m, n)))
     else:
         peak += 2 * total + count_total(m, n - 1)

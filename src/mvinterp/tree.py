@@ -1,9 +1,11 @@
 """The sub-problem tree, its one table, and its splitting hyperplanes.
 
-A problem of dimension m and degree n splits into a bit-1 child (m-1, n),
-whose nodes will live ON a fresh hyperplane, and a bit-0 child (m, n-1),
-whose nodes stay off it.  Splitting stops as soon as the dimension or the
-degree reaches 1, so every leaf is a line problem or a degree-1 problem.
+A problem of dimension m >= 1 and degree n >= 0 splits into a bit-1 child
+(m-1, n), whose nodes will live ON a fresh hyperplane, and a bit-0 child
+(m, n-1), whose nodes stay off it.  Splitting stops as soon as the dimension
+reaches 1 or the degree 1 or less, so every leaf is a line problem, a
+degree-1 problem or, at (m, 0) only, the degree-0 problem; a problem that is
+already one of these is a one-vertex tree whose root is its leaf.
 A vertex is its path: the bit string eps (root: empty) names it, and its
 sigma = (dimension, degree) follows from the bits.
 
@@ -62,7 +64,7 @@ class Vertex(NamedTuple):
 
     The path names the vertex: its children are eps + (0,) and eps + (1,),
     its parent is eps[:-1] and its depth is len(eps).  It is a leaf when
-    1 is in sigma.
+    its dimension is 1 or its degree at most 1.
     """
 
     sigma: tuple
@@ -88,7 +90,7 @@ def _read_only(values) -> np.ndarray:
 
 
 class DecompTree:
-    """Binary decomposition tree for dimension m >= 2 and degree n >= 2.
+    """Binary decomposition tree for dimension m >= 1 and degree n >= 0.
 
     Building the tree walks it once, in preorder with the bit-0 child
     first, into one table of columns (lists):
@@ -133,7 +135,7 @@ class DecompTree:
                 ends.append(hi)
                 flats.append(flat)
                 crosses.append(cross)
-                if d == 1 or k == 1:
+                if d == 1 or k <= 1:
                     leaves.append(vertex)
                     break
                 # the bit-0 child's N(d, k-1) rows are N(d, k) * k / (d + k)
@@ -196,7 +198,8 @@ class DecompTree:
 
     @property
     def depth(self) -> int:
-        """Number of levels: 1 + max vertex depth, which equals m + n - 2.
+        """Number of levels: 1 + max vertex depth, which equals m + n - 2
+        for m, n >= 2, and 1 for a one-vertex tree.
 
         The deepest vertex sits at depth (m-1)+(n-1)-1 = m+n-3 because the
         split rule never produces a (1,1) leaf: whichever of dimension or
@@ -207,9 +210,9 @@ class DecompTree:
 
 
 def build_tree(m: int, n: int) -> DecompTree:
-    """The decomposition tree for m, n >= 2, walked once into its table."""
-    if m < 2 or n < 2:
-        raise ValueError(f"tree needs m, n >= 2, got ({m}, {n})")
+    """The decomposition tree for m >= 1 and n >= 0, walked once into its table."""
+    if m < 1 or n < 0:
+        raise ValueError(f"tree needs m >= 1 and n >= 0, got ({m}, {n})")
     return DecompTree(m, n)
 
 
@@ -248,7 +251,8 @@ class HyperplaneTable(Mapping):
     v's flat; ``offset``, <normal, base>; and ``numerator``, alpha(eps) *
     q**len(eps) as an int for lambda = p/q.  A split lives on the flat of a
     split whose axis is one higher, so bases are filled one axis at a time.
-    It also reads as a Mapping from a split's key to a HyperplaneSpec.
+    It also reads as a Mapping from a split's key to a HyperplaneSpec; a
+    one-vertex tree's table is empty, and equals {}.
     """
 
     def __init__(self, tree: DecompTree, frame, lam: Fraction):

@@ -175,6 +175,27 @@ def test_solve_random_poly_round_trip(tmp_path, capsys):
     assert len(sidecar) == 10
 
 
+@pytest.mark.parametrize("m,n", [(3, 2), (1, 3)])
+def test_solve_report_holds_every_library_report_field(monkeypatch, capsys, m, n):
+    # the CLI report is the library's, in its order, then the CLI's own
+    # fields, so a field the library adds reaches the CLI unnamed
+    library = cli.solve(cli._builtin_callback("runge", m, n, None), m, n)[2]
+    code, out, _ = run(capsys, "solve", "runge", "--m", str(m), "--n", str(n))
+    report = json.loads(out)["report"]
+    assert code == 0 and list(report) == [*library, "wall_seconds", "node_count", "nodes_file"]
+    assert {key: report[key] for key in library} == library
+
+    solve = cli.solve
+
+    def solve_with_a_new_field(*args, **kwargs):
+        poly, nodes, found = solve(*args, **kwargs)
+        return poly, nodes, {**found, "new_field": 0.5}
+
+    monkeypatch.setattr(cli, "solve", solve_with_a_new_field)
+    code, out, _ = run(capsys, "solve", "runge", "--m", str(m), "--n", str(n))
+    assert code == 0 and json.loads(out)["report"]["new_field"] == 0.5
+
+
 def test_solve_polynomial_file_recovers_coefficients(tmp_path, capsys, rng):
     poly = MultiPoly(2, 2, rng.uniform(-1.0, 1.0, 6))
     source = tmp_path / "poly.json"
@@ -270,6 +291,13 @@ def test_solve_ill_posed_geometry_exits_two(capsys):
     code, out, err = run(capsys, "solve", "runge", "--m", "2", "--n", "90", "--lambda", "11/10")
     assert (code, out) == (2, "")
     assert "lambda/kappa configuration is ill posed" in err
+
+
+def test_nodes_lambda_one_exits_two_at_a_base_case(capsys):
+    # (1, 3) is a one-leaf tree, whose hyperplane table still checks lambda
+    code, out, err = run(capsys, "nodes", "--m", "1", "--n", "3", "--lambda", "1")
+    assert (code, out) == (2, "")
+    assert "lambda must exceed 1" in err
 
 
 def test_nodes_beyond_int64_exit_two(capsys):

@@ -12,7 +12,6 @@ from mvinterp.monomials import (
     build_order,
     count_degree,
     count_total,
-    position_of,
 )
 
 from conftest import brute_force_indices
@@ -74,39 +73,6 @@ def test_counts_match_math_comb(m, n):
     assert count_total(m, n) == math.comb(m + n, m)
 
 
-def test_position_of_examples():
-    order = build_order(2, 2)
-    assert position_of(order, (1, 1)) == 4
-    assert position_of(order, (0, 0)) == 0
-    big = build_order(3, 3)
-    # last entry of the brute-force enumeration for (3,3)
-    brute = brute_force_indices(3, 3)
-    assert brute[-1] == (0, 0, 3)
-    assert position_of(big, (0, 0, 3)) == 19
-    # integral floats and NumPy integers name the same multi-index
-    assert position_of(order, np.array([1.0, 1.0])) == 4
-    assert position_of(order, (np.int64(2), 0.0)) == 3
-
-
-@given(st.integers(1, 5), st.integers(0, 5))
-def test_position_of_is_inverse_of_table(m, n):
-    order = build_order(m, n)
-    for i, idx in enumerate(order.table):
-        assert position_of(order, idx) == i
-
-
-def test_position_of_rejects_out_of_range():
-    order = build_order(2, 2)
-    with pytest.raises(ValueError):
-        position_of(order, (3, 0))
-    with pytest.raises(ValueError):
-        position_of(order, (1, 1, 0))
-    # a non-integral exponent is refused, not truncated to (1, 0) or (0, 0)
-    for idx in ((1.5, 0), (0.9, 0.2), np.array([0.5, 1.0])):
-        with pytest.raises(ValueError, match="non-integral"):
-            position_of(order, idx)
-
-
 def test_blocks_strictly_decrease_lexicographically():
     for m in range(1, 6):
         for n in range(0, 6):
@@ -159,4 +125,3 @@ def test_order_matches_a_brute_force_reference(m, n):
         size = sum(1 for idx in indices if sum(idx) == k)
         assert order.block(k) == slice(start, start + size)
         start += size
-    assert [order.index(idx) for idx in indices] == list(range(len(indices)))

@@ -14,7 +14,7 @@ from conftest import brute_force_indices
 from mvinterp.exceptions import GeometryConfigError
 from mvinterp.monomials import count_total
 from mvinterp.nodes import NodeSet, _check_separation, assemble_generic, leaf_nodes, leaf_slices
-from mvinterp.tree import alpha, assign_hyperplanes, build_tree, vertex_base
+from mvinterp.tree import HyperplaneTable, alpha, assign_hyperplanes, build_tree, eps_label, vertex_base
 
 
 def brute_vandermonde(points, m, n):
@@ -30,17 +30,17 @@ def brute_vandermonde(points, m, n):
 
 def test_base_case_degree_zero():
     nodes, tree, specs = assemble_generic(3, 0)
-    assert tree is None and specs == {}
+    assert tree.leaf == [0] and tree.sigma == [(3, 0)] and specs == {}
     np.testing.assert_array_equal(nodes.points, [[0.0, 0.0, 0.0]])
-    assert nodes.provenance == ("-",)
+    assert nodes.provenance == (eps_label(()),)
 
 
 def test_base_case_one_dimension():
     nodes, tree, specs = assemble_generic(1, 3)
-    assert tree is None
+    assert tree.leaf == [0] and tree.sigma == [(1, 3)] and specs == {}
     expected = [cos(pi / 8), cos(3 * pi / 8), cos(5 * pi / 8), cos(7 * pi / 8)]
     np.testing.assert_allclose(nodes.points[:, 0], expected, atol=1e-15)
-    assert nodes.provenance == ("-",) * 4
+    assert nodes.provenance == (eps_label(()),) * 4
 
 
 def test_base_case_degree_one():
@@ -49,6 +49,25 @@ def test_base_case_degree_one():
         nodes.points,
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
     )
+
+
+@pytest.mark.parametrize("m,n", [(3, 0), (1, 3), (5, 1)])
+def test_base_cases_are_one_leaf_trees(m, n):
+    # the root is the one leaf, labelled "-", and there is no split, so the
+    # hyperplane table is empty
+    nodes, tree, specs = assemble_generic(m, n)
+    assert tree.leaf == [0] and tree.split == [] and tree.leaves == [((m, n), ())]
+    assert eps_label(tree.eps[0]) == "-"
+    assert nodes.provenance == ("-",) * count_total(m, n) == tree.provenance()
+    assert isinstance(specs, HyperplaneTable) and specs == {} and len(specs) == 0
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (3, 0), (4, 1)])
+def test_base_cases_refuse_lambda_one(m, n):
+    # lambda must exceed 1 for every shape, as for one with splits
+    for lam in (1, Fraction(1, 2)):
+        with pytest.raises(GeometryConfigError, match="lambda must exceed 1"):
+            assemble_generic(m, n, lam=lam)
 
 
 def test_assembly_2_2_pattern():
@@ -116,12 +135,11 @@ def test_counts_and_partition(m, n):
     assert covered[0][0] == 0 and covered[-1][1] == total
     for (_, stop), (start, _) in zip(covered, covered[1:]):
         assert stop == start
-    if tree is not None:
-        by_eps = {"".join(map(str, leaf.eps)): leaf for leaf in tree.leaves}
-        assert set(slices) == set(by_eps)
-        for label, sl in slices.items():
-            d, k = by_eps[label].sigma
-            assert sl.stop - sl.start == (k + 1 if d == 1 else d + 1)
+    by_eps = {eps_label(leaf.eps): leaf for leaf in tree.leaves}
+    assert set(slices) == set(by_eps)
+    for label, sl in slices.items():
+        d, k = by_eps[label].sigma
+        assert sl.stop - sl.start == (1 if k == 0 else k + 1 if d == 1 else d + 1)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 4), (6, 6), (2, 12), (8, 3)])

@@ -33,7 +33,7 @@ from mvinterp.solver import (
     corrected_value,
     solve,
 )
-from mvinterp.tree import vertex_base
+from mvinterp.tree import eps_label, vertex_base
 from mvinterp.univariate import solve_on_line
 from mvinterp.vandermonde import build_vandermonde, lu_solve
 
@@ -299,7 +299,7 @@ def iterative_reference_solve(f, m, n):
     """
     nodes, tree, hyperplanes = assemble_generic(m, n)
     blocks = leaf_slices(nodes)
-    leaves = [v for v in tree.vertices if 1 in v.sigma]
+    leaves = [v for v, sigma in enumerate(tree.sigma) if 1 in sigma]
     acc = MultiPoly.zero(m, n)
     pending = list(leaves)
     ambiguous = 0
@@ -308,7 +308,7 @@ def iterative_reference_solve(f, m, n):
             leaf
             for leaf in pending
             if not any(
-                other is not leaf and must_precede(other.eps, leaf.eps)
+                other != leaf and must_precede(tree.eps[other], tree.eps[leaf])
                 for other in pending
             )
         ]
@@ -317,14 +317,15 @@ def iterative_reference_solve(f, m, n):
         leaf = ready[-1]  # right-to-left choice where the rule allows any
         pending.remove(leaf)
 
-        crossed = [hyperplanes[leaf.eps[:i] + (1,)] for i, bit in enumerate(leaf.eps) if bit == 0]
+        eps = tree.eps[leaf]
+        crossed = [hyperplanes[eps[:i] + (1,)] for i, bit in enumerate(eps) if bit == 0]
         divisors = [np.concatenate(([-spec.offset], spec.normal)) for spec in crossed]
-        pts = nodes.points[blocks["".join(map(str, leaf.eps))]]
+        pts = nodes.points[blocks[eps_label(eps)]]
         product = solver._divisor_product(np.array(divisors).reshape(-1, m + 1), pts)
         labels = [str(i) for i in range(len(divisors))]
         corrected = corrected_value([f(p) for p in pts], acc, pts, product, labels)
-        base = vertex_base(tree, hyperplanes)[tree.flat[tree.eps.index(leaf.eps)]]
-        d, k = leaf.sigma
+        base = vertex_base(tree, hyperplanes)[tree.flat[leaf]]
+        d, k = tree.sigma[leaf]
         if d == 1:
             direction = np.eye(m)[0]
             t = (pts - base) @ direction
@@ -943,6 +944,10 @@ def test_plan_keeps_its_own_copy_of_frame_and_mu(assemblies):
         (2, 30, SolveConfig()),
         # line nodes 0.045 apart at coordinates near 1.1e9
         (2, 20, SolveConfig(frame=rotation(0.3), lam=3, kappa=2.0, mu=[-0.5, 0.25])),
+        # a base case is a one-leaf tree, and refuses lambda 1 too
+        (1, 3, SolveConfig(lam=1)),
+        (3, 0, SolveConfig(lam=1)),
+        (4, 1, SolveConfig(lam=1)),
     ],
 )
 def test_ill_posed_config_raises_on_every_call(m, n, config, assemblies):
@@ -1051,8 +1056,9 @@ def test_plan_walks_leaves_in_reverse_storage_order(m, n):
     [
         *(pytest.param(m, n, None, id=f"{m}-{n}") for m, n in [(3, 4), (5, 3), (4, 4), (3, 12), (8, 6)]),
         *(pytest.param(m, n, Fraction(11, 10), id=f"{m}-{n}-11/10") for m, n in [(3, 4), (5, 3), (4, 4), (2, 25)]),
-        pytest.param(1, 6, None, id="1-6"),  # no tree: one line leaf
-        pytest.param(5, 1, None, id="5-1"),  # no tree: one flat leaf
+        pytest.param(1, 6, None, id="1-6"),  # a one-leaf tree: a line
+        pytest.param(5, 1, None, id="5-1"),  # a one-leaf tree: a flat
+        pytest.param(4, 0, None, id="4-0"),  # a one-leaf tree: degree 0, walked as a line
     ],
 )
 @pytest.mark.parametrize("rotated", [False, True])
@@ -1060,7 +1066,7 @@ def test_plan_quantities_are_bitwise_the_walk_expressions(m, n, lam, rotated):
     # the stored divisor product, line parameter and line offset of every
     # node and leaf, and a flat's base, have the bits of the expressions
     # the walk would compute them with from the leaf's own hyperplanes; a
-    # problem without a tree is one leaf at mu that divides by nothing
+    # one-leaf tree's leaf lies at mu and divides by nothing
     config = rotated_config(m) if rotated else SolveConfig(mu=np.linspace(-0.5, 0.25, m))
     config.lam = config.lam if lam is None else lam
     frame = np.eye(m) if config.frame is None else config.frame
@@ -1068,14 +1074,11 @@ def test_plan_quantities_are_bitwise_the_walk_expressions(m, n, lam, rotated):
     _, tree, hyperplanes = assemble_generic(
         m, n, frame=config.frame, lam=config.lam, kappa=config.kappa
     )
-    if tree is None:
-        leaves = [(slice(0, len(plan.nodes)), [], m == 1 or n == 0, config.mu)]
-    else:
-        blocks, leaves = leaf_slices(plan.nodes), []
-        for leaf in reversed(tree.leaves):
-            crossed = [hyperplanes[leaf.eps[:j] + (1,)] for j, bit in enumerate(leaf.eps) if bit == 0]
-            base = vertex_base(tree, hyperplanes)[tree.flat[tree.eps.index(leaf.eps)]] + config.mu
-            leaves.append((blocks["".join(map(str, leaf.eps))], crossed, leaf.sigma[0] == 1, base))
+    blocks, leaves = leaf_slices(plan.nodes), []
+    for leaf in reversed(tree.leaves):
+        crossed = [hyperplanes[leaf.eps[:j] + (1,)] for j, bit in enumerate(leaf.eps) if bit == 0]
+        base = vertex_base(tree, hyperplanes)[tree.flat[tree.eps.index(leaf.eps)]] + config.mu
+        leaves.append((blocks[eps_label(leaf.eps)], crossed, leaf.sigma[0] == 1 or leaf.sigma[1] == 0, base))
     assert len(plan.lines) == len(leaves)
     for i, (block, crossed, line, base) in enumerate(leaves):
         assert block == slice(plan.starts[i + 1], plan.starts[i])

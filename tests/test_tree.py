@@ -15,6 +15,7 @@ from mvinterp.exceptions import GeometryConfigError
 from mvinterp.monomials import count_total
 from mvinterp.nodes import NodeSet, assemble_generic, leaf_slices
 from mvinterp.tree import (
+    Vertex,
     alpha,
     assign_hyperplanes,
     build_tree,
@@ -24,7 +25,7 @@ from mvinterp.tree import (
 
 def test_single_split_2_2():
     tree = build_tree(2, 2)
-    assert len(tree.vertices) == len(tree.sigma) == 3
+    assert len(tree.eps) == len(tree.sigma) == 3
     assert tree.sigma[0] == (2, 2)
     assert tree.eps[0] == ()
     left = tree.eps.index((0,))
@@ -43,7 +44,7 @@ def test_single_split_2_2():
 
 def test_preorder_3_3():
     tree = build_tree(3, 3)
-    assert [v.eps for v in tree.vertices] == [
+    assert tree.eps == [
         (),
         (0,),
         (0, 0),
@@ -75,7 +76,7 @@ def test_shape_closed_forms(m, n):
     tree = build_tree(m, n)
     assert tree.leaf_count == comb(m + n - 2, m - 1)
     assert tree.depth == m + n - 2
-    assert max(len(v.eps) for v in tree.vertices) == m + n - 3
+    assert max(map(len, tree.eps)) == m + n - 3
     for leaf in tree.leaves:
         d, k = leaf.sigma
         # splitting stops at the first 1, so (1, 1) never appears
@@ -88,7 +89,7 @@ def test_shape_closed_forms(m, n):
     assert budget == count_total(m, n)
     # leaves, depth and leaf_count come from the leaf column, the split and
     # leaf columns partition the vertices, and a path's bits give its sigma
-    assert tree.leaves == [v for v in tree.vertices if 1 in v.sigma]
+    assert tree.leaves == [Vertex(sigma, eps) for sigma, eps in zip(tree.sigma, tree.eps) if 1 in sigma]
     assert len(tree.leaves) == tree.leaf_count
     assert sorted(tree.split + tree.leaf) == list(range(len(tree.eps)))
     position = {eps: v for v, eps in enumerate(tree.eps)}
@@ -151,7 +152,7 @@ def test_splits_address_subtree_rows(m, n):
 
 def test_leaf_sequence_reads_like_a_list():
     tree = build_tree(4, 3)
-    leaves = [v for v in tree.vertices if 1 in v.sigma]
+    leaves = [Vertex(sigma, eps) for sigma, eps in zip(tree.sigma, tree.eps) if 1 in sigma]
     assert len(tree.leaves) == len(leaves) == 10
     assert tree.leaves[0] == leaves[0] and tree.leaves[-1] == leaves[-1]
     assert tree.leaves[2:7:2] == leaves[2:7:2]
@@ -173,9 +174,20 @@ def test_vertex_rejects_paths_outside_the_tree():
     assert tree.eps.index((0, 0)) in tree.leaf and tree.eps.index((0, 0)) not in tree.split
 
 
-def test_build_tree_rejects_base_cases():
-    for m, n in [(1, 5), (5, 1), (2, 0), (0, 2)]:
-        with pytest.raises(ValueError):
+def test_build_tree_serves_base_cases_as_one_leaf():
+    # a base case is a one-vertex tree: its root is its one leaf, labelled
+    # "-", it splits nothing, and its hyperplane table is empty
+    for m, n in [(1, 5), (5, 1), (2, 0)]:
+        tree = build_tree(m, n)
+        assert (tree.sigma, tree.eps, tree.leaf, tree.split) == ([(m, n)], [()], [0], [])
+        assert (tree.lo, tree.hi, tree.flat, tree.cross) == ([0], [count_total(m, n)], [-1], [-1])
+        assert tree.leaves == [Vertex((m, n), ())] and tree.depth == tree.leaf_count == 1
+        assert tree.provenance() == ("-",) * count_total(m, n)
+        table = assign_hyperplanes(tree)
+        assert table == {} and len(table) == 0 and table.offset.shape == (0,)
+        np.testing.assert_array_equal(vertex_base(tree, table), np.zeros((1, m)))
+    for m, n in [(0, 2), (2, -1)]:
+        with pytest.raises(ValueError, match="tree needs m >= 1 and n >= 0"):
             build_tree(m, n)
 
 
@@ -211,8 +223,8 @@ def test_alpha_injective_per_length(m, n, lam):
     """Within each path length, distinct paths get distinct offsets."""
     tree = build_tree(m, n)
     by_len = {}
-    for v in tree.vertices:
-        by_len.setdefault(len(v.eps), []).append(v.eps)
+    for eps in tree.eps:
+        by_len.setdefault(len(eps), []).append(eps)
     for group in by_len.values():
         values = [alpha(eps, lam) for eps in group]
         assert len(set(values)) == len(values)
