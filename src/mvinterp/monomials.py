@@ -84,12 +84,13 @@ class MonomialOrder:
       scatter-add the product of a polynomial with a degree-1 factor.  It is
       I + step[k, a] where a <= var[I], and else, as x_a I = x_var[I] x_a
       parent[I], the lift of parent[I] plus step[k, var[I]].
+    - ``head(p)``: where the (p, n) order's monomials are, each the lift of its parent.
     - ``runs(k)``: for each a, block k's positions with var = a, which end at
       start + step[k, a], next to their parents, the suffix of block k - 1.
     - ``table`` rebuilds every multi-index from var and parent when read.
     """
 
-    __slots__ = ("m", "n", "var", "parent", "_step", "_blocks", "_lifts")
+    __slots__ = ("m", "n", "var", "parent", "_step", "_blocks", "_lifts", "_heads")
 
     def __init__(self, m: int, n: int):
         self.m = m
@@ -115,6 +116,7 @@ class MonomialOrder:
                 np.arange(blk.start, blk.stop) + step[k + 1, :, None],
                 lifts[:, self.parent[blk]] + step[k + 1, var],
             )
+        self._heads = {}
 
     def __len__(self) -> int:
         return self.var.size
@@ -122,6 +124,15 @@ class MonomialOrder:
     def block(self, k: int) -> slice:
         """Slice of positions holding the degree-k block."""
         return self._blocks[k]
+
+    def head(self, p: int) -> np.ndarray:
+        """Positions of the monomials of build_order(p, n), in its order: those in the first p variables."""
+        if p not in self._heads:
+            sub = build_order(p, self.n)
+            self._heads[p] = heads = np.zeros(len(sub), dtype=np.intp)
+            for blk in sub._blocks[1:]:
+                heads[blk] = self._lifts[sub.var[blk], heads[sub.parent[blk]]]
+        return self._heads[p]
 
     def runs(self, k: int) -> list:
         """(run, parents) slice pairs of the degree-k block, k >= 1, one per

@@ -181,8 +181,8 @@ def assemble_generic(m: int, n: int, frame=None, lam=Fraction(2), kappa: float =
     if mu is not None:
         points += mu
     _check_separation(tree, hyperplanes, points, provenance, mu)
-    # the closest nodes of a leaf: on the longest line, or unit offsets apart
-    count = n + 1 if m == 1 or n > 1 else 1
+    # the closest nodes of a leaf: on the longest line leaf, or unit offsets apart
+    count = max((k + 1 for d, k in tree.leaf_groups if d == 1), default=1)
     spread = np.min(-np.diff(chebyshev_parameters(count, kappa)), initial=1.0)
     scale = max(1.0, float(np.abs(points).max()))
     if spread <= GEOMETRY_RTOL * scale:

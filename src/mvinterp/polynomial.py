@@ -5,8 +5,8 @@ and a coefficient vector of length N(m,n) laid out per
 :mod:`mvinterp.monomials`.  The solver's lifts work on raw coefficient
 arrays: mul_linear multiplies by a linear row [c0, normal], and
 embed_univariate turns a polynomial in a line parameter into one in m
-variables by such lifts.  Operations return new values; nothing here
-mutates its inputs.
+variables by such lifts.  Operations return new values, and nothing here
+mutates its inputs, except that mul_linear adds into an out given it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _real_array(values, name: str) -> np.ndarray:
     return values.astype(float, copy=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class MultiPoly:
     """Dense polynomial of degree <= n in m variables.
 
@@ -92,11 +92,11 @@ def evaluate_rows(q: MultiPoly, points) -> np.ndarray:
     Each row's monomial values are built in one reused buffer, degree block
     by degree block, from the parent recursion value[I] = x[j] * value[I - e_j],
     then dotted with the coefficients: 2·N(m,n) floating operations per row.
-    The top degree block, the largest, is gathered from x into the buffer
-    itself, so a row allocates one block-sized temporary (its parents'
-    values), not two.  The lower blocks keep the plain product: take's
-    call costs more than the copy it saves on a small block.  Complex
-    points raise ValueError.
+    Degree 1 is x itself (x[j] * 1.0 is x[j]), taken into the buffer, and
+    the top block, the largest, is gathered from x into the buffer itself,
+    so a row allocates one block-sized temporary (its parents' values), not
+    two.  The blocks between keep the plain product: take's call costs more
+    than the copy it saves on a small block.  Complex points raise ValueError.
     """
     points = _real_array(points, "points")
     if points.ndim != 2 or points.shape[1] != q.m:
@@ -105,14 +105,18 @@ def evaluate_rows(q: MultiPoly, points) -> np.ndarray:
 
 
 def row_kernel(q: MultiPoly, points: np.ndarray) -> np.ndarray:
-    """evaluate_rows without its check: points must be a float (count, q.m) array."""
+    """evaluate_rows without its check, at the first q.m columns of a float (count, >= q.m) array."""
     vals = np.empty(q.coeffs.size)
     vals[0] = 1.0
     steps = [(vals[blk], var, parent) for blk, var, parent in _row_steps(q.m, q.n)]
-    top = steps.pop() if steps else None
+    first, axes, _ = steps.pop(0) if steps else (None, None, None)
+    # a one-monomial top block keeps the plain product: NumPy allocates 1 KiB to multiply one element in place
+    top = steps.pop() if steps and steps[-1][0].size > 1 else None
     coeffs = q.coeffs
     out = np.empty(len(points))
     for i, x in enumerate(points):
+        if first is not None:
+            x.take(axes, out=first, mode="wrap")
         for block, var, parent in steps:
             np.multiply(x[var], vals[parent], out=block)
         if top is not None:
@@ -123,17 +127,18 @@ def row_kernel(q: MultiPoly, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def mul_linear(qc: np.ndarray, row: np.ndarray, order) -> np.ndarray:
+def mul_linear(qc: np.ndarray, row: np.ndarray, order, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients, in order, of qc times the linear row[0] + <row[1:], x>.
 
     qc holds the leading coefficients of a polynomial of degree < order.n.
     One scaled copy for the constant part, then one scatter-add along the
     lift table of each variable with a non-zero coefficient, in axis order;
     a coefficient of exactly 1 adds qc itself, unscaled.  That saves a copy
-    of qc where a solve's last lift sets its peak, as at (8, 6).
+    of qc where a solve's last lift sets its peak.  Given out, it adds into out.
     """
     nq = qc.size
-    out = np.zeros(len(order))
+    if out is None:
+        out = np.zeros(len(order))
     out[:nq] += row[0] * qc
     for a, la in enumerate(row[1:].tolist()):
         if la == 1.0:  # qc itself, the same bits as 1.0 * qc without its copy

@@ -8,25 +8,27 @@ n = 1) is a one-leaf tree, whose leaf divides by nothing.
 What depends only on (m, n) and the geometry is computed once, into a plan
 kept for reuse: the nodes, one table of divisor rows [c0, normal] (the
 split hyperplanes, which a leaf divides by for each 0 bit of its path), and
-flat arrays, per leaf its rows, kind, divisor rows and line offset, per node
-its divisor product and line parameter.  A solve then does f's arithmetic
-only.  f is read into one array of node values before the walk: a callback
-is called once per node, in storage order, and a non-finite value is
-rejected, naming the lowest such node.  The walk visits the leaves
+flat arrays, per leaf its rows, kind, divisor rows, line offset and reach,
+per node its divisor product and line parameter.  A solve then does f's
+arithmetic only.  f is read into one array of node values before the walk:
+a callback is called once per node, in storage order, and a non-finite
+value is rejected, naming the lowest such node.  The walk visits the leaves
 dimension-reduction branch first and slices that array by leaf.  Each leaf
 corrects its block of values in one call, (f - correction) / divisor
-product, solves, lifts its solution by its divisors on raw coefficient
-arrays and adds it into one shared monomial accumulator, which at the end
-of the walk is the interpolant.  The correction is that accumulator
-evaluated at the leaf's rows, so each leaf absorbs the rounding already in
-it; a walk on factored leaf values alone is faster but less accurate.  A
-leaf's work runs in a helper, so nothing it allocates outlives it into the
-next leaf to raise the peak.  Only the current leaf's corrected values
+product, solves, and lifts its solution by its divisors, the last lift
+adding into one shared monomial accumulator in place; the first leaf
+divides by nothing and starts it, and at the end it is the interpolant.
+The correction is that accumulator evaluated at the leaf's rows, so each
+leaf absorbs the rounding already in it; a walk on factored leaf values
+alone is faster but less accurate.  The lifts so far reach only the first
+p variables, the leaf's reach, so where that saves storage the correction
+evaluates the accumulator's (p, n) part at the rows' first p coordinates.
+A leaf's work runs in a helper, so nothing it allocates outlives it into
+the next leaf to raise the peak.  Only the current leaf's corrected values
 exist, the row kernel fills one monomial buffer with one top-block
 temporary per row, and the returned nodes share the plan's points and
 labels, which caps a repeat solve's storage at about 3 N(m,n) reals beyond
-its plan and the values, and a first solve's at a small multiple of
-m * N(m,n).
+its plan and the values, and a first solve's at a small multiple of m N.
 
 The report is counted once per plan, as nothing in it depends on f's
 values: the plan's multiply-adds (see _step_multiply_adds; a fused
@@ -45,7 +47,7 @@ import numpy as np
 
 from .exceptions import GeometryConfigError
 from .linear import solve_linear
-from .monomials import build_order, count_total
+from .monomials import build_order, count_degree, count_total
 # leaf_slices and evaluate go unused here, but the benchmark's tracer wraps them
 from .nodes import NodeSet, assemble_generic, leaf_slices  # noqa: F401
 from .polynomial import MultiPoly, _real_array, evaluate, mul_linear, row_kernel  # noqa: F401
@@ -76,13 +78,14 @@ def _divisor_product(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     return (rows[..., :1] + rows[..., 1:] @ points.swapaxes(-1, -2)).prod(axis=-2)
 
 
-def corrected_value(values, correction: MultiPoly, points, product, labels) -> np.ndarray:
+def corrected_value(values, correction: MultiPoly | None, points, product, labels) -> np.ndarray:
     """The corrected function (f - correction) / divisor product on a block.
 
     values holds f at the rows of points, a float (rows, m) array read by
-    row_kernel unchecked, and product the product of the divisors at each
-    row (see _divisor_product); labels, an iterable read only to name the
-    divisors in an error, gives their hyperplanes.
+    row_kernel unchecked, the correction being a polynomial in their first
+    correction.m coordinates, or None for zero; product holds the product
+    of the divisors at each row (see _divisor_product); labels, an iterable
+    read only to name the divisors in an error, gives their hyperplanes.
 
     Raises
     ------
@@ -94,12 +97,13 @@ def corrected_value(values, correction: MultiPoly, points, product, labels) -> n
         When the division does, naming the node and the divisor labels; a
         backstop, as assembly keeps divisors clear of zero (GEOMETRY_RTOL).
     """
+    f = np.asarray(values, dtype=float)
     try:
-        numerator = np.asarray(values, dtype=float) - row_kernel(correction, points)
+        numerator = f if correction is None else f - row_kernel(correction, points)
         corrected = numerator / product
     except RuntimeWarning:  # a warnings filter made NumPy's warning an error: redo quietly, to name the node
         with np.errstate(all="ignore"):
-            numerator = np.asarray(values, dtype=float) - row_kernel(correction, points)
+            numerator = f if correction is None else f - row_kernel(correction, points)
             corrected = numerator / product
     if not np.isfinite(corrected).all():
         node = np.flatnonzero(~np.isfinite(corrected))[0]
@@ -134,39 +138,40 @@ class Plan(NamedTuple):
     offsets: np.ndarray  # (leaves,) t0 of a line leaf, t(x) = t0 + <frame[0], x>
     divisor: np.ndarray  # (nodes,) the product of a node's divisors at it
     param: np.ndarray  # (nodes,) a line leaf node's t; 0 at flat nodes
+    reach: np.ndarray  # (leaves,) the leading variables the accumulator holds before the leaf
+    compact: int  # the widest reach whose correction reads only those variables (see _build_plan)
     multiply_adds: int  # of a solve, see _step_multiply_adds
 
 
-def _step_multiply_adds(m: int, n: int, starts, lines, table, indptr, indices) -> dict:
+def _step_multiply_adds(m: int, n: int, starts, lines, table, indptr, indices, reads) -> dict:
     """The multiply-adds of each step of a solve, summed over the leaves.
 
-    The arguments are a plan's (see Plan).  A leaf of rows nodes that
-    divides by c hyperplanes costs, with N = N(m, n):
+    The arguments are a plan's (see Plan), with reads, per leaf, the p
+    leading variables its correction reads.  A leaf of rows nodes that
+    divides by c hyperplanes costs:
 
-    - correct: rows (2 N + (m + 1) c + 1), for the correction evaluated at
-      each row, the divisor product and one division;
+    - correct: rows (2 N(p, n) + (m + 1) c + 1), for the correction evaluated
+      at each row (none at p = 0), the divisor product and one division;
     - solve: on a line, with k = rows - 1, 3 k (k + 1) / 2 for the divided
       differences, k (k + 1) for their monomial expansion and
       (m + 2) (N(m + 1, k) - 1) for the k lifts of the embedding; on a flat,
       (m + 2) rows;
     - lift: by divisor row j = 0 .. c - 1, (1 + the non-zeros of its normal)
-      N(m, n - c + j);
-    - add: N into the accumulator, unless the one leaf is the whole problem.
+      N(m, n - c + j), the last adding into the accumulator.
     """
-    total = count_total(m, n)
     rows, count = starts[:-1] - starts[1:], np.diff(indptr)
     k = rows[lines] - 1
     on_line = np.array([count_total(m + 1, d) for d in range(n + 1)])  # N(m + 1, k)
     sizes = np.array([count_total(m, d) for d in range(n + 1)])  # N(m, d)
+    heads = np.array([0] + [count_total(p, n) for p in range(1, m + 1)])  # N(p, n), none read at p = 0
     # the lift by division d of leaf i starts from degree n - c + (d - indptr[i])
     degree = np.repeat(n - count - indptr[:-1], count) + np.arange(indices.size)
     nonzeros = np.count_nonzero(table[:, 1:], axis=1)
     return {
-        "correct": int(rows @ (2 * total + (m + 1) * count + 1)),
+        "correct": int(rows @ (2 * heads[reads] + (m + 1) * count + 1)),
         "solve": int((3 * k * (k + 1) // 2 + k * (k + 1) + (m + 2) * (on_line[k] - 1)).sum())
         + (m + 2) * int(rows[~lines].sum()),
         "lift": int((1 + nonzeros[indices]) @ sizes[degree]),
-        "add": total * rows.size if rows.size > 1 else 0,
     }
 
 
@@ -183,7 +188,12 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     GeometryConfigError naming the leaf if one overflows, and the line
     parameters <x - base, frame[0]> (kept apart by assembly's spread guard)
     and line offsets, each with the bits of its leaf's own expression.  A
-    degree-0 leaf counts as a line, whose one node has parameter 0.
+    degree-0 leaf counts as a line, whose one node has parameter 0.  A leaf's
+    solution and lifts live in the axes where its frame rows (frame[0] on a
+    line, frame[:d] on a flat) and divisor normals are non-zero.  Up to reach
+    compact, a correction's gathered coefficients, monomial buffer and
+    top-block temporary, 2 N(p, n) + T(p, n) reals (T the top degree block),
+    hold no more than the full kernel's.
     """
     nodes, tree, hyperplanes = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
     points = nodes.points
@@ -225,9 +235,18 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
             param[block] = (points[block] - base) @ direction  # a gemv per leaf, as on a leaf's own line
             lines[-1 - at] = True
             offsets[-1 - at] = -(base @ direction[:, None])[:, 0, 0]  # a dot per leaf: one gemv may round apart
-    ops = sum(_step_multiply_adds(m, n, starts, lines, table, indptr, indices).values())
+    ends = m - np.argmax(np.vstack((frame, table[:, 1:]))[:, ::-1] != 0, axis=1)  # 1 + a row's last non-zero axis
+    # a line reaches as far as frame[0], a flat of d + 1 rows as frame[:d], and then its divisor normals
+    spans = np.maximum.accumulate(ends[:m])[np.where(lines, 0, starts[:-1] - starts[1:] - 2)]
+    np.maximum.at(spans, np.repeat(np.arange(lines.size), np.diff(indptr)), ends[m + indices])
+    reach = np.concatenate(([0], np.maximum.accumulate(spans)[:-1]))
+    room = count_total(m, n) + count_degree(m, n)
+    compact = sum(2 * count_total(p, n) + count_degree(p, n) <= room for p in range(1, m))
+    reads = np.where(reach <= compact, reach, m)
+    ops = sum(_step_multiply_adds(m, n, starts, lines, table, indptr, indices, reads).values())
     # the frame in C order, as solve_linear takes a flat's active rows
-    return Plan(nodes, np.ascontiguousarray(frame), table, starts, lines, indptr, indices, offsets, divisor, param, ops)
+    frame = np.ascontiguousarray(frame)
+    return Plan(nodes, frame, table, starts, lines, indptr, indices, offsets, divisor, param, reach, compact, ops)
 
 
 # key -> plan, the most recently used last; a hit relinks in place, as a pop
@@ -276,10 +295,11 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
     interpolant, the generated NodeSet, and the report of the run, counted
     once per plan: multiply_adds, peak_reals_stored (m N for the nodes, N
     for the values and, when the tree has more than one leaf,
-    2 N + N(m, n-1) for the accumulator and the last lift's input and
-    output, N = N(m,n)) and largest_single_alloc (m N, the nodes).  The
-    closed form leaves out the row kernel's monomial buffer (N) and its one
-    top-block temporary per row (see evaluate_rows).
+    N + N(m, n-1) + N(m, n-2) for the accumulator and a leaf's lift to
+    degree n - 1, its input and output, N = N(m,n); the last lift adds into
+    the accumulator in place) and largest_single_alloc (m N, the nodes).
+    The closed form leaves out the row kernel's monomial buffer (N at
+    most) and its one top-block temporary per row (see evaluate_rows).
 
     A plan holds the nodes and every quantity of the walk that does not
     depend on f, so a repeat call does only f's arithmetic.  The newest
@@ -315,33 +335,36 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
         bad = np.flatnonzero(~np.isfinite(values))[0]
         raise ValueError(f"f is not finite at node {bad}: {float(values[bad])}")
     starts, indptr, indices, table, direction = plan.starts, plan.indptr, plan.indices, plan.table, plan.frame[0]
+    order = build_order(m, n)
 
-    def solve_leaf(i, lo, hi, correction):
+    def solve_leaf(i):
         """Leaf i's interpolant of its corrected values, as coefficients."""
+        lo, hi, p = int(starts[i + 1]), int(starts[i]), int(plan.reach[i])
         pts = points[lo:hi]
         eps = provenance[lo]  # a leaf divides by the hyperplane of each 0 bit
         labels = (eps[:j] + "1" for j, bit in enumerate(eps) if bit == "0")
+        # none before the first lift, then up to reach compact the accumulator's (p, n) part
+        correction = acc if p > plan.compact else MultiPoly(p, n, acc.coeffs[order.head(p)]) if p else None
         corrected = corrected_value(values[lo:hi], correction, pts, plan.divisor[lo:hi], labels)
+        del correction  # freed before the solve
         if plan.lines[i]:
             return solve_on_line(plan.param[lo:hi], corrected, plan.offsets[i], direction)
         return solve_linear(corrected, plan.frame[: hi - lo - 1], pts[0])
 
     def add_leaf(i):
-        """Solve leaf i, lift it by its divisors and add it into acc."""
-        lo, hi, first, last = int(starts[i + 1]), int(starts[i]), int(indptr[i]), int(indptr[i + 1])
-        coeffs = solve_leaf(i, lo, hi, acc)
-        for r in range(first, last):  # the lift by divisor row r ends at degree n - (last - 1 - r)
+        """Solve leaf i, lift it by its divisors, the last lift adding into acc."""
+        first, last = int(indptr[i]), int(indptr[i + 1])
+        coeffs = solve_leaf(i)
+        for r in range(first, last - 1):  # the lift by divisor row r ends at degree n - (last - 1 - r)
             coeffs = mul_linear(coeffs, table[indices[r]], build_order(m, n + 1 + r - last))
-        acc.coeffs += coeffs
+        mul_linear(coeffs, table[indices[last - 1]], order, out=acc.coeffs)
 
+    acc = MultiPoly(m, n, solve_leaf(0))  # the first leaf divides by nothing, so its interpolant is of degree n
+    for i in range(1, len(plan.lines)):
+        add_leaf(i)
     peak = (m + 1) * total  # the nodes and the values
-    if len(plan.lines) == 1:  # a one-leaf tree: its leaf's interpolant is f's
-        acc = MultiPoly(m, n, solve_leaf(0, 0, total, MultiPoly.zero(m, n)))
-    else:
-        peak += 2 * total + count_total(m, n - 1)
-        acc = MultiPoly.zero(m, n)
-        for i in range(len(plan.lines)):
-            add_leaf(i)
+    if len(plan.lines) > 1:
+        peak += total + count_total(m, n - 1) + count_total(m, n - 2)
     if not np.isfinite(acc.coeffs).all():
         raise ValueError("the interpolant overflowed floating point")
     report = {"multiply_adds": plan.multiply_adds, "peak_reals_stored": peak, "largest_single_alloc": m * total}

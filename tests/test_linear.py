@@ -84,5 +84,5 @@ def test_cost_scales_linearly():
     for m, k in [(3, 3), (10, 10), (20, 5), (30, 30)]:
         # the one flat leaf of k + 1 nodes in m-space
         no_divisors = np.empty((0, m + 1)), np.array([0, 0]), np.empty(0, np.intp)
-        steps = _step_multiply_adds(m, 1, np.array([k + 1, 0]), np.array([False]), *no_divisors)
+        steps = _step_multiply_adds(m, 1, np.array([k + 1, 0]), np.array([False]), *no_divisors, np.array([0]))
         assert steps["solve"] <= 4 * (m + 2) * (k + 1)

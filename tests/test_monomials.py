@@ -125,3 +125,16 @@ def test_order_matches_a_brute_force_reference(m, n):
         size = sum(1 for idx in indices if sum(idx) == k)
         assert order.block(k) == slice(start, start + size)
         start += size
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 7) for n in range(7)])
+def test_head_lists_the_leading_variables_order_inside_the_full_one(m, n):
+    """head(p) gives, in (p, n) order, where each monomial in the first p
+    variables sits in the (m, n) order, and is kept with the order."""
+    order = build_order(m, n)
+    table = order.table
+    for p in range(1, m + 1):
+        head = order.head(p)
+        assert head.dtype == np.intp
+        assert [table[i] for i in head] == [index + (0,) * (m - p) for index in build_order(p, n).table]
+        assert order.head(p) is head

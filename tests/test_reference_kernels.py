@@ -106,6 +106,19 @@ def test_mul_linear_is_bytewise_the_reference(m, n):
             assert mul_linear(qc, row, order).tobytes() == reference_mul_linear(qc, row, order).tobytes()
 
 
+@pytest.mark.parametrize("m,n", [(1, 3), (3, 4), (5, 2)])
+def test_mul_linear_into_zeros_is_bytewise_its_new_array(m, n):
+    # adding the product into a given array of zeros changes no bit
+    rng = np.random.default_rng([67, m, n])
+    order = build_order(m, n)
+    qc = rng.uniform(-1.0, 1.0, count_total(m, n - 1))
+    qc[::5] = -0.0
+    for row in linear_rows(m, rng):
+        out = np.zeros(len(order))
+        assert mul_linear(qc, row, order, out=out) is out
+        assert out.tobytes() == mul_linear(qc, row, order).tobytes()
+
+
 @pytest.mark.parametrize("m,n", [(3, 4), (4, 3), (2, 6)])
 @pytest.mark.parametrize("rotated", [False, True])
 def test_mul_linear_matches_the_reference_on_plan_rows(m, n, rotated):

@@ -28,8 +28,9 @@ from mvinterp.polynomial import MultiPoly, evaluate_rows
 from mvinterp.solver import SolveConfig, solve
 
 CONFIG = SolveConfig(lam=Fraction(11, 10))
-# repeat solves read 2.98 (15, 4) and 3.08 (8, 6) N-vectors; 4.77 and 4.52
-# while a solve copied the provenance and the row kernel gathered twice
+# repeat solves read 2.96 (15, 4), 2.81 (8, 6) and 3.23 (20, 3) N-vectors;
+# 2.96, 3.08 and 3.24 while every correction read all m variables, and 4.77
+# and 4.52 while a solve copied the provenance and the row kernel gathered twice
 REPEAT_PEAK_REALS = 3.25
 # a first (20, 4) solve from cold monomial tables read 3.10 node tables,
 # 4.27 while the monomial order held a tuple per monomial and a position dict
@@ -58,7 +59,7 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("m,n", [(15, 4), (8, 6)])
+@pytest.mark.parametrize("m,n", [(15, 4), (8, 6), (20, 3)])
 def test_repeat_solve_peaks_within_a_few_n_vectors(m, n):
     total = count_total(m, n)
     values = np.random.default_rng([53, m, n]).uniform(-1.0, 1.0, total)
