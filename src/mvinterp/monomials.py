@@ -83,14 +83,22 @@ class MonomialOrder:
     - ``lift(a)``: position of I + e_a for every I of degree <= n-1, used to
       scatter-add the product of a polynomial with a degree-1 factor.  It is
       I + step[k, a] where a <= var[I], and else, as x_a I = x_var[I] x_a
-      parent[I], the lift of parent[I] plus step[k, var[I]].
+      parent[I], the lift of parent[I] plus step[k, var[I]].  The table,
+      m N(m, n - 1) integers, is built on the first read, so an order read
+      only for its recurrence (var, parent, blocks) never holds it.
     - ``head(p)``: where the (p, n) order's monomials are, each the lift of its parent.
+    - ``suffix(d)``: where the monomials in the variables d..m-1 are, the
+      last of each degree block, in the (m - d, n) order's own order; and
+      ``powers(d)``: where the x_a^j M, a < d, are, each M's lift j times
+      by x_a.  A restricted correction reads these (see restricted_kernel).
+      Kept per d, powers(d) holds d N(m - d + 1, n - 1) integers in n
+      arrays: 5.0 N(m, n) over every d at (20, 4), 4.0 N(m, n) at (15, 4).
     - ``runs(k)``: for each a, block k's positions with var = a, which end at
       start + step[k, a], next to their parents, the suffix of block k - 1.
     - ``table`` rebuilds every multi-index from var and parent when read.
     """
 
-    __slots__ = ("m", "n", "var", "parent", "_step", "_blocks", "_lifts", "_heads")
+    __slots__ = ("m", "n", "var", "parent", "_step", "_blocks", "_lifts", "_heads", "_suffixes", "_powers")
 
     def __init__(self, m: int, n: int):
         self.m = m
@@ -107,16 +115,23 @@ class MonomialOrder:
         self._blocks = tuple(slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes).tolist()))
         self.var = np.concatenate(([0], np.repeat(np.tile(axes, n + 1), width.ravel())))
         self.parent = np.arange(total) - step[np.repeat(np.arange(n + 1), sizes), self.var]
-        self._lifts = lifts = np.empty((m, total - sizes[n]), dtype=np.intp)
-        lifts[:, :1] = 1 + axes[:, None]  # x_a is position 1 + a
-        for k, blk in enumerate(self._blocks[1:n], 1):
-            var = self.var[blk]
-            lifts[:, blk] = np.where(
-                axes[:, None] <= var,
-                np.arange(blk.start, blk.stop) + step[k + 1, :, None],
-                lifts[:, self.parent[blk]] + step[k + 1, var],
-            )
-        self._heads = {}
+        self._lifts, self._heads, self._suffixes, self._powers = None, {}, {}, {}
+
+    def _lift_table(self) -> np.ndarray:
+        """The (m, N(m, n - 1)) table of every lift, built on first read: an
+        order read only for its recurrence (see row_kernel) never holds it."""
+        if self._lifts is None:
+            axes, step = np.arange(self.m), self._step
+            self._lifts = lifts = np.empty((self.m, self._blocks[-1].start), dtype=np.intp)
+            lifts[:, :1] = 1 + axes[:, None]  # x_a is position 1 + a
+            for k, blk in enumerate(self._blocks[1 : self.n], 1):
+                var = self.var[blk]
+                lifts[:, blk] = np.where(
+                    axes[:, None] <= var,
+                    np.arange(blk.start, blk.stop) + step[k + 1, :, None],
+                    lifts[:, self.parent[blk]] + step[k + 1, var],
+                )
+        return self._lifts
 
     def __len__(self) -> int:
         return self.var.size
@@ -131,8 +146,36 @@ class MonomialOrder:
             sub = build_order(p, self.n)
             self._heads[p] = heads = np.zeros(len(sub), dtype=np.intp)
             for blk in sub._blocks[1:]:
-                heads[blk] = self._lifts[sub.var[blk], heads[sub.parent[blk]]]
+                heads[blk] = self._lift_table()[sub.var[blk], heads[sub.parent[blk]]]
         return self._heads[p]
+
+    def suffix(self, d: int) -> tuple:
+        """Per degree k = 0..n, the slice of this order holding the monomials
+        in the variables d..m-1, the block's last ones, and the slice of the
+        (m - d, n) order holding the same monomials, in the same order; d = m
+        leaves the constant alone."""
+        if d not in self._suffixes:
+            sizes = [count_degree(self.m - d, k) for k in range(self.n + 1)] if d < self.m else [1] + [0] * self.n
+            ends = np.cumsum(sizes).tolist()
+            self._suffixes[d] = tuple(
+                (slice(blk.stop - size, blk.stop), slice(end - size, end))
+                for blk, size, end in zip(self._blocks, sizes, ends)
+            )
+        return self._suffixes[d]
+
+    def powers(self, d: int) -> tuple:
+        """Positions of x_a^j M for a < d and M in the variables d..m-1 of
+        degree <= n - j, one (d, N(m - d, n - j)) array per j = 1..n: the
+        suffix (see suffix) below degree n lifted by each x_a, then each
+        block's first N(m - d, n - j - 1) columns lifted again."""
+        if d not in self._powers:
+            pairs, blocks = self.suffix(d), []
+            pos = np.concatenate([np.arange(here.start, here.stop) for here, _ in pairs])[: pairs[-1][1].start]
+            for j in range(1, self.n + 1):
+                pos = self._lift_table()[np.arange(d)[:, None], pos[..., : pairs[self.n - j][1].stop]]
+                blocks.append(pos)
+            self._powers[d] = tuple(blocks)
+        return self._powers[d]
 
     def runs(self, k: int) -> list:
         """(run, parents) slice pairs of the degree-k block, k >= 1, one per
@@ -155,7 +198,7 @@ class MonomialOrder:
 
     def lift(self, axis: int) -> np.ndarray:
         """Positions of I + e_axis for all I of degree <= n-1."""
-        return self._lifts[axis]
+        return self._lift_table()[axis]
 
 
 @lru_cache(maxsize=128)

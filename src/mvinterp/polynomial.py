@@ -5,7 +5,10 @@ and a coefficient vector of length N(m,n) laid out per
 :mod:`mvinterp.monomials`.  The solver's lifts work on raw coefficient
 arrays: mul_linear multiplies by a linear row [c0, normal], and
 embed_univariate turns a polynomial in a line parameter into one in m
-variables by such lifts.  Operations return new values, and nothing here
+variables by such lifts.  Its corrections evaluate a polynomial at rows:
+row_kernel builds each row's monomials, and restricted_kernel, for the rows
+of a line or an axis flat, the polynomial restricted to it, once per call.
+Operations return new values, and nothing here
 mutates its inputs, except that mul_linear adds into an out given it.
 """
 
@@ -23,6 +26,7 @@ __all__ = [
     "evaluate",
     "evaluate_rows",
     "row_kernel",
+    "restricted_kernel",
     "mul_linear",
     "embed_univariate",
 ]
@@ -124,6 +128,56 @@ def row_kernel(q: MultiPoly, points: np.ndarray) -> np.ndarray:
             x.take(var, out=block, mode="wrap")  # var < m: "wrap" only skips take's buffer
             np.multiply(block, vals[parent], out=block)
         out[i] = vals @ coeffs
+    return out
+
+
+def restricted_kernel(q: MultiPoly, d: int, points: np.ndarray) -> np.ndarray:
+    """row_kernel's values of q at the rows of a line or a flat that agree
+    from coordinate d on: a line's (d = 1) in any x_0, a flat's its base,
+    zero before d, then the base plus y_i e_i for i < d.
+
+    Row z + y e_a, z its coordinates from d on (zero before), lies on a line
+    along axis a < d, where q is S_0 + sum_j y^j S[j, a]: S_0 sums
+    c[M] M(z) over the suffix monomials M, those in the variables d..m-1,
+    and S[j, a] sums c[x_a^j M] M(z).  So one monomial row of the suffix at
+    z, N(m - d, n) reals, its dot with the suffix's coefficients block by
+    block, and per j one gather of the coefficients at the positions of the
+    x_a^j M (MonomialOrder.powers) and one product replace a full monomial
+    row per row; Horner's rule in y then gives each row.  A float
+    (count, m) array of rows.
+    """
+    m, n, coeffs = q.m, q.n, q.coeffs
+    order = build_order(m, n)
+    pairs = order.suffix(d)
+    u, z = np.ones(1), points[0, d:]
+    if d < m:  # row_kernel's recurrence at z: degree 1 is z, the top block gathered in place
+        u = np.empty(count_total(m - d, n))
+        u[0], u[1 : m - d + 1] = 1.0, z
+        *steps, (blk, var, parent) = _row_steps(m - d, n)
+        for b, v, p in steps[1:]:
+            np.multiply(z[v], u[p], out=u[b])
+        top = u[blk]
+        z.take(var, out=top, mode="wrap")
+        top *= u[parent]
+    s0 = coeffs[pairs[0][0].start]  # the constant's
+    for here, own in pairs[1:]:
+        s0 += np.dot(coeffs[here], u[own])
+    sums, powers = np.empty((n, d)), order.powers(d)  # sums[j] is S[j + 1]: its M of degree <= n - 1 - j
+    for j in range(n):
+        np.dot(coeffs[powers[j]], u[: pairs[n - 1 - j][1].stop], out=sums[j])
+    del u
+    # a line's rows lie along x_0; a flat's first row is its base, y = 0, and row i + 1 lies along x_i
+    y, along = (points[:, 0], sums[:, 0]) if d == 1 else (points[1:, :d].diagonal(), sums)
+    value = along[n - 1] * y  # Horner's rule in y
+    for j in range(n - 2, -1, -1):
+        value += along[j]
+        value *= y
+    if d == 1:
+        value += s0
+        return value
+    out = np.empty(d + 1)
+    out[0] = s0
+    np.add(value, s0, out=out[1:])
     return out
 
 

@@ -8,8 +8,9 @@ n = 1) is a one-leaf tree, whose leaf divides by nothing.
 What depends only on (m, n) and the geometry is computed once, into a plan
 kept for reuse: the nodes, one table of divisor rows [c0, normal] (the
 split hyperplanes, which a leaf divides by for each 0 bit of its path), and
-flat arrays, per leaf its rows, kind, divisor rows, line offset and reach,
-per node its divisor product and line parameter.  A solve then does f's
+flat arrays, per leaf its rows, kind, divisor rows, line offset, reach and
+correction path, per node its divisor product and line parameter.  A solve
+then does f's
 arithmetic only.  f is read into one array of node values before the walk:
 a callback is called once per node, in storage order, and a non-finite
 value is rejected, naming the lowest such node.  The walk visits the leaves
@@ -20,15 +21,22 @@ adding into one shared monomial accumulator in place; the first leaf
 divides by nothing and starts it, and at the end it is the interpolant.
 The correction is that accumulator evaluated at the leaf's rows, so each
 leaf absorbs the rounding already in it; a walk on factored leaf values
-alone is faster but less accurate.  The lifts so far reach only the first
-p variables, the leaf's reach, so where that saves storage the correction
-evaluates the accumulator's (p, n) part at the rows' first p coordinates.
-A leaf's work runs in a helper, so nothing it allocates outlives it into
-the next leaf to raise the peak.  Only the current leaf's corrected values
-exist, the row kernel fills one monomial buffer with one top-block
-temporary per row, and the returned nodes share the plan's points and
-labels, which caps a repeat solve's storage at about 3 N(m,n) reals beyond
-its plan and the values, and a first solve's at a small multiple of m N.
+alone is faster but less accurate.  In the identity frame a leaf's rows
+lie on a line along x_0, or on an axis flat, its base and the base plus
+each e_i; there the correction is the accumulator restricted to that line
+or flat, a polynomial in one coordinate per row, built once per leaf from
+one monomial row at the base (restricted_kernel).  Elsewhere, in a rotated
+frame or on a flat that mu moves off its axes, row_kernel evaluates the
+accumulator at each row, and as the lifts so far reach only the first p
+variables, the leaf's reach, it may read only the (p, n) part at the rows'
+first p coordinates.  Of the paths open to a leaf, the plan takes the one
+whose temporaries hold the fewest bytes (see _correction_paths).  A leaf's
+work runs in a helper, so nothing it allocates outlives it into the next
+leaf to raise the peak.  Only the current leaf's corrected values exist, a
+correction holds one monomial row with its temporaries, and the returned
+nodes share the plan's points and labels, which caps a repeat solve's
+storage at about 3 N(m,n) reals beyond its plan and the values, and a
+first solve's at a small multiple of m N.
 
 The report is counted once per plan, as nothing in it depends on f's
 values: the plan's multiply-adds (see _step_multiply_adds; a fused
@@ -41,6 +49,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +59,7 @@ from .linear import solve_linear
 from .monomials import build_order, count_degree, count_total
 # leaf_slices and evaluate go unused here, but the benchmark's tracer wraps them
 from .nodes import NodeSet, assemble_generic, leaf_slices  # noqa: F401
-from .polynomial import MultiPoly, _real_array, evaluate, mul_linear, row_kernel  # noqa: F401
+from .polynomial import MultiPoly, _real_array, evaluate, mul_linear, restricted_kernel, row_kernel  # noqa: F401
 from .tree import vertex_base
 from .univariate import solve_on_line
 
@@ -78,14 +87,17 @@ def _divisor_product(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     return (rows[..., :1] + rows[..., 1:] @ points.swapaxes(-1, -2)).prod(axis=-2)
 
 
-def corrected_value(values, correction: MultiPoly | None, points, product, labels) -> np.ndarray:
+def corrected_value(values, correction: MultiPoly | None, points, product, labels, restrict: int = 0) -> np.ndarray:
     """The corrected function (f - correction) / divisor product on a block.
 
-    values holds f at the rows of points, a float (rows, m) array read by
-    row_kernel unchecked, the correction being a polynomial in their first
+    values holds f at the rows of points, a float (rows, m) array read
+    unchecked, the correction being a polynomial in their first
     correction.m coordinates, or None for zero; product holds the product
     of the divisors at each row (see _divisor_product); labels, an iterable
     read only to name the divisors in an error, gives their hyperplanes.
+    restrict = d > 0 reads the correction restricted to the rows' line or
+    flat (see restricted_kernel, whose rows they must be), else row_kernel
+    evaluates it at each row.
 
     Raises
     ------
@@ -99,11 +111,11 @@ def corrected_value(values, correction: MultiPoly | None, points, product, label
     """
     f = np.asarray(values, dtype=float)
     try:
-        numerator = f if correction is None else f - row_kernel(correction, points)
+        numerator = f if correction is None else f - _evaluate(correction, points, restrict)
         corrected = numerator / product
     except RuntimeWarning:  # a warnings filter made NumPy's warning an error: redo quietly, to name the node
         with np.errstate(all="ignore"):
-            numerator = f if correction is None else f - row_kernel(correction, points)
+            numerator = f if correction is None else f - _evaluate(correction, points, restrict)
             corrected = numerator / product
     if not np.isfinite(corrected).all():
         node = np.flatnonzero(~np.isfinite(corrected))[0]
@@ -122,11 +134,18 @@ def corrected_value(values, correction: MultiPoly | None, points, product, label
     return corrected
 
 
+def _evaluate(correction: MultiPoly, points, restrict: int) -> np.ndarray:
+    """The correction at the rows: restricted_kernel's with d = restrict, else row_kernel's."""
+    return restricted_kernel(correction, restrict, points) if restrict else row_kernel(correction, points)
+
+
 class Plan(NamedTuple):
     """What a solve of one configuration reads besides f.  Leaf i, in walk
     order (the reverse of storage order), holds rows starts[i + 1]:starts[i]
     and divides, root first, by the rows indices[indptr[i]:indptr[i + 1]]
-    of table."""
+    of table.  Its correction reads the accumulator restricted to its line
+    or flat where restrict[i] = d > 0, else through row_kernel: in the
+    first reach[i] variables alone up to reach compact, else in all m."""
 
     nodes: NodeSet  # read-only points and their provenance, a tuple
     frame: np.ndarray  # a copy of the given frame, or the identity
@@ -139,19 +158,23 @@ class Plan(NamedTuple):
     divisor: np.ndarray  # (nodes,) the product of a node's divisors at it
     param: np.ndarray  # (nodes,) a line leaf node's t; 0 at flat nodes
     reach: np.ndarray  # (leaves,) the leading variables the accumulator holds before the leaf
-    compact: int  # the widest reach whose correction reads only those variables (see _build_plan)
+    restrict: np.ndarray  # (leaves,) the d its correction is restricted by (see restricted_kernel), or 0
+    compact: int  # the widest reach whose row_kernel correction reads only those variables (see _correction_paths)
     multiply_adds: int  # of a solve, see _step_multiply_adds
 
 
-def _step_multiply_adds(m: int, n: int, starts, lines, table, indptr, indices, reads) -> dict:
+def _step_multiply_adds(m: int, n: int, starts, lines, table, indptr, indices, reads, restrict) -> dict:
     """The multiply-adds of each step of a solve, summed over the leaves.
 
     The arguments are a plan's (see Plan), with reads, per leaf, the p
-    leading variables its correction reads.  A leaf of rows nodes that
-    divides by c hyperplanes costs:
+    leading variables row_kernel reads for its correction (0 for none).  A
+    leaf of rows nodes that divides by c hyperplanes costs:
 
-    - correct: rows (2 N(p, n) + (m + 1) c + 1), for the correction evaluated
-      at each row (none at p = 0), the divisor product and one division;
+    - correct: rows ((m + 1) c + 1) for the divisor product and one
+      division, and for the correction either rows 2 N(p, n) through
+      row_kernel, or, restricted by d (see restricted_kernel) with q = m - d,
+      2 N(q, n) for the suffix row and its dot, d N(q + 1, n - 1) for the
+      products per power and n per row off a flat's base for Horner's rule;
     - solve: on a line, with k = rows - 1, 3 k (k + 1) / 2 for the divided
       differences, k (k + 1) for their monomial expansion and
       (m + 2) (N(m + 1, k) - 1) for the k lifts of the embedding; on a flat,
@@ -164,15 +187,79 @@ def _step_multiply_adds(m: int, n: int, starts, lines, table, indptr, indices, r
     on_line = np.array([count_total(m + 1, d) for d in range(n + 1)])  # N(m + 1, k)
     sizes = np.array([count_total(m, d) for d in range(n + 1)])  # N(m, d)
     heads = np.array([0] + [count_total(p, n) for p in range(1, m + 1)])  # N(p, n), none read at p = 0
+    # a restricted correction's work besides its rows, N(0, n) = 1 the constant, and Horner's rule off a flat's base
+    restricted = restrict > 0
+    tails = sum(2 * comb(m - d + n, n) + d * comb(m - d + n, n - 1) for d in restrict[restricted].tolist())
+    horner = n * int((rows - ~lines)[restricted].sum())
     # the lift by division d of leaf i starts from degree n - c + (d - indptr[i])
     degree = np.repeat(n - count - indptr[:-1], count) + np.arange(indices.size)
     nonzeros = np.count_nonzero(table[:, 1:], axis=1)
     return {
-        "correct": int(rows @ (2 * heads[reads] + (m + 1) * count + 1)),
+        "correct": int(rows @ (2 * heads[reads] + (m + 1) * count + 1)) + tails + horner,
         "solve": int((3 * k * (k + 1) // 2 + k * (k + 1) + (m + 2) * (on_line[k] - 1)).sum())
         + (m + 2) * int(rows[~lines].sum()),
         "lift": int((1 + nonzeros[indices]) @ sizes[degree]),
     }
+
+
+def _moving_axes(blocks: np.ndarray) -> np.ndarray:
+    """For each block of rows, (blocks, rows, m), the d that restricted_kernel
+    reads it with, else 0: d = 1 + the last coordinate in which its rows
+    differ, where that is 1 (a line), or where the first row is zero before
+    d and row i + 1 non-zero there only at coordinate i (a flat)."""
+    _, rows, m = blocks.shape
+    differ = (blocks != blocks[:, :1]).any(axis=1)
+    d = np.where(differ.any(axis=1), m - differ[:, ::-1].argmax(axis=1), 0)
+    row, col = np.arange(rows)[:, None], np.arange(m)
+    stray = (blocks != 0) & (col < d[:, None, None]) & (row != col + 1)
+    return np.where((d == 1) | ((rows == d + 1) & ~stray.any(axis=(1, 2))), d, 0)
+
+
+# the bytes a temporary array holds beside its reals, a 1-D ndarray's
+# header with its shape and strides, and those of row_kernel's step per
+# degree block, a tuple and its list slot, as tracemalloc counts them
+ARRAY_BYTES, STEP_BYTES = 112, 72
+
+
+def _correction_paths(m: int, n: int, reach, moving) -> tuple:
+    """compact, and per leaf the d restricted_kernel corrects it with or 0:
+    of the paths open to a leaf, the one whose temporaries hold the fewest
+    bytes at their peak, 8 per real and ARRAY_BYTES per array (the output,
+    the same on every path, left out).
+
+    row_kernel on (p, n) holds its buffer, N(p, n) reals, its n block views
+    and a row, and then the top block's temporary, T(p, n) reals (T the top
+    degree block), or the next block's two, 2 T(p, n - 1): n + 4 arrays,
+    and a step (STEP_BYTES) per block.  Read compactly, up to reach
+    compact, it also holds the gathered N(p, n) coefficients.
+    restricted_kernel at d, with q = m - d, holds its suffix row and the
+    same temporaries, then the row, the n x d sums and one power's gathered
+    coefficients, d N(q, n - 1) at most: 7 arrays at most.
+    """
+
+    def total(p, k):  # N(p, k), and N(0, k) = 1: the constant alone
+        return count_total(p, k) if p else 1
+
+    def top(p, k):  # T(p, k), 0 where degree k takes no temporary
+        return count_degree(p, k) if p and k > 1 else 0
+
+    def row(p):  # a monomial row and its largest temporaries
+        return total(p, n) + max(top(p, n), 2 * top(p, n - 1))
+
+    def kernel(p):
+        return 8 * row(p) + ARRAY_BYTES * (n + 4) + STEP_BYTES * n
+
+    if not reach.any():  # a one-leaf tree: its leaf reads no correction
+        return 0, np.zeros_like(moving)
+    full, widest = kernel(m), min(int(reach.max()), m - 1)
+    held = [full] + [kernel(p) + 8 * count_total(p, n) + ARRAY_BYTES for p in range(1, widest + 1)]
+    compact = sum(held[p] <= full for p in range(1, widest + 1))
+    restricted = np.zeros(m + 1, np.int64)
+    for d in np.unique(moving[(reach > 0) & (moving > 0)]).tolist():
+        reals = max(row(m - d), total(m - d, n) + d * total(m - d, n - 1) + n * d)
+        restricted[d] = 8 * reals + ARRAY_BYTES * 7
+    kernel_held = np.array(held[: compact + 1])[np.where(reach <= compact, reach, 0)]
+    return compact, np.where((reach > 0) & (moving > 0) & (restricted[moving] <= kernel_held), moving, 0)
 
 
 def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
@@ -190,10 +277,12 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     and line offsets, each with the bits of its leaf's own expression.  A
     degree-0 leaf counts as a line, whose one node has parameter 0.  A leaf's
     solution and lifts live in the axes where its frame rows (frame[0] on a
-    line, frame[:d] on a flat) and divisor normals are non-zero.  Up to reach
-    compact, a correction's gathered coefficients, monomial buffer and
-    top-block temporary, 2 N(p, n) + T(p, n) reals (T the top degree block),
-    hold no more than the full kernel's.
+    line, frame[:d] on a flat) and divisor normals are non-zero, so a leaf
+    reads what the lifts before it reached; a tree with no split has one
+    leaf, which reads nothing, and skips the crossing walk and this pass.
+    Each leaf that reads a correction is looked at, one leaf sigma at a time,
+    for the d its rows move in (see _moving_axes), and _correction_paths
+    picks its path and compact by the bytes each path holds.
     """
     nodes, tree, hyperplanes = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
     points = nodes.points
@@ -206,8 +295,8 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     table = np.column_stack((-hyperplanes.offset - moved[axis], normals[axis]))
     leaf, cross, split = np.array(tree.leaf), np.array(tree.cross + [-1]), np.array(tree.split + [-1])
     bases, lo = (vertex_base(tree, hyperplanes) + shift)[tree.leaf_flat], tree.leaf_lo
-    crossed, up = np.empty((leaf.size, n), np.intp), cross[leaf]
-    for column in range(n - 1, -1, -1):  # each leaf's next split up; -1, past the root, stays -1
+    crossed, up = np.full((leaf.size, n), -1, np.intp), cross[leaf]
+    for column in range(n - 1, -1, -1) if table.size else ():  # each leaf's next split up, -1 past the root
         crossed[:, column] = up
         up = cross[split[up]]
     groups = tree.leaf_groups
@@ -235,18 +324,25 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
             param[block] = (points[block] - base) @ direction  # a gemv per leaf, as on a leaf's own line
             lines[-1 - at] = True
             offsets[-1 - at] = -(base @ direction[:, None])[:, 0, 0]  # a dot per leaf: one gemv may round apart
-    ends = m - np.argmax(np.vstack((frame, table[:, 1:]))[:, ::-1] != 0, axis=1)  # 1 + a row's last non-zero axis
-    # a line reaches as far as frame[0], a flat of d + 1 rows as frame[:d], and then its divisor normals
-    spans = np.maximum.accumulate(ends[:m])[np.where(lines, 0, starts[:-1] - starts[1:] - 2)]
-    np.maximum.at(spans, np.repeat(np.arange(lines.size), np.diff(indptr)), ends[m + indices])
-    reach = np.concatenate(([0], np.maximum.accumulate(spans)[:-1]))
-    room = count_total(m, n) + count_degree(m, n)
-    compact = sum(2 * count_total(p, n) + count_degree(p, n) <= room for p in range(1, m))
-    reads = np.where(reach <= compact, reach, m)
-    ops = sum(_step_multiply_adds(m, n, starts, lines, table, indptr, indices, reads).values())
+    reach = np.zeros(lo.size, np.intp)  # a one-leaf tree's leaf reads no correction
+    if table.size:
+        ends = m - np.argmax(np.vstack((frame, table[:, 1:]))[:, ::-1] != 0, axis=1)  # 1 + a row's last non-zero axis
+        # a line reaches as far as frame[0], a flat of d + 1 rows as frame[:d], and then its divisor normals
+        spans = np.maximum.accumulate(ends[:m])[np.where(lines, 0, starts[:-1] - starts[1:] - 2)]
+        np.maximum.at(spans, np.repeat(np.arange(lines.size), np.diff(indptr)), ends[m + indices])
+        reach[1:] = np.maximum.accumulate(spans)[:-1]
+    moving = np.zeros(lo.size, np.intp)
+    for (d, k), at in groups.items():  # looked for only where a correction is read
+        if reach[-1 - at].any():
+            moving[-1 - at] = _moving_axes(points[lo[at, None] + np.arange(count_total(d, k))])
+    compact, restrict = _correction_paths(m, n, reach, moving)
+    reads = np.where(restrict > 0, 0, np.where(reach <= compact, reach, m))
+    ops = sum(_step_multiply_adds(m, n, starts, lines, table, indptr, indices, reads, restrict).values())
     # the frame in C order, as solve_linear takes a flat's active rows
     frame = np.ascontiguousarray(frame)
-    return Plan(nodes, frame, table, starts, lines, indptr, indices, offsets, divisor, param, reach, compact, ops)
+    return Plan(
+        nodes, frame, table, starts, lines, indptr, indices, offsets, divisor, param, reach, restrict, compact, ops
+    )
 
 
 # key -> plan, the most recently used last; a hit relinks in place, as a pop
@@ -298,8 +394,8 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
     N + N(m, n-1) + N(m, n-2) for the accumulator and a leaf's lift to
     degree n - 1, its input and output, N = N(m,n); the last lift adds into
     the accumulator in place) and largest_single_alloc (m N, the nodes).
-    The closed form leaves out the row kernel's monomial buffer (N at
-    most) and its one top-block temporary per row (see evaluate_rows).
+    The closed form leaves out a correction's monomial row (N at most) with
+    its temporaries (see evaluate_rows and restricted_kernel).
 
     A plan holds the nodes and every quantity of the walk that does not
     depend on f, so a repeat call does only f's arithmetic.  The newest
@@ -339,13 +435,13 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
 
     def solve_leaf(i):
         """Leaf i's interpolant of its corrected values, as coefficients."""
-        lo, hi, p = int(starts[i + 1]), int(starts[i]), int(plan.reach[i])
+        lo, hi, p, d = int(starts[i + 1]), int(starts[i]), int(plan.reach[i]), int(plan.restrict[i])
         pts = points[lo:hi]
         eps = provenance[lo]  # a leaf divides by the hyperplane of each 0 bit
         labels = (eps[:j] + "1" for j, bit in enumerate(eps) if bit == "0")
-        # none before the first lift, then up to reach compact the accumulator's (p, n) part
-        correction = acc if p > plan.compact else MultiPoly(p, n, acc.coeffs[order.head(p)]) if p else None
-        corrected = corrected_value(values[lo:hi], correction, pts, plan.divisor[lo:hi], labels)
+        # none before the first lift; then restricted to the leaf's line or flat, or up to reach compact the (p, n) part
+        correction = None if not p else acc if d or p > plan.compact else MultiPoly(p, n, acc.coeffs[order.head(p)])
+        corrected = corrected_value(values[lo:hi], correction, pts, plan.divisor[lo:hi], labels, d)
         del correction  # freed before the solve
         if plan.lines[i]:
             return solve_on_line(plan.param[lo:hi], corrected, plan.offsets[i], direction)

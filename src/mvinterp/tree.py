@@ -273,7 +273,7 @@ class HyperplaneTable(Mapping):
         alpha = np.array([a / q ** len(key) for a, key in zip(numerator, tree.key)])
         self.base = base = np.zeros((len(axis) + 1, m))
         self.offset = offset = np.empty(len(axis))
-        for a in range(m - 1, 0, -1):
+        for a in range(m - 1, 0, -1) if axis.size else ():  # a one-leaf tree places no plane
             at = np.flatnonzero(axis == a)
             base[at] = base[flat[at]] + alpha[at, None] * frame[a]
             offset[at] = [frame[a] @ b for b in base[at]]  # a dot per row: batched, the sums may round apart

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mvinterp import monomials
 from mvinterp.exceptions import SizingError
 from mvinterp.monomials import (
     build_order,
@@ -138,3 +139,43 @@ def test_head_lists_the_leading_variables_order_inside_the_full_one(m, n):
         assert head.dtype == np.intp
         assert [table[i] for i in head] == [index + (0,) * (m - p) for index in build_order(p, n).table]
         assert order.head(p) is head
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 8) for n in range(7)])
+def test_suffix_and_powers_list_a_restricted_correction_s_monomials(m, n):
+    """suffix(d) pairs, per degree, this order's last monomials, those in the
+    variables d..m-1, with the same monomials in the (m - d, n) order, in
+    its own order; powers(d) lists x_a^j M, a < d, M of degree <= n - j
+    among them, as one (d, N(m - d, n - j)) array per j = 1..n.  Both are
+    kept with the order."""
+    order = build_order(m, n)
+    table = order.table
+    for d in range(1, m + 1):
+        pairs = order.suffix(d)
+        assert len(pairs) == n + 1 and order.suffix(d) is pairs
+        own = build_order(m - d, n).table if d < m else ((),)
+        listed = []
+        for k, (here, there) in enumerate(pairs):
+            assert here.stop == order.block(k).stop and here.stop - here.start == there.stop - there.start
+            assert [table[i] for i in range(here.start, here.stop)] == [(0,) * d + idx for idx in own[there]]
+            listed += own[there]
+        assert listed == list(own)
+        powers = order.powers(d)
+        assert len(powers) == n and order.powers(d) is powers
+        for j, block in enumerate(powers, 1):
+            below = [idx for idx in own if sum(idx) <= n - j]
+            assert block.dtype == np.intp and block.shape == (d, len(below))
+            for a in range(d):
+                lead = tuple(j if b == a else 0 for b in range(d))
+                assert [table[i] for i in block[a]] == [lead + idx for idx in below]
+
+
+def test_an_order_read_for_its_recurrence_holds_no_lift_table():
+    """The lift table is built on its first read: an order that gives only
+    its var, parent and blocks, as row_kernel reads them, holds none."""
+    monomials.build_order.cache_clear()
+    order = build_order(9, 4)
+    assert order._lifts is None
+    order.block(2), order.var, order.parent
+    assert order._lifts is None
+    assert order.lift(3).base is order._lifts and order._lifts.shape == (9, count_total(9, 3))

@@ -25,9 +25,9 @@ from mvinterp import nodes as nodes_module
 from mvinterp import solver
 from mvinterp.exceptions import GeometryConfigError
 from mvinterp.linear import solve_linear
-from mvinterp.monomials import build_order, count_degree, count_total
+from mvinterp.monomials import build_order, count_total
 from mvinterp.nodes import GEOMETRY_RTOL, assemble_generic, leaf_slices
-from mvinterp.polynomial import MultiPoly, evaluate, evaluate_rows, mul_linear
+from mvinterp.polynomial import MultiPoly, evaluate, evaluate_rows, mul_linear, restricted_kernel
 from mvinterp.solver import (
     SolveConfig,
     corrected_value,
@@ -127,11 +127,15 @@ def test_corrected_value_overflow_is_a_value_error():
 
 def test_corrected_value_counts_ops():
     # a one-node leaf of (2, 2) that divides by y - 2, its correction read
-    # in both variables, in x alone, and not at all
+    # by row_kernel in both variables, in x alone, and not at all
     leaf = np.array([1, 0]), np.array([True]), np.array([[-2.0, 0.0, 1.0]]), np.array([0, 1]), np.array([0])
-    steps = [solver._step_multiply_adds(2, 2, *leaf, np.array([p]))["correct"] for p in (2, 1, 0)]
+    steps = [solver._step_multiply_adds(2, 2, *leaf, np.array([p]), np.array([0]))["correct"] for p in (2, 1, 0)]
     # 2 * N(p,2) for the correction evaluation, (m + 1) per divisor, 1 division
     assert steps == [2 * 6 + 3 * 1 + 1, 2 * 3 + 3 * 1 + 1, 3 * 1 + 1]
+    # restricted to its line (d = 1): 2 N(1, 2) for the suffix row and its
+    # dot, 1 N(2, 1) for the products per power, and n = 2 for Horner's rule
+    restricted = solver._step_multiply_adds(2, 2, *leaf, np.array([0]), np.array([1]))["correct"]
+    assert restricted == 2 * 3 + 1 * 3 + 2 + 3 * 1 + 1
 
 
 def test_corrected_value_block_matches_pointwise_rule(rng):
@@ -148,9 +152,8 @@ def test_corrected_value_block_matches_pointwise_rule(rng):
             denominator *= row[0] + row[1:] @ p
         expected = (value - evaluate(correction, p)) / denominator
         assert corrected == pytest.approx(expected, rel=1e-14)
-    steps = solver._step_multiply_adds(
-        3, 2, np.array([4, 0]), np.array([False]), rows, np.array([0, 2]), np.array([0, 1]), np.array([3])
-    )
+    leaf = np.array([4, 0]), np.array([False]), rows, np.array([0, 2]), np.array([0, 1])
+    steps = solver._step_multiply_adds(3, 2, *leaf, np.array([3]), np.array([0]))
     assert steps["correct"] == 4 * (2 * 10 + 4 * 2 + 1)
     # stacked on a leading axis, each pair has the bits of its own call
     stacked = solver._divisor_product(np.stack([rows, rows[::-1]]), np.stack([points, points[::-1]]))
@@ -178,6 +181,73 @@ def test_compact_correction_matches_the_full_kernel(m, n, p, rng):
             corrected_value(values, correction, points, ones, [])
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(0, 6),
+    st.sampled_from([Fraction(2), Fraction(11, 10)]),
+    st.sampled_from([1.0, 0.5]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_restricted_correction_matches_the_kernel(m, n, lam, kappa, shifted, seed):
+    """At every leaf whose rows lie on a line along x_0 or an axis flat, the
+    correction read restricted to it agrees with row_kernel's to 4 ulps of
+    the sum of its terms' magnitudes, for an accumulator reaching p <= d
+    variables and, where d < m, p > d."""
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(-1.0, 1.0, m) if shifted else None
+    plan = solver._build_plan(m, n, None, lam, kappa, mu)
+    order = build_order(m, n)
+    for lo, hi in zip(plan.starts[1:], plan.starts[:-1]):
+        rows = plan.nodes.points[lo:hi]
+        (d,) = solver._moving_axes(rows[None])
+        assert d or len(rows) == 1 or shifted  # unshifted, every leaf of more than one row
+        for p in [rng.integers(1, d + 1)] + ([rng.integers(d + 1, m + 1)] if d < m else []) if d else []:
+            coeffs = np.zeros(len(order))
+            coeffs[order.head(p)] = rng.uniform(-1.0, 1.0, count_total(p, n))
+            got = restricted_kernel(MultiPoly(m, n, coeffs), int(d), rows)
+            want = evaluate_rows(MultiPoly(m, n, coeffs), rows)
+            terms = evaluate_rows(MultiPoly(m, n, np.abs(coeffs)), np.abs(rows))
+            assert (np.abs(got - want) <= 4 * np.finfo(float).eps * terms).all(), (m, n, p, d)
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (4, 4), (6, 3), (3, 6), (5, 2)])
+def test_only_lines_and_axis_flats_are_read_restricted(m, n):
+    """A rotated frame's leaves all keep row_kernel; under a shift with no
+    zero entry only line leaves are read restricted, and without one every
+    leaf after the first is, where its temporaries hold the fewest bytes."""
+    frame = np.linalg.qr(np.random.default_rng([73, m]).standard_normal((m, m)))[0]
+    rotated = solver._build_plan(m, n, frame, Fraction(2), 1.0, None)
+    assert not rotated.restrict.any()
+    shifted = solver._build_plan(m, n, None, Fraction(2), 1.0, np.linspace(0.25, 1.0, m))
+    assert not shifted.restrict[~shifted.lines].any()
+    assert shifted.restrict[shifted.lines].any() or not shifted.lines[1:].any()  # the first leaf reads nothing
+    plain = solver._build_plan(m, n, None, Fraction(2), 1.0, None)
+    rows, flat = plain.starts[:-1] - plain.starts[1:], plain.restrict * ~plain.lines
+    assert plain.restrict[0] == 0 and flat.any() and (plain.restrict[plain.lines] <= 1).all()
+    assert (flat[flat > 0] == rows[flat > 0] - 1).all()  # a flat of d + 1 rows is read in its d coordinates
+
+
+def test_restricted_leaf_names_the_node_and_its_divisors():
+    """On a leaf read restricted, f minus an overflowing correction is a
+    ValueError naming the node, and a zero divisor product the
+    GeometryConfigError backstop naming the node and the hyperplanes."""
+    plan = solver._build_plan(3, 3, None, Fraction(2), 1.0, None)
+    i = next(i for i, d in enumerate(plan.restrict) if d > 1)
+    rows, d = plan.nodes.points[plan.starts[i + 1] : plan.starts[i]], int(plan.restrict[i])
+    node = np.array2string(rows[1], precision=6)
+    huge = MultiPoly(3, 3, np.full(count_total(3, 3), 1e308))
+    values, product = np.ones(len(rows)), np.ones(len(rows))
+    with pytest.raises(ValueError, match=r"overflowed floating point at node \[") as err:
+        corrected_value(values, huge, rows, product, ["1", "01"], d)
+    assert "coordinates reach" in str(err.value)
+    product[1] = 0.0
+    with pytest.raises(GeometryConfigError) as err:
+        corrected_value(values, MultiPoly.zero(3, 3), rows, product, ["1", "01"], d)
+    assert f"the corrected value at node {node} is " in str(err.value)
+    assert "divides by the hyperplanes 1, 01," in str(err.value)
 
 
 def test_overflow_names_the_coordinate_scale():
@@ -322,16 +392,16 @@ def iterative_reference_solve(f, m, n):
     set held more than one leaf (the dependency rule orders leaves totally,
     so any schedule it admits is the same schedule and that count is 0).
     Each leaf's correction reads acc in the leading variables its
-    forerunners' flats and divisors have reached, as a polynomial in those
-    alone where that holds no more reals than the full kernel, and its last
-    lift adds into acc in place.
+    forerunners' flats and divisors have reached; by the solver's storage
+    rule, either restricted to the leaf's own line or flat, found from its
+    rows, or as a polynomial in those variables alone, or in all of them;
+    and its last lift adds into acc in place.
     """
     nodes, tree, hyperplanes = assemble_generic(m, n)
     blocks = leaf_slices(nodes)
     leaves = [v for v, sigma in enumerate(tree.sigma) if 1 in sigma]
     acc = MultiPoly.zero(m, n)
     order, reach = build_order(m, n), 0
-    room = count_total(m, n) + count_degree(m, n)  # the full kernel's buffer and top-block temporary
     pending = list(leaves)
     ambiguous = 0
     while pending:
@@ -354,13 +424,18 @@ def iterative_reference_solve(f, m, n):
         pts = nodes.points[blocks[eps_label(eps)]]
         product = solver._divisor_product(np.array(divisors).reshape(-1, m + 1), pts)
         labels = [str(i) for i in range(len(divisors))]
+        # the rows move in their first d coordinates: along x_0 on a line; on a flat, row i + 1 along x_i
+        d = 1 + max(np.flatnonzero((pts != pts[0]).any(axis=0)), default=-1)
+        lead = pts[:, :d] != 0
+        flat = len(pts) == d + 1 and not lead[0].any() and not (lead[1:] & ~np.eye(d, dtype=bool)).any()
+        compact, (restrict,) = solver._correction_paths(m, n, np.array([reach]), np.array([d if d == 1 or flat else 0]))
         correction = acc
         if reach == 0:
             correction = None
-        elif 2 * count_total(reach, n) + count_degree(reach, n) <= room and reach < m:
+        elif not restrict and reach <= compact:
             head = [order.table.index(index + (0,) * (m - reach)) for index in build_order(reach, n).table]
             correction = MultiPoly(reach, n, acc.coeffs[head])
-        corrected = corrected_value([f(p) for p in pts], correction, pts, product, labels)
+        corrected = corrected_value([f(p) for p in pts], correction, pts, product, labels, restrict)
         base = vertex_base(tree, hyperplanes)[tree.flat[leaf]]
         d, k = tree.sigma[leaf]
         if d == 1:
@@ -554,17 +629,19 @@ ROTATED_3 = _GIVENS_XY @ _GIVENS_YZ @ _GIVENS_XY
 
 # (m, n, config): multiply_adds, peak_reals_stored less the N node values,
 # peak_reals_stored (the same for a callback, which is read into an array of
-# N values, as for an array), largest_single_alloc; recorded when each
-# correction came to read only the variables its leaf's reach holds and the
-# last lift to add in place (before: 3, 291, 120, 1588, 34817809, 748126 and
-# 936314 multiply-adds; peaks 130 at (3, 3), 70584 at (15, 4), 3094 at (3, 12))
+# N values, as for an array), largest_single_alloc; recorded when an
+# identity-frame leaf's correction came to be read restricted to its own line
+# or flat (before: 1092, 20202635 and 633414 multiply-adds at (3, 3), (15, 4)
+# and (3, 12); 3, 291, 120, 1588, 34817809, 748126 and 936314 before each
+# correction read only the variables its leaf's reach holds and the last lift
+# added in place, with peaks 130 at (3, 3), 70584 at (15, 4), 3094 at (3, 12))
 PINNED_REPORTS = [
     (3, 0, None, 1, 3, 4, 3),
     (1, 6, None, 193, 7, 14, 7),
     (5, 1, None, 48, 30, 36, 30),
-    (3, 3, None, 1092, 94, 114, 60),
-    (15, 4, SolveConfig(lam=Fraction(11, 10)), 20202635, 62968, 66844, 58140),
-    (3, 12, SolveConfig(lam=Fraction(11, 10)), 633414, 2470, 2925, 1365),
+    (3, 3, None, 818, 94, 114, 60),
+    (15, 4, SolveConfig(lam=Fraction(11, 10)), 4943187, 62968, 66844, 58140),
+    (3, 12, SolveConfig(lam=Fraction(11, 10)), 341276, 2470, 2925, 1365),
     (3, 12, SolveConfig(frame=ROTATED_3, lam=Fraction(11, 10)), 888994, 2470, 2925, 1365),
 ]
 
@@ -893,7 +970,10 @@ def test_config_mu_translates_nodes_only():
     # same f, different node set, same unique interpolant of the polynomial
     assert np.allclose(q1.coeffs, truth.coeffs, atol=1e-9)
     assert np.max(np.abs(q0.coeffs - q1.coeffs)) <= 1e-9
-    assert report0["multiply_adds"] == report1["multiply_adds"]
+    # a shift moves a flat's base off zero in its own coordinates, so its
+    # correction leaves the restricted path; a zero shift changes no count
+    _, _, unshifted = solve(f, 2, 3, config=SolveConfig(mu=np.zeros(2)))
+    assert report0 == unshifted and report0["peak_reals_stored"] == report1["peak_reals_stored"]
 
 
 def test_config_full_geometry_against_lu():
