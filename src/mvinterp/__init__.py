@@ -7,7 +7,7 @@ baselines plus a benchmark CLI for accuracy, conditioning, and runtime scaling.
 """
 
 from .monomials import build_order, count_degree, count_total
-from .polynomial import MultiPoly, embed_univariate, evaluate, mul_linear
+from .polynomial import MultiPoly, embed_univariate, evaluate, linear_terms, mul_linear
 
 __all__ = [
     "MultiPoly",
@@ -16,5 +16,6 @@ __all__ = [
     "count_total",
     "embed_univariate",
     "evaluate",
+    "linear_terms",
     "mul_linear",
 ]

@@ -80,10 +80,13 @@ class MonomialOrder:
       nonzero exponent and the position of the multi-index with that exponent
       reduced by one, i - step[k, var[i]].  Monomial values then satisfy
       ``value[i] = point[var[i]] * value[parent[i]]``.
-    - ``lift(a)``: position of I + e_a for every I of degree <= n-1, used to
-      scatter-add the product of a polynomial with a degree-1 factor.  It is
-      I + step[k, a] where a <= var[I], and else, as x_a I = x_var[I] x_a
-      parent[I], the lift of parent[I] plus step[k, var[I]].  The table,
+    - ``lifts()``: row a holds the position of I + e_a for every I of degree
+      <= n-1, used to scatter-add the product of a polynomial with a
+      degree-1 factor; ``lift(a)`` is row a.  It is I + step[k, a] where
+      a <= var[I], and else, as x_a I = x_var[I] x_a parent[I], the lift of
+      parent[I] plus step[k, var[I]].  Positions do not depend on n, so the
+      (m, k) order's lift(a) is the prefix N(m, k - 1) of this one's, and
+      one table serves every degree up to n (see mul_linear).  The table,
       m N(m, n - 1) integers, is built on the first read, so an order read
       only for its recurrence (var, parent, blocks) never holds it.
     - ``head(p)``: where the (p, n) order's monomials are, each the lift of its parent.
@@ -117,7 +120,7 @@ class MonomialOrder:
         self.parent = np.arange(total) - step[np.repeat(np.arange(n + 1), sizes), self.var]
         self._lifts, self._heads, self._suffixes, self._powers = None, {}, {}, {}
 
-    def _lift_table(self) -> np.ndarray:
+    def lifts(self) -> np.ndarray:
         """The (m, N(m, n - 1)) table of every lift, built on first read: an
         order read only for its recurrence (see row_kernel) never holds it."""
         if self._lifts is None:
@@ -146,7 +149,7 @@ class MonomialOrder:
             sub = build_order(p, self.n)
             self._heads[p] = heads = np.zeros(len(sub), dtype=np.intp)
             for blk in sub._blocks[1:]:
-                heads[blk] = self._lift_table()[sub.var[blk], heads[sub.parent[blk]]]
+                heads[blk] = self.lifts()[sub.var[blk], heads[sub.parent[blk]]]
         return self._heads[p]
 
     def suffix(self, d: int) -> tuple:
@@ -172,7 +175,7 @@ class MonomialOrder:
             pairs, blocks = self.suffix(d), []
             pos = np.concatenate([np.arange(here.start, here.stop) for here, _ in pairs])[: pairs[-1][1].start]
             for j in range(1, self.n + 1):
-                pos = self._lift_table()[np.arange(d)[:, None], pos[..., : pairs[self.n - j][1].stop]]
+                pos = self.lifts()[np.arange(d)[:, None], pos[..., : pairs[self.n - j][1].stop]]
                 blocks.append(pos)
             self._powers[d] = tuple(blocks)
         return self._powers[d]
@@ -198,7 +201,7 @@ class MonomialOrder:
 
     def lift(self, axis: int) -> np.ndarray:
         """Positions of I + e_axis for all I of degree <= n-1."""
-        return self._lift_table()[axis]
+        return self.lifts()[axis]
 
 
 @lru_cache(maxsize=128)

@@ -3,7 +3,9 @@
 A polynomial lives in ``m`` variables with a structural degree bound ``n``
 and a coefficient vector of length N(m,n) laid out per
 :mod:`mvinterp.monomials`.  The solver's lifts work on raw coefficient
-arrays: mul_linear multiplies by a linear row [c0, normal], and
+arrays: mul_linear multiplies by a linear function c0 + <normal, x>, read
+as c0 and the (axis, coefficient) pairs of the normal's non-zero entries
+(linear_terms), through one order's lift table for every degree, and
 embed_univariate turns a polynomial in a line parameter into one in m
 variables by such lifts.  Its corrections evaluate a polynomial at rows:
 row_kernel builds each row's monomials, and restricted_kernel, for the rows
@@ -27,6 +29,7 @@ __all__ = [
     "evaluate_rows",
     "row_kernel",
     "restricted_kernel",
+    "linear_terms",
     "mul_linear",
     "embed_univariate",
 ]
@@ -149,8 +152,10 @@ def restricted_kernel(q: MultiPoly, d: int, points: np.ndarray) -> np.ndarray:
     m, n, coeffs = q.m, q.n, q.coeffs
     order = build_order(m, n)
     pairs = order.suffix(d)
-    u, z = np.ones(1), points[0, d:]
-    if d < m:  # row_kernel's recurrence at z: degree 1 is z, the top block gathered in place
+    z = points[0, d:]
+    if d == m:  # the suffix holds the constant alone
+        u = np.ones(1)
+    else:  # row_kernel's recurrence at z: degree 1 is z, the top block gathered in place
         u = np.empty(count_total(m - d, n))
         u[0], u[1 : m - d + 1] = 1.0, z
         *steps, (blk, var, parent) = _row_steps(m - d, n)
@@ -181,35 +186,48 @@ def restricted_kernel(q: MultiPoly, d: int, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def mul_linear(qc: np.ndarray, row: np.ndarray, order, out: np.ndarray | None = None) -> np.ndarray:
-    """Coefficients, in order, of qc times the linear row[0] + <row[1:], x>.
+def linear_terms(normal) -> tuple:
+    """The (axis, coefficient) pairs of a normal's non-zero entries, in axis
+    order, as Python numbers: with a constant c0, (c0, pairs) is the linear
+    function c0 + <normal, x> in the form mul_linear reads."""
+    return tuple((a, la) for a, la in enumerate(np.asarray(normal, dtype=float).tolist()) if la != 0.0)
 
-    qc holds the leading coefficients of a polynomial of degree < order.n.
-    One scaled copy for the constant part, then one scatter-add along the
-    lift table of each variable with a non-zero coefficient, in axis order;
-    a coefficient of exactly 1 adds qc itself, unscaled.  That saves a copy
-    of qc where a solve's last lift sets its peak.  Given out, it adds into out.
+
+def mul_linear(qc: np.ndarray, row: tuple, lifts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients of qc times the linear function row = (c0, pairs),
+    c0 + sum la x_a over the (axis, coefficient) pairs of linear_terms.
+
+    qc holds the coefficients of a polynomial of degree k - 1 in m variables
+    and lifts the lift table of an order (m, n) with n >= k (see
+    MonomialOrder.lifts), whose rows begin with those of every lower degree:
+    the product's N(m, k) coefficients end at the lift of qc's last
+    monomial, x_{m-1}^{k-1}, by x_{m-1}.  Zeros, then the constant part
+    added, then one scatter-add per pair, in axis order; a coefficient of
+    exactly 1 adds qc itself, unscaled.  That saves a copy of qc where a
+    solve's last lift sets its peak.  Given out, it adds into out.
     """
+    c0, pairs = row
     nq = qc.size
     if out is None:
-        out = np.zeros(len(order))
-    out[:nq] += row[0] * qc
-    for a, la in enumerate(row[1:].tolist()):
+        out = np.zeros(lifts[-1, nq - 1] + 1)
+    out[:nq] += c0 * qc
+    for a, la in pairs:
         if la == 1.0:  # qc itself, the same bits as 1.0 * qc without its copy
-            out[order.lift(a)[:nq]] += qc
-        elif la != 0.0:
-            out[order.lift(a)[:nq]] += la * qc
+            out[lifts[a, :nq]] += qc
+        else:
+            out[lifts[a, :nq]] += la * qc
     return out
 
 
-def embed_univariate(chat: np.ndarray, t0: float, direction: np.ndarray) -> np.ndarray:
+def embed_univariate(chat: np.ndarray, t0: float, direction: tuple, lifts: np.ndarray) -> np.ndarray:
     """The coefficients in m variables of sum chat[i] * t(x)^i, with
-    t(x) = t0 + <direction, x>, by Horner's rule over k linear lifts."""
-    m = direction.size
+    t(x) = t0 + <direction, x> and direction given by its pairs (see
+    linear_terms), by Horner's rule over k lifts by mul_linear through
+    lifts, the lift table of an order of m variables and degree >= k."""
     deg = chat.size - 1
-    t_row = np.concatenate(([t0], direction))
+    t_row = (t0, direction)
     acc = np.array([float(chat[deg])])
     for i in range(deg - 1, -1, -1):
-        acc = mul_linear(acc, t_row, build_order(m, deg - i))
+        acc = mul_linear(acc, t_row, lifts)
         acc[0] += chat[i]
     return acc

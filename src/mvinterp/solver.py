@@ -7,18 +7,21 @@ n = 1) is a one-leaf tree, whose leaf divides by nothing.
 
 What depends only on (m, n) and the geometry is computed once, into a plan
 kept for reuse: the nodes, one table of divisor rows [c0, normal] (the
-split hyperplanes, which a leaf divides by for each 0 bit of its path), and
-flat arrays, per leaf its rows, kind, divisor rows, line offset, reach and
-correction path, per node its divisor product and line parameter.  A solve
-then does f's
-arithmetic only.  f is read into one array of node values before the walk:
-a callback is called once per node, in storage order, and a non-finite
-value is rejected, naming the lowest such node.  The walk visits the leaves
+split hyperplanes, which a leaf divides by for each 0 bit of its path),
+each also in the form a lift reads, c0 and the (axis, coefficient) pairs
+of its normal's non-zero entries; per leaf, as lists of Python numbers,
+its rows, kind, divisor rows, line offset, reach and correction path; per
+node, as arrays, its divisor product and line parameter.  A solve then
+does f's arithmetic only, and converts nothing per leaf or per lift.  f is
+read into one array of node values before the walk: a callback is called
+once per node, in storage order, and a non-finite value is rejected,
+naming the lowest such node.  The walk visits the leaves
 dimension-reduction branch first and slices that array by leaf.  Each leaf
 corrects its block of values in one call, (f - correction) / divisor
-product, solves, and lifts its solution by its divisors, the last lift
-adding into one shared monomial accumulator in place; the first leaf
-divides by nothing and starts it, and at the end it is the interpolant.
+product, solves, and lifts its solution by its divisors, every lift
+through the (m, n) order's one lift table, the last adding into one shared
+monomial accumulator in place; the first leaf divides by nothing and
+starts it, and at the end it is the interpolant.
 The correction is that accumulator evaluated at the leaf's rows, so each
 leaf absorbs the rounding already in it; a walk on factored leaf values
 alone is faster but less accurate.  In the identity frame a leaf's rows
@@ -59,7 +62,8 @@ from .linear import solve_linear
 from .monomials import build_order, count_degree, count_total
 # leaf_slices and evaluate go unused here, but the benchmark's tracer wraps them
 from .nodes import NodeSet, assemble_generic, leaf_slices  # noqa: F401
-from .polynomial import MultiPoly, _real_array, evaluate, mul_linear, restricted_kernel, row_kernel  # noqa: F401
+from .polynomial import evaluate  # noqa: F401
+from .polynomial import MultiPoly, _real_array, linear_terms, mul_linear, restricted_kernel, row_kernel
 from .tree import vertex_base
 from .univariate import solve_on_line
 
@@ -143,32 +147,38 @@ class Plan(NamedTuple):
     """What a solve of one configuration reads besides f.  Leaf i, in walk
     order (the reverse of storage order), holds rows starts[i + 1]:starts[i]
     and divides, root first, by the rows indices[indptr[i]:indptr[i + 1]]
-    of table.  Its correction reads the accumulator restricted to its line
-    or flat where restrict[i] = d > 0, else through row_kernel: in the
-    first reach[i] variables alone up to reach compact, else in all m."""
+    of table, and lifts its solution by them in their form rows.  Its
+    correction reads
+    the accumulator restricted to its line or flat where restrict[i] = d >
+    0, else through row_kernel: in the first reach[i] variables alone up to
+    reach compact, else in all m.  The per-leaf vectors are lists of Python
+    numbers, as the walk reads them one at a time."""
 
     nodes: NodeSet  # read-only points and their provenance, a tuple
     frame: np.ndarray  # a copy of the given frame, or the identity
     table: np.ndarray  # (hyperplanes, m + 1): a divisor row [c0, normal] each
-    starts: np.ndarray  # (leaves + 1,), starts[0] the node count
-    lines: np.ndarray  # (leaves,) bool: a line leaf, else a flat
-    indptr: np.ndarray  # (leaves + 1,)
-    indices: np.ndarray  # (divisions,)
-    offsets: np.ndarray  # (leaves,) t0 of a line leaf, t(x) = t0 + <frame[0], x>
+    rows: tuple  # (hyperplanes,) table's rows as mul_linear reads them, (c0, linear_terms(normal))
+    direction: tuple  # linear_terms(frame[0]), a line's direction as embed_univariate reads it
+    starts: list  # (leaves + 1,), starts[0] the node count
+    lines: list  # (leaves,) bool: a line leaf, else a flat
+    indptr: list  # (leaves + 1,)
+    indices: list  # (divisions,)
+    offsets: list  # (leaves,) t0 of a line leaf, t(x) = t0 + <frame[0], x>
     divisor: np.ndarray  # (nodes,) the product of a node's divisors at it
     param: np.ndarray  # (nodes,) a line leaf node's t; 0 at flat nodes
-    reach: np.ndarray  # (leaves,) the leading variables the accumulator holds before the leaf
-    restrict: np.ndarray  # (leaves,) the d its correction is restricted by (see restricted_kernel), or 0
+    reach: list  # (leaves,) the leading variables the accumulator holds before the leaf
+    restrict: list  # (leaves,) the d its correction is restricted by (see restricted_kernel), or 0
     compact: int  # the widest reach whose row_kernel correction reads only those variables (see _correction_paths)
     multiply_adds: int  # of a solve, see _step_multiply_adds
 
 
-def _step_multiply_adds(m: int, n: int, starts, lines, table, indptr, indices, reads, restrict) -> dict:
+def _step_multiply_adds(m: int, n: int, starts, lines, table, indptr, indices, reads, restrict, direction) -> dict:
     """The multiply-adds of each step of a solve, summed over the leaves.
 
-    The arguments are a plan's (see Plan), with reads, per leaf, the p
-    leading variables row_kernel reads for its correction (0 for none).  A
-    leaf of rows nodes that divides by c hyperplanes costs:
+    The arguments are a plan's (see Plan), its per-leaf vectors as arrays,
+    with reads, per leaf, the p leading variables row_kernel reads for its
+    correction (0 for none).  A leaf of rows nodes that divides by c
+    hyperplanes costs:
 
     - correct: rows ((m + 1) c + 1) for the divisor product and one
       division, and for the correction either rows 2 N(p, n) through
@@ -176,15 +186,16 @@ def _step_multiply_adds(m: int, n: int, starts, lines, table, indptr, indices, r
       2 N(q, n) for the suffix row and its dot, d N(q + 1, n - 1) for the
       products per power and n per row off a flat's base for Horner's rule;
     - solve: on a line, with k = rows - 1, 3 k (k + 1) / 2 for the divided
-      differences, k (k + 1) for their monomial expansion and
-      (m + 2) (N(m + 1, k) - 1) for the k lifts of the embedding; on a flat,
+      differences, k (k + 1) for their monomial expansion and, for the k
+      lifts of the embedding, counted as a divisor's, (1 + the pairs of
+      direction) N(m + 1, k - 1) and k for the added constants; on a flat,
       (m + 2) rows;
     - lift: by divisor row j = 0 .. c - 1, (1 + the non-zeros of its normal)
       N(m, n - c + j), the last adding into the accumulator.
     """
     rows, count = starts[:-1] - starts[1:], np.diff(indptr)
     k = rows[lines] - 1
-    on_line = np.array([count_total(m + 1, d) for d in range(n + 1)])  # N(m + 1, k)
+    below = np.array([0] + [count_total(m + 1, d) for d in range(n)])  # N(m + 1, k - 1), none at k = 0
     sizes = np.array([count_total(m, d) for d in range(n + 1)])  # N(m, d)
     heads = np.array([0] + [count_total(p, n) for p in range(1, m + 1)])  # N(p, n), none read at p = 0
     # a restricted correction's work besides its rows, N(0, n) = 1 the constant, and Horner's rule off a flat's base
@@ -196,7 +207,7 @@ def _step_multiply_adds(m: int, n: int, starts, lines, table, indptr, indices, r
     nonzeros = np.count_nonzero(table[:, 1:], axis=1)
     return {
         "correct": int(rows @ (2 * heads[reads] + (m + 1) * count + 1)) + tails + horner,
-        "solve": int((3 * k * (k + 1) // 2 + k * (k + 1) + (m + 2) * (on_line[k] - 1)).sum())
+        "solve": int((3 * k * (k + 1) // 2 + k * (k + 1) + (1 + len(direction)) * below[k] + k).sum())
         + (m + 2) * int(rows[~lines].sum()),
         "lift": int((1 + nonzeros[indices]) @ sizes[degree]),
     }
@@ -282,7 +293,10 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
     leaf, which reads nothing, and skips the crossing walk and this pass.
     Each leaf that reads a correction is looked at, one leaf sigma at a time,
     for the d its rows move in (see _moving_axes), and _correction_paths
-    picks its path and compact by the bytes each path holds.
+    picks its path and compact by the bytes each path holds.  Last, the
+    walk's per-leaf vectors become lists, and each table row also takes its
+    lift form: every split's normal is a frame row, whose pairs the rows of
+    its splits share.
     """
     nodes, tree, hyperplanes = assemble_generic(m, n, frame=frame, lam=lam, kappa=kappa, mu=mu)
     points = nodes.points
@@ -300,7 +314,8 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
         crossed[:, column] = up
         up = cross[split[up]]
     groups = tree.leaf_groups
-    del tree, hyperplanes, axis, normals  # freed before the per-node vectors
+    terms = [linear_terms(normal) for normal in normals]  # one per axis, shared by its splits' rows
+    del tree, hyperplanes, normals  # freed before the per-node vectors
     walk = crossed[::-1]
     valid = walk >= 0
     starts, indptr = np.concatenate(([len(nodes)], lo[::-1])), np.concatenate(([0], valid.sum(1).cumsum()))
@@ -337,11 +352,17 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
             moving[-1 - at] = _moving_axes(points[lo[at, None] + np.arange(count_total(d, k))])
     compact, restrict = _correction_paths(m, n, reach, moving)
     reads = np.where(restrict > 0, 0, np.where(reach <= compact, reach, m))
-    ops = sum(_step_multiply_adds(m, n, starts, lines, table, indptr, indices, reads, restrict).values())
+    direction = linear_terms(direction)
+    ops = sum(_step_multiply_adds(m, n, starts, lines, table, indptr, indices, reads, restrict, direction).values())
+    rows = tuple(zip(table[:, 0].tolist(), [terms[a] for a in axis.tolist()]))
     # the frame in C order, as solve_linear takes a flat's active rows
     frame = np.ascontiguousarray(frame)
+    starts, lines, indptr, indices, offsets, reach, restrict = (
+        a.tolist() for a in (starts, lines, indptr, indices, offsets, reach, restrict)
+    )
     return Plan(
-        nodes, frame, table, starts, lines, indptr, indices, offsets, divisor, param, reach, restrict, compact, ops
+        nodes, frame, table, rows, direction, starts, lines, indptr, indices, offsets, divisor, param, reach,
+        restrict, compact, ops,
     )
 
 
@@ -350,8 +371,9 @@ def _build_plan(m: int, n: int, frame, lam: Fraction, kappa: float, mu) -> Plan:
 _plans: OrderedDict = OrderedDict()
 PLAN_CACHE_SIZE = 32
 # reals that the kept plans' points, divisor tables, per-node vectors and
-# frames may hold together; a plan was measured to hold at most 16 bytes
-# per real plus 3.2 KB, so all hold about 4.3 MB
+# frames may hold together, each entry of the walk's lists counted as one;
+# a plan was measured to hold at most 22.1 bytes per real plus 10 KB, so
+# all hold about 6.1 MB
 PLAN_CACHE_REALS = 2**18
 
 
@@ -369,6 +391,8 @@ def _plan(m: int, n: int, cfg: SolveConfig) -> Plan:
     held, count = 0, 0
     for old, kept in reversed(list(_plans.items())):  # the newest first
         size = sum(a.size for a in (kept.nodes.points, kept.frame, kept.table, kept.divisor, kept.param))
+        lists = (kept.rows, kept.direction, kept.starts, kept.lines, kept.indptr, kept.indices, kept.offsets)
+        size += sum(map(len, lists)) + len(kept.reach) + len(kept.restrict)
         if count < PLAN_CACHE_SIZE and held + size <= PLAN_CACHE_REALS:
             held, count = held + size, count + 1
         else:
@@ -395,14 +419,17 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
     degree n - 1, its input and output, N = N(m,n); the last lift adds into
     the accumulator in place) and largest_single_alloc (m N, the nodes).
     The closed form leaves out a correction's monomial row (N at most) with
-    its temporaries (see evaluate_rows and restricted_kernel).
+    its temporaries (see evaluate_rows and restricted_kernel).  Every lift,
+    a line's embedding included, reads the (m, n) order's lift table, so a
+    solve builds no other order's.
 
     A plan holds the nodes and every quantity of the walk that does not
-    depend on f, so a repeat call does only f's arithmetic.  The newest
-    PLAN_CACHE_SIZE plans of (m, n, config) are kept while they weigh
-    PLAN_CACHE_REALS reals in all (about 4.3 MB at most), so a plan that
-    alone weighs more, (20, 4) upward, is never kept; clear_plans releases
-    them.  The returned nodes share the plan's read-only points and its
+    depend on f, the walk's per-leaf vectors and divisor rows already in
+    the Python numbers it reads, so a repeat call does only f's arithmetic.
+    The newest PLAN_CACHE_SIZE plans of (m, n, config) are kept while they
+    weigh PLAN_CACHE_REALS reals in all (about 6.1 MB at most), so a plan
+    that alone weighs more, (20, 4) upward, is never kept; clear_plans
+    releases them.  The returned nodes share the plan's read-only points and its
     tuple of provenance labels, so writing to either raises and cannot
     change a plan.
 
@@ -430,12 +457,13 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
     if not np.isfinite(values).all():  # then find the first bad node, to name it
         bad = np.flatnonzero(~np.isfinite(values))[0]
         raise ValueError(f"f is not finite at node {bad}: {float(values[bad])}")
-    starts, indptr, indices, table, direction = plan.starts, plan.indptr, plan.indices, plan.table, plan.frame[0]
+    starts, indptr, indices, rows, direction = plan.starts, plan.indptr, plan.indices, plan.rows, plan.direction
     order = build_order(m, n)
+    lifts = order.lifts()  # every lift's, of each degree a prefix
 
     def solve_leaf(i):
         """Leaf i's interpolant of its corrected values, as coefficients."""
-        lo, hi, p, d = int(starts[i + 1]), int(starts[i]), int(plan.reach[i]), int(plan.restrict[i])
+        lo, hi, p, d = starts[i + 1], starts[i], plan.reach[i], plan.restrict[i]
         pts = points[lo:hi]
         eps = provenance[lo]  # a leaf divides by the hyperplane of each 0 bit
         labels = (eps[:j] + "1" for j, bit in enumerate(eps) if bit == "0")
@@ -444,16 +472,16 @@ def solve(f, m: int, n: int, config: SolveConfig | None = None):
         corrected = corrected_value(values[lo:hi], correction, pts, plan.divisor[lo:hi], labels, d)
         del correction  # freed before the solve
         if plan.lines[i]:
-            return solve_on_line(plan.param[lo:hi], corrected, plan.offsets[i], direction)
+            return solve_on_line(plan.param[lo:hi], corrected, plan.offsets[i], direction, lifts)
         return solve_linear(corrected, plan.frame[: hi - lo - 1], pts[0])
 
     def add_leaf(i):
         """Solve leaf i, lift it by its divisors, the last lift adding into acc."""
-        first, last = int(indptr[i]), int(indptr[i + 1])
+        first, last = indptr[i], indptr[i + 1]
         coeffs = solve_leaf(i)
         for r in range(first, last - 1):  # the lift by divisor row r ends at degree n - (last - 1 - r)
-            coeffs = mul_linear(coeffs, table[indices[r]], build_order(m, n + 1 + r - last))
-        mul_linear(coeffs, table[indices[last - 1]], order, out=acc.coeffs)
+            coeffs = mul_linear(coeffs, rows[indices[r]], lifts)
+        mul_linear(coeffs, rows[indices[last - 1]], lifts, out=acc.coeffs)
 
     acc = MultiPoly(m, n, solve_leaf(0))  # the first leaf divides by nothing, so its interpolant is of degree n
     for i in range(1, len(plan.lines)):

@@ -3,7 +3,7 @@
 Chebyshev parameters for the nodes on a line, and the line leaf's solve:
 a Newton divided-difference solve in the line parameter t (solve_univariate)
 followed by the lift of the result back to m variables, with
-t(x) = t0 + <direction, x> (solve_on_line).
+t(x) = t0 + <direction, x> (solve_on_line), through one order's lift table.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ def solve_univariate(t: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.array(c)
 
 
-def solve_on_line(t: np.ndarray, values: np.ndarray, t0: float, direction: np.ndarray) -> np.ndarray:
+def solve_on_line(t: np.ndarray, values: np.ndarray, t0: float, direction: tuple, lifts: np.ndarray) -> np.ndarray:
     """The coefficients in m variables of the interpolant of values at the
-    nodes of a line, whose parameters t(x) = t0 + <direction, x> are t; see
-    solve_univariate."""
-    return embed_univariate(solve_univariate(t, values), t0, direction)
+    nodes of a line, whose parameters t(x) = t0 + <direction, x> are t, the
+    direction given by its pairs; see solve_univariate, and embed_univariate
+    for the lift through lifts, a lift table of degree >= len(t) - 1."""
+    return embed_univariate(solve_univariate(t, values), t0, direction, lifts)

@@ -9,6 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from mvinterp.monomials import build_order
+from mvinterp.polynomial import linear_terms
+from mvinterp.univariate import solve_on_line
+
 settings.register_profile("suite", max_examples=60, deadline=None, derandomize=True)
 settings.load_profile("suite")
 
@@ -57,6 +61,18 @@ def brute_force_eval(coeffs, indices, x) -> float:
             term *= xv**e
         total += term
     return total
+
+
+def lift_row(row) -> tuple:
+    """A dense linear row [c0, normal] in the form mul_linear reads."""
+    return float(row[0]), linear_terms(row[1:])
+
+
+def solve_on_dense_line(t, values, t0, direction):
+    """solve_on_line with its direction an m-vector, lifted through the lift
+    table of the line's own degree."""
+    direction = np.asarray(direction, dtype=float)
+    return solve_on_line(t, values, t0, linear_terms(direction), build_order(direction.size, len(t) - 1).lifts())
 
 
 @pytest.fixture

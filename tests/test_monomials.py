@@ -179,3 +179,16 @@ def test_an_order_read_for_its_recurrence_holds_no_lift_table():
     order.block(2), order.var, order.parent
     assert order._lifts is None
     assert order.lift(3).base is order._lifts and order._lifts.shape == (9, count_total(9, 3))
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_lower_degree_lifts_are_prefixes_of_the_top_table(m):
+    """mul_linear lifts every degree through one order's table: the (m, k)
+    order's lift(a) is the first N(m, k - 1) entries of the (m, n) one's."""
+    for n in range(1, 7):
+        top = build_order(m, n).lifts()
+        for k in range(n + 1):
+            below = count_total(m, k - 1) if k else 0
+            for a in range(m):
+                lift = build_order(m, k).lift(a)
+                assert lift.dtype == np.intp and lift.tolist() == top[a, :below].tolist()

@@ -9,10 +9,11 @@ from mvinterp.polynomial import (
     embed_univariate,
     evaluate,
     evaluate_rows,
+    linear_terms,
     mul_linear,
 )
 
-from conftest import brute_force_eval, brute_force_indices
+from conftest import brute_force_eval, brute_force_indices, lift_row
 
 
 def random_poly(rng, m, n):
@@ -22,7 +23,13 @@ def random_poly(rng, m, n):
 def times(q, row):
     """q times the linear row[0] + <row[1:], x>, bounded by degree q.n + 1."""
     row = np.asarray(row, dtype=float)
-    return MultiPoly(q.m, q.n + 1, mul_linear(q.coeffs, row, build_order(q.m, q.n + 1)))
+    return MultiPoly(q.m, q.n + 1, mul_linear(q.coeffs, lift_row(row), build_order(q.m, q.n + 1).lifts()))
+
+
+def embed(chat, t0, direction):
+    """embed_univariate with its direction an m-vector, through the lift
+    table of chat's own degree."""
+    return embed_univariate(chat, t0, linear_terms(direction), build_order(direction.size, chat.size - 1).lifts())
 
 
 def test_multipoly_refuses_complex_coefficients():
@@ -107,19 +114,19 @@ def test_mul_linear_vanishes_at_factor_roots(rng):
 def test_embed_univariate_examples():
     # (0,0,1) along e1: x1^2 in two variables
     square = np.array([0.0, 0.0, 1.0])
-    out = embed_univariate(square, 0.0, np.array([1.0, 0.0]))
+    out = embed(square, 0.0, np.array([1.0, 0.0]))
     order = build_order(2, 2)
     expect = np.zeros(len(order))
     expect[order.table.index((2, 0))] = 1.0
     np.testing.assert_allclose(out, expect)
 
     # (x-1)^2 in one variable: 1 - 2x + x^2
-    out1 = embed_univariate(square, -1.0, np.array([1.0]))
+    out1 = embed(square, -1.0, np.array([1.0]))
     np.testing.assert_allclose(out1, [1.0, -2.0, 1.0])
 
     # slope 1 along the diagonal: (x1+x2)/sqrt(2), coefficients derived by hand
     s = 1.0 / np.sqrt(2.0)
-    out2 = embed_univariate(np.array([0.0, 1.0]), 0.0, np.array([s, s]))
+    out2 = embed(np.array([0.0, 1.0]), 0.0, np.array([s, s]))
     np.testing.assert_allclose(out2, [0.0, s, s], atol=1e-15)
 
 
@@ -127,7 +134,7 @@ def test_embed_univariate_exact_on_axis(rng):
     # with direction e_j through the origin, the 1-D coefficients land
     # exactly in the x_j^i slots
     chat = rng.uniform(-1, 1, size=5)
-    out = embed_univariate(chat, 0.0, np.array([0.0, 1.0, 0.0]))
+    out = embed(chat, 0.0, np.array([0.0, 1.0, 0.0]))
     order = build_order(3, 4)
     for i in range(5):
         idx = (0, i, 0)
@@ -142,7 +149,7 @@ def test_embed_univariate_matches_line_values(rng):
     xi /= np.linalg.norm(xi)
     b = rng.uniform(-1, 1, size=4)
     chat = rng.uniform(-1, 1, size=4)
-    out = MultiPoly(4, 3, embed_univariate(chat, -float(xi @ b), xi))
+    out = MultiPoly(4, 3, embed(chat, -float(xi @ b), xi))
     for s in rng.uniform(-2, 2, size=6):
         expected = sum(c * s**i for i, c in enumerate(chat))
         assert evaluate(out, s * xi + b) == pytest.approx(expected, rel=1e-11, abs=1e-11)

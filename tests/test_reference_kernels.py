@@ -5,8 +5,9 @@ mul_linear lifts a coefficient vector by a linear row, and
 solve_univariate solves a line leaf in Python floats.  The references
 below are the plainest forms of the first two (every block gathered by
 fancy indexing into fresh temporaries, and every non-zero normal entry
-scaled before it is added) and the slice-wise NumPy loop of the third.
-Each kernel must give the same bytes.
+of a dense row [c0, normal] scaled before it is added through its own
+degree's lift table) and the slice-wise NumPy loop of the third.  Each
+kernel must give the same bytes.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import SMALL_SOLVE_SHAPES
+from conftest import SMALL_SOLVE_SHAPES, lift_row
 from mvinterp import univariate
 from mvinterp.monomials import build_order, count_total
 from mvinterp.polynomial import MultiPoly, evaluate, evaluate_rows, mul_linear
@@ -97,13 +98,16 @@ def linear_rows(m, rng):
 
 @pytest.mark.parametrize("m,n", itertools.product(range(1, 7), range(1, 7)))
 def test_mul_linear_is_bytewise_the_reference(m, n):
+    # every degree below n lifted through the (m, n) table, as the walk lifts
     rng = np.random.default_rng([41, m, n])
-    order = build_order(m, n)
-    for size in {count_total(m, k) for k in range(n)}:  # every degree < n
-        qc = rng.uniform(-1.0, 1.0, size)
+    lifts = build_order(m, n).lifts()
+    for k in range(n):
+        qc = rng.uniform(-1.0, 1.0, count_total(m, k))
         qc[::5] = -0.0
+        own = build_order(m, k + 1)
         for row in linear_rows(m, rng):
-            assert mul_linear(qc, row, order).tobytes() == reference_mul_linear(qc, row, order).tobytes()
+            got = mul_linear(qc, lift_row(row), lifts)
+            assert got.tobytes() == reference_mul_linear(qc, row, own).tobytes()
 
 
 @pytest.mark.parametrize("m,n", [(1, 3), (3, 4), (5, 2)])
@@ -115,23 +119,27 @@ def test_mul_linear_into_zeros_is_bytewise_its_new_array(m, n):
     qc[::5] = -0.0
     for row in linear_rows(m, rng):
         out = np.zeros(len(order))
-        assert mul_linear(qc, row, order, out=out) is out
-        assert out.tobytes() == mul_linear(qc, row, order).tobytes()
+        assert mul_linear(qc, lift_row(row), order.lifts(), out=out) is out
+        assert out.tobytes() == mul_linear(qc, lift_row(row), order.lifts()).tobytes()
 
 
 @pytest.mark.parametrize("m,n", [(3, 4), (4, 3), (2, 6)])
 @pytest.mark.parametrize("rotated", [False, True])
 def test_mul_linear_matches_the_reference_on_plan_rows(m, n, rotated):
     # the divisor rows a plan lifts by: unit normals in the default frame,
-    # general ones in a rotated frame
+    # general ones in a rotated frame, each kept in the form a lift reads
     frame = np.linalg.qr(np.random.default_rng([43, m]).standard_normal((m, m)))[0] if rotated else None
     plan = _build_plan(m, n, frame, Fraction(2), 1.0, np.linspace(-0.5, 0.25, m))
     assert (1.0 in plan.table[:, 1:]) is not rotated
+    assert {len(pairs) for _, pairs in plan.rows} == {m if rotated else 1}
+    assert plan.direction == lift_row(np.concatenate(([0.0], plan.frame[0])))[1]
     rng = np.random.default_rng([47, m, n])
     order = build_order(m, n)
     qc = rng.uniform(-1.0, 1.0, count_total(m, n - 1))
-    for row in plan.table:
-        assert mul_linear(qc, row, order).tobytes() == reference_mul_linear(qc, row, order).tobytes()
+    assert len(plan.rows) == len(plan.table)
+    for row, lifted in zip(plan.table, plan.rows):
+        assert lifted == lift_row(row)
+        assert mul_linear(qc, lifted, order.lifts()).tobytes() == reference_mul_linear(qc, row, order).tobytes()
 
 
 def reference_solve_univariate(t: np.ndarray, c: np.ndarray) -> np.ndarray:

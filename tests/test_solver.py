@@ -20,22 +20,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from conftest import SMALL_SOLVE_SHAPES, brute_force_eval, brute_force_indices, tree_splits
+from conftest import SMALL_SOLVE_SHAPES, brute_force_eval, brute_force_indices, solve_on_dense_line, tree_splits
+from mvinterp import monomials, polynomial, solver
 from mvinterp import nodes as nodes_module
-from mvinterp import solver
 from mvinterp.exceptions import GeometryConfigError
 from mvinterp.linear import solve_linear
 from mvinterp.monomials import build_order, count_total
 from mvinterp.nodes import GEOMETRY_RTOL, assemble_generic, leaf_slices
-from mvinterp.polynomial import MultiPoly, evaluate, evaluate_rows, mul_linear, restricted_kernel
+from mvinterp.polynomial import MultiPoly, evaluate, evaluate_rows, linear_terms, restricted_kernel
 from mvinterp.solver import (
     SolveConfig,
     corrected_value,
     solve,
 )
 from mvinterp.tree import eps_label, vertex_base
-from mvinterp.univariate import solve_on_line
+from mvinterp.univariate import solve_on_line, solve_univariate
 from mvinterp.vandermonde import build_vandermonde, lu_solve
+
+
+# the identity frame's line direction, x_0, in the form a plan keeps it
+X_0 = ((0, 1.0),)
 
 
 def random_poly(m, n, seed_key):
@@ -71,7 +75,8 @@ def line_solution(f, points, direction, base):
     """The interpolant of f at points on the line base + t * direction."""
     t = (points - base) @ direction
     values = np.array([f(p) for p in points])
-    return MultiPoly(points.shape[1], len(points) - 1, solve_on_line(t, values, -float(direction @ base), direction))
+    coeffs = solve_on_dense_line(t, values, -float(direction @ base), direction)
+    return MultiPoly(points.shape[1], len(points) - 1, coeffs)
 
 
 def test_corrected_value_vanishing_numerator_after_split():
@@ -129,13 +134,43 @@ def test_corrected_value_counts_ops():
     # a one-node leaf of (2, 2) that divides by y - 2, its correction read
     # by row_kernel in both variables, in x alone, and not at all
     leaf = np.array([1, 0]), np.array([True]), np.array([[-2.0, 0.0, 1.0]]), np.array([0, 1]), np.array([0])
-    steps = [solver._step_multiply_adds(2, 2, *leaf, np.array([p]), np.array([0]))["correct"] for p in (2, 1, 0)]
+    steps = [solver._step_multiply_adds(2, 2, *leaf, np.array([p]), np.array([0]), X_0)["correct"] for p in (2, 1, 0)]
     # 2 * N(p,2) for the correction evaluation, (m + 1) per divisor, 1 division
     assert steps == [2 * 6 + 3 * 1 + 1, 2 * 3 + 3 * 1 + 1, 3 * 1 + 1]
     # restricted to its line (d = 1): 2 N(1, 2) for the suffix row and its
     # dot, 1 N(2, 1) for the products per power, and n = 2 for Horner's rule
-    restricted = solver._step_multiply_adds(2, 2, *leaf, np.array([0]), np.array([1]))["correct"]
+    restricted = solver._step_multiply_adds(2, 2, *leaf, np.array([0]), np.array([1]), X_0)["correct"]
     assert restricted == 2 * 3 + 1 * 3 + 2 + 3 * 1 + 1
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_embedding_is_charged_what_its_lifts_do(rotated, monkeypatch):
+    """A line leaf's solve charges its embedding what mul_linear, counting as
+    a divisor lift is counted, does: one multiply-add per coefficient for the
+    constant and per pair of the direction, and one add per constant of
+    Horner's rule, for every degree k = 0..6."""
+    m = 4
+    frame = np.linalg.qr(np.random.default_rng([79, m]).standard_normal((m, m)))[0] if rotated else np.eye(m)
+    direction = linear_terms(frame[0])
+    assert len(direction) == (m if rotated else 1)
+    counted, lift = [], polynomial.mul_linear
+
+    def counting(qc, row, lifts, out=None):
+        counted.append((1 + len(row[1])) * qc.size)
+        return lift(qc, row, lifts, out)
+
+    monkeypatch.setattr(polynomial, "mul_linear", counting)
+    lifts = build_order(m, 6).lifts()
+    no_divisors = np.empty((0, m + 1)), np.array([0, 0]), np.empty(0, np.intp)
+    for k in range(7):
+        counted.clear()
+        coeffs = solve_on_line(np.linspace(-1.0, 1.0, k + 1), np.ones(k + 1), 0.5, direction, lifts)
+        assert coeffs.size == count_total(m, k) and len(counted) == k
+        steps = solver._step_multiply_adds(
+            m, k, np.array([k + 1, 0]), np.array([True]), *no_divisors, np.zeros(1, int), np.zeros(1, int), direction
+        )
+        divided = 3 * k * (k + 1) // 2 + k * (k + 1)  # the differences and their monomial expansion
+        assert steps["solve"] - divided == sum(counted) + k
 
 
 def test_corrected_value_block_matches_pointwise_rule(rng):
@@ -153,7 +188,7 @@ def test_corrected_value_block_matches_pointwise_rule(rng):
         expected = (value - evaluate(correction, p)) / denominator
         assert corrected == pytest.approx(expected, rel=1e-14)
     leaf = np.array([4, 0]), np.array([False]), rows, np.array([0, 2]), np.array([0, 1])
-    steps = solver._step_multiply_adds(3, 2, *leaf, np.array([3]), np.array([0]))
+    steps = solver._step_multiply_adds(3, 2, *leaf, np.array([3]), np.array([0]), X_0)
     assert steps["correct"] == 4 * (2 * 10 + 4 * 2 + 1)
     # stacked on a leading axis, each pair has the bits of its own call
     stacked = solver._divisor_product(np.stack([rows, rows[::-1]]), np.stack([points, points[::-1]]))
@@ -220,13 +255,15 @@ def test_only_lines_and_axis_flats_are_read_restricted(m, n):
     leaf after the first is, where its temporaries hold the fewest bytes."""
     frame = np.linalg.qr(np.random.default_rng([73, m]).standard_normal((m, m)))[0]
     rotated = solver._build_plan(m, n, frame, Fraction(2), 1.0, None)
-    assert not rotated.restrict.any()
+    assert not any(rotated.restrict)
     shifted = solver._build_plan(m, n, None, Fraction(2), 1.0, np.linspace(0.25, 1.0, m))
-    assert not shifted.restrict[~shifted.lines].any()
-    assert shifted.restrict[shifted.lines].any() or not shifted.lines[1:].any()  # the first leaf reads nothing
+    restrict, lines = np.array(shifted.restrict), np.array(shifted.lines)
+    assert not restrict[~lines].any()
+    assert restrict[lines].any() or not lines[1:].any()  # the first leaf reads nothing
     plain = solver._build_plan(m, n, None, Fraction(2), 1.0, None)
-    rows, flat = plain.starts[:-1] - plain.starts[1:], plain.restrict * ~plain.lines
-    assert plain.restrict[0] == 0 and flat.any() and (plain.restrict[plain.lines] <= 1).all()
+    starts, restrict, lines = np.array(plain.starts), np.array(plain.restrict), np.array(plain.lines)
+    rows, flat = starts[:-1] - starts[1:], restrict * ~lines
+    assert restrict[0] == 0 and flat.any() and (restrict[lines] <= 1).all()
     assert (flat[flat > 0] == rows[flat > 0] - 1).all()  # a flat of d + 1 rows is read in its d coordinates
 
 
@@ -383,6 +420,33 @@ def must_precede(first, second):
     raise AssertionError("leaf labels cannot be prefixes of each other")
 
 
+def dense_mul_linear(qc, row, order, out=None):
+    """The dense lift chain's product of qc and row[0] + <row[1:], x>: a
+    dense row [c0, normal] scanned in full, through the lift table of the
+    product's own degree (order), a coefficient of 1 adding qc unscaled."""
+    nq = qc.size
+    if out is None:
+        out = np.zeros(len(order))
+    out[:nq] += row[0] * qc
+    for a, la in enumerate(row[1:].tolist()):
+        if la == 1.0:
+            out[order.lift(a)[:nq]] += qc
+        elif la != 0.0:
+            out[order.lift(a)[:nq]] += la * qc
+    return out
+
+
+def dense_embed(chat, t0, direction):
+    """The dense lift chain's embedding of sum chat[i] t^i, t = t0 + <direction, x>."""
+    m, deg = direction.size, chat.size - 1
+    t_row = np.concatenate(([t0], direction))
+    acc = np.array([float(chat[deg])])
+    for i in range(deg - 1, -1, -1):
+        acc = dense_mul_linear(acc, t_row, build_order(m, deg - i))
+        acc[0] += chat[i]
+    return acc
+
+
 def iterative_reference_solve(f, m, n):
     """Schedule leaves with an explicit ready set instead of recursion.
 
@@ -395,7 +459,8 @@ def iterative_reference_solve(f, m, n):
     forerunners' flats and divisors have reached; by the solver's storage
     rule, either restricted to the leaf's own line or flat, found from its
     rows, or as a polynomial in those variables alone, or in all of them;
-    and its last lift adds into acc in place.
+    and its last lift adds into acc in place.  Lines are embedded and
+    leaves lifted by the dense chain (dense_mul_linear, dense_embed).
     """
     nodes, tree, hyperplanes = assemble_generic(m, n)
     blocks = leaf_slices(nodes)
@@ -441,14 +506,14 @@ def iterative_reference_solve(f, m, n):
         if d == 1:
             direction = np.eye(m)[0]
             t = (pts - base) @ direction
-            contribution, degree = solve_on_line(t, corrected, -float(direction @ base), direction), k
+            contribution, degree = dense_embed(solve_univariate(t, corrected), -float(direction @ base), direction), k
         else:
             contribution, degree = solve_linear(corrected, np.eye(m)[:d], base), 1
         for row in divisors[:-1]:
             degree += 1
-            contribution = mul_linear(contribution, row, build_order(m, degree))
+            contribution = dense_mul_linear(contribution, row, build_order(m, degree))
         if divisors:
-            mul_linear(contribution, divisors[-1], order, out=acc.coeffs)
+            dense_mul_linear(contribution, divisors[-1], order, out=acc.coeffs)
         else:
             acc.coeffs += contribution
         assert degree + bool(divisors) == n
@@ -489,8 +554,8 @@ def test_reach_grows_from_zero_and_ignores_mu(m, n):
     for frame_, second in ((None, 1), (frame, m)):
         plain, shifted = (solver._build_plan(m, n, frame_, Fraction(2), 1.0, shift) for shift in (None, mu))
         assert plain.reach[0] == 0 and (np.diff(plain.reach) >= 0).all() and plain.reach[-1] <= m
-        assert plain.reach.tobytes() == shifted.reach.tobytes() and plain.reach[1] == second
-    assert (plain.reach[1:] == m).all()
+        assert plain.reach == shifted.reach and plain.reach[1] == second
+    assert set(plain.reach[1:]) == {m}
 
 
 def plan_leaves(plan):
@@ -521,7 +586,7 @@ def test_plan_divisors_are_rows_of_one_table():
     labels = table_labels(plan, hyperplanes, mu)
     assert sorted(labels) == sorted("".join(map(str, key)) for key in hyperplanes)
     # every divisor is a row of that table, and every row divides a leaf
-    assert sorted(set(plan.indices.tolist())) == list(range(len(hyperplanes)))
+    assert sorted(set(plan.indices)) == list(range(len(hyperplanes)))
     for block, rows in plan_leaves(plan):
         eps = plan.nodes.provenance[block.start]
         assert [labels[r] for r in rows] == [eps[:i] + "1" for i, bit in enumerate(eps) if bit == "0"]
@@ -535,7 +600,7 @@ def test_leaf_guard_names_node_and_hyperplane(values, monkeypatch):
     m, n = 3, 3
     plan = solver._build_plan(m, n, None, Fraction(2), 1.0, None)
     labels = table_labels(plan, assemble_generic(m, n)[2])
-    block, rows = next(leaf for leaf in reversed(plan_leaves(plan)) if leaf[1].size)
+    block, rows = next(leaf for leaf in reversed(plan_leaves(plan)) if leaf[1])
     label = plan.nodes.provenance[block.start]
     monkeypatch.setattr(nodes_module, "GEOMETRY_RTOL", 1.0)
     solver.clear_plans()
@@ -555,7 +620,7 @@ def test_walk_backstop_names_the_leafs_divisors():
     solve(values, m, n)
     (plan,) = solver._plans.values()
     labels = table_labels(plan, assemble_generic(m, n)[2])
-    block, rows = next(leaf for leaf in plan_leaves(plan) if leaf[1].size > 1)
+    block, rows = next(leaf for leaf in plan_leaves(plan) if len(leaf[1]) > 1)
     plan.divisor[block.start] = 0.0
     try:
         with pytest.raises(GeometryConfigError) as err:
@@ -629,20 +694,24 @@ ROTATED_3 = _GIVENS_XY @ _GIVENS_YZ @ _GIVENS_XY
 
 # (m, n, config): multiply_adds, peak_reals_stored less the N node values,
 # peak_reals_stored (the same for a callback, which is read into an array of
-# N values, as for an array), largest_single_alloc; recorded when an
-# identity-frame leaf's correction came to be read restricted to its own line
-# or flat (before: 1092, 20202635 and 633414 multiply-adds at (3, 3), (15, 4)
-# and (3, 12); 3, 291, 120, 1588, 34817809, 748126 and 936314 before each
-# correction read only the variables its leaf's reach holds and the last lift
-# added in place, with peaks 130 at (3, 3), 70584 at (15, 4), 3094 at (3, 12))
+# N values, as for an array), largest_single_alloc; recorded when a line's
+# embedding came to be counted as its lifts are, (1 + the direction's
+# non-zeros) N(m + 1, k - 1) + k (before: 193, 818, 4943187, 341276 and
+# 888994 multiply-adds at (1, 6), (3, 3), (15, 4), (3, 12) and rotated
+# (3, 12), charged (m + 2) (N(m + 1, k) - 1) per embedding; 1092, 20202635
+# and 633414 at (3, 3), (15, 4) and (3, 12) before an identity-frame leaf's
+# correction was read restricted to its own line or flat; 3, 291, 120, 1588,
+# 34817809, 748126 and 936314 before each correction read only the
+# variables its leaf's reach holds and the last lift added in place, with
+# peaks 130 at (3, 3), 70584 at (15, 4), 3094 at (3, 12))
 PINNED_REPORTS = [
     (3, 0, None, 1, 3, 4, 3),
-    (1, 6, None, 193, 7, 14, 7),
+    (1, 6, None, 160, 7, 14, 7),
     (5, 1, None, 48, 30, 36, 30),
-    (3, 3, None, 818, 94, 114, 60),
-    (15, 4, SolveConfig(lam=Fraction(11, 10)), 4943187, 62968, 66844, 58140),
-    (3, 12, SolveConfig(lam=Fraction(11, 10)), 341276, 2470, 2925, 1365),
-    (3, 12, SolveConfig(frame=ROTATED_3, lam=Fraction(11, 10)), 888994, 2470, 2925, 1365),
+    (3, 3, None, 565, 94, 114, 60),
+    (15, 4, SolveConfig(lam=Fraction(11, 10)), 4369183, 62968, 66844, 58140),
+    (3, 12, SolveConfig(lam=Fraction(11, 10)), 274231, 2470, 2925, 1365),
+    (3, 12, SolveConfig(frame=ROTATED_3, lam=Fraction(11, 10)), 846677, 2470, 2925, 1365),
 ]
 
 
@@ -1126,9 +1195,10 @@ def test_plan_cache_keeps_at_most_32_plans(assemblies):
 
 def test_plan_cache_drops_least_recent_over_reals_budget(monkeypatch, assemblies):
     # reals (m + 2) * N in points and per-node vectors, plus the divisor
-    # table, plus each plan's m x m frame: (20,0) 22 + 400, (4,3) 255 + 16,
-    # (2,3) 46 + 4, (3,3) 120 + 9, (2,4) 69 + 4
-    monkeypatch.setattr(solver, "PLAN_CACHE_REALS", 180)
+    # table, plus each plan's m x m frame, plus one per entry of the walk's
+    # lists: (20,0) 22 + 400 + 9, (4,3) 255 + 16 + 87, (2,3) 46 + 4 + 26,
+    # (3,3) 120 + 9 + 52, (2,4) 69 + 4 + 36
+    monkeypatch.setattr(solver, "PLAN_CACHE_REALS", 300)
     for shape in [(20, 0), (4, 3), (2, 3), (3, 3), (3, 3), (2, 3), (2, 4)]:
         solve(lambda p: 1.0, *shape)
     # (20,0) and (4,3) alone are over budget; (3,3) was least recently used
@@ -1142,13 +1212,27 @@ def test_plan_cache_drops_least_recent_over_reals_budget(monkeypatch, assemblies
 
 
 def test_plan_cache_keeps_the_large_solve_shapes(assemblies):
-    # the benchmark's large-solve shapes at lambda 11/10 weigh about 183k of
+    # the benchmark's large-solve shapes at lambda 11/10 weigh about 204k of
     # the 2^18 reals; a repeat call gains only while its plan is kept
     shapes = [(12, 3), (10, 4), (20, 3), (8, 6), (15, 4), (3, 12)]
     config = SolveConfig(lam=Fraction(11, 10))
     for m, n in shapes:
         solve(np.ones(count_total(m, n)), m, n, config)
     assert [key[:2] for key in solver._plans] == shapes
+    solver.clear_plans()
+
+
+@pytest.mark.parametrize("m,n", [(8, 6), (15, 4)])
+def test_a_solve_builds_only_its_own_lift_table(m, n):
+    """Every lift of a solve reads the (m, n) order's table, of which a lower
+    degree's is a prefix, so no other order in m or fewer variables and of
+    degree n or less holds one; the orders the walk reads for their
+    recurrence alone (row_kernel, restricted_kernel, head) build none."""
+    solver.clear_plans()
+    monomials.build_order.cache_clear()
+    solve(np.ones(count_total(m, n)), m, n, SolveConfig(lam=Fraction(11, 10)))
+    built = [(p, k) for p in range(1, m + 1) for k in range(n + 1) if build_order(p, k)._lifts is not None]
+    assert built == [(m, n)]
     solver.clear_plans()
 
 

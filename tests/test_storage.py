@@ -32,8 +32,9 @@ CONFIG = SolveConfig(lam=Fraction(11, 10))
 # 2.96, 3.08 and 3.24 while every correction read all m variables, and 4.77
 # and 4.52 while a solve copied the provenance and the row kernel gathered twice
 REPEAT_PEAK_REALS = 3.25
-# a first (20, 4) solve from cold monomial tables read 3.10 node tables,
-# 4.27 while the monomial order held a tuple per monomial and a position dict
+# a first (20, 4) solve from cold monomial tables read 3.15 node tables,
+# 3.11 while the plan kept the walk's per-leaf vectors as arrays, and 4.27
+# while the monomial order held a tuple per monomial and a position dict
 FIRST_PEAK_NODE_TABLES = 3.5
 # a built (20, 4) order with every lift held 0.27 node tables; 2.05 with a
 # tuple per monomial and a position dict

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import solve_on_dense_line
 from mvinterp.exceptions import DegenerateInputError
 from mvinterp.monomials import count_total
 from mvinterp.nodes import leaf_nodes
 from mvinterp.polynomial import MultiPoly, evaluate
-from mvinterp.univariate import chebyshev_parameters, solve_on_line, solve_univariate
+from mvinterp.univariate import chebyshev_parameters, solve_univariate
 
 
 def chebyshev_nodes(count, direction, base, kappa=1.0):
@@ -62,7 +63,7 @@ def test_equal_line_parameters_are_refused_by_name():
         with pytest.raises(DegenerateInputError, match=f"line parameters {pair} are equal"):
             solve_univariate(t, [1, 2, 3])
         with pytest.raises(DegenerateInputError, match=f"line parameters {pair} are equal"):
-            solve_on_line(np.array(t), np.array([1.0, 2.0, 3.0]), 0.0, np.array([1.0, 0.0]))
+            solve_on_dense_line(np.array(t), np.array([1.0, 2.0, 3.0]), 0.0, np.array([1.0, 0.0]))
     with pytest.raises(DegenerateInputError, match="line parameters 1 and 2 are equal: -0.0"):
         solve_univariate(np.array([1.0, 0.0, -0.0]), np.ones(3))
 
@@ -70,7 +71,7 @@ def test_equal_line_parameters_are_refused_by_name():
 def test_line_solves_leave_their_inputs_unchanged():
     t, values = chebyshev_parameters(5), np.arange(5.0)
     solve_univariate(t, values)
-    solve_on_line(t, values, 0.25, np.array([0.6, 0.8]))
+    solve_on_dense_line(t, values, 0.25, np.array([0.6, 0.8]))
     assert np.array_equal(t, chebyshev_parameters(5)) and np.array_equal(values, np.arange(5.0))
 
 
@@ -101,7 +102,7 @@ def on_line(f, degree, direction, base):
     direction, base = np.asarray(direction, float), np.asarray(base, float)
     nodes = chebyshev_nodes(degree + 1, direction, base)
     values = np.array([f(p) for p in nodes])
-    coeffs = solve_on_line((nodes - base) @ direction, values, -float(direction @ base), direction)
+    coeffs = solve_on_dense_line((nodes - base) @ direction, values, -float(direction @ base), direction)
     return nodes, MultiPoly(base.size, degree, coeffs)
 
 
@@ -136,6 +137,6 @@ def test_solve_on_line_node_count_is_degree_plus_one():
     direction, base = np.array([0.6, 0.8]), np.array([0.5, -1.0])
     for n in range(0, 6):
         t = (chebyshev_nodes(n + 1, direction, base) - base) @ direction
-        coeffs = solve_on_line(t, np.ones(n + 1), -float(direction @ base), direction)
+        coeffs = solve_on_dense_line(t, np.ones(n + 1), -float(direction @ base), direction)
         assert coeffs.shape == (count_total(2, n),)
         np.testing.assert_allclose(coeffs, np.eye(count_total(2, n))[0], atol=1e-12)
